@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import charts, compare, io, metrics, resample
@@ -77,14 +78,14 @@ def build_parser() -> _Parser:
 
     p = command("gains", "cumulative gains at a cutoff, or the whole curve")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fraction", type=float, default=None,
+    p.add_argument("--fraction", type=Fraction, default=None,
                    help="evaluate at cutoff ceil(fraction*N)")
     p.add_argument("--x", choices=("count", "fraction"), default="count",
                    help="x axis for curve output")
 
     p = command("lift", "lift at a cutoff, or the whole curve")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fraction", type=float, default=None)
+    p.add_argument("--fraction", type=Fraction, default=None)
     p.add_argument("--x", choices=("count", "fraction"), default="fraction")
 
     command("deciles", "lift for each tenth of the ranked set")
@@ -95,7 +96,7 @@ def build_parser() -> _Parser:
     p.add_argument("--qfp", type=float, required=True,
                    help="net benefit per false positive (usually negative)")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fraction", type=float, default=None)
+    p.add_argument("--fraction", type=Fraction, default=None)
 
     p = command("auc", "area under the ROC curve (exact, tie-aware)")
     p.add_argument("--method", choices=("pairs", "wilcoxon"), default="pairs")
@@ -185,7 +186,8 @@ def _cutoff(args, n_total: int) -> int | None:
     if args.fraction is not None:
         if not 0 < args.fraction <= 1:
             raise ValidationError("--fraction must be in (0, 1]")
-        return math.ceil(args.fraction * n_total)
+        # exact ceiling: 0.07 * 100 is 7.000000000000001 in floats
+        return -(-args.fraction.numerator * n_total // args.fraction.denominator)
     return None
 
 
@@ -423,13 +425,7 @@ def cli_main(argv=None) -> int:
     except (BudgetExhaustedError, InfeasibleError) as exc:
         print(f"gainslift: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"gainslift: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"gainslift: {exc}", file=sys.stderr)
-        return 1
-    except GainsLiftError as exc:
+    except (GainsLiftError, OSError) as exc:
         print(f"gainslift: {exc}", file=sys.stderr)
         return 1
 

@@ -10,12 +10,11 @@ and by seeded sampling otherwise.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Optional, Sequence
+from itertools import chain, combinations, islice
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .records import RankedTestSet, ScoredRecord, rank_records, reranked_copy
 
 EXHAUSTIVE_LIMIT = 1_000_000
 LEX_REFINE_LIMIT = 2_000  # full lex-order pair scan only below this many arrangements
+CHUNK_CELLS = 1 << 16  # label-matrix cells scored at a time by the search
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +61,11 @@ def apply_swaps(ranked: RankedTestSet, swaps: SwapSpec) -> RankedTestSet:
 
 
 def _check_shared_labels(runs: Sequence[ClassifierRun]) -> None:
-    reference = Counter(runs[0].ranked.labels)
+    # labels are 0/1, so the multiset is fixed by the record and positive counts
+    reference = runs[0].ranked
     for run in runs[1:]:
-        if Counter(run.ranked.labels) != reference:
+        if (run.ranked.n_total, run.ranked.n_pos) != (reference.n_total,
+                                                       reference.n_pos):
             raise ValidationError(
                 f"run {run.name!r} has a different label multiset than "
                 f"{runs[0].name!r}; comparisons need the same ground truth")
@@ -165,32 +167,36 @@ class DominanceReport:
         return not self.a_above and not self.b_above
 
 
-def _runs_to_intervals(ranks: list[int]) -> tuple[tuple[int, int], ...]:
-    intervals = []
-    for n in ranks:
-        if intervals and intervals[-1][1] == n - 1:
-            intervals[-1] = (intervals[-1][0], n)
-        else:
-            intervals.append((n, n))
-    return tuple(intervals)
+def _runs_to_intervals(ranks: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Maximal runs of consecutive ranks as (first, last) pairs."""
+    if ranks.size == 0:
+        return ()
+    breaks = np.flatnonzero(np.diff(ranks) != 1)
+    firsts = ranks[np.concatenate(([0], breaks + 1))]
+    lasts = ranks[np.concatenate((breaks, [ranks.size - 1]))]
+    return tuple(zip(firsts.tolist(), lasts.tolist()))
 
 
 def dominance(run_a: ClassifierRun, run_b: ClassifierRun) -> DominanceReport:
-    """Compare two lift curves pointwise over every cutoff."""
+    """Compare two lift curves pointwise over every cutoff.
+
+    The runs share one label multiset, so at every cutoff n their lifts
+    share the factor N / (n * positives) and lift_a > lift_b exactly when
+    gains_a > gains_b. The exact gains of both runs are compared as integer
+    arrays by cross-multiplying numerators and denominators.
+    """
     _check_shared_labels([run_a, run_b])
-    n_total = run_a.ranked.n_total
-    a_above: list[int] = []
-    b_above: list[int] = []
-    for n in range(1, n_total + 1):
-        la = lift(run_a.ranked, n)
-        lb = lift(run_b.ranked, n)
-        if la > lb:
-            a_above.append(n)
-        elif lb > la:
-            b_above.append(n)
-    if a_above and not b_above:
+    if run_a.ranked.n_pos == 0:
+        raise ValidationError("lift undefined: the set has no positives")
+    num_a, den_a = run_a.ranked.gains_arrays()
+    num_b, den_b = run_b.ranked.gains_arrays()
+    lhs = (num_a * den_b)[1:]
+    rhs = (num_b * den_a)[1:]
+    a_above = np.flatnonzero(lhs > rhs) + 1
+    b_above = np.flatnonzero(rhs > lhs) + 1
+    if a_above.size and not b_above.size:
         verdict = DominanceVerdict.A_DOMINATES
-    elif b_above and not a_above:
+    elif b_above.size and not a_above.size:
         verdict = DominanceVerdict.B_DOMINATES
     else:
         verdict = DominanceVerdict.CROSSING
@@ -335,55 +341,104 @@ def evaluate_metric(metric: Metric, ranked: RankedTestSet) -> Fraction:
     raise ValidationError(f"unknown metric kind {metric.kind!r}")
 
 
-def _arrangements_exhaustive(n_total: int, n_pos: int) -> list[tuple[int, ...]]:
+def _numerators(metric: Metric, labels: np.ndarray, n_pos: int) -> np.ndarray:
+    """The metric's exact numerator for every row of a 0/1 label matrix.
+
+    Each metric has one denominator for all arrangements of n_pos positives
+    among N ranks (auc: P*N-, lift@n: n*P, accuracy@n: N), so numerators
+    order the rows exactly as the metric values do.
+    """
+    n_total = labels.shape[1]
+    if metric.kind == "auc":
+        # each positive is discordant with every negative ranked above it
+        neg_above = np.cumsum(1 - labels, axis=1)
+        discordant = (labels * neg_above).sum(axis=1)
+        return n_pos * (n_total - n_pos) - discordant
+    tp = labels[:, :metric.at].sum(axis=1, dtype=np.int64)
+    if metric.kind == "lift":
+        return tp * n_total
+    return 2 * tp + (n_total - metric.at) - n_pos  # accuracy
+
+
+def _label_matrix(positions: np.ndarray, n_total: int) -> np.ndarray:
+    labels = np.zeros((len(positions), n_total), dtype=np.int8)
+    np.put_along_axis(labels, positions, 1, axis=1)
+    return labels
+
+
+def _exhaustive_chunks(n_total: int, n_pos: int,
+                       rows: int) -> Iterator[np.ndarray]:
+    """Positive positions of every arrangement, in lexicographic order of the
+    position tuples, `rows` arrangements at a time."""
+    combos = combinations(range(n_total), n_pos)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(combos, rows)),
+                           dtype=np.int64)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, n_pos)
+
+
+def _combination_at(index: int, n_total: int, n_pos: int) -> list[int]:
+    """The `index`-th n_pos-subset of range(n_total) in lexicographic order."""
     out = []
-    for positions in combinations(range(n_total), n_pos):
-        labels = [0] * n_total
-        for p in positions:
-            labels[p] = 1
-        out.append(tuple(labels))
+    x = 0
+    for left in range(n_pos, 0, -1):
+        while (count := math.comb(n_total - x - 1, left - 1)) <= index:
+            index -= count
+            x += 1
+        out.append(x)
+        x += 1
     return out
 
 
-def _arrangements_sampled(n_total: int, n_pos: int, budget: int,
-                          seed: int) -> list[tuple[int, ...]]:
+def _sampled_positions(n_total: int, n_pos: int, budget: int,
+                       seed: int) -> np.ndarray:
+    """Sorted positive positions of `budget` seeded draws, duplicates dropped
+    and first occurrences kept in draw order."""
     rng = np.random.default_rng(seed)
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for _ in range(budget):
-        positions = rng.choice(n_total, size=n_pos, replace=False)
-        labels = [0] * n_total
-        for p in positions:
-            labels[p] = 1
-        t = tuple(labels)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    drawn = np.empty((budget, n_pos), dtype=np.int64)
+    for row in drawn:
+        row[:] = rng.choice(n_total, size=n_pos, replace=False)
+    drawn.sort(axis=1)
+    _, first = np.unique(drawn, axis=0, return_index=True)
+    return drawn[np.sort(first)]
 
 
-def _scan_for_inversion(values: list[tuple[Fraction, Fraction, int]]
-                        ) -> Optional[tuple[int, int]]:
-    """Find i, j with a_i < a_j but b_i > b_j among (a, b, index) triples."""
-    ordered = sorted(values, key=lambda t: (t[0], t[1]))
-    best_b: Optional[Fraction] = None
-    best_idx = -1
-    k = 0
-    while k < len(ordered):
-        # process one group of equal a at a time
-        group_end = k
-        a_here = ordered[k][0]
-        while group_end < len(ordered) and ordered[group_end][0] == a_here:
-            group_end += 1
-        if best_b is not None:
-            for t in ordered[k:group_end]:
-                if t[1] < best_b:
-                    return best_idx, t[2]
-        for t in ordered[k:group_end]:
-            if best_b is None or t[1] > best_b:
-                best_b = t[1]
-                best_idx = t[2]
-        k = group_end
+def _first_inversion(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
+    """Find i, j with a_i < a_j but b_i > b_j.
+
+    Rows are taken in (a, b, index) order and split into groups of equal a.
+    The reported j is the first row of the first group whose smallest b lies
+    below the largest b of the groups before it; i is the first row, in the
+    same order, that holds that largest b.
+    """
+    order = np.lexsort((b, a))
+    a_sorted, b_sorted = a[order], b[order]
+    starts = np.flatnonzero(np.diff(a_sorted, prepend=a_sorted[0] - 1))
+    ends = np.append(starts[1:], len(order))
+    best_before = np.maximum.accumulate(b_sorted[ends - 1])[:-1]
+    hits = np.flatnonzero(b_sorted[starts[1:]] < best_before)
+    if not hits.size:
+        return None
+    g = hits[0] + 1
+    i = int(np.argmax(b_sorted[:starts[g]] == best_before[g - 1]))
+    return int(order[i]), int(order[starts[g]])
+
+
+def _lex_first_pair(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
+    """First disagreeing pair in lexicographic order of label tuples.
+
+    Arrangement k+1 of the exhaustive enumeration moves a positive to a later
+    rank than arrangement k, so its label tuple is lexicographically smaller:
+    label order is the enumeration reversed.
+    """
+    for i in range(len(a) - 1, 0, -1):
+        da = np.sign(a[i] - a[i - 1::-1])
+        db = np.sign(b[i] - b[i - 1::-1])
+        hit = np.flatnonzero(da * db < 0)
+        if hit.size:
+            return i, i - 1 - int(hit[0])
     return None
 
 
@@ -397,6 +452,11 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
     None return certifies no disagreement exists); otherwise samples `budget`
     arrangements with the seeded generator and raises BudgetExhaustedError if
     nothing turns up, since absence is then not certified.
+
+    Arrangements are scored as int8 label matrices of at most
+    CHUNK_CELLS cells each, so memory stays bounded by two integer
+    numerators per arrangement. Only the two reported arrangements are
+    evaluated in `Fraction`s, through `Metric.evaluator`.
     """
     if isinstance(metric_a, str):
         metric_a = parse_metric(metric_a)
@@ -408,32 +468,48 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
             f"n_total={n_total}, n_pos={n_pos}")
     if budget < 2:
         raise ValidationError("budget must allow at least two arrangements")
+    eval_a = metric_a.evaluator(n_total, n_pos)
+    eval_b = metric_b.evaluator(n_total, n_pos)
 
     space = math.comb(n_total, n_pos)
     exhaustive = space <= min(budget, EXHAUSTIVE_LIMIT)
+    rows = max(1, CHUNK_CELLS // n_total)
     if exhaustive:
-        arrangements = _arrangements_exhaustive(n_total, n_pos)
+        count = space
+        chunks = _exhaustive_chunks(n_total, n_pos, rows)
     else:
-        arrangements = _arrangements_sampled(n_total, n_pos, budget, seed)
+        sampled = _sampled_positions(n_total, n_pos, budget, seed)
+        count = len(sampled)
+        chunks = (sampled[k:k + rows] for k in range(0, count, rows))
 
-    eval_a = metric_a.evaluator(n_total, n_pos)
-    eval_b = metric_b.evaluator(n_total, n_pos)
-    values = [(eval_a(labels), eval_b(labels), i)
-              for i, labels in enumerate(arrangements)]
+    num_a = np.empty(count, dtype=np.int64)
+    num_b = np.empty(count, dtype=np.int64)
+    done = 0
+    for positions in chunks:
+        labels = _label_matrix(positions, n_total)
+        num_a[done:done + len(labels)] = _numerators(metric_a, labels, n_pos)
+        num_b[done:done + len(labels)] = _numerators(metric_b, labels, n_pos)
+        done += len(labels)
 
-    hit = _scan_for_inversion(values)
+    hit = _first_inversion(num_a, num_b)
     if hit is None:
         if exhaustive:
             return None
         raise BudgetExhaustedError(
-            f"no disagreement among {len(arrangements)} sampled arrangements "
+            f"no disagreement among {count} sampled arrangements "
             f"(space size {space}); absence is not certified")
+    if exhaustive and count <= LEX_REFINE_LIMIT:
+        hit = _lex_first_pair(num_a, num_b)
 
-    i, j = hit
-    if exhaustive and len(arrangements) <= LEX_REFINE_LIMIT:
-        i, j = _lex_first_pair(arrangements, values) or (i, j)
+    def arrangement(index: int) -> tuple[int, ...]:
+        positions = (_combination_at(index, n_total, n_pos) if exhaustive
+                     else sampled[index])
+        labels = [0] * n_total
+        for p in positions:
+            labels[p] = 1
+        return tuple(labels)
 
-    lx, ly = arrangements[i], arrangements[j]
+    lx, ly = (arrangement(k) for k in hit)
     ax, ay = eval_a(lx), eval_a(ly)
     bx, by = eval_b(lx), eval_b(ly)
     if ax < ay:  # normalize so metric_a prefers x
@@ -443,18 +519,3 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
                               value_a_x=ax, value_a_y=ay,
                               value_b_x=bx, value_b_y=by,
                               exhaustive=exhaustive)
-
-
-def _lex_first_pair(arrangements: list[tuple[int, ...]],
-                    values: list[tuple[Fraction, Fraction, int]]
-                    ) -> Optional[tuple[int, int]]:
-    """First disagreeing pair in lexicographic order of label tuples."""
-    order = sorted(range(len(arrangements)), key=lambda i: arrangements[i])
-    by_index = {idx: (a, b) for a, b, idx in values}
-    for pos_x, i in enumerate(order):
-        ai, bi = by_index[i]
-        for j in order[pos_x + 1:]:
-            aj, bj = by_index[j]
-            if (ai > aj and bi < bj) or (ai < aj and bi > bj):
-                return i, j
-    return None

@@ -84,7 +84,9 @@ def load_scored(file: ScoredFile | str | Path, **overrides) -> list[ScoredRecord
 
 
 def _read_csv(file: ScoredFile) -> Iterable[ScoredRecord]:
-    with open(file.path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise stick
+    # to the first header name
+    with open(file.path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle, delimiter=file.delimiter)
         if reader.fieldnames is None:
             raise ValidationError(f"{file.path}: missing header row")
@@ -123,8 +125,16 @@ def _read_jsonl(file: ScoredFile) -> Iterable[ScoredRecord]:
                 raise ValidationError(
                     f"row {row_no}: missing {file.label_col!r} or "
                     f"{file.score_col!r} field")
-            label = _parse_label(obj[file.label_col], row_no)
-            score = _parse_score(obj[file.score_col], row_no)
+            raw_label, raw_score = obj[file.label_col], obj[file.score_col]
+            # JSON true and 1.0 compare equal to 1; only literal 0/1 count
+            if isinstance(raw_label, (bool, float)):
+                raise ValidationError(
+                    f"row {row_no}: label must be 0 or 1, got {raw_label!r}")
+            if isinstance(raw_score, bool):
+                raise ValidationError(
+                    f"row {row_no}: score {raw_score!r} is not a number")
+            label = _parse_label(raw_label, row_no)
+            score = _parse_score(raw_score, row_no)
             id_col = file.id_col or "id"
             rid = str(obj[id_col]) if id_col in obj else str(row_no)
             yield ScoredRecord(id=rid, score=score, label=label)

@@ -237,16 +237,25 @@ def auc_wilcoxon(ranked: RankedTestSet) -> Fraction:
     equals the pair-counting AUC on every input.
     """
     _require_both_classes(ranked, "AUC")
-    # doubled midranks stay integral: a tie group occupying ascending ranks
-    # s+1..s+g has midrank s + (g+1)/2, i.e. doubled 2s + g + 1
-    doubled_rank_sum = 0
-    n = ranked.n_total
-    for start, end, pos in ranked.tie_groups():
-        size = end - start
-        below = n - end  # records with strictly lower score
-        doubled_rank_sum += pos * (2 * below + size + 1)
-    doubled_u = doubled_rank_sum - ranked.n_pos * (ranked.n_pos + 1)
+    doubled_u = doubled_mann_whitney_u(ranked._group_ends, ranked._group_pos,
+                                       ranked.n_pos)
     return Fraction(doubled_u, 2 * ranked.n_pos * ranked.n_neg)
+
+
+def doubled_mann_whitney_u(group_ends, group_pos, n_pos: int) -> int:
+    """Twice the Mann-Whitney U of the positives, from the tie groups of a
+    descending ranking: each group's exclusive end rank and positive count.
+
+    Ranks ascend with score (rank 1 = lowest). A tie group occupying
+    ascending ranks s+1..s+g has midrank s + (g+1)/2, i.e. doubled
+    2s + g + 1, so the doubled statistic stays integral.
+    """
+    ends = np.asarray(group_ends, dtype=np.int64)
+    sizes = np.diff(ends, prepend=0)
+    below = ends[-1] - ends  # records with strictly lower score
+    doubled_rank_sum = int((np.asarray(group_pos, dtype=np.int64)
+                            * (2 * below + sizes + 1)).sum())
+    return doubled_rank_sum - n_pos * (n_pos + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +312,6 @@ def random_targeting_series(ranked: RankedTestSet, kind: XKind,
     if kind is XKind.COUNT:
         points = ((Fraction(0), Fraction(0)),
                   (Fraction(ranked.n_total), Fraction(ranked.n_pos)))
-    elif kind is XKind.FRACTION:
-        points = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     else:
         points = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     return CurveSeries(name=name, x_kind=kind, points=points)

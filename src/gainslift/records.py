@@ -3,7 +3,8 @@
 A test set is a list of :class:`ScoredRecord` (id, score, true label). All
 downstream measures operate on a :class:`RankedTestSet`, which fixes the
 descending-score order once, resolves ties according to a policy, and caches
-the prefix positive counts so that every cutoff query is O(1).
+the prefix positive counts so that every cutoff query is O(1);
+`RankedTestSet.gains_arrays` gives the gains at every cutoff at once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -112,6 +115,30 @@ class RankedTestSet:
         inside = n - start
         value = self._prefix_pos[start] + Fraction(self._group_pos[g] * inside, size)
         return int(value) if value.denominator == 1 else value
+
+    def gains_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gains at every cutoff n = 0..N as int64 arrays `num`, `den`
+        in lowest terms: num[n] / den[n] == positives_in_prefix(n).
+
+        The denominator is 1 except at cutoffs inside a tie group under the
+        expected-value policy.
+        """
+        prefix = np.array(self._prefix_pos, dtype=np.int64)
+        den = np.ones_like(prefix)
+        if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
+            return prefix, den
+        ends = np.array(self._group_ends, dtype=np.int64)
+        sizes = np.diff(ends, prepend=0)
+        group = np.repeat(np.arange(len(ends)), sizes)  # group of rank n = 1..N
+        start = (ends - sizes)[group]
+        inside = np.arange(1, self.n_total + 1) - start
+        # prefix[start] + group_pos * inside / size, over the group size
+        num = prefix.copy()
+        num[1:] = (prefix[start] * sizes[group]
+                   + np.array(self._group_pos, dtype=np.int64)[group] * inside)
+        den[1:] = sizes[group]
+        common = np.gcd(num, den)
+        return num // common, den // common
 
     def tie_groups(self) -> Iterable[tuple[int, int, int]]:
         """Yield (start, end, positives) per equal-score group, rank order."""

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .metrics import auc_wilcoxon
+from .metrics import doubled_mann_whitney_u
 from .records import ScoredRecord, rank_records
 
 GRID_POINTS = 100
@@ -87,29 +87,37 @@ class ResampleSummary:
         raise ValidationError(f"no band for rate {rate}")
 
 
-def stratified_sample(pool: Sequence[ScoredRecord], rate: float, size: int,
-                      seed) -> list[ScoredRecord]:
-    """Draw exactly round(rate*size) positives and the complement negatives,
-    uniformly without replacement within each class.
-
-    `seed` may be an int or a numpy Generator; the same seed always yields
-    the same sample.
-    """
+def _draw(rate: float, size: int, n_pos: int, n_neg: int,
+          seed) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of round(rate*size) of n_pos positives and of the complement
+    of n_neg negatives, uniformly without replacement within each class."""
     if not 0.0 < rate < 1.0:
         raise ValidationError(f"rate {rate} must be strictly inside (0, 1)")
     if size < 1:
         raise ValidationError("sample size must be positive")
     want_pos = _positives_for(rate, size)
     want_neg = size - want_pos
-    pos = [r for r in pool if r.label == 1]
-    neg = [r for r in pool if r.label == 0]
-    if len(pos) < want_pos or len(neg) < want_neg:
+    if n_pos < want_pos or n_neg < want_neg:
         raise InfeasibleError(
             f"rate {rate} at size {size} needs {want_pos} positives and "
-            f"{want_neg} negatives; pool has {len(pos)}/{len(neg)}")
+            f"{want_neg} negatives; pool has {n_pos}/{n_neg}")
     rng = np.random.default_rng(seed)
-    pos_idx = rng.choice(len(pos), size=want_pos, replace=False)
-    neg_idx = rng.choice(len(neg), size=want_neg, replace=False)
+    pos_idx = rng.choice(n_pos, size=want_pos, replace=False)
+    neg_idx = rng.choice(n_neg, size=want_neg, replace=False)
+    return pos_idx, neg_idx
+
+
+def stratified_sample(pool: Sequence[ScoredRecord], rate: float, size: int,
+                      seed) -> list[ScoredRecord]:
+    """Draw exactly round(rate*size) positives and the complement negatives,
+    uniformly without replacement within each class; positives come first.
+
+    `seed` may be an int or a numpy Generator; the same seed always yields
+    the same sample, and the sample `run_plan` draws for the same seed.
+    """
+    pos = [r for r in pool if r.label == 1]
+    neg = [r for r in pool if r.label == 0]
+    pos_idx, neg_idx = _draw(rate, size, len(pos), len(neg), seed)
     return [pos[i] for i in pos_idx] + [neg[i] for i in neg_idx]
 
 
@@ -123,11 +131,37 @@ def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummar
 
     Replicate r at rate index k is seeded from (plan.seed, k, r), so results
     are bit-identical across runs and independent of evaluation order.
+
+    The pool is split into positive and negative score arrays once. Each
+    replicate draws the same indices `stratified_sample` would, ranks the
+    sample with a stable descending sort (the input-order tie policy),
+    reads gains from an integer cumulative sum, and takes the midrank AUC
+    from its tie groups. A sample raises what ranking it as records would:
+    a non-finite score or a repeated id fails only the samples that hold it.
     """
     grid = _default_grid()
     size = plan.sample_size
     # cutoff for grid fraction k/100 is ceil(k*size/100), in exact arithmetic
-    cutoffs = [-(-k * size // GRID_POINTS) for k in range(1, GRID_POINTS + 1)]
+    cutoffs = np.array([-(-k * size // GRID_POINTS)
+                        for k in range(1, GRID_POINTS + 1)], dtype=np.int64)
+
+    # each whole-pool array is dropped once used, so the split's peak memory
+    # stays near one array the size of the pool
+    labels = np.array([r.label for r in pool])
+    pos_rows = np.flatnonzero(labels == 1)
+    neg_rows = np.flatnonzero(labels == 0)
+    del labels
+    scores = np.fromiter((r.score for r in pool), dtype=np.float64,
+                         count=len(pool))
+    pos_scores, neg_scores = scores[pos_rows], scores[neg_rows]
+    del scores
+    # distinct id hashes prove no sample can repeat an id; a repeated hash
+    # sends every sample through the record-level check
+    id_hashes = np.fromiter((hash(r.id) for r in pool), dtype=np.int64,
+                            count=len(pool))
+    id_hashes.sort()
+    unique_ids = not np.any(id_hashes[1:] == id_hashes[:-1])
+    del id_hashes
 
     bands = []
     for k, rate in enumerate(plan.target_rates):
@@ -135,27 +169,35 @@ def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummar
         if want_pos < 1 or want_pos >= size:
             raise InfeasibleError(
                 f"rate {rate} at size {size} leaves no records of one class")
-        lift_rows = []
-        pcg_rows = []
+        lift_rows = np.empty((plan.replicate_count, GRID_POINTS))
+        pcg_rows = np.empty((plan.replicate_count, GRID_POINTS))
         aucs = []
         for r in range(plan.replicate_count):
-            rng = np.random.default_rng([plan.seed, k, r])
-            sample = stratified_sample(pool, rate, size, rng)
-            ranked = rank_records(sample)
-            gains = [ranked.positives_in_prefix(n) for n in cutoffs]
-            pcg_rows.append([g / want_pos for g in gains])
-            lift_rows.append([g * size / (n * want_pos)
-                              for g, n in zip(gains, cutoffs)])
-            aucs.append(float(auc_wilcoxon(ranked)))
-        arr_pcg = np.array(pcg_rows)
-        arr_lift = np.array(lift_rows)
+            pos_idx, neg_idx = _draw(rate, size, len(pos_rows), len(neg_rows),
+                                     [plan.seed, k, r])
+            sample = np.concatenate((pos_scores[pos_idx], neg_scores[neg_idx]))
+            if not (unique_ids and np.isfinite(sample).all()):
+                # raises as before for a sample that holds a bad record
+                rank_records([pool[i] for i in np.concatenate(
+                    (pos_rows[pos_idx], neg_rows[neg_idx]))])
+            order = np.argsort(-sample, kind="stable")
+            ranked_scores = sample[order]
+            prefix = np.cumsum(order < want_pos)  # positives lead the sample
+            gains = prefix[cutoffs - 1]
+            pcg_rows[r] = gains / want_pos
+            lift_rows[r] = gains * size / (cutoffs * want_pos)
+            ends = np.append(np.flatnonzero(ranked_scores[1:] != ranked_scores[:-1]) + 1,
+                             size)
+            group_pos = np.diff(prefix[ends - 1], prepend=0)
+            aucs.append(doubled_mann_whitney_u(ends, group_pos, want_pos)
+                        / (2 * want_pos * (size - want_pos)))
         bands.append(RateBand(
             target_rate=rate,
             realized_rate=want_pos / size,
             n_pos=want_pos,
             mean_auc=float(sum(aucs) / len(aucs)),
-            p_cum_gains=_band(arr_pcg),
-            lift=_band(arr_lift),
+            p_cum_gains=_band(pcg_rows),
+            lift=_band(lift_rows),
         ))
     return ResampleSummary(grid=grid, sample_size=size,
                            replicate_count=plan.replicate_count,

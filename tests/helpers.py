@@ -7,11 +7,20 @@ checked against a second route, not against themselves.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
-from gainslift import RankedTestSet, ScoredRecord
+from gainslift import (BudgetExhaustedError, InfeasibleError, RankedTestSet,
+                       ResamplePlan, ScoredRecord, auc_wilcoxon, lift,
+                       parse_metric, rank_records, stratified_sample)
+from gainslift.compare import (EXHAUSTIVE_LIMIT, LEX_REFINE_LIMIT,
+                               DisagreementReport)
+from gainslift.resample import (GRID_POINTS, RateBand, ResampleSummary,
+                                _band, _positives_for)
 
 
 def brute_force_auc(ranked: RankedTestSet) -> Fraction:
@@ -63,3 +72,158 @@ def random_instance(rng: np.random.Generator, max_n: int = 200,
         labels[int(rng.integers(0, n))] = 1
     return [ScoredRecord(id=f"r{i:04d}", score=s, label=y)
             for i, (s, y) in enumerate(zip(scores, labels))]
+
+
+# ---------------------------------------------------------------------------
+# oracles for the comparison and resampling kernels: the per-record
+# `Fraction` routes those kernels replaced, kept here as the reference
+# ---------------------------------------------------------------------------
+
+def lift_above(ranked_a: RankedTestSet,
+               ranked_b: RankedTestSet) -> tuple[list[int], list[int]]:
+    """Cutoffs where a's exact lift is strictly above b's, and the reverse,
+    by one `lift()` call per run and cutoff."""
+    a_above, b_above = [], []
+    for n in range(1, ranked_a.n_total + 1):
+        la, lb = lift(ranked_a, n), lift(ranked_b, n)
+        if la > lb:
+            a_above.append(n)
+        elif lb > la:
+            b_above.append(n)
+    return a_above, b_above
+
+
+def _arrangements_exhaustive(n_total: int, n_pos: int) -> list[tuple[int, ...]]:
+    out = []
+    for positions in combinations(range(n_total), n_pos):
+        labels = [0] * n_total
+        for p in positions:
+            labels[p] = 1
+        out.append(tuple(labels))
+    return out
+
+
+def _arrangements_sampled(n_total: int, n_pos: int, budget: int,
+                          seed: int) -> list[tuple[int, ...]]:
+    rng = np.random.default_rng(seed)
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for _ in range(budget):
+        positions = rng.choice(n_total, size=n_pos, replace=False)
+        labels = [0] * n_total
+        for p in positions:
+            labels[p] = 1
+        t = tuple(labels)
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out
+
+
+def scan_for_inversion(values: list[tuple[Fraction, Fraction, int]]
+                       ) -> Optional[tuple[int, int]]:
+    """Find i, j with a_i < a_j but b_i > b_j among (a, b, index) triples."""
+    ordered = sorted(values, key=lambda t: (t[0], t[1]))
+    best_b: Optional[Fraction] = None
+    best_idx = -1
+    k = 0
+    while k < len(ordered):
+        # process one group of equal a at a time
+        group_end = k
+        a_here = ordered[k][0]
+        while group_end < len(ordered) and ordered[group_end][0] == a_here:
+            group_end += 1
+        if best_b is not None:
+            for t in ordered[k:group_end]:
+                if t[1] < best_b:
+                    return best_idx, t[2]
+        for t in ordered[k:group_end]:
+            if best_b is None or t[1] > best_b:
+                best_b = t[1]
+                best_idx = t[2]
+        k = group_end
+    return None
+
+
+def _lex_first_pair(arrangements, values) -> Optional[tuple[int, int]]:
+    """First disagreeing pair in lexicographic order of label tuples."""
+    order = sorted(range(len(arrangements)), key=lambda i: arrangements[i])
+    by_index = {idx: (a, b) for a, b, idx in values}
+    for pos_x, i in enumerate(order):
+        ai, bi = by_index[i]
+        for j in order[pos_x + 1:]:
+            aj, bj = by_index[j]
+            if (ai > aj and bi < bj) or (ai < aj and bi > bj):
+                return i, j
+    return None
+
+
+def disagreement_oracle(metric_a: str, metric_b: str, n_total: int, n_pos: int,
+                        budget: int = 200_000, seed: int = 0):
+    """The disagreement search by its plainest route: every arrangement held
+    as a label tuple, scored by the scalar `Metric.evaluator`s, scanned over
+    (a, b, index) triples of `Fraction`s.
+
+    Returns the report `find_disagreement` must return, None when the
+    exhaustive search certifies no disagreement, or raises
+    BudgetExhaustedError when the sampled search finds none.
+    """
+    ma, mb = parse_metric(metric_a), parse_metric(metric_b)
+    space = math.comb(n_total, n_pos)
+    exhaustive = space <= min(budget, EXHAUSTIVE_LIMIT)
+    if exhaustive:
+        arrangements = _arrangements_exhaustive(n_total, n_pos)
+    else:
+        arrangements = _arrangements_sampled(n_total, n_pos, budget, seed)
+    eval_a = ma.evaluator(n_total, n_pos)
+    eval_b = mb.evaluator(n_total, n_pos)
+    values = [(eval_a(labels), eval_b(labels), i)
+              for i, labels in enumerate(arrangements)]
+    hit = scan_for_inversion(values)
+    if hit is None:
+        if exhaustive:
+            return None
+        raise BudgetExhaustedError("no disagreement among sampled arrangements")
+    i, j = hit
+    if exhaustive and len(arrangements) <= LEX_REFINE_LIMIT:
+        i, j = _lex_first_pair(arrangements, values)
+    lx, ly = arrangements[i], arrangements[j]
+    ax, ay, bx, by = eval_a(lx), eval_a(ly), eval_b(lx), eval_b(ly)
+    if ax < ay:
+        lx, ly, ax, ay, bx, by = ly, lx, ay, ax, by, bx
+    return DisagreementReport(metric_a=ma, metric_b=mb, labels_x=lx,
+                              labels_y=ly, value_a_x=ax, value_a_y=ay,
+                              value_b_x=bx, value_b_y=by,
+                              exhaustive=exhaustive)
+
+
+def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
+    """`run_plan` by the record route: per replicate a `stratified_sample`
+    list, `rank_records`, one `positives_in_prefix` per grid cutoff and
+    `auc_wilcoxon`, aggregated exactly as `run_plan` aggregates."""
+    size = plan.sample_size
+    cutoffs = [-(-k * size // GRID_POINTS) for k in range(1, GRID_POINTS + 1)]
+    bands = []
+    for k, rate in enumerate(plan.target_rates):
+        want_pos = _positives_for(rate, size)
+        if want_pos < 1 or want_pos >= size:
+            raise InfeasibleError(f"rate {rate} leaves no records of one class")
+        lift_rows, pcg_rows, aucs = [], [], []
+        for r in range(plan.replicate_count):
+            rng = np.random.default_rng([plan.seed, k, r])
+            ranked = rank_records(stratified_sample(pool, rate, size, rng))
+            gains = [ranked.positives_in_prefix(n) for n in cutoffs]
+            pcg_rows.append([g / want_pos for g in gains])
+            lift_rows.append([g * size / (n * want_pos)
+                              for g, n in zip(gains, cutoffs)])
+            aucs.append(float(auc_wilcoxon(ranked)))
+        bands.append(RateBand(
+            target_rate=rate, realized_rate=want_pos / size, n_pos=want_pos,
+            mean_auc=float(sum(aucs) / len(aucs)),
+            p_cum_gains=_band(np.array(pcg_rows)),
+            lift=_band(np.array(lift_rows))))
+    return ResampleSummary(grid=tuple(k / GRID_POINTS
+                                      for k in range(1, GRID_POINTS + 1)),
+                           sample_size=size,
+                           replicate_count=plan.replicate_count,
+                           seed=plan.seed, bands=tuple(bands))

@@ -44,6 +44,23 @@ class TestSingleValues:
                            "--fraction", "0.5", "--exact")
         assert (code, out.strip()) == (0, "10")
 
+    def test_fraction_cutoff_is_exact(self, capsys, tmp_path):
+        # 0.07 * 100 is 7.000000000000001 in floats; the cutoff is n = 7,
+        # where lift is 100/70, not n = 8 (lift 100/80)
+        labels = [1] + [0] * 9 + [1] * 9 + [0] * 81
+        path = tmp_path / "hundred.csv"
+        path.write_text("label,score\n" + "".join(
+            f"{y},{100 - i}\n" for i, y in enumerate(labels)), encoding="utf-8")
+        code, out, _ = run(capsys, "lift", "--input", str(path),
+                           "--fraction", "0.07")
+        assert (code, out.strip()) == (0, "1.42857")
+
+    def test_bad_fraction_exit_1(self, capsys):
+        for bad in ("0", "1.5", "x", "nan"):
+            code, _, _ = run(capsys, "lift", "--input", EXAMPLE,
+                             "--fraction", bad)
+            assert code == 1
+
     def test_benefit(self, capsys):
         code, out, _ = run(capsys, "benefit", "--input", EXAMPLE,
                            "--n", "8", "--qtp", "10", "--qfp", "-1")

@@ -1,15 +1,18 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gainslift import (BudgetExhaustedError, ClassifierRun, DominanceVerdict,
-                       SwapSpec, ValidationError, accuracy_at, apply_swaps,
-                       auc_pairs, compare_at, cum_gains, dominance,
-                       find_disagreement, lift, parse_metric, rank_records)
+                       ScoredRecord, SwapSpec, TiePolicy, ValidationError,
+                       accuracy_at, apply_swaps, auc_pairs, compare_at,
+                       cum_gains, dominance, find_disagreement, lift,
+                       parse_metric, rank_records)
 from gainslift.compare import evaluate_metric, ranked_from_labels
 
-from helpers import records_from_labels
+from helpers import (disagreement_oracle, lift_above, random_instance,
+                     records_from_labels)
 
 
 class TestApplySwaps:
@@ -217,3 +220,137 @@ class TestReconstructedThirdClassifier:
             assert cum_gains(third, n) == cum_gains(example24, n)
         assert auc_pairs(third) == Fraction(133, 144)
         assert auc_pairs(third) < auc_pairs(example24)
+
+
+def _ranks(intervals):
+    return [n for lo, hi in intervals for n in range(lo, hi + 1)]
+
+
+class TestDominanceAgainstOracle:
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_random_tied_runs(self, policy):
+        rng = np.random.default_rng(303)
+        verdicts = set()
+        for _ in range(60):
+            records = random_instance(rng, max_n=80, tie_prob=0.5)
+            # the same records under a second, coarser scorer: heavy ties
+            other = [ScoredRecord(r.id, float(rng.integers(0, 6)), r.label)
+                     for r in records]
+            a, b = rank_records(records, policy), rank_records(other, policy)
+            report = dominance(ClassifierRun("a", a), ClassifierRun("b", b))
+            a_above, b_above = lift_above(a, b)
+            assert _ranks(report.a_above) == a_above
+            assert _ranks(report.b_above) == b_above
+            for lo, hi in report.a_above + report.b_above:
+                assert isinstance(lo, int) and isinstance(hi, int)
+            verdicts.add(report.verdict)
+        assert DominanceVerdict.CROSSING in verdicts
+
+    def test_no_positives_rejected(self):
+        ranked = rank_records(records_from_labels([0, 0, 0]))
+        with pytest.raises(ValidationError, match="no positives"):
+            dominance(ClassifierRun("a", ranked), ClassifierRun("b", ranked))
+
+
+# reports computed by the Fraction search before the integer kernels
+GOLDEN_DISAGREEMENTS = [
+    (("auc", "lift@6", 16, 8), {},
+     "0000001100111111", "0000010001111111",
+     (Fraction(1, 16), Fraction(3, 64), 0, Fraction(1, 3)), True),
+    (("accuracy@5", "lift@2", 10, 5), {},
+     "0001100111", "0100001111",
+     (Fraction(2, 5), Fraction(1, 5), 0, 1), True),
+    (("auc", "lift@2", 40, 20), {"budget": 500, "seed": 3},
+     "0010011000000100001011111111110000111110",
+     "0100000110000101001101111001010111010111",
+     (Fraction(121, 400), Fraction(59, 200), 0, 1), False),
+]
+
+
+def _labels(text):
+    return tuple(int(c) for c in text)
+
+
+class TestDisagreementGolden:
+    @pytest.mark.parametrize("args, kwargs, x, y, values, exhaustive",
+                             GOLDEN_DISAGREEMENTS)
+    def test_pinned_report(self, args, kwargs, x, y, values, exhaustive):
+        report = find_disagreement(*args, **kwargs)
+        assert report.labels_x == _labels(x)
+        assert report.labels_y == _labels(y)
+        assert (report.value_a_x, report.value_a_y,
+                report.value_b_x, report.value_b_y) == values
+        assert report.exhaustive is exhaustive
+        assert report.certify()
+
+    def test_exhaustive_search_memory_is_bounded(self):
+        # C(20, 10) = 184,756 arrangements; the Fraction search held every
+        # label tuple at once and peaked near 85 MB
+        tracemalloc.start()
+        try:
+            report = find_disagreement("auc", "lift@10", 20, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert report.labels_x == _labels("00000100000111111111")
+        assert report.labels_y == _labels("00000000110011111111")
+        assert (report.value_a_x, report.value_a_y,
+                report.value_b_x, report.value_b_y) == \
+            (Fraction(1, 20), Fraction(1, 25), Fraction(1, 5), Fraction(2, 5))
+        assert report.exhaustive
+
+
+def _random_metric(rng, n_total):
+    kind = ("auc", "lift", "accuracy")[int(rng.integers(0, 3))]
+    if kind == "auc":
+        return kind
+    return f"{kind}@{int(rng.integers(1, n_total + 1))}"
+
+
+class TestDisagreementAgainstOracle:
+    def test_exhaustive(self):
+        rng = np.random.default_rng(404)
+        found = 0
+        for _ in range(80):
+            n_total = int(rng.integers(2, 15))
+            n_pos = int(rng.integers(1, n_total))
+            a, b = _random_metric(rng, n_total), _random_metric(rng, n_total)
+            got = find_disagreement(a, b, n_total, n_pos)
+            assert got == disagreement_oracle(a, b, n_total, n_pos), (a, b, n_total, n_pos)
+            found += got is not None
+        assert found >= 20
+
+    def test_exhaustive_above_the_lex_refinement_limit(self):
+        # C(14, 7) = 3432 arrangements: the reported pair comes from the scan
+        for a, b in (("auc", "lift@3"), ("lift@5", "accuracy@9"),
+                     ("accuracy@4", "auc")):
+            got = find_disagreement(a, b, 14, 7)
+            assert got == disagreement_oracle(a, b, 14, 7)
+
+    def test_sampled(self):
+        rng = np.random.default_rng(505)
+        outcomes = set()
+        for trial in range(30):
+            n_total = int(rng.integers(16, 30))
+            n_pos = int(rng.integers(1, n_total))
+            a, b = _random_metric(rng, n_total), _random_metric(rng, n_total)
+            budget = int(rng.integers(2, 60))
+            try:
+                want = disagreement_oracle(a, b, n_total, n_pos,
+                                           budget=budget, seed=trial)
+            except BudgetExhaustedError:
+                with pytest.raises(BudgetExhaustedError):
+                    find_disagreement(a, b, n_total, n_pos,
+                                      budget=budget, seed=trial)
+                outcomes.add("exhausted")
+                continue
+            if want is None:  # the space fit the budget
+                assert find_disagreement(a, b, n_total, n_pos,
+                                         budget=budget, seed=trial) is None
+                continue
+            got = find_disagreement(a, b, n_total, n_pos,
+                                    budget=budget, seed=trial)
+            assert got == want, (a, b, n_total, n_pos, budget, trial)
+            outcomes.add("sampled" if not got.exhaustive else "exhaustive")
+        assert {"exhausted", "sampled"} <= outcomes

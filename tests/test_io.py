@@ -85,6 +85,24 @@ class TestLoadScored:
         with pytest.raises(ValidationError, match="row 1"):
             load_scored(path)
 
+    @pytest.mark.parametrize("obj", [
+        {"score": 0.9, "label": True},
+        {"score": 0.9, "label": 1.0},
+        {"score": True, "label": 1},
+    ])
+    def test_jsonl_rejects_bool_and_float_labels_and_bool_scores(self, tmp_path, obj):
+        path = write(tmp_path, "a.jsonl",
+                     json.dumps({"score": 0.5, "label": 0}) + "\n"
+                     + json.dumps(obj) + "\n")
+        with pytest.raises(ValidationError, match="row 2"):
+            load_scored(path)
+
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("label,score\n1,0.9\n0,0.1\n", encoding="utf-8-sig")
+        records = load_scored(path)
+        assert [(r.label, r.score) for r in records] == [(1, 0.9), (0, 0.1)]
+
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "a.csv", "label,score\n")
         with pytest.raises(ValidationError, match="no data rows"):

@@ -6,7 +6,7 @@ import pytest
 from gainslift import (EXAMPLE24_LABELS, ScoredRecord, TiePolicy,
                        ValidationError, rank_records)
 
-from helpers import records_from_labels
+from helpers import random_instance, records_from_labels
 
 
 def make(scores, labels):
@@ -97,3 +97,25 @@ class TestExpectedValuePrefix:
         records = make([0.5] * 4, [1, 0, 1, 0])
         ranked = rank_records(records, TiePolicy.INPUT_ORDER)
         assert [ranked.positives_in_prefix(n) for n in range(5)] == [0, 1, 1, 2, 2]
+
+
+class TestGainsArrays:
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_matches_positives_in_prefix(self, policy):
+        rng = np.random.default_rng(808)
+        for _ in range(100):
+            ranked = rank_records(random_instance(rng, max_n=60, tie_prob=0.6),
+                                  policy)
+            num, den = ranked.gains_arrays()
+            assert num.dtype == den.dtype == np.int64
+            assert len(num) == len(den) == ranked.n_total + 1
+            for n in range(ranked.n_total + 1):
+                assert Fraction(int(num[n]), int(den[n])) == \
+                    ranked.positives_in_prefix(n)
+            assert np.all(np.gcd(num, den) == 1)
+
+    def test_denominator_is_group_size_inside_expected_ties(self):
+        records = make([0.9, 0.5, 0.5, 0.5, 0.5, 0.1], [1, 1, 0, 1, 0, 0])
+        num, den = rank_records(records, TiePolicy.EXPECTED_VALUE).gains_arrays()
+        assert num.tolist() == [0, 1, 3, 2, 5, 3, 3]
+        assert den.tolist() == [1, 1, 2, 1, 2, 1, 1]

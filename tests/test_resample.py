@@ -1,13 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from gainslift import (InfeasibleError, RegularityOutcome, ResamplePlan,
-                       ValidationError, auc_pairs, rank_records,
+                       ScoredRecord, ValidationError, auc_pairs, rank_records,
                        regularity_check, run_plan, stratified_sample,
-                       synthetic_scorer)
+                       summary_to_json, synthetic_scorer)
 from gainslift.resample import SEPARATION_AUC_090, _positives_for
 
-from helpers import records_from_labels
+from helpers import records_from_labels, run_plan_oracle
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +211,95 @@ class TestSyntheticScorer:
             synthetic_scorer(0, 10, separation=1.0, seed=1)
         with pytest.raises(ValidationError):
             synthetic_scorer(10, 10, separation=-1.0, seed=1)
+
+
+# The acceptance suite's desk-scale pool and plan. The digests were taken
+# from the record-by-record implementation (one `rank_records` per
+# replicate), once on the pool as drawn and once with scores rounded to one
+# decimal, which leaves a few dozen large tie groups.
+DESK_PLAN = ResamplePlan(target_rates=(0.05, 0.117, 0.20),
+                         replicate_count=50, sample_size=5000,
+                         seed=20240504)
+DESK_SHA256 = "c8c4766ecbc71ca8a851006c183254b23fe11b1624669e31195d9b067c332878"
+DESK_TIED_SHA256 = "b494b2bbb29a2538f5101e6a48bdfa5b2bbcc14eb0a9b4f4aadcb915ad3c9a8e"
+
+
+class TestRunPlanGolden:
+    @pytest.fixture(scope="class")
+    def desk_pool(self):
+        return synthetic_scorer(11700, 88300, separation=SEPARATION_AUC_090,
+                                seed=20240503)
+
+    def test_desk_summary_digest(self, desk_pool):
+        text = summary_to_json(run_plan(desk_pool, DESK_PLAN))
+        assert hashlib.sha256(text.encode()).hexdigest() == DESK_SHA256
+
+    def test_desk_summary_digest_with_ties(self, desk_pool):
+        tied = [ScoredRecord(r.id, round(r.score, 1), r.label)
+                for r in desk_pool]
+        text = summary_to_json(run_plan(tied, DESK_PLAN))
+        assert hashlib.sha256(text.encode()).hexdigest() == DESK_TIED_SHA256
+
+
+def _tied_pool(rng, n_pos, n_neg, step):
+    labels = [1] * n_pos + [0] * n_neg
+    latent = rng.normal(size=n_pos + n_neg) + 1.2 * np.array(labels)
+    scores = np.round(latent / step) * step
+    order = rng.permutation(n_pos + n_neg)
+    return [ScoredRecord(f"x{i:05d}", float(scores[i]), labels[i])
+            for i in order]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is what must match
+        return type(exc)
+
+
+class TestRunPlanAgainstOracle:
+    @pytest.mark.parametrize("step", [0.5, 0.05, 0.0])
+    def test_tied_pools(self, step):
+        rng = np.random.default_rng(606)
+        pool = (_tied_pool(rng, 300, 1700, step) if step
+                else synthetic_scorer(300, 1700, separation=1.0, seed=607))
+        plan = ResamplePlan(target_rates=(0.04, 0.15, 0.3),
+                            replicate_count=6, sample_size=250, seed=608)
+        got = run_plan(pool, plan)
+        assert got == run_plan_oracle(pool, plan)
+        assert summary_to_json(got) == summary_to_json(run_plan_oracle(pool, plan))
+
+    def test_non_finite_score_raises_only_when_sampled(self):
+        pool = records_from_labels([1] * 20 + [0] * 40,
+                                   [float(i % 7) for i in range(60)])
+        pool[3] = ScoredRecord(pool[3].id, float("nan"), 1)
+        outcomes = set()
+        for seed in range(24):
+            plan = ResamplePlan(target_rates=(0.2,), replicate_count=3,
+                                sample_size=10, seed=seed)
+            got = _outcome(run_plan, pool, plan)
+            want = _outcome(run_plan_oracle, pool, plan)
+            assert got == want
+            outcomes.add(got if isinstance(got, type) else "ok")
+        assert outcomes == {"ok", ValidationError}
+
+    def test_duplicate_ids_raise_only_when_both_sampled(self):
+        pool = records_from_labels([1] * 30 + [0] * 12,
+                                   [float(i % 5) for i in range(42)])
+        pool[40] = ScoredRecord(pool[41].id, pool[40].score, 0)
+        outcomes = set()
+        for seed in range(24):
+            plan = ResamplePlan(target_rates=(0.2,), replicate_count=1,
+                                sample_size=10, seed=seed)
+            got = _outcome(run_plan, pool, plan)
+            want = _outcome(run_plan_oracle, pool, plan)
+            assert got == want
+            outcomes.add(got if isinstance(got, type) else "ok")
+        assert outcomes == {"ok", ValidationError}
+
+    def test_infeasible_pool_matches(self):
+        pool = records_from_labels([1] * 3 + [0] * 50)
+        plan = ResamplePlan(target_rates=(0.5,), replicate_count=2,
+                            sample_size=20, seed=1)
+        with pytest.raises(InfeasibleError, match="positives"):
+            run_plan(pool, plan)
