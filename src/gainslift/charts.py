@@ -14,6 +14,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .errors import ValidationError
 from .metrics import CurveSeries, XKind
 
@@ -74,11 +76,14 @@ class ChartLayout:
     y_min: float
     y_max: float
 
-    def px(self, x: float, y: float) -> tuple[float, float]:
+    def px(self, x, y):
+        """Pixel position of the data point (x, y). With float64 arrays for
+        x and y it gives the position of every point, by the same float
+        operations in the same order."""
         span_x = self.x_max - self.x_min
         span_y = self.y_max - self.y_min
-        fx = (float(x) - self.x_min) / span_x if span_x else 0.0
-        fy = (float(y) - self.y_min) / span_y if span_y else 0.0
+        fx = (x - self.x_min) / span_x if span_x else 0.0 * x
+        fy = (y - self.y_min) / span_y if span_y else 0.0 * y
         px = MARGIN_LEFT + fx * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
         py = (HEIGHT - MARGIN_BOTTOM) - fy * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
         return px, py
@@ -87,21 +92,27 @@ class ChartLayout:
         px, py = self.px(x, y)
         return f"{px:.2f},{py:.2f}"
 
+    def tokens(self, xs: np.ndarray, ys: np.ndarray) -> str:
+        """`token` of every point, space-separated."""
+        px, py = self.px(xs, ys)
+        return " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+
 
 def layout_for(kind: ChartKind, series: Sequence[CurveSeries]) -> ChartLayout:
-    all_x = [float(x) for s in series for x, _ in s.points]
-    all_y = [float(y) for s in series for _, y in s.points]
     if kind in (ChartKind.GAINS_FRACTION, ChartKind.ROC):
         return ChartLayout(0.0, 1.0, 0.0, 1.0)
+    all_x = np.concatenate([s.x.floats() for s in series])
+    all_y = np.concatenate([s.y.floats() for s in series])
+    max_x, max_y = float(all_x.max()), float(all_y.max())
     if kind is ChartKind.GAINS_COUNT:
-        return ChartLayout(0.0, max(all_x), 0.0, max(all_y))
+        return ChartLayout(0.0, max_x, 0.0, max_y)
     if kind in (ChartKind.LIFT, ChartKind.DECILE_LIFT):
         x_min = 0.0 if kind is ChartKind.LIFT else 0.5
-        x_max = max(all_x) if kind is ChartKind.LIFT else 10.5
-        return ChartLayout(x_min, x_max, 0.0, max(max(all_y), 1.0))
+        x_max = max_x if kind is ChartKind.LIFT else 10.5
+        return ChartLayout(x_min, x_max, 0.0, max(max_y, 1.0))
     if kind is ChartKind.BENEFIT:
-        return ChartLayout(0.0, max(all_x), min(0.0, min(all_y)),
-                           max(max(all_y), 0.0))
+        return ChartLayout(0.0, max_x, min(0.0, float(all_y.min())),
+                           max(max_y, 0.0))
     raise ValidationError(f"unknown chart kind {kind!r}")
 
 
@@ -111,10 +122,10 @@ def _baseline_points(kind: ChartKind, layout: ChartLayout,
     """Random-targeting reference: a diagonal to the terminal series value for
     gains/benefit kinds, a flat line at 1 for lift kinds."""
     first = series[0]
-    last_x, last_y = first.points[-1]
     if kind in (ChartKind.GAINS_COUNT, ChartKind.GAINS_FRACTION, ChartKind.ROC,
                 ChartKind.BENEFIT):
-        return (0.0, 0.0), (float(last_x), float(last_y))
+        return (0.0, 0.0), (float(first.x.floats()[-1]),
+                            float(first.y.floats()[-1]))
     if kind in (ChartKind.LIFT, ChartKind.DECILE_LIFT):
         return (layout.x_min, 1.0), (layout.x_max, 1.0)
     return None
@@ -139,10 +150,10 @@ def build_chart_svg(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
                 f"incompatible with chart kind {spec.kind.value!r}")
     if spec.kind is ChartKind.DECILE_LIFT:
         for s in series:
-            if len(s.points) != 10:
+            if len(s) != 10:
                 raise ValidationError(
                     f"decile chart expects 10 points, series {s.name!r} "
-                    f"has {len(s.points)}")
+                    f"has {len(s)}")
 
     layout = layout_for(spec.kind, series)
     parts: list[str] = []
@@ -201,8 +212,7 @@ def build_chart_svg(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
         if spec.kind is ChartKind.DECILE_LIFT:
             parts.extend(_bars(s, layout, color, len(series), i))
         else:
-            tokens = " ".join(layout.token(float(x), float(y))
-                              for x, y in s.points)
+            tokens = layout.tokens(s.x.floats(), s.y.floats())
             parts.append(f'<polyline fill="none" stroke="{color}" '
                          f'stroke-width="2" points="{tokens}"/>')
         ly = MARGIN_TOP + 14 * i
@@ -220,9 +230,9 @@ def _bars(s: CurveSeries, layout: ChartLayout, color: str,
           n_series: int, series_idx: int) -> list[str]:
     out = []
     slot = 0.8 / n_series
-    for x, y in s.points:
-        left = float(x) - 0.4 + series_idx * slot
-        x_px, top = layout.px(left, float(y))
+    for x, y in zip(s.x.floats().tolist(), s.y.floats().tolist()):
+        left = x - 0.4 + series_idx * slot
+        x_px, top = layout.px(left, y)
         x2_px, bottom = layout.px(left + slot, 0.0)
         out.append(f'<rect x="{x_px:.2f}" y="{top:.2f}" '
                    f'width="{x2_px - x_px:.2f}" height="{bottom - top:.2f}" '

@@ -11,6 +11,7 @@ infeasibility or search-budget exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -186,8 +187,7 @@ def _cutoff(args, n_total: int) -> int | None:
     if args.fraction is not None:
         if not 0 < args.fraction <= 1:
             raise ValidationError("--fraction must be in (0, 1]")
-        # exact ceiling: 0.07 * 100 is 7.000000000000001 in floats
-        return -(-args.fraction.numerator * n_total // args.fraction.denominator)
+        return metrics.cutoff_for(args.fraction, n_total)
     return None
 
 
@@ -411,8 +411,12 @@ _COMMANDS = {
 }
 
 
+# parse_args leaves the parser unchanged, so one parser serves every call
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -50,7 +50,7 @@ class SwapSpec:
 
 def apply_swaps(ranked: RankedTestSet, swaps: SwapSpec) -> RankedTestSet:
     """Exchange labels at the given rank positions; order and scores stay."""
-    labels = list(r.label for r in ranked.records)
+    labels = list(ranked.labels)
     for a, b in swaps.pairs:
         for r in (a, b):
             if not 1 <= r <= ranked.n_total:

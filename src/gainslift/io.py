@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -83,29 +84,46 @@ def load_scored(file: ScoredFile | str | Path, **overrides) -> list[ScoredRecord
     return records
 
 
+_CSV_LABELS = {"0": 0, "1": 1}
+
+
 def _read_csv(file: ScoredFile) -> Iterable[ScoredRecord]:
     # utf-8-sig drops a leading byte-order mark, which would otherwise stick
     # to the first header name
     with open(file.path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle, delimiter=file.delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle, delimiter=file.delimiter)
+        header = next(reader, None)
+        if header is None:
             raise ValidationError(f"{file.path}: missing header row")
-        names = set(reader.fieldnames)
+        # a repeated column name refers to its last occurrence
+        column = {name: i for i, name in enumerate(header)}
         for col in (file.label_col, file.score_col):
-            if col not in names:
+            if col not in column:
                 raise ValidationError(
-                    f"{file.path}: column {col!r} not in header {sorted(names)}")
+                    f"{file.path}: column {col!r} not in header {sorted(column)}")
         id_col = file.id_col
-        if id_col is None and "id" in names:
+        if id_col is None and "id" in column:
             id_col = "id"
-        if id_col is not None and id_col not in names:
+        if id_col is not None and id_col not in column:
             raise ValidationError(
-                f"{file.path}: column {id_col!r} not in header {sorted(names)}")
-        for row_no, row in enumerate(reader, start=1):
-            label = _parse_label(row.get(file.label_col), row_no)
-            score = _parse_score(row.get(file.score_col), row_no)
-            rid = row[id_col] if id_col is not None else str(row_no)
-            if rid is None or rid == "":
+                f"{file.path}: column {id_col!r} not in header {sorted(column)}")
+        label_at, score_at = column[file.label_col], column[file.score_col]
+        id_at = column[id_col] if id_col is not None else None
+        width = max(label_at, score_at, -1 if id_at is None else id_at) + 1
+        row_no = 0
+        for row in reader:
+            if not row:  # blank lines are skipped and not counted
+                continue
+            row_no += 1
+            if len(row) < width:  # a short row lacks its last fields
+                row = row + [None] * (width - len(row))
+            raw_label = row[label_at]
+            label = _CSV_LABELS.get(raw_label)
+            if label is None:
+                label = _parse_label(raw_label, row_no)
+            score = _parse_score(row[score_at], row_no)
+            rid = row[id_at] if id_at is not None else str(row_no)
+            if not rid:
                 raise ValidationError(f"row {row_no}: empty id")
             yield ScoredRecord(id=rid, score=score, label=label)
 
@@ -194,29 +212,35 @@ def _curves_csv(series: Sequence[CurveSeries]) -> str:
     writer = csv.writer(buf)
     writer.writerow(["series", "x_kind", "x", "y"])
     for s in series:
-        for x, y in s.points:
-            writer.writerow([s.name, s.x_kind.value, repr(float(x)), repr(float(y))])
+        writer.writerows(zip(repeat(s.name), repeat(s.x_kind.value),
+                             map(repr, s.x.floats().tolist()),
+                             map(repr, s.y.floats().tolist())))
     return buf.getvalue()
 
 
-def _exact(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+# One point as `json.dumps(payload, indent=2)` lays it out. Floats are
+# written by repr, as the json module writes them, and the exact texts hold
+# only digits, '-' and '/', which need no escaping.
+_JSON_POINT = ('        {{\n          "x": {!r},\n          "y": {!r},\n'
+               '          "x_exact": "{}",\n          "y_exact": "{}"\n'
+               '        }}')
 
 
 def _curves_json(series: Sequence[CurveSeries]) -> str:
-    payload = {"series": [
-        {
-            "name": s.name,
-            "x_kind": s.x_kind.value,
-            "points": [
-                {"x": float(x), "y": float(y),
-                 "x_exact": _exact(x), "y_exact": _exact(y)}
-                for x, y in s.points
-            ],
-        }
-        for s in series
-    ]}
-    return json.dumps(payload, indent=2) + "\n"
+    """The text of json.dumps(payload, indent=2) + newline for the payload
+    {"series": [{"name", "x_kind", "points": [{"x", "y", "x_exact",
+    "y_exact"}, ...]}, ...]}, written from the columns directly: the json
+    module's indented encoder is its slow pure-Python one."""
+    blocks = []
+    for s in series:
+        points = ",\n".join(map(_JSON_POINT.format, s.x.floats().tolist(),
+                                s.y.floats().tolist(), s.x.texts(),
+                                s.y.texts()))
+        points = f"[\n{points}\n      ]" if points else "[]"
+        blocks.append(f'    {{\n      "name": {json.dumps(s.name)},\n'
+                      f'      "x_kind": {json.dumps(s.x_kind.value)},\n'
+                      f'      "points": {points}\n    }}')
+    return '{\n  "series": [\n' + ",\n".join(blocks) + "\n  ]\n}\n"
 
 
 def parse_curves(text: str, format: str = "csv") -> list[CurveSeries]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -58,24 +58,158 @@ class NConfusionMatrix:
     tn: int = 0
 
 
-@dataclass(frozen=True)
+# integer columns: exact products, lowest terms, floats and texts
+
+_INT64_MAX = 2**63 - 1
+_FLOAT_EXACT = 2**53  # every integer of at most this magnitude is a float64
+
+
+def _magnitude(column) -> int:
+    column = np.asarray(column)
+    return max(-int(column.min()), int(column.max())) if column.size else 0
+
+
+def _product(a, b) -> np.ndarray:
+    """Exact elementwise a * b of integer columns (or ints): int64 when no
+    product can pass 2**63 - 1, otherwise Python ints in an object array.
+    A product never wraps."""
+    if _magnitude(a) * _magnitude(b) <= _INT64_MAX:
+        return np.multiply(a, b)
+    return np.multiply(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+
+
+def _lowest_terms(num: np.ndarray, den: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """num / den with each pair divided by its gcd (den > 0)."""
+    if num.dtype == object or den.dtype == object:
+        num, den = num.astype(object), den.astype(object)
+    common = np.gcd(num, den)
+    return num // common, den // common
+
+
+def _int_column(values: list[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        column = np.empty(len(values), dtype=object)
+        column[:] = values
+        return column
+
+
+def _ratio_floats(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """float64 of every num / den, each equal to float(Fraction(num, den)).
+
+    Where both integers are exact in float64 one float division gives the
+    correctly rounded quotient; elsewhere Python's int / int does.
+    """
+    if num.dtype == object or den.dtype == object:
+        return np.array([n / d for n, d in zip(num.tolist(), den.tolist())],
+                        dtype=np.float64)
+    out = num / den
+    big = np.flatnonzero((num > _FLOAT_EXACT) | (num < -_FLOAT_EXACT)
+                         | (den > _FLOAT_EXACT))
+    if big.size:
+        out[big] = [n / d for n, d in zip(num[big].tolist(), den[big].tolist())]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class RationalColumn:
+    """Exact rationals num / den in lowest terms with den > 0."""
+
+    num: np.ndarray
+    den: np.ndarray
+
+    @classmethod
+    def of(cls, values) -> "RationalColumn":
+        """The column of any ints, floats or `Fraction`s, exactly."""
+        fractions = [Fraction(v) for v in values]
+        return cls(_int_column([f.numerator for f in fractions]),
+                   _int_column([f.denominator for f in fractions]))
+
+    def floats(self) -> np.ndarray:
+        return _ratio_floats(self.num, self.den)
+
+    def texts(self) -> list[str]:
+        """'num/den' per value, denominator always written."""
+        return list(map("{}/{}".format, self.num.tolist(), self.den.tolist()))
+
+    def fractions(self) -> list[Fraction]:
+        return list(map(Fraction, self.num.tolist(), self.den.tolist()))
+
+
 class CurveSeries:
-    """A named sequence of (x, y) points carrying chart/export data."""
+    """A named sequence of exact (x, y) points carrying chart/export data.
 
-    name: str
-    x_kind: XKind
-    points: tuple[tuple[Fraction, Fraction], ...]
+    The coordinates are held as integer columns in lowest terms, x =
+    x.num / x.den and y = y.num / y.den: int64 arrays, or object arrays of
+    Python ints where a value would not fit. The series kernels build the
+    columns directly (`from_columns`); `CurveSeries(name, x_kind, points)`
+    builds them from (x, y) pairs of rationals. `.points`, a tuple of
+    `Fraction` pairs, is built from the columns on first access.
+    """
 
-    def __post_init__(self) -> None:
-        xs = [p[0] for p in self.points]
-        for a, b in zip(xs, xs[1:]):
-            if self.x_kind is XKind.FPR:
-                if b < a:
-                    raise ValidationError(
-                        f"series {self.name!r}: fpr x values must be non-decreasing")
-            elif b <= a:
+    __slots__ = ("name", "x_kind", "x", "y", "_points")
+
+    def __init__(self, name: str, x_kind: XKind,
+                 points: Sequence[tuple[Number, Number]]):
+        points = tuple(points)
+        self._set(name, x_kind, RationalColumn.of(x for x, _ in points),
+                  RationalColumn.of(y for _, y in points))
+        self._points = points
+
+    @classmethod
+    def from_columns(cls, name: str, x_kind: XKind,
+                     x: tuple[np.ndarray, np.ndarray],
+                     y: tuple[np.ndarray, np.ndarray]) -> "CurveSeries":
+        """A series over (numerator, denominator) column pairs already in
+        lowest terms with positive denominators."""
+        series = cls.__new__(cls)
+        series._set(name, x_kind, RationalColumn(*x), RationalColumn(*y))
+        series._points = None
+        return series
+
+    def _set(self, name: str, x_kind: XKind, x: RationalColumn,
+             y: RationalColumn) -> None:
+        self.name = name
+        self.x_kind = x_kind
+        self.x = x
+        self.y = y
+        for column in (x.num, x.den, y.num, y.den):
+            column.flags.writeable = False
+        # x[i] < x[i+1] by cross-multiplying over the positive denominators
+        later = _product(x.num[1:], x.den[:-1])
+        earlier = _product(x.num[:-1], x.den[1:])
+        if x_kind is XKind.FPR:
+            if np.any(later < earlier):
                 raise ValidationError(
-                    f"series {self.name!r}: x values must be strictly increasing")
+                    f"series {name!r}: fpr x values must be non-decreasing")
+        elif np.any(later <= earlier):
+            raise ValidationError(
+                f"series {name!r}: x values must be strictly increasing")
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        if self._points is None:
+            self._points = tuple(zip(self.x.fractions(), self.y.fractions()))
+        return self._points
+
+    def __len__(self) -> int:
+        return len(self.x.num)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurveSeries):
+            return NotImplemented
+        return ((self.name, self.x_kind) == (other.name, other.x_kind)
+                and all(np.array_equal(a, b) for a, b in (
+                    (self.x.num, other.x.num), (self.x.den, other.x.den),
+                    (self.y.num, other.y.num), (self.y.den, other.y.den))))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"CurveSeries(name={self.name!r}, x_kind={self.x_kind}, "
+                f"points={len(self)})")
 
     def xs(self) -> tuple[Fraction, ...]:
         return tuple(p[0] for p in self.points)
@@ -84,7 +218,7 @@ class CurveSeries:
         return tuple(p[1] for p in self.points)
 
     def as_floats(self) -> list[tuple[float, float]]:
-        return [(float(x), float(y)) for x, y in self.points]
+        return list(zip(self.x.floats().tolist(), self.y.floats().tolist()))
 
 
 def _as_fraction(value: Number) -> Fraction:
@@ -152,11 +286,20 @@ def lift(ranked: RankedTestSet, n: int) -> Fraction:
     return Fraction(gains * ranked.n_total, n * ranked.n_pos)
 
 
+def cutoff_for(share: Fraction, n_total: int) -> int:
+    """The cutoff ceil(share * n_total), in exact integer arithmetic.
+
+    A float product can land just above an integer (0.07 * 100 is
+    7.000000000000001) and push the ceiling one record too far.
+    """
+    return -(-share.numerator * n_total // share.denominator)
+
+
 def decile_lift(ranked: RankedTestSet) -> list[Fraction]:
     """Lift at the ten cutoffs n_k = ceil(k*N/10); the last is always 1."""
     if ranked.n_pos == 0:
         raise ValidationError("decile lift undefined: the set has no positives")
-    cutoffs = [-(-k * ranked.n_total // 10) for k in range(1, 11)]
+    cutoffs = [cutoff_for(Fraction(k, 10), ranked.n_total) for k in range(1, 11)]
     return [lift(ranked, n) for n in cutoffs]
 
 
@@ -199,15 +342,13 @@ def roc_points(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
     tie policy. Starts at (0,0); the final cutoff is always (1,1).
     """
     _require_both_classes(ranked, "ROC")
-    points: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    cum_pos = 0
-    cum_neg = 0
-    for start, end, pos in ranked.tie_groups():
-        cum_pos += pos
-        cum_neg += (end - start) - pos
-        points.append((Fraction(cum_neg, ranked.n_neg),
-                       Fraction(cum_pos, ranked.n_pos)))
-    return CurveSeries(name=name, x_kind=XKind.FPR, points=tuple(points))
+    ends = np.append(0, ranked._group_ends)
+    cum_pos = ranked._prefix_pos[ends]
+    cum_neg = ends - cum_pos
+    return CurveSeries.from_columns(
+        name, XKind.FPR,
+        _lowest_terms(cum_neg, np.full_like(ends, ranked.n_neg)),
+        _lowest_terms(cum_pos, np.full_like(ends, ranked.n_pos)))
 
 
 def auc_pairs(ranked: RankedTestSet) -> Fraction:
@@ -215,17 +356,19 @@ def auc_pairs(ranked: RankedTestSet) -> Fraction:
 
     Each pair contributes 1 if the positive scored strictly higher, 1/2 on a
     score tie, 0 otherwise. Tie-break order never enters, so every tie policy
-    yields the same value.
+    yields the same value. The pairs are counted without being formed: with
+    the negative scores sorted once, a binary search per positive gives how
+    many negatives score strictly below it and how many tie with it, in
+    O((P + N) log N) time and O(P + N) memory.
     """
     _require_both_classes(ranked, "AUC")
-    labels = np.fromiter((r.label for r in ranked.records), dtype=np.int64,
-                         count=ranked.n_total)
-    scores = np.fromiter((r.score for r in ranked.records), dtype=np.float64,
-                         count=ranked.n_total)
+    scores, labels = ranked._scores, ranked._labels
+    neg = np.sort(scores[labels == 0])
     pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = int((pos[:, None] > neg[None, :]).sum())
-    ties = int((pos[:, None] == neg[None, :]).sum())
+    below = np.searchsorted(neg, pos, side="left")
+    not_above = np.searchsorted(neg, pos, side="right")
+    wins = int(below.sum())
+    ties = int((not_above - below).sum())
     return Fraction(2 * wins + ties, 2 * ranked.n_pos * ranked.n_neg)
 
 
@@ -267,26 +410,40 @@ def gains_series(ranked: RankedTestSet, fraction: bool = False,
     """Cumulative gains per cutoff: (n, gains) or (n/N, gains/positives)."""
     if fraction and ranked.n_pos == 0:
         raise ValidationError("fractional gains undefined: no positives")
-    points = []
-    for n in range(1, ranked.n_total + 1):
-        g = _as_fraction(ranked.positives_in_prefix(n))
-        if fraction:
-            points.append((Fraction(n, ranked.n_total),
-                           Fraction(g, ranked.n_pos)))
-        else:
-            points.append((Fraction(n), g))
-    kind = XKind.FRACTION if fraction else XKind.COUNT
-    return CurveSeries(name=name, x_kind=kind, points=tuple(points))
+    num, den = ranked.gains_arrays()
+    num, den = num[1:], den[1:]
+    if fraction:
+        return CurveSeries.from_columns(
+            name, XKind.FRACTION, _cutoff_shares(ranked.n_total),
+            _lowest_terms(num, _product(den, ranked.n_pos)))
+    return CurveSeries.from_columns(name, XKind.COUNT,
+                                    _cutoff_counts(ranked.n_total), (num, den))
 
 
 def lift_series(ranked: RankedTestSet, fraction: bool = True,
                 name: str = "lift") -> CurveSeries:
-    points = []
-    for n in range(1, ranked.n_total + 1):
-        x = Fraction(n, ranked.n_total) if fraction else Fraction(n)
-        points.append((x, lift(ranked, n)))
-    kind = XKind.FRACTION if fraction else XKind.COUNT
-    return CurveSeries(name=name, x_kind=kind, points=tuple(points))
+    """Lift per cutoff n = 1..N against n or n/N: gains * N / (n * P)."""
+    if ranked.n_pos == 0:
+        raise ValidationError("lift undefined: the set has no positives")
+    num, den = ranked.gains_arrays()
+    counts, ones = _cutoff_counts(ranked.n_total)
+    lifts = _lowest_terms(
+        _product(num[1:], ranked.n_total),
+        _product(_product(den[1:], counts), ranked.n_pos))
+    if fraction:
+        return CurveSeries.from_columns(name, XKind.FRACTION,
+                                        _cutoff_shares(ranked.n_total), lifts)
+    return CurveSeries.from_columns(name, XKind.COUNT, (counts, ones), lifts)
+
+
+def _cutoff_counts(n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    counts = np.arange(1, n_total + 1, dtype=np.int64)
+    return counts, np.ones_like(counts)
+
+
+def _cutoff_shares(n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    counts = np.arange(1, n_total + 1, dtype=np.int64)
+    return _lowest_terms(counts, np.full_like(counts, n_total))
 
 
 def benefit_series(ranked: RankedTestSet, costs: CostSpec,

@@ -2,15 +2,15 @@
 
 A test set is a list of :class:`ScoredRecord` (id, score, true label). All
 downstream measures operate on a :class:`RankedTestSet`, which fixes the
-descending-score order once, resolves ties according to a policy, and caches
-the prefix positive counts so that every cutoff query is O(1);
-`RankedTestSet.gains_arrays` gives the gains at every cutoff at once.
+descending-score order once, resolves ties according to a policy, and holds
+the set as columns (scores, labels, prefix positive counts, tie groups) so
+that every cutoff query is O(1) and `RankedTestSet.gains_arrays` gives the
+gains at every cutoff at once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -51,47 +51,56 @@ class ScoredRecord:
 class RankedTestSet:
     """Records sorted by descending score with a tie policy applied.
 
-    Instances are immutable after construction; they may be shared across
-    threads freely. Build one with :func:`rank_records`.
+    The set is held as columns in rank order: `ids` (an object array of the
+    record ids), float64 scores and int64 labels, the int64 prefix positive
+    counts, and the exclusive end rank and positive count of every
+    equal-score group. Instances are immutable after construction (every
+    array is read-only); they may be shared across threads freely. Build one
+    with :func:`rank_records`. Single-cutoff queries return Python ints and
+    `Fraction`s, never numpy scalars.
     """
 
-    __slots__ = ("records", "tie_policy", "n_total", "n_pos", "n_neg",
-                 "_prefix_pos", "_group_ends", "_group_pos")
+    __slots__ = ("ids", "tie_policy", "n_total", "n_pos", "n_neg", "_scores",
+                 "_labels", "_prefix_pos", "_group_ends", "_group_pos",
+                 "_records")
 
-    def __init__(self, records: tuple[ScoredRecord, ...], tie_policy: TiePolicy):
-        self.records = records
+    def __init__(self, ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,
+                 tie_policy: TiePolicy):
+        prefix = np.zeros(len(labels) + 1, dtype=np.int64)
+        np.cumsum(labels, out=prefix[1:])
+        # tie groups: a new group starts wherever the score changes
+        ends = np.append(np.flatnonzero(scores[1:] != scores[:-1]) + 1,
+                         len(labels))
+        self.ids = ids
         self.tie_policy = tie_policy
-        self.n_total = len(records)
-        self.n_pos = sum(r.label for r in records)
+        self.n_total = len(labels)
+        self.n_pos = int(prefix[-1])
         self.n_neg = self.n_total - self.n_pos
+        self._scores = scores
+        self._labels = labels
+        self._prefix_pos = prefix
+        self._group_ends = ends
+        self._group_pos = np.diff(prefix[ends], prepend=0)
+        for column in (ids, scores, labels, prefix, ends, self._group_pos):
+            column.flags.writeable = False
+        self._records: tuple[ScoredRecord, ...] | None = None
 
-        prefix = [0] * (self.n_total + 1)
-        for i, rec in enumerate(records):
-            prefix[i + 1] = prefix[i] + rec.label
-        self._prefix_pos = tuple(prefix)
-
-        # Tie-group boundaries: end index (exclusive) and positives per group
-        # of equal-score records, in rank order.
-        ends: list[int] = []
-        pos: list[int] = []
-        i = 0
-        while i < self.n_total:
-            j = i
-            while j < self.n_total and records[j].score == records[i].score:
-                j += 1
-            ends.append(j)
-            pos.append(prefix[j] - prefix[i])
-            i = j
-        self._group_ends = tuple(ends)
-        self._group_pos = tuple(pos)
+    @property
+    def records(self) -> tuple[ScoredRecord, ...]:
+        """The records in rank order, built from the columns on first use."""
+        if self._records is None:
+            self._records = tuple(map(ScoredRecord, self.ids,
+                                      self._scores.tolist(),
+                                      self._labels.tolist()))
+        return self._records
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(r.label for r in self.records)
+        return tuple(self._labels.tolist())
 
     @property
     def scores(self) -> tuple[float, ...]:
-        return tuple(r.score for r in self.records)
+        return tuple(self._scores.tolist())
 
     def check_cutoff(self, n: int, minimum: int = 0) -> None:
         if not isinstance(n, int) or isinstance(n, bool):
@@ -103,17 +112,17 @@ class RankedTestSet:
     def positives_in_prefix(self, n: int) -> Gain:
         """Positive count among the top-n ranks, fractional under the
         expected-value tie policy when n falls inside a tie group."""
+        prefix = self._prefix_pos
         if self.tie_policy is not TiePolicy.EXPECTED_VALUE or n == 0:
-            return self._prefix_pos[n]
+            return int(prefix[n])
         # group owning rank n: first group whose exclusive end exceeds n-1
-        g = bisect_right(self._group_ends, n - 1)
-        start = self._group_ends[g - 1] if g > 0 else 0
-        end = self._group_ends[g]
+        g = int(np.searchsorted(self._group_ends, n - 1, side="right"))
+        start = int(self._group_ends[g - 1]) if g > 0 else 0
+        end = int(self._group_ends[g])
         if n == end:
-            return self._prefix_pos[n]
-        size = end - start
-        inside = n - start
-        value = self._prefix_pos[start] + Fraction(self._group_pos[g] * inside, size)
+            return int(prefix[n])
+        value = int(prefix[start]) + Fraction(
+            int(self._group_pos[g]) * (n - start), end - start)
         return int(value) if value.denominator == 1 else value
 
     def gains_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -121,40 +130,38 @@ class RankedTestSet:
         in lowest terms: num[n] / den[n] == positives_in_prefix(n).
 
         The denominator is 1 except at cutoffs inside a tie group under the
-        expected-value policy.
+        expected-value policy. Every value stays below N**2, far inside
+        int64 at any size that fits in memory.
         """
-        prefix = np.array(self._prefix_pos, dtype=np.int64)
+        prefix = self._prefix_pos
         den = np.ones_like(prefix)
         if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
             return prefix, den
-        ends = np.array(self._group_ends, dtype=np.int64)
+        ends = self._group_ends
         sizes = np.diff(ends, prepend=0)
         group = np.repeat(np.arange(len(ends)), sizes)  # group of rank n = 1..N
         start = (ends - sizes)[group]
         inside = np.arange(1, self.n_total + 1) - start
         # prefix[start] + group_pos * inside / size, over the group size
         num = prefix.copy()
-        num[1:] = (prefix[start] * sizes[group]
-                   + np.array(self._group_pos, dtype=np.int64)[group] * inside)
+        num[1:] = prefix[start] * sizes[group] + self._group_pos[group] * inside
         den[1:] = sizes[group]
         common = np.gcd(num, den)
         return num // common, den // common
 
     def tie_groups(self) -> Iterable[tuple[int, int, int]]:
         """Yield (start, end, positives) per equal-score group, rank order."""
-        start = 0
-        for g, end in enumerate(self._group_ends):
-            yield start, end, self._group_pos[g]
-            start = end
+        ends = self._group_ends.tolist()
+        return zip([0] + ends[:-1], ends, self._group_pos.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RankedTestSet(n={self.n_total}, pos={self.n_pos}, "
                 f"neg={self.n_neg}, tie_policy={self.tie_policy.value})")
 
 
-def _validate(records: Sequence[ScoredRecord]) -> None:
-    if not records:
-        raise ValidationError("test set is empty: at least one record required")
+def _first_fault(records: Sequence[ScoredRecord]) -> None:
+    """Raise the diagnostic for the first invalid record, checking each
+    record's label, then its score, then whether its id repeats."""
     seen: set[str] = set()
     for rec in records:
         if rec.label not in (0, 1):
@@ -168,6 +175,31 @@ def _validate(records: Sequence[ScoredRecord]) -> None:
         seen.add(rec.id)
 
 
+def _columns(records: Sequence[ScoredRecord]
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The id, score and label columns of valid records, in input order.
+
+    Each check runs over a whole column at once; when one fails,
+    `_first_fault` names the first offending record.
+    """
+    if not records:
+        raise ValidationError("test set is empty: at least one record required")
+    ids = [r.id for r in records]
+    labels = [r.label for r in records]
+    scores = [r.score for r in records]
+    try:
+        valid = (set(labels) <= {0, 1} and all(map(math.isfinite, scores))
+                 and len(set(ids)) == len(ids))
+    except TypeError:
+        valid = False
+    if not valid:
+        _first_fault(records)
+    id_column = np.empty(len(ids), dtype=object)
+    id_column[:] = ids
+    return (id_column, np.array(scores, dtype=np.float64),
+            np.array(labels, dtype=np.int64))
+
+
 def rank_records(records: Sequence[ScoredRecord],
                  tie_policy: TiePolicy = TiePolicy.INPUT_ORDER) -> RankedTestSet:
     """Sort records by descending score into a RankedTestSet.
@@ -177,12 +209,17 @@ def rank_records(records: Sequence[ScoredRecord],
     Raises ValidationError for empty input, non-binary labels, non-finite
     scores, or duplicate ids (each with its own diagnostic).
     """
-    _validate(records)
+    ids, scores, labels = _columns(records)
     if tie_policy is TiePolicy.ID_ORDER:
-        ordered = sorted(records, key=lambda r: (-r.score, r.id))
+        # ids compared as Python strings (code point order), then used as
+        # the secondary key under descending score
+        by_id = np.argsort(ids, kind="stable")
+        id_rank = np.empty_like(by_id)
+        id_rank[by_id] = np.arange(len(ids))
+        order = np.lexsort((id_rank, -scores))
     else:
-        ordered = sorted(records, key=lambda r: -r.score)
-    return RankedTestSet(tuple(ordered), tie_policy)
+        order = np.argsort(-scores, kind="stable")
+    return RankedTestSet(ids[order], scores[order], labels[order], tie_policy)
 
 
 def reranked_copy(ranked: RankedTestSet,
@@ -194,10 +231,14 @@ def reranked_copy(ranked: RankedTestSet,
     if len(labels) != ranked.n_total:
         raise ValidationError(
             f"expected {ranked.n_total} labels, got {len(labels)}")
-    replaced = []
-    for rec, lab in zip(ranked.records, labels):
-        if lab not in (0, 1):
-            raise ValidationError(
-                f"record {rec.id!r}: label must be 0 or 1, got {lab!r}")
-        replaced.append(ScoredRecord(rec.id, rec.score, int(lab)))
-    return RankedTestSet(tuple(replaced), ranked.tie_policy)
+    try:
+        valid = set(labels) <= {0, 1}
+    except TypeError:
+        valid = False
+    if not valid:
+        for rid, lab in zip(ranked.ids, labels):
+            if lab not in (0, 1):
+                raise ValidationError(
+                    f"record {rid!r}: label must be 0 or 1, got {lab!r}")
+    return RankedTestSet(ranked.ids, ranked._scores,
+                         np.array(labels, dtype=np.int64), ranked.tie_policy)

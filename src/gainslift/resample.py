@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .metrics import doubled_mann_whitney_u
+from .metrics import cutoff_for, doubled_mann_whitney_u
 from .records import ScoredRecord, rank_records
 
 GRID_POINTS = 100
@@ -141,8 +141,7 @@ def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummar
     """
     grid = _default_grid()
     size = plan.sample_size
-    # cutoff for grid fraction k/100 is ceil(k*size/100), in exact arithmetic
-    cutoffs = np.array([-(-k * size // GRID_POINTS)
+    cutoffs = np.array([cutoff_for(Fraction(k, GRID_POINTS), size)
                         for k in range(1, GRID_POINTS + 1)], dtype=np.int64)
 
     # each whole-pool array is dropped once used, so the split's peak memory

@@ -7,6 +7,9 @@ checked against a second route, not against themselves.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -14,9 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from gainslift import (BudgetExhaustedError, InfeasibleError, RankedTestSet,
-                       ResamplePlan, ScoredRecord, auc_wilcoxon, lift,
+from gainslift import (BudgetExhaustedError, CurveSeries, InfeasibleError,
+                       RankedTestSet, ResamplePlan, ScoredFile, ScoredRecord,
+                       TiePolicy, ValidationError, XKind, auc_wilcoxon, lift,
                        parse_metric, rank_records, stratified_sample)
+from gainslift.io import _parse_label, _parse_score
 from gainslift.compare import (EXHAUSTIVE_LIMIT, LEX_REFINE_LIMIT,
                                DisagreementReport)
 from gainslift.resample import (GRID_POINTS, RateBand, ResampleSummary,
@@ -227,3 +232,135 @@ def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
                            sample_size=size,
                            replicate_count=plan.replicate_count,
                            seed=plan.seed, bands=tuple(bands))
+
+
+# ---------------------------------------------------------------------------
+# oracles for the columnar ranked set, the curve kernels, the serializers and
+# the loader: the per-record and per-point routes those replaced
+# ---------------------------------------------------------------------------
+
+def rank_order_oracle(records, tie_policy: TiePolicy) -> list[str]:
+    """Ids in rank order by Python's sort on (-score) or (-score, id)."""
+    if tie_policy is TiePolicy.ID_ORDER:
+        ordered = sorted(records, key=lambda r: (-r.score, r.id))
+    else:
+        ordered = sorted(records, key=lambda r: -r.score)
+    return [r.id for r in ordered]
+
+
+def auc_pairs_matrix(ranked: RankedTestSet) -> Fraction:
+    """Pair-counting AUC from the two P x N comparison matrices."""
+    scores = np.array(ranked.scores)
+    labels = np.array(ranked.labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    wins = int((pos[:, None] > neg[None, :]).sum())
+    ties = int((pos[:, None] == neg[None, :]).sum())
+    return Fraction(2 * wins + ties, 2 * ranked.n_pos * ranked.n_neg)
+
+
+def gains_series_oracle(ranked: RankedTestSet, fraction: bool = False,
+                        name: str = "gains") -> CurveSeries:
+    """One `positives_in_prefix` and two `Fraction`s per cutoff."""
+    points = []
+    for n in range(1, ranked.n_total + 1):
+        g = Fraction(ranked.positives_in_prefix(n))
+        if fraction:
+            points.append((Fraction(n, ranked.n_total),
+                           Fraction(g, ranked.n_pos)))
+        else:
+            points.append((Fraction(n), g))
+    kind = XKind.FRACTION if fraction else XKind.COUNT
+    return CurveSeries(name=name, x_kind=kind, points=tuple(points))
+
+
+def lift_series_oracle(ranked: RankedTestSet, fraction: bool = True,
+                       name: str = "lift") -> CurveSeries:
+    """One `lift()` call per cutoff."""
+    points = []
+    for n in range(1, ranked.n_total + 1):
+        x = Fraction(n, ranked.n_total) if fraction else Fraction(n)
+        points.append((x, lift(ranked, n)))
+    kind = XKind.FRACTION if fraction else XKind.COUNT
+    return CurveSeries(name=name, x_kind=kind, points=tuple(points))
+
+
+def roc_points_oracle(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
+    """One point per tie group, accumulated group by group."""
+    points = [(Fraction(0), Fraction(0))]
+    cum_pos = cum_neg = 0
+    for start, end, pos in ranked.tie_groups():
+        cum_pos += pos
+        cum_neg += (end - start) - pos
+        points.append((Fraction(cum_neg, ranked.n_neg),
+                       Fraction(cum_pos, ranked.n_pos)))
+    return CurveSeries(name=name, x_kind=XKind.FPR, points=tuple(points))
+
+
+def curves_csv_oracle(series) -> str:
+    """One `csv.writer` row per point, floats from `float(Fraction)`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["series", "x_kind", "x", "y"])
+    for s in series:
+        for x, y in s.points:
+            writer.writerow([s.name, s.x_kind.value, repr(float(x)),
+                             repr(float(y))])
+    return buf.getvalue()
+
+
+def curves_json_oracle(series) -> str:
+    """The payload built as dicts and written by `json.dumps(indent=2)`."""
+    def exact(value: Fraction) -> str:
+        value = Fraction(value)
+        return f"{value.numerator}/{value.denominator}"
+
+    payload = {"series": [
+        {
+            "name": s.name,
+            "x_kind": s.x_kind.value,
+            "points": [
+                {"x": float(x), "y": float(y),
+                 "x_exact": exact(x), "y_exact": exact(y)}
+                for x, y in s.points
+            ],
+        }
+        for s in series
+    ]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def load_csv_oracle(file: ScoredFile) -> list[ScoredRecord]:
+    """Delimited-text loading through `csv.DictReader`, one dict per row,
+    with the same checks and messages as `load_scored`."""
+    records = []
+    with open(file.path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle, delimiter=file.delimiter)
+        if reader.fieldnames is None:
+            raise ValidationError(f"{file.path}: missing header row")
+        names = set(reader.fieldnames)
+        for col in (file.label_col, file.score_col):
+            if col not in names:
+                raise ValidationError(
+                    f"{file.path}: column {col!r} not in header {sorted(names)}")
+        id_col = file.id_col
+        if id_col is None and "id" in names:
+            id_col = "id"
+        if id_col is not None and id_col not in names:
+            raise ValidationError(
+                f"{file.path}: column {id_col!r} not in header {sorted(names)}")
+        for row_no, row in enumerate(reader, start=1):
+            label = _parse_label(row.get(file.label_col), row_no)
+            score = _parse_score(row.get(file.score_col), row_no)
+            rid = row[id_col] if id_col is not None else str(row_no)
+            if rid is None or rid == "":
+                raise ValidationError(f"row {row_no}: empty id")
+            records.append(ScoredRecord(id=rid, score=score, label=label))
+    if not records:
+        raise ValidationError(f"{file.path}: no data rows")
+    seen: set[str] = set()
+    for rec in records:
+        if rec.id in seen:
+            raise ValidationError(f"{file.path}: duplicate id {rec.id!r}")
+        seen.add(rec.id)
+    return records

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from gainslift import (TiePolicy, ValidationError, auc_pairs, auc_wilcoxon,
                        rank_records, roc_points)
 
-from helpers import brute_force_auc, random_instance, records_from_labels
+from helpers import (auc_pairs_matrix, brute_force_auc, random_instance,
+                     records_from_labels)
 
 
 class TestAucGolden:
@@ -107,3 +109,40 @@ class TestRocPoints:
             for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
                 area += (x1 - x0) * (y0 + y1) / 2
             assert area == auc_pairs(ranked)
+
+
+class TestAucPairsCounting:
+    """`auc_pairs` counts wins and ties by binary search over the sorted
+    negatives; the P x N comparison matrices are the oracle."""
+
+    def test_random_tied_inputs(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            records = random_instance(rng, max_n=120, tie_prob=0.6)
+            ranked = rank_records(records)
+            assert auc_pairs(ranked) == auc_pairs_matrix(ranked)
+
+    def test_signed_zero_scores_tie(self):
+        rng = np.random.default_rng(4243)
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            scores = rng.choice([0.0, -0.0, 1.0, -1.0], size=n).tolist()
+            labels = [int(v) for v in rng.integers(0, 2, size=n)]
+            labels[0], labels[-1] = 1, 0
+            ranked = rank_records(records_from_labels(labels, scores))
+            assert auc_pairs(ranked) == auc_pairs_matrix(ranked)
+            assert auc_pairs(ranked) == brute_force_auc(ranked)
+
+    def test_memory_grows_with_records_not_pairs(self):
+        # 3,000 x 30,000 pairs: each comparison matrix would take 90 MB
+        rng = np.random.default_rng(4244)
+        labels = [1] * 3_000 + [0] * 30_000
+        scores = np.round(rng.normal(size=len(labels)), 2).tolist()
+        ranked = rank_records(records_from_labels(labels, scores))
+        tracemalloc.start()
+        try:
+            auc_pairs(ranked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -239,3 +239,32 @@ class TestErrorPaths:
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "auc", "--input", "/nonexistent.csv")
         assert code == 1
+
+
+class TestSharedParser:
+    def test_repeatable_options_leak_no_state(self, capsys, tmp_path, perturbed24):
+        from gainslift import save_scored
+        other = tmp_path / "perturbed.csv"
+        save_scored(perturbed24.records, other)
+        argv = ["compare", "--input", EXAMPLE, "--input", str(other),
+                "--name", "x", "--name", "y", "--targets", "6", "--format", "json"]
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first == second
+        assert json.loads(first[1])["winners"]["6"] == ["x"]
+        # a single-input command after it sees one --input
+        assert run(capsys, "auc", "--input", EXAMPLE)[:2] == (0, "0.93750\n")
+        # without --name the runs are named by file stem again
+        code, out, _ = run(capsys, "compare", "--input", EXAMPLE, "--input",
+                           str(other), "--targets", "6", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["winners"]["6"] == ["example24"]
+        assert [e["run"] for e in json.loads(out)["entries"]] == [
+            "example24", "perturbed"]
+        swapped = run(capsys, "perturb", "--input", EXAMPLE, "--swap", "1:2")
+        again = run(capsys, "perturb", "--input", EXAMPLE, "--swap", "1:2")
+        assert swapped == again
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from gainslift.cli import build_parser
+        assert build_parser() is not build_parser()

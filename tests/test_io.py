@@ -1,15 +1,17 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gainslift import (ScoredFile, ValidationError, emit_curves,
-                       example24_path, gains_series, load_scored,
-                       parse_curves, rank_records, render_decimal,
-                       roc_points, save_scored)
+from gainslift import (ScoredFile, ValidationError, decile_series, emit_curves,
+                       example24_path, gains_series, lift_series, load_scored,
+                       parse_curves, random_targeting_series, rank_records,
+                       render_decimal, roc_points, save_scored)
 from gainslift.metrics import CurveSeries, XKind
 
-from helpers import records_from_labels
+from helpers import (curves_csv_oracle, curves_json_oracle, load_csv_oracle,
+                     records_from_labels)
 
 
 def write(tmp_path, name, text):
@@ -179,3 +181,81 @@ class TestCurveSeriesValidation:
             CurveSeries(name="roc", x_kind=XKind.FPR,
                         points=((Fraction(1), Fraction(0)),
                                 (Fraction(0), Fraction(1))))
+
+
+def _outcome(load, file):
+    """The records a loader returns, or the type and text of what it raises."""
+    try:
+        return [(r.id, r.score, r.label) for r in load(file)]
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+
+
+class TestLoaderAgainstDictReader:
+    """The streaming `csv.reader` loader against the `csv.DictReader`
+    loader it replaced, on the inputs where their handling could part."""
+
+    @pytest.mark.parametrize("text,options", [
+        ("id,score,label\na,0.5,1\n\nb,0.4,0\n\n\nc,0.3,1\n", {}),
+        ("score,label\n\n0.5,1\n0.4,0\n0.3,x\n", {}),
+        ("\nscore,label\n0.5,1\n", {}),
+        ("", {}),
+        ("score,label,id\n0.5,1,a\n0.4,0\n", {}),
+        ("score,label,id\n0.5,1,a\n0.4\n", {}),
+        ("score,label,id\n0.5,1,a\n0.4,0,b,extra,fields\n", {}),
+        ("label,score,label\n1,0.5,0\n0,0.4,1\n", {}),
+        ("label,score,label\n1,0.5,0\n0,0.4\n", {}),
+        ("score,label,score,id\n0.9,1,0.1,a\n0.8,0,0.2,b\n", {}),
+        ("id,score,label\na,0.5,1\n,0.4,0\n", {}),
+        ("id,score,label\na,0.5,1\na,0.4,0\n", {}),
+        ("y;p;name\n1;0.7;u\n0; 0.2 ;v\n1;1e-3;w\n", {
+            "delimiter": ";", "label_col": "y", "score_col": "p",
+            "id_col": "name"}),
+        ("score,label\n0.5, 1 \n0.4,0\n", {}),
+        ("score,label\n0.5,1\n0.4,0\n", {"id_col": "key"}),
+        ("score,label\nnan,1\n", {}),
+        ('id,score,label\n"a,b",0.5,1\n"say ""hi""",0.4,0\n', {}),
+    ])
+    def test_same_records_or_same_error(self, tmp_path, text, options):
+        path = write(tmp_path, "in.csv", text)
+        file = ScoredFile(path=path, format="csv", **options)
+        assert _outcome(load_scored, file) == _outcome(load_csv_oracle, file)
+
+    def test_random_files(self, tmp_path):
+        rng = np.random.default_rng(5150)
+        for k in range(40):
+            lines = ["id,score,label"]
+            for i in range(int(rng.integers(1, 30))):
+                kind = rng.random()
+                if kind < 0.05:
+                    lines.append("")
+                elif kind < 0.08:
+                    lines.append(f"x{i},0.5")
+                else:
+                    lines.append(f"x{i},{rng.random()!r},{int(rng.integers(0, 2))}")
+            path = write(tmp_path, f"r{k}.csv", "\n".join(lines) + "\n")
+            file = ScoredFile(path=path)
+            assert _outcome(load_scored, file) == _outcome(load_csv_oracle, file)
+
+
+class TestSerializersAgainstOracles:
+    NAMES = ["plain", "with,comma", 'with "quote"', "ünïcødé ✓", "tab\tand\\slash",
+             "new\nline", ""]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_names_needing_quoting_or_escaping(self, example24, name):
+        series = [lift_series(example24, name=name)]
+        assert emit_curves(series, format="csv") == curves_csv_oracle(series)
+        assert emit_curves(series, format="json") == curves_json_oracle(series)
+        assert parse_curves(emit_curves(series, format="json"),
+                            format="json") == series
+
+    def test_multiple_series(self, example24):
+        series = [gains_series(example24, name=self.NAMES[1]),
+                  gains_series(example24, fraction=True, name=self.NAMES[2]),
+                  roc_points(example24, name=self.NAMES[3]),
+                  random_targeting_series(example24, XKind.FPR),
+                  CurveSeries(name="empty", x_kind=XKind.COUNT, points=()),
+                  decile_series(example24)]
+        assert emit_curves(series, format="csv") == curves_csv_oracle(series)
+        assert emit_curves(series, format="json") == curves_json_oracle(series)

@@ -3,13 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (CostSpec, TiePolicy, ValidationError, cum_benefit,
-                       cum_gains, decile_lift, gains_series, lift,
+from gainslift import (CostSpec, CurveSeries, ScoredRecord, TiePolicy,
+                       ValidationError, XKind, cum_benefit, cum_gains,
+                       decile_lift, emit_curves, gains_series, lift,
                        lift_series, n_confusion_matrix, p_cum_gains,
                        random_targeting_rate, rank_records, render_decimal,
-                       render_exact)
+                       render_exact, roc_points)
+from gainslift.metrics import _lowest_terms, _product, cutoff_for
 
-from helpers import prefix_gains, random_instance, records_from_labels
+from helpers import (curves_csv_oracle, curves_json_oracle,
+                     gains_series_oracle, lift_series_oracle, prefix_gains,
+                     random_instance, records_from_labels, roc_points_oracle)
 
 # the 24-record example: cumulative gains by cutoff, 12 positives total
 EXPECTED_GAINS_24 = (1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 10, 10,
@@ -245,3 +249,101 @@ class TestRendering:
         assert render_exact(Fraction(135, 144)) == "15/16"
         assert render_exact(Fraction(7, 1)) == "7"
         assert render_exact(3) == "3"
+
+
+class TestSeriesKernelsAgainstOracles:
+    """The array kernels against the per-cutoff `Fraction` routes they
+    replaced: equal points, and equal bytes once serialized."""
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_random_tied_inputs(self, policy):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            ranked = rank_records(random_instance(rng, max_n=80, tie_prob=0.5),
+                                  policy)
+            pairs = [
+                (gains_series(ranked), gains_series_oracle(ranked)),
+                (gains_series(ranked, fraction=True),
+                 gains_series_oracle(ranked, fraction=True)),
+                (lift_series(ranked), lift_series_oracle(ranked)),
+                (lift_series(ranked, fraction=False),
+                 lift_series_oracle(ranked, fraction=False)),
+                (roc_points(ranked), roc_points_oracle(ranked)),
+            ]
+            for fast, slow in pairs:
+                assert fast.points == slow.points
+                assert all(type(v) is Fraction for p in fast.points for v in p)
+                assert (emit_curves([fast], format="json")
+                        == curves_json_oracle([slow]))
+                assert (emit_curves([fast], format="csv")
+                        == curves_csv_oracle([slow]))
+
+    def test_expected_lift_beyond_float_precision(self):
+        # 180,001 untied positives ahead of one tie group of 180,007 (a
+        # prime) records: inside the group the exact lift has numerators
+        # and denominators above 2**53, where one float64 division of the
+        # two would round twice
+        head, size = 180_001, 180_007
+        scores = np.concatenate([np.arange(head, 0, -1) + 1.0, np.zeros(size)])
+        labels = np.concatenate([np.ones(head, dtype=int),
+                                 (np.arange(size) % 7 == 0).astype(int)])
+        records = list(map(ScoredRecord, map(str, range(head + size)),
+                           scores.tolist(), labels.tolist()))
+        ranked = rank_records(records, TiePolicy.EXPECTED_VALUE)
+        series = lift_series(ranked)
+        num, den = series.y.num, series.y.den
+        wide = np.flatnonzero((num > 2**53) | (den > 2**53))
+        floats = series.y.floats()
+        rounded_twice = wide[num[wide] / den[wide] != floats[wide]]
+        assert wide.size > 10_000 and rounded_twice.size > 1_000
+        texts = series.y.texts()
+        for i in np.concatenate([rounded_twice[::50], wide[::500]]).tolist():
+            exact = lift(ranked, i + 1)
+            assert floats[i] == float(exact)
+            assert texts[i] == f"{exact.numerator}/{exact.denominator}"
+
+    def test_products_past_int64_never_wrap(self):
+        big = np.array([2**40, 3, 2**62], dtype=np.int64)
+        product = _product(big, np.array([2**30, 5, 2], dtype=np.int64))
+        assert product.tolist() == [2**70, 15, 2**63]
+        assert _product(big, 2**21).tolist() == [2**61, 3 * 2**21, 2**83]
+        assert _product(big[:2], 4).dtype == np.int64
+        num, den = _lowest_terms(product, np.array([2**35, 10, 3], dtype=np.int64))
+        assert num.tolist() == [2**35, 3, 2**63]
+        assert den.tolist() == [1, 2, 3]
+
+    def test_series_of_huge_rationals_serialize_exactly(self):
+        points = ((Fraction(1), Fraction(2**80 + 1, 3)),
+                  (Fraction(2), Fraction(3, 2**70 + 7)),
+                  (Fraction(3), Fraction(-(2**64), 2**66 + 1)),
+                  (Fraction(4), Fraction(5, 7)))
+        series = CurveSeries(name="huge", x_kind=XKind.COUNT, points=points)
+        assert series.y.num.dtype == object
+        assert emit_curves([series], format="json") == curves_json_oracle([series])
+        assert emit_curves([series], format="csv") == curves_csv_oracle([series])
+
+    def test_points_built_on_first_access(self, example24):
+        series = lift_series(example24)
+        assert series._points is None
+        assert series.points is series.points
+        assert len(series) == 24
+
+    def test_no_positives_rejected(self):
+        ranked = rank_records(records_from_labels([0, 0, 0]))
+        with pytest.raises(ValidationError, match="no positives"):
+            lift_series(ranked)
+        with pytest.raises(ValidationError, match="no positives"):
+            gains_series(ranked, fraction=True)
+
+
+class TestCutoffFor:
+    @pytest.mark.parametrize("share,n_total,expected", [
+        (Fraction("0.07"), 20_000, 1_400),  # 0.07 * 20000 is 1400.0000000000002
+        (Fraction("0.07"), 100, 7),
+        (Fraction(1, 10), 24, 3),
+        (Fraction(1, 3), 9, 3),
+        (Fraction(1, 3), 10, 4),
+        (Fraction(1), 7, 7),
+    ])
+    def test_exact_ceiling(self, share, n_total, expected):
+        assert cutoff_for(share, n_total) == expected

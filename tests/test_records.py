@@ -5,8 +5,9 @@ import pytest
 
 from gainslift import (EXAMPLE24_LABELS, ScoredRecord, TiePolicy,
                        ValidationError, rank_records)
+from gainslift.records import reranked_copy
 
-from helpers import random_instance, records_from_labels
+from helpers import random_instance, rank_order_oracle, records_from_labels
 
 
 def make(scores, labels):
@@ -119,3 +120,87 @@ class TestGainsArrays:
         num, den = rank_records(records, TiePolicy.EXPECTED_VALUE).gains_arrays()
         assert num.tolist() == [0, 1, 3, 2, 5, 3, 3]
         assert den.tolist() == [1, 1, 2, 1, 2, 1, 1]
+
+
+class TestColumnarRankedSet:
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_order_matches_python_sort(self, policy):
+        rng = np.random.default_rng(9090)
+        for _ in range(100):
+            records = random_instance(rng, max_n=80, tie_prob=0.6)
+            ids = [r.id for r in records]
+            rng.shuffle(ids)
+            # signed zeros compare equal and belong to one tie group
+            records = [ScoredRecord(rid, -0.0 if r.score < 0.2 else r.score,
+                                    r.label) if i % 2 else
+                       ScoredRecord(rid, 0.0 if r.score < 0.2 else r.score,
+                                    r.label)
+                       for i, (rid, r) in enumerate(zip(ids, records))]
+            ranked = rank_records(records, policy)
+            assert list(ranked.ids) == rank_order_oracle(records, policy)
+            assert [r.id for r in ranked.records] == list(ranked.ids)
+
+    def test_id_order_is_python_string_order(self):
+        # numpy's fixed-width unicode arrays would drop the trailing NUL and
+        # call the first two ids equal
+        ids = ["a\x00", "a", "b", "A", "é", "e", "a\x00\x00", "10", "9"]
+        records = [ScoredRecord(rid, 0.5, i % 2) for i, rid in enumerate(ids)]
+        ranked = rank_records(records, TiePolicy.ID_ORDER)
+        assert list(ranked.ids) == sorted(ids)
+
+    def test_results_are_python_numbers(self):
+        records = make([0.9, 0.5, 0.5, 0.5, 0.1], [1, 1, 0, 0, 1])
+        for policy in TiePolicy:
+            ranked = rank_records(records, policy)
+            assert type(ranked.n_pos) is int and type(ranked.n_neg) is int
+            assert all(type(y) is int for y in ranked.labels)
+            assert all(type(s) is float for s in ranked.scores)
+            for n in range(ranked.n_total + 1):
+                assert type(ranked.positives_in_prefix(n)) in (int, Fraction)
+            for group in ranked.tie_groups():
+                assert all(type(v) is int for v in group)
+            rec = ranked.records[0]
+            assert type(rec.score) is float and type(rec.label) is int
+
+    def test_columns_are_read_only(self):
+        ranked = rank_records(make([0.9, 0.5, 0.1], [1, 0, 1]))
+        num, _ = ranked.gains_arrays()
+        with pytest.raises(ValueError):
+            num[1] = 5
+        with pytest.raises(ValueError):
+            ranked.ids[0] = "x"
+
+    @pytest.mark.parametrize("faults,message", [
+        # (index, kind) per fault; the first faulty record is reported, its
+        # label before its score before its id
+        ([(3, "label"), (1, "score")], "record 'r1': score must be finite"),
+        ([(2, "label"), (2, "score")], "record 'r2': label must be 0 or 1"),
+        ([(2, "dup"), (4, "label")], "duplicate record id 'r0'"),
+        ([(4, "dup"), (1, "label")], "record 'r1': label must be 0 or 1"),
+        ([(3, "score"), (3, "dup")], "record 'r0': score must be finite"),
+        ([(2, "unhashable")], "record 'r2': label must be 0 or 1"),
+    ])
+    def test_first_fault_is_named(self, faults, message):
+        records = make([0.9, 0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0, 1])
+        for i, kind in faults:
+            rec = records[i]
+            if kind == "label":
+                records[i] = ScoredRecord(rec.id, rec.score, 2)
+            elif kind == "unhashable":
+                records[i] = ScoredRecord(rec.id, rec.score, [1])
+            elif kind == "score":
+                records[i] = ScoredRecord(rec.id, float("nan"), rec.label)
+            else:
+                records[i] = ScoredRecord("r0", rec.score, rec.label)
+        with pytest.raises(ValidationError) as info:
+            rank_records(records)
+        assert str(info.value).startswith(message)
+
+    def test_reranked_copy_checks_labels(self):
+        ranked = rank_records(make([0.9, 0.5, 0.1], [1, 0, 1]))
+        again = reranked_copy(ranked, [0, 1, 1])
+        assert again.labels == (0, 1, 1) and list(again.ids) == list(ranked.ids)
+        with pytest.raises(ValidationError, match="record 'r1': label"):
+            reranked_copy(ranked, [1, 2, 0])
+        with pytest.raises(ValidationError, match="expected 3 labels"):
+            reranked_copy(ranked, [1, 0])
