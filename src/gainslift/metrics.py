@@ -412,12 +412,11 @@ def gains_series(ranked: RankedTestSet, fraction: bool = False,
         raise ValidationError("fractional gains undefined: no positives")
     num, den = ranked.gains_arrays()
     num, den = num[1:], den[1:]
-    if fraction:
-        return CurveSeries.from_columns(
-            name, XKind.FRACTION, _cutoff_shares(ranked.n_total),
-            _lowest_terms(num, _product(den, ranked.n_pos)))
-    return CurveSeries.from_columns(name, XKind.COUNT,
-                                    _cutoff_counts(ranked.n_total), (num, den))
+    gains = (_lowest_terms(num, _product(den, ranked.n_pos)) if fraction
+             else (num, den))
+    kind = XKind.FRACTION if fraction else XKind.COUNT
+    return CurveSeries.from_columns(name, kind,
+                                    _cutoff_axis(ranked.n_total, fraction), gains)
 
 
 def lift_series(ranked: RankedTestSet, fraction: bool = True,
@@ -426,24 +425,21 @@ def lift_series(ranked: RankedTestSet, fraction: bool = True,
     if ranked.n_pos == 0:
         raise ValidationError("lift undefined: the set has no positives")
     num, den = ranked.gains_arrays()
-    counts, ones = _cutoff_counts(ranked.n_total)
+    counts = np.arange(1, ranked.n_total + 1, dtype=np.int64)
     lifts = _lowest_terms(
         _product(num[1:], ranked.n_total),
         _product(_product(den[1:], counts), ranked.n_pos))
+    kind = XKind.FRACTION if fraction else XKind.COUNT
+    return CurveSeries.from_columns(name, kind,
+                                    _cutoff_axis(ranked.n_total, fraction), lifts)
+
+
+def _cutoff_axis(n_total: int, fraction: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The x column of cutoffs n = 1..N: n, or n/N in lowest terms."""
+    counts = np.arange(1, n_total + 1, dtype=np.int64)
     if fraction:
-        return CurveSeries.from_columns(name, XKind.FRACTION,
-                                        _cutoff_shares(ranked.n_total), lifts)
-    return CurveSeries.from_columns(name, XKind.COUNT, (counts, ones), lifts)
-
-
-def _cutoff_counts(n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.arange(1, n_total + 1, dtype=np.int64)
+        return _lowest_terms(counts, np.full_like(counts, n_total))
     return counts, np.ones_like(counts)
-
-
-def _cutoff_shares(n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.arange(1, n_total + 1, dtype=np.int64)
-    return _lowest_terms(counts, np.full_like(counts, n_total))
 
 
 def benefit_series(ranked: RankedTestSet, costs: CostSpec,
