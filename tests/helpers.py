@@ -364,3 +364,150 @@ def load_csv_oracle(file: ScoredFile) -> list[ScoredRecord]:
             raise ValidationError(f"{file.path}: duplicate id {rec.id!r}")
         seen.add(rec.id)
     return records
+
+
+def load_jsonl_oracle(file: ScoredFile) -> list[ScoredRecord]:
+    """Json-lines loading by a generator that builds one `ScoredRecord` per
+    line, with the same checks and messages as `load_scored`."""
+    def read():
+        with open(file.path, encoding="utf-8") as handle:
+            row_no = 0
+            for line in handle:
+                if not line.strip():
+                    continue
+                row_no += 1
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(
+                        f"row {row_no}: bad json ({exc})") from None
+                if file.label_col not in obj or file.score_col not in obj:
+                    raise ValidationError(
+                        f"row {row_no}: missing {file.label_col!r} or "
+                        f"{file.score_col!r} field")
+                raw_label, raw_score = obj[file.label_col], obj[file.score_col]
+                if isinstance(raw_label, (bool, float)):
+                    raise ValidationError(
+                        f"row {row_no}: label must be 0 or 1, got {raw_label!r}")
+                if isinstance(raw_score, bool):
+                    raise ValidationError(
+                        f"row {row_no}: score {raw_score!r} is not a number")
+                label = _parse_label(raw_label, row_no)
+                score = _parse_score(raw_score, row_no)
+                id_col = file.id_col or "id"
+                rid = str(obj[id_col]) if id_col in obj else str(row_no)
+                yield ScoredRecord(id=rid, score=score, label=label)
+
+    records = list(read())
+    if not records:
+        raise ValidationError(f"{file.path}: no data rows")
+    seen: set[str] = set()
+    for rec in records:
+        if rec.id in seen:
+            raise ValidationError(f"{file.path}: duplicate id {rec.id!r}")
+        seen.add(rec.id)
+    return records
+
+
+def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01
+                      ) -> tuple[str, dict, str]:
+    """A seeded delimited-text scored file: its text, the `ScoredFile`
+    options that read it, and the encoding to write it in.
+
+    The header may order the columns freely, carry an extra column, repeat
+    a name (the last occurrence counts) and start with a byte-order mark.
+    Rows may be blank or short, carry ids holding the delimiter, quotes or
+    spaces, and lenient labels such as ' 1'. With `fault_rate` a row gets a
+    bad label, a bad score, an empty id or a repeated id.
+    """
+    delimiter = ";" if rng.random() < 0.3 else ","
+    id_name = ("id", "key", None)[int(rng.integers(0, 3))]
+    names = ["score", "label", "note"] + ([id_name] if id_name else [])
+    names = [names[i] for i in rng.permutation(len(names))]
+    if rng.random() < 0.3:  # a repeated name: the earlier column is ignored
+        names.insert(int(rng.integers(0, len(names) + 1)),
+                     ("score", "label", "note")[int(rng.integers(0, 3))])
+    last = {name: k for k, name in enumerate(names)}
+    options = {"delimiter": delimiter}
+    if id_name == "key":
+        options["id_col"] = "key"
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(names)
+    ids: list[str] = []
+    for i in range(int(rng.integers(0, 40))):
+        kind = rng.random()
+        if kind < 0.05:
+            buf.write("\n")
+            continue
+        rid = f"r{i:03d}"
+        if rng.random() < 0.1:
+            rid = f'x{delimiter}"{i}" '
+        values = {"score": repr(float(rng.normal())),
+                  "label": str(int(rng.integers(0, 2))),
+                  "note": "n", "key": rid, "id": rid}
+        if rng.random() < 0.1:
+            values["label"] = (" 1", "0 ", " 0 ")[int(rng.integers(0, 3))]
+        if rng.random() < 0.1:
+            values["score"] = f" {values['score']}"
+        fault = rng.random()
+        if fault < fault_rate:
+            values["label"] = ("2", "true", "", "1.0", "-1")[
+                int(rng.integers(0, 5))]
+        elif fault < 2 * fault_rate:
+            values["score"] = ("oops", "nan", "inf", "-inf", "", "1e999")[
+                int(rng.integers(0, 6))]
+        elif fault < 3 * fault_rate and id_name:
+            values[id_name] = ""
+        elif fault < 4 * fault_rate and id_name and ids:
+            values[id_name] = ids[int(rng.integers(0, len(ids)))]
+        if id_name:
+            ids.append(values[id_name])
+        row = [values[name] if k == last[name] else "x"
+               for k, name in enumerate(names)]
+        if kind < 0.07:  # a short row lacks its last fields
+            row = row[:int(rng.integers(1, len(row)))]
+        writer.writerow(row)
+    encoding = "utf-8-sig" if rng.random() < 0.3 else "utf-8"
+    return buf.getvalue(), options, encoding
+
+
+def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
+                        ) -> tuple[str, dict]:
+    """A seeded json-lines scored file and the `ScoredFile` options that read
+    it: blank lines, ids of several types or none, lenient string labels,
+    and with `fault_rate` a row with bad json, a missing field, a bool or
+    float label, a bool or non-finite score or a repeated id."""
+    id_name = ("id", "key", None)[int(rng.integers(0, 3))]
+    options = {"id_col": "key"} if id_name == "key" else {}
+    lines: list[str] = []
+    ids: list = []
+    for i in range(int(rng.integers(0, 40))):
+        if rng.random() < 0.05:
+            lines.append("   ")
+            continue
+        obj = {"score": float(rng.normal()), "label": int(rng.integers(0, 2))}
+        if rng.random() < 0.1:
+            obj["label"] = (" 1", "0", 1)[int(rng.integers(0, 3))]
+        if rng.random() < 0.1:
+            obj["score"] = int(rng.integers(-5, 5))
+        if id_name:
+            obj[id_name] = (f"r{i:03d}", i, "")[int(rng.integers(0, 3))] \
+                if rng.random() < 0.2 else f"r{i:03d}"
+        fault = rng.random()
+        if fault < fault_rate:
+            lines.append("{not json")
+            continue
+        if fault < 2 * fault_rate:
+            del obj[("score", "label")[int(rng.integers(0, 2))]]
+        elif fault < 3 * fault_rate:
+            obj["label"] = (True, 1.0, "yes", 2)[int(rng.integers(0, 4))]
+        elif fault < 4 * fault_rate:
+            obj["score"] = (True, float("nan"), "x", None)[
+                int(rng.integers(0, 4))]
+        elif fault < 5 * fault_rate and id_name and ids:
+            obj[id_name] = ids[int(rng.integers(0, len(ids)))]
+        if id_name:
+            ids.append(obj[id_name])
+        lines.append(json.dumps(obj))
+    return "\n".join(lines) + ("\n" if lines else ""), options

@@ -1,10 +1,14 @@
 import json
 import xml.etree.ElementTree as ET
 
-from gainslift import (auc_pairs, cum_gains, decile_lift, example24_path,
+import pytest
+
+from gainslift import (ScoredFile, ValidationError, auc_pairs, cum_gains, decile_lift, example24_path,
                        lift, load_scored, parse_curves, rank_records,
                        render_decimal, roc_points)
 from gainslift.cli import cli_main
+
+from helpers import load_csv_oracle, load_jsonl_oracle
 
 EXAMPLE = str(example24_path())
 
@@ -239,6 +243,50 @@ class TestErrorPaths:
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "auc", "--input", "/nonexistent.csv")
         assert code == 1
+
+
+class TestRejectedInputs:
+    """Every input the README says is rejected exits 1 with the loader
+    oracle's message on stderr, for each command that reads a file."""
+
+    CASES = [
+        ("a.csv", "id,score,label\na,0.9,true\n"),
+        ("a.csv", "id,score,label\na,0.9,1\nb,0.4,2\n"),
+        ("a.csv", "id,score,label\na,0.9,1\nb,0.4,1.0\n"),
+        ("a.csv", "id,score,label\na,0.9,1\nb,oops,0\n"),
+        ("a.csv", "id,score,label\na,0.9,1\nb,nan,0\n"),
+        ("a.csv", "id,score,label\na,0.9,1\n,0.4,0\n"),
+        ("a.csv", "id,score,label\na,0.9,1\na,0.4,0\n"),
+        ("a.csv", "id,score,label\na,0.9,1\nb,0.4\n"),
+        ("a.csv", "id,score,label\n"),
+        ("a.csv", "id,value,label\na,0.9,1\n"),
+        ("a.csv", ""),
+        ("a.jsonl", '{"score": 0.9, "label": true}\n'),
+        ("a.jsonl", '{"score": 0.9, "label": 1}\n{"score": 0.4, "label": 1.0}\n'),
+        ("a.jsonl", '{"score": true, "label": 1}\n'),
+        ("a.jsonl", '{"score": 0.9, "label": "yes"}\n'),
+        ("a.jsonl", '{"id": "x", "score": 0.9, "label": 1}\n'
+                    '{"id": "x", "score": 0.4, "label": 0}\n'),
+        ("a.jsonl", "{not json\n"),
+    ]
+
+    @pytest.mark.parametrize("name,text", CASES)
+    @pytest.mark.parametrize("command", [
+        ["auc"], ["lift", "--n", "1"], ["gains"], ["roc"],
+        ["perturb", "--swap", "1:1"], ["chart", "--kind", "lift"],
+        ["resample", "--rates", "0.5", "--reps", "1", "--size", "2"],
+        ["lift", "--n", "1", "--tie-policy", "id"]])
+    def test_exit_1_with_the_loader_message(self, capsys, tmp_path, name,
+                                            text, command):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        oracle = load_jsonl_oracle if name.endswith(".jsonl") else load_csv_oracle
+        fmt = "jsonl" if name.endswith(".jsonl") else "csv"
+        with pytest.raises(ValidationError) as info:
+            oracle(ScoredFile(path=path, format=fmt))
+        code, out, err = run(capsys, command[0], "--input", str(path),
+                             *command[1:])
+        assert (code, out, err) == (1, "", f"gainslift: {info.value}\n")
 
 
 class TestSharedParser:

@@ -11,6 +11,7 @@ from gainslift import (ScoredFile, ValidationError, decile_series, emit_curves,
 from gainslift.metrics import CurveSeries, XKind
 
 from helpers import (curves_csv_oracle, curves_json_oracle, load_csv_oracle,
+                     load_jsonl_oracle, random_scored_csv, random_scored_jsonl,
                      records_from_labels)
 
 
@@ -236,6 +237,113 @@ class TestLoaderAgainstDictReader:
             path = write(tmp_path, f"r{k}.csv", "\n".join(lines) + "\n")
             file = ScoredFile(path=path)
             assert _outcome(load_scored, file) == _outcome(load_csv_oracle, file)
+
+
+class TestLoaderAgainstOracles:
+    """`load_scored` against the per-row loaders in `helpers`, on seeded
+    random files and on the error cases: the same records, or the same
+    error message with the same row number."""
+
+    def test_random_csv_files(self, tmp_path):
+        rng = np.random.default_rng(20240)
+        failures = 0
+        for k in range(300):
+            text, options, encoding = random_scored_csv(rng)
+            path = tmp_path / f"r{k}.csv"
+            path.write_text(text, encoding=encoding)
+            file = ScoredFile(path=path, format="csv", **options)
+            expected = _outcome(load_csv_oracle, file)
+            assert _outcome(load_scored, file) == expected, text
+            failures += isinstance(expected, tuple)
+        assert 30 < failures < 270  # both outcomes are well exercised
+
+    def test_random_jsonl_files(self, tmp_path):
+        rng = np.random.default_rng(20241)
+        failures = 0
+        for k in range(300):
+            text, options = random_scored_jsonl(rng)
+            path = write(tmp_path, f"r{k}.jsonl", text)
+            file = ScoredFile(path=path, format="jsonl", **options)
+            expected = _outcome(load_jsonl_oracle, file)
+            assert _outcome(load_scored, file) == expected, text
+            failures += isinstance(expected, tuple)
+        assert 30 < failures < 270
+
+    @pytest.mark.parametrize("text,message", [
+        # the earliest faulty row wins, whatever its fault
+        ("id,score,label\na,0.5,1\nb,x,1\nc,0.4,7\n,0.3,1\n",
+         "row 2: score 'x' is not a number"),
+        ("id,score,label\na,0.5,1\nb,0.5,1\n,0.3,1\nc,nan,2\n",
+         "row 3: empty id"),
+        ("id,score,label\na,0.5,1\nb,inf,1\nc,0.4,7\n",
+         "row 2: score 'inf' is not finite"),
+        # within a row: label, then score, then id
+        ("id,score,label\n,x,2\n", "row 1: label must be 0 or 1, got '2'"),
+        (",score,label\n,x,1\n", "row 1: score 'x' is not a number"),
+        # blank lines are not counted
+        ("id,score,label\n\na,0.5,1\n\n\nb,0.5,yes\n",
+         "row 2: label must be 0 or 1, got 'yes'"),
+        # short rows read their missing fields as None
+        ("score,label,id\n0.5,1,a\n0.4,0\n", "row 2: empty id"),
+        ("label,score\n1,0.5\n1\n", "row 2: score None is not a number"),
+        ("score,label\n0.5\n", "row 1: label must be 0 or 1, got None"),
+        ("id,score,label\n", "no data rows"),
+        ("id,score,label\n\n\n", "no data rows"),
+        ("", "missing header row"),
+        ("id,score,label\na,0.5,1\nb,0.4,0\na,0.3,1\nb,0.2,0\n",
+         "duplicate id 'a'"),
+        ("id,score,label\na,0.5,1\nb,0.4,0\nb,0.3,1\na,0.2,0\n",
+         "duplicate id 'b'"),
+        # a row fault comes before a repeated id on an earlier row
+        ("id,score,label\na,0.5,1\na,0.4,0\nc,0.3,3\n",
+         "row 3: label must be 0 or 1, got '3'"),
+    ])
+    def test_csv_errors(self, tmp_path, text, message):
+        path = write(tmp_path, "in.csv", text)
+        file = ScoredFile(path=path)
+        expected = _outcome(load_csv_oracle, file)
+        assert expected[0] == "ValidationError" and message in expected[1]
+        assert _outcome(load_scored, file) == expected
+
+    def test_duplicate_id_names_the_file(self, tmp_path):
+        path = write(tmp_path, "dup.csv", "id,score,label\nq,0.5,1\nq,0.4,0\n")
+        with pytest.raises(ValidationError) as info:
+            load_scored(path)
+        assert str(info.value) == f"{path}: duplicate id 'q'"
+
+    def test_lenient_labels_and_padded_scores(self, tmp_path):
+        path = write(tmp_path, "in.csv",
+                     "id,score,label\na, 0.5 , 1\nb,0.4,0 \nc,1e-3,1\n")
+        records = load_scored(path)
+        assert [(r.id, r.score, r.label) for r in records] == \
+            [("a", 0.5, 1), ("b", 0.4, 0), ("c", 0.001, 1)]
+        assert all(type(r.label) is int and type(r.score) is float
+                   for r in records)
+
+    @pytest.mark.parametrize("lines,message", [
+        (['{"score": 0.5, "label": 1}', '{"score": 0.4, "label": 1.0}',
+          "{bad"], "row 2: label must be 0 or 1, got 1.0"),
+        (['{"score": 0.5, "label": 1}', "{bad"], "row 2: bad json"),
+        (['{"score": 0.5}'], "row 1: missing 'label' or 'score' field"),
+        (['{"score": NaN, "label": 1}'], "row 1: score nan is not finite"),
+        (['{"id": "", "score": 0.5, "label": 1}',
+          '{"id": "", "score": 0.4, "label": 0}'], "duplicate id ''"),
+        (['{"id": 7, "score": 0.5, "label": 1}',
+          '{"id": "7", "score": 0.4, "label": 0}'], "duplicate id '7'"),
+        ([], "no data rows"),
+    ])
+    def test_jsonl_errors(self, tmp_path, lines, message):
+        path = write(tmp_path, "in.jsonl", "\n".join(lines) + "\n")
+        file = ScoredFile(path=path, format="jsonl")
+        expected = _outcome(load_jsonl_oracle, file)
+        assert expected[0] == "ValidationError" and message in expected[1]
+        assert _outcome(load_scored, file) == expected
+
+    def test_jsonl_empty_id_is_kept(self, tmp_path):
+        path = write(tmp_path, "in.jsonl",
+                     '{"id": "", "score": 0.5, "label": " 1"}\n')
+        records = load_scored(path)
+        assert [(r.id, r.score, r.label) for r in records] == [("", 0.5, 1)]
 
 
 class TestSerializersAgainstOracles:

@@ -211,6 +211,37 @@ def test_output_digest(capsys, tmp_path, inputs, kind, policy, command):
     assert digest == PINNED[f"{kind}/{policy}/{command}"]
 
 
+PERTURB_PINNED = {
+    "untied/input":
+        "1bf9b0332fac5a4cab5e996df13ae2f538201b6106318045a37ad6b52666dac4",
+    "untied/id":
+        "1bf9b0332fac5a4cab5e996df13ae2f538201b6106318045a37ad6b52666dac4",
+    "untied/expected":
+        "1bf9b0332fac5a4cab5e996df13ae2f538201b6106318045a37ad6b52666dac4",
+    "tied/input":
+        "416206969d659a886f3a23f84f89ed14da320f5a6b62e9ae81b7f25895a072dd",
+    "tied/id":
+        "7768aed4b77f000ae078bd592a86fa78c217a32220501db4517d6e3f170a73e0",
+    "tied/expected":
+        "416206969d659a886f3a23f84f89ed14da320f5a6b62e9ae81b7f25895a072dd",
+}
+
+
+@pytest.mark.parametrize("kind", ["untied", "tied"])
+@pytest.mark.parametrize("policy", ["input", "id", "expected"])
+def test_perturb_digest(capsys, tmp_path, inputs, kind, policy):
+    """`perturb` writes the swapped set in rank order, to stdout or to
+    `--out`, with the same bytes."""
+    argv = ["perturb", "--input", str(inputs[kind]), "--tie-policy", policy,
+            "--swap", "6:8", "--swap", "12:16"]
+    text = _output_of(capsys, tmp_path, argv)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PERTURB_PINNED[f"{kind}/{policy}"]
+    out = tmp_path / "swapped.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode("utf-8")
+
+
 def test_demos_write_the_committed_svgs(tmp_path):
     for script in sorted((ROOT / "demos").glob("*.py")):
         shutil.copy(script, tmp_path / script.name)
