@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import charts, compare, io, metrics, resample
 from .errors import BudgetExhaustedError, GainsLiftError, InfeasibleError, ValidationError
-from .records import TiePolicy, rank_records
+from .records import TiePolicy, _rank_columns
+from .records import rank_records  # noqa: F401  (perfbench wraps it here)
 
 _TIE_POLICIES = {
     "input": TiePolicy.INPUT_ORDER,
@@ -146,17 +147,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(args, path: str):
+def _scored_file(args, path: str) -> io.ScoredFile:
     fmt = args.in_format or io.guess_format(path)
-    file = io.ScoredFile(path=path, format=fmt, delimiter=args.delimiter,
+    return io.ScoredFile(path=path, format=fmt, delimiter=args.delimiter,
                          label_col=args.label_col, score_col=args.score_col,
                          id_col=args.id_col)
-    return io.load_scored(file)
 
 
 def _ranked(args, path: str):
-    records = _load(args, path)
-    return rank_records(records, _TIE_POLICIES[args.tie_policy])
+    """Rank the file's validated columns; no per-row record is built."""
+    return _rank_columns(*io._load_columns(_scored_file(args, path)),
+                         _TIE_POLICIES[args.tie_policy])
 
 
 def _single_input(args) -> str:
@@ -301,10 +302,7 @@ def _cmd_perturb(args) -> int:
         except ValueError:
             raise ValidationError(f"bad --swap {raw!r}, expected A:B") from None
     swapped = compare.apply_swaps(ranked, compare.SwapSpec(pairs=tuple(pairs)))
-    if args.out:
-        io.save_scored(swapped.records, args.out)
-    else:
-        io.save_scored(swapped.records, sys.stdout)
+    io.save_scored(swapped, args.out or sys.stdout)
     return 0
 
 
@@ -354,7 +352,7 @@ def _cmd_disagree(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    pool = _load(args, _single_input(args))
+    pool = io.load_scored(_scored_file(args, _single_input(args)))
     try:
         rates = tuple(float(r) for r in args.rates.split(",") if r)
     except ValueError:

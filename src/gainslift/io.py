@@ -1,6 +1,8 @@
 """Reading scored files and serializing curves and summaries.
 
-Input is delimited text (header row required) or json-lines. Curve output is
+Input is delimited text (header row required) or json-lines, read into
+validated id, score and label columns; delimited text is converted a column
+at a time and scanned row by row only to name a fault. Curve output is
 delimited text with shortest-roundtrip floats, or json carrying exact
 numerator/denominator fields so a re-parse reproduces the rationals bit for
 bit.
@@ -12,15 +14,19 @@ import csv
 import io as _stdio
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 from .metrics import CurveSeries, XKind
-from .records import ScoredRecord
+from .records import RankedTestSet, ScoredRecord
 from .resample import ResampleSummary
 
 
@@ -66,28 +72,39 @@ def guess_format(path: str | Path) -> str:
 def load_scored(file: ScoredFile | str | Path, **overrides) -> list[ScoredRecord]:
     """Read scored records, preserving row order (it decides tie-breaking
     under the input-order policy). Errors name the offending row."""
+    ids, scores, labels = _load_columns(file, **overrides)
+    return list(map(ScoredRecord, ids.tolist(), scores.tolist(),
+                    labels.tolist()))
+
+
+def _load_columns(file: ScoredFile | str | Path, **overrides
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scored file's validated ids (object array), float64 scores and
+    int64 labels in row order; the command line's one check for repeated ids."""
     if not isinstance(file, ScoredFile):
         file = ScoredFile(path=file, format=guess_format(file), **overrides)
-    if file.format == "csv":
-        records = list(_read_csv(file))
-    elif file.format == "jsonl":
-        records = list(_read_jsonl(file))
-    else:
+    read = {"csv": _read_csv, "jsonl": _read_jsonl}.get(file.format)
+    if read is None:
         raise ValidationError(f"unknown input format {file.format!r}")
-    if not records:
+    ids, scores, labels = read(file)
+    if not ids:
         raise ValidationError(f"{file.path}: no data rows")
-    seen: set[str] = set()
-    for rec in records:
-        if rec.id in seen:
-            raise ValidationError(f"{file.path}: duplicate id {rec.id!r}")
-        seen.add(rec.id)
-    return records
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for rid in ids:
+            if rid in seen:
+                raise ValidationError(f"{file.path}: duplicate id {rid!r}")
+            seen.add(rid)
+    return (np.array(ids, dtype=object), np.asarray(scores, dtype=np.float64),
+            np.array(labels, dtype=np.int64))
 
 
 _CSV_LABELS = {"0": 0, "1": 1}
 
 
-def _read_csv(file: ScoredFile) -> Iterable[ScoredRecord]:
+def _read_csv(file: ScoredFile) -> tuple[list, Sequence[float], list]:
+    """Ids, scores and labels of the data rows, each converted as a whole
+    column; when a column check fails, `_scan_rows` names the first fault."""
     # utf-8-sig drops a leading byte-order mark, which would otherwise stick
     # to the first header name
     with open(file.path, newline="", encoding="utf-8-sig") as handle:
@@ -97,44 +114,56 @@ def _read_csv(file: ScoredFile) -> Iterable[ScoredRecord]:
             raise ValidationError(f"{file.path}: missing header row")
         # a repeated column name refers to its last occurrence
         column = {name: i for i, name in enumerate(header)}
-        for col in (file.label_col, file.score_col):
+        id_col = "id" if file.id_col is None and "id" in column else file.id_col
+        names = [file.label_col, file.score_col] + ([] if id_col is None else [id_col])
+        for col in names:
             if col not in column:
                 raise ValidationError(
                     f"{file.path}: column {col!r} not in header {sorted(column)}")
-        id_col = file.id_col
-        if id_col is None and "id" in column:
-            id_col = "id"
-        if id_col is not None and id_col not in column:
-            raise ValidationError(
-                f"{file.path}: column {id_col!r} not in header {sorted(column)}")
-        label_at, score_at = column[file.label_col], column[file.score_col]
-        id_at = column[id_col] if id_col is not None else None
-        width = max(label_at, score_at, -1 if id_at is None else id_at) + 1
-        row_no = 0
-        for row in reader:
-            if not row:  # blank lines are skipped and not counted
-                continue
-            row_no += 1
-            if len(row) < width:  # a short row lacks its last fields
-                row = row + [None] * (width - len(row))
-            raw_label = row[label_at]
-            label = _CSV_LABELS.get(raw_label)
-            if label is None:
-                label = _parse_label(raw_label, row_no)
-            score = _parse_score(row[score_at], row_no)
-            rid = row[id_at] if id_at is not None else str(row_no)
-            if not rid:
-                raise ValidationError(f"row {row_no}: empty id")
-            yield ScoredRecord(id=rid, score=score, label=label)
+        at = [column[name] for name in names]
+        width = max(at) + 1
+        rows = filter(None, reader)  # blank lines are not counted
+        columns = [[] for _ in at]
+        # a few thousand rows at a time, so that the rows are never all held
+        while chunk := list(islice(rows, 4096)):
+            if min(map(len, chunk)) < width:  # a short row lacks its last fields
+                chunk = [row + [None] * (width - len(row)) for row in chunk]
+            for col, i in zip(columns, at):
+                col += map(itemgetter(i), chunk)
+    label_texts, score_texts, *id_texts = columns
+    ids = id_texts[0] if id_texts else \
+        list(map(str, range(1, len(label_texts) + 1)))
+    labels = list(map(_CSV_LABELS.get, label_texts))
+    try:
+        scores = np.fromiter(map(float, score_texts), dtype=np.float64,
+                             count=len(score_texts))
+        valid = None not in labels and np.isfinite(scores).all() and all(ids)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        labels, scores = _scan_rows(ids, score_texts, label_texts)
+    return ids, scores, labels
 
 
-def _read_jsonl(file: ScoredFile) -> Iterable[ScoredRecord]:
+def _scan_rows(ids, score_texts, label_texts) -> tuple[list[int], list[float]]:
+    """Parse each row's label (leniently, as ' 1'), then its score, then
+    check its id: raise the first fault, or return the labels and scores."""
+    labels, scores = [], []
+    for row_no, (rid, raw_score, raw_label) in enumerate(
+            zip(ids, score_texts, label_texts), start=1):
+        labels.append(_parse_label(raw_label, row_no))
+        scores.append(_parse_score(raw_score, row_no))
+        if not rid:
+            raise ValidationError(f"row {row_no}: empty id")
+    return labels, scores
+
+
+def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
+    ids, scores, labels = [], [], []
+    id_col = file.id_col or "id"
     with open(file.path, encoding="utf-8") as handle:
-        row_no = 0
-        for line in handle:
-            if not line.strip():
-                continue
-            row_no += 1
+        # blank lines are skipped and not counted
+        for row_no, line in enumerate(filter(str.strip, handle), start=1):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -151,29 +180,24 @@ def _read_jsonl(file: ScoredFile) -> Iterable[ScoredRecord]:
             if isinstance(raw_score, bool):
                 raise ValidationError(
                     f"row {row_no}: score {raw_score!r} is not a number")
-            label = _parse_label(raw_label, row_no)
-            score = _parse_score(raw_score, row_no)
-            id_col = file.id_col or "id"
-            rid = str(obj[id_col]) if id_col in obj else str(row_no)
-            yield ScoredRecord(id=rid, score=score, label=label)
+            labels.append(_parse_label(raw_label, row_no))
+            scores.append(_parse_score(raw_score, row_no))
+            ids.append(str(obj[id_col]) if id_col in obj else str(row_no))
+    return ids, scores, labels
 
 
-def save_scored(records: Sequence[ScoredRecord], out) -> None:
-    """Write records as delimited text with an id,score,label header."""
-    close = False
-    if isinstance(out, (str, Path)):
-        handle = open(out, "w", newline="", encoding="utf-8")
-        close = True
+def save_scored(records: Sequence[ScoredRecord] | RankedTestSet, out) -> None:
+    """Write records, or a ranked set in rank order, as delimited text with
+    an id,score,label header."""
+    if isinstance(records, RankedTestSet):
+        rows = zip(records.ids, map(repr, records.scores), records.labels)
     else:
-        handle = out
-    try:
+        rows = ((r.id, repr(r.score), r.label) for r in records)
+    with (open(out, "w", newline="", encoding="utf-8")
+          if isinstance(out, (str, Path)) else nullcontext(out)) as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "score", "label"])
-        for rec in records:
-            writer.writerow([rec.id, repr(rec.score), rec.label])
-    finally:
-        if close:
-            handle.close()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,18 @@ def rank_records(records: Sequence[ScoredRecord],
     Raises ValidationError for empty input, non-binary labels, non-finite
     scores, or duplicate ids (each with its own diagnostic).
     """
-    ids, scores, labels = _columns(records)
+    return _rank_columns(*_columns(records), tie_policy)
+
+
+def _rank_columns(ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,
+                  tie_policy: TiePolicy) -> RankedTestSet:
+    """Rank validated columns in input order: non-empty unique ids (object
+    array), finite float64 scores and 0/1 int64 labels."""
     if tie_policy is TiePolicy.ID_ORDER:
         # ids compared as Python strings (code point order), then used as
         # the secondary key under descending score
-        by_id = np.argsort(ids, kind="stable")
-        id_rank = np.empty_like(by_id)
+        by_id = sorted(range(len(ids)), key=ids.tolist().__getitem__)
+        id_rank = np.empty(len(ids), dtype=np.intp)
         id_rank[by_id] = np.arange(len(ids))
         order = np.lexsort((id_rank, -scores))
     else:

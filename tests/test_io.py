@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (ScoredFile, ValidationError, decile_series, emit_curves,
+from gainslift import (ScoredFile, TiePolicy, ValidationError, decile_series,
+                       emit_curves,
                        example24_path, gains_series, lift_series, load_scored,
                        parse_curves, random_targeting_series, rank_records,
                        render_decimal, roc_points, save_scored)
+from gainslift.io import _load_columns
 from gainslift.metrics import CurveSeries, XKind
+from gainslift.records import _rank_columns
 
 from helpers import (curves_csv_oracle, curves_json_oracle, load_csv_oracle,
                      load_jsonl_oracle, random_scored_csv, random_scored_jsonl,
@@ -269,6 +272,22 @@ class TestLoaderAgainstOracles:
             failures += isinstance(expected, tuple)
         assert 30 < failures < 270
 
+    @pytest.mark.parametrize("tail", [
+        "", "r9000,0.5, 1\n", "r9000,0.5,2\n", "r9000,0.5\n", "r0017,0.5,1\n"])
+    def test_files_longer_than_a_chunk(self, tmp_path, tail):
+        """Rows are collected a few thousand at a time; every row of a long
+        file must be read once, and a fault late in it keeps its row number."""
+        rng = np.random.default_rng(20243)
+        lines = ["id,score,label"]
+        for i in range(9_000):
+            lines.append("" if i % 1000 == 999 else
+                         f"r{i:04d},{rng.random()!r},{int(rng.integers(0, 2))}")
+        path = write(tmp_path, "long.csv", "\n".join(lines) + "\n" + tail)
+        file = ScoredFile(path=path)
+        expected = _outcome(load_csv_oracle, file)
+        assert _outcome(load_scored, file) == expected
+        assert isinstance(expected, list) == (tail in ("", "r9000,0.5, 1\n"))
+
     @pytest.mark.parametrize("text,message", [
         # the earliest faulty row wins, whatever its fault
         ("id,score,label\na,0.5,1\nb,x,1\nc,0.4,7\n,0.3,1\n",
@@ -344,6 +363,58 @@ class TestLoaderAgainstOracles:
                      '{"id": "", "score": 0.5, "label": " 1"}\n')
         records = load_scored(path)
         assert [(r.id, r.score, r.label) for r in records] == [("", 0.5, 1)]
+
+
+class TestColumnarLoader:
+    """The command line ranks the loader's columns directly; that must give
+    the same ranked set as ranking the records `load_scored` returns."""
+
+    COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_ends")
+
+    def _files(self, tmp_path):
+        rng = np.random.default_rng(20242)
+        for k in range(60):
+            text, options, encoding = random_scored_csv(rng, fault_rate=0.0)
+            path = tmp_path / f"r{k}.csv"
+            path.write_text(text, encoding=encoding)
+            yield ScoredFile(path=path, format="csv", **options)
+        for k in range(20):
+            text, options = random_scored_jsonl(rng, fault_rate=0.0)
+            path = write(tmp_path, f"r{k}.jsonl", text)
+            yield ScoredFile(path=path, format="jsonl", **options)
+        ties = ["id,score,label"] + [
+            f"r{int(i):04d},{int(rng.integers(0, 5)) / 4!r},{int(rng.integers(0, 2))}"
+            for i in rng.permutation(500)]
+        yield ScoredFile(path=write(tmp_path, "ties.csv", "\n".join(ties)))
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_rank_from_columns_equals_rank_from_records(self, tmp_path, policy):
+        ranked_any = 0
+        for file in self._files(tmp_path):
+            try:
+                records = load_scored(file)
+            except ValidationError:  # a file with short rows or no rows
+                continue
+            columns = _load_columns(file)
+            assert [c.dtype for c in columns] == [object, np.float64, np.int64]
+            from_columns = _rank_columns(*columns, policy)
+            from_records = rank_records(records, policy)
+            for name in self.COLUMNS:
+                got = getattr(from_columns, name)
+                want = getattr(from_records, name)
+                assert got.dtype == want.dtype, name
+                assert got.tolist() == want.tolist(), name
+            ranked_any += 1
+        assert ranked_any > 40
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_save_scored_writes_a_ranked_set_as_its_records(self, tmp_path,
+                                                            policy):
+        ranked = rank_records(records_from_labels(
+            [1, 0, 1, 1, 0, 0], [0.5, 0.5, 1e-300, 0.1, 0.5, -0.0]), policy)
+        assert save_scored(ranked, tmp_path / "a.csv") is None
+        save_scored(ranked.records, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestSerializersAgainstOracles:
