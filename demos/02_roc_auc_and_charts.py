@@ -10,9 +10,9 @@ Charts for the bundled example land in demos/output/.
 from pathlib import Path
 
 from gainslift import (ChartKind, ChartSpec, ScoredRecord, auc_pairs,
-                       auc_wilcoxon, decile_series, example24_records,
-                       gains_series, lift_series, rank_records, render_chart,
-                       render_decimal, render_exact, roc_points)
+                       auc_wilcoxon, example24_records, rank_records,
+                       render_chart, render_decimal, render_exact, roc_points,
+                       series_for)
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
@@ -38,18 +38,17 @@ for x, y in roc_points(tied).points:
     print(f"  fpr={render_decimal(x)}  tpr={render_decimal(y)}")
 
 charts = [
-    (ChartKind.GAINS_COUNT, gains_series(ranked), "gains_count.svg"),
-    (ChartKind.GAINS_FRACTION, gains_series(ranked, fraction=True),
-     "gains_fraction.svg"),
-    (ChartKind.LIFT, lift_series(ranked), "lift.svg"),
-    (ChartKind.DECILE_LIFT, decile_series(ranked), "decile_lift.svg"),
-    (ChartKind.ROC, roc_points(ranked), "roc.svg"),
+    (ChartKind.GAINS_COUNT, "gains_count.svg"),
+    (ChartKind.GAINS_FRACTION, "gains_fraction.svg"),
+    (ChartKind.LIFT, "lift.svg"),
+    (ChartKind.DECILE_LIFT, "decile_lift.svg"),
+    (ChartKind.ROC, "roc.svg"),
 ]
 print()
-for kind, series, filename in charts:
+for kind, filename in charts:
     spec = ChartSpec(kind=kind, title=f"example set: {kind.value}",
                      out_path=out_dir / filename)
-    render_chart(spec, [series])
+    render_chart(spec, [series_for(kind, ranked)])
     print(f"wrote {spec.out_path}")
 print("series lines are solid; the dashed line is the random-targeting "
       "reference.")

@@ -28,7 +28,7 @@ from .resample import (RegularityOutcome, RegularityVerdict, ResamplePlan,
                        stratified_sample, synthetic_scorer)
 from .io import (ScoredFile, emit_curves, load_scored, parse_curves,
                  save_scored, summary_to_csv, summary_to_json)
-from .charts import ChartKind, ChartLayout, ChartSpec, render_chart
+from .charts import ChartKind, ChartLayout, ChartSpec, render_chart, series_for
 from .datasets import EXAMPLE24_LABELS, example24_path, example24_records
 
 __version__ = "0.1.0"
@@ -51,6 +51,6 @@ __all__ = [
     "synthetic_scorer",
     "ScoredFile", "emit_curves", "load_scored", "parse_curves", "save_scored",
     "summary_to_csv", "summary_to_json",
-    "ChartKind", "ChartLayout", "ChartSpec", "render_chart",
+    "ChartKind", "ChartLayout", "ChartSpec", "render_chart", "series_for",
     "EXAMPLE24_LABELS", "example24_path", "example24_records",
 ]

@@ -16,8 +16,10 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from . import metrics
 from .errors import ValidationError
-from .metrics import CurveSeries, XKind
+from .metrics import CostSpec, CurveSeries, XKind
+from .records import RankedTestSet
 
 WIDTH = 640
 HEIGHT = 480
@@ -98,6 +100,24 @@ class ChartLayout:
         return " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
 
 
+def series_for(kind: ChartKind, ranked: RankedTestSet,
+               costs: Optional[CostSpec] = None) -> CurveSeries:
+    """The curve a chart of `kind` plots for one ranked set; a benefit chart
+    needs `costs`."""
+    if kind in (ChartKind.GAINS_COUNT, ChartKind.GAINS_FRACTION):
+        return metrics.gains_series(
+            ranked, fraction=kind is ChartKind.GAINS_FRACTION)
+    if kind is ChartKind.LIFT:
+        return metrics.lift_series(ranked, fraction=True)
+    if kind is ChartKind.DECILE_LIFT:
+        return metrics.decile_series(ranked)
+    if kind is ChartKind.BENEFIT:
+        if costs is None:
+            raise ValidationError("a benefit chart needs costs")
+        return metrics.benefit_series(ranked, costs)
+    return metrics.roc_points(ranked)
+
+
 def layout_for(kind: ChartKind, series: Sequence[CurveSeries]) -> ChartLayout:
     if kind in (ChartKind.GAINS_FRACTION, ChartKind.ROC):
         return ChartLayout(0.0, 1.0, 0.0, 1.0)
@@ -118,17 +138,14 @@ def layout_for(kind: ChartKind, series: Sequence[CurveSeries]) -> ChartLayout:
 
 def _baseline_points(kind: ChartKind, layout: ChartLayout,
                      series: Sequence[CurveSeries]
-                     ) -> Optional[tuple[tuple[float, float], tuple[float, float]]]:
-    """Random-targeting reference: a diagonal to the terminal series value for
-    gains/benefit kinds, a flat line at 1 for lift kinds."""
-    first = series[0]
-    if kind in (ChartKind.GAINS_COUNT, ChartKind.GAINS_FRACTION, ChartKind.ROC,
-                ChartKind.BENEFIT):
-        return (0.0, 0.0), (float(first.x.floats()[-1]),
-                            float(first.y.floats()[-1]))
+                     ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Random-targeting reference: a flat line at 1 for lift kinds, else a
+    diagonal to the terminal series value."""
     if kind in (ChartKind.LIFT, ChartKind.DECILE_LIFT):
         return (layout.x_min, 1.0), (layout.x_max, 1.0)
-    return None
+    first = series[0]
+    return (0.0, 0.0), (float(first.x.floats()[-1]),
+                        float(first.y.floats()[-1]))
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -197,15 +214,13 @@ def build_chart_svg(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
                  f'{escape(_Y_LABEL[spec.kind])}</text>')
 
     if spec.include_baseline:
-        base = _baseline_points(spec.kind, layout, series)
-        if base is not None:
-            (bx0, by0), (bx1, by1) = base
-            p0 = layout.px(bx0, by0)
-            p1 = layout.px(bx1, by1)
-            parts.append(
-                f'<line x1="{p0[0]:.2f}" y1="{p0[1]:.2f}" x2="{p1[0]:.2f}" '
-                f'y2="{p1[1]:.2f}" stroke="#555555" stroke-width="1.5" '
-                f'stroke-dasharray="{BASELINE_DASH}"/>')
+        (bx0, by0), (bx1, by1) = _baseline_points(spec.kind, layout, series)
+        p0 = layout.px(bx0, by0)
+        p1 = layout.px(bx1, by1)
+        parts.append(
+            f'<line x1="{p0[0]:.2f}" y1="{p0[1]:.2f}" x2="{p1[0]:.2f}" '
+            f'y2="{p1[1]:.2f}" stroke="#555555" stroke-width="1.5" '
+            f'stroke-dasharray="{BASELINE_DASH}"/>')
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]

@@ -192,51 +192,49 @@ def _cutoff(args, n_total: int) -> int | None:
     return None
 
 
-def _cmd_gains(args) -> int:
-    ranked = _ranked(args, _single_input(args))
+def _point_or_curve(args, ranked, point, curve) -> int:
+    """Print `point(ranked, n)` at the --n or --fraction cutoff, or emit the
+    whole `curve(ranked)` when neither is given."""
     n = _cutoff(args, ranked.n_total)
     if n is not None:
-        _print_value(args, metrics.cum_gains(ranked, n))
-        return 0
-    series = metrics.gains_series(ranked, fraction=(args.x == "fraction"))
-    _emit(args, io.emit_curves([series], format=args.format))
+        _print_value(args, point(ranked, n))
+    else:
+        _emit(args, io.emit_curves([curve(ranked)], format=args.format))
     return 0
+
+
+def _cmd_gains(args) -> int:
+    fraction = args.x == "fraction"
+    return _point_or_curve(
+        args, _ranked(args, _single_input(args)), metrics.cum_gains,
+        lambda ranked: metrics.gains_series(ranked, fraction=fraction))
 
 
 def _cmd_lift(args) -> int:
-    ranked = _ranked(args, _single_input(args))
-    n = _cutoff(args, ranked.n_total)
-    if n is not None:
-        _print_value(args, metrics.lift(ranked, n))
-        return 0
-    series = metrics.lift_series(ranked, fraction=(args.x == "fraction"))
-    _emit(args, io.emit_curves([series], format=args.format))
-    return 0
-
-
-def _cmd_deciles(args) -> int:
-    ranked = _ranked(args, _single_input(args))
-    values = metrics.decile_lift(ranked)
-    if args.out:
-        series = metrics.decile_series(ranked)
-        _emit(args, io.emit_curves([series], format=args.format))
-        return 0
-    for k, v in enumerate(values, start=1):
-        rendered = metrics.render_exact(v) if args.exact else \
-            metrics.render_decimal(v, args.precision)
-        print(f"{k} {rendered}")
-    return 0
+    fraction = args.x == "fraction"
+    return _point_or_curve(
+        args, _ranked(args, _single_input(args)), metrics.lift,
+        lambda ranked: metrics.lift_series(ranked, fraction=fraction))
 
 
 def _cmd_benefit(args) -> int:
     ranked = _ranked(args, _single_input(args))
     costs = metrics.CostSpec(q_tp=args.qtp, q_fp=args.qfp)
-    n = _cutoff(args, ranked.n_total)
-    if n is not None:
-        _print_value(args, metrics.cum_benefit(ranked, n, costs))
+    return _point_or_curve(
+        args, ranked, lambda ranked, n: metrics.cum_benefit(ranked, n, costs),
+        lambda ranked: metrics.benefit_series(ranked, costs))
+
+
+def _cmd_deciles(args) -> int:
+    ranked = _ranked(args, _single_input(args))
+    if args.out:
+        series = metrics.decile_series(ranked)
+        _emit(args, io.emit_curves([series], format=args.format))
         return 0
-    series = metrics.benefit_series(ranked, costs)
-    _emit(args, io.emit_curves([series], format=args.format))
+    for k, v in enumerate(metrics.decile_lift(ranked), start=1):
+        rendered = metrics.render_exact(v) if args.exact else \
+            metrics.render_decimal(v, args.precision)
+        print(f"{k} {rendered}")
     return 0
 
 
@@ -371,24 +369,14 @@ def _cmd_resample(args) -> int:
 def _cmd_chart(args) -> int:
     ranked = _ranked(args, _single_input(args))
     kind = charts.ChartKind(args.kind)
-    if kind is charts.ChartKind.GAINS_COUNT:
-        series = [metrics.gains_series(ranked, fraction=False)]
-    elif kind is charts.ChartKind.GAINS_FRACTION:
-        series = [metrics.gains_series(ranked, fraction=True)]
-    elif kind is charts.ChartKind.LIFT:
-        series = [metrics.lift_series(ranked, fraction=True)]
-    elif kind is charts.ChartKind.DECILE_LIFT:
-        series = [metrics.decile_series(ranked)]
-    elif kind is charts.ChartKind.BENEFIT:
+    costs = None
+    if kind is charts.ChartKind.BENEFIT:
         if args.qtp is None or args.qfp is None:
             raise ValidationError("benefit charts need --qtp and --qfp")
-        series = [metrics.benefit_series(
-            ranked, metrics.CostSpec(q_tp=args.qtp, q_fp=args.qfp))]
-    else:
-        series = [metrics.roc_points(ranked)]
+        costs = metrics.CostSpec(q_tp=args.qtp, q_fp=args.qfp)
     spec = charts.ChartSpec(kind=kind, title=args.title,
                             include_baseline=args.baseline, out_path=args.out)
-    svg = charts.render_chart(spec, series)
+    svg = charts.render_chart(spec, [charts.series_for(kind, ranked, costs)])
     if not args.out:
         sys.stdout.write(svg)
     return 0

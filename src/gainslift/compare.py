@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -219,48 +219,6 @@ class Metric:
     def __str__(self) -> str:
         return self.kind if self.at is None else f"{self.kind}@{self.at}"
 
-    def evaluator(self, n_total: int, n_pos: int) -> Callable[[Sequence[int]], Fraction]:
-        """Exact evaluation on a label sequence whose implicit scores
-        strictly decrease with rank."""
-        n_neg = n_total - n_pos
-        if self.kind == "auc":
-            if n_pos == 0 or n_neg == 0:
-                raise ValidationError("auc needs both classes present")
-
-            def _auc(labels: Sequence[int]) -> Fraction:
-                discordant = 0
-                neg_seen = 0
-                for y in labels:
-                    if y:
-                        discordant += neg_seen
-                    else:
-                        neg_seen += 1
-                return Fraction(n_pos * n_neg - discordant, n_pos * n_neg)
-
-            return _auc
-
-        at = self.at
-        if at is None or not 1 <= at <= n_total:
-            raise ValidationError(
-                f"metric {self} needs a cutoff in [1, {n_total}]")
-        if self.kind == "lift":
-            if n_pos == 0:
-                raise ValidationError("lift needs at least one positive")
-
-            def _lift(labels: Sequence[int]) -> Fraction:
-                return Fraction(sum(labels[:at]) * n_total, at * n_pos)
-
-            return _lift
-        if self.kind == "accuracy":
-
-            def _accuracy(labels: Sequence[int]) -> Fraction:
-                tp = sum(labels[:at])
-                return Fraction(tp + (n_total - at) - (n_pos - tp), n_total)
-
-            return _accuracy
-        raise ValidationError(f"unknown metric kind {self.kind!r}")
-
-
 def parse_metric(text: str) -> Metric:
     """Parse 'auc', 'lift@6', 'accuracy@5'."""
     text = text.strip().lower()
@@ -339,6 +297,18 @@ def evaluate_metric(metric: Metric, ranked: RankedTestSet) -> Fraction:
     if metric.kind == "accuracy":
         return accuracy_at(ranked, metric.at)
     raise ValidationError(f"unknown metric kind {metric.kind!r}")
+
+
+def _check_metric(metric: Metric, n_total: int) -> None:
+    """Reject a cutoff outside [1, n_total] (auc takes none), then an
+    unknown kind."""
+    if metric.kind == "auc":
+        return
+    if metric.at is None or not 1 <= metric.at <= n_total:
+        raise ValidationError(
+            f"metric {metric} needs a cutoff in [1, {n_total}]")
+    if metric.kind not in ("lift", "accuracy"):
+        raise ValidationError(f"unknown metric kind {metric.kind!r}")
 
 
 def _numerators(metric: Metric, labels: np.ndarray, n_pos: int) -> np.ndarray:
@@ -456,7 +426,7 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
     Arrangements are scored as int8 label matrices of at most
     CHUNK_CELLS cells each, so memory stays bounded by two integer
     numerators per arrangement. Only the two reported arrangements are
-    evaluated in `Fraction`s, through `Metric.evaluator`.
+    evaluated in `Fraction`s, through `evaluate_metric`.
     """
     if isinstance(metric_a, str):
         metric_a = parse_metric(metric_a)
@@ -468,8 +438,8 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
             f"n_total={n_total}, n_pos={n_pos}")
     if budget < 2:
         raise ValidationError("budget must allow at least two arrangements")
-    eval_a = metric_a.evaluator(n_total, n_pos)
-    eval_b = metric_b.evaluator(n_total, n_pos)
+    _check_metric(metric_a, n_total)
+    _check_metric(metric_b, n_total)
 
     space = math.comb(n_total, n_pos)
     exhaustive = space <= min(budget, EXHAUSTIVE_LIMIT)
@@ -510,8 +480,9 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
         return tuple(labels)
 
     lx, ly = (arrangement(k) for k in hit)
-    ax, ay = eval_a(lx), eval_a(ly)
-    bx, by = eval_b(lx), eval_b(ly)
+    rx, ry = ranked_from_labels(lx), ranked_from_labels(ly)
+    ax, ay = evaluate_metric(metric_a, rx), evaluate_metric(metric_a, ry)
+    bx, by = evaluate_metric(metric_b, rx), evaluate_metric(metric_b, ry)
     if ax < ay:  # normalize so metric_a prefers x
         lx, ly, ax, ay, bx, by = ly, lx, ay, ax, by, bx
     return DisagreementReport(metric_a=metric_a, metric_b=metric_b,

@@ -14,7 +14,7 @@ import csv
 import io as _stdio
 import json
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -102,12 +102,25 @@ def _load_columns(file: ScoredFile | str | Path, **overrides
 _CSV_LABELS = {"0": 0, "1": 1}
 
 
+@contextmanager
+def _unreadable_named(file: ScoredFile):
+    """Report bytes that are not UTF-8, and csv fields over the csv module's
+    size limit, as a ValidationError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ValidationError(f"{file.path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{file.path}: {exc}") from None
+
+
 def _read_csv(file: ScoredFile) -> tuple[list, Sequence[float], list]:
     """Ids, scores and labels of the data rows, each converted as a whole
     column; when a column check fails, `_scan_rows` names the first fault."""
     # utf-8-sig drops a leading byte-order mark, which would otherwise stick
     # to the first header name
-    with open(file.path, newline="", encoding="utf-8-sig") as handle:
+    with _unreadable_named(file), \
+            open(file.path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=file.delimiter)
         header = next(reader, None)
         if header is None:
@@ -161,7 +174,7 @@ def _scan_rows(ids, score_texts, label_texts) -> tuple[list[int], list[float]]:
 def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
     ids, scores, labels = [], [], []
     id_col = file.id_col or "id"
-    with open(file.path, encoding="utf-8") as handle:
+    with _unreadable_named(file), open(file.path, encoding="utf-8") as handle:
         # blank lines are skipped and not counted
         for row_no, line in enumerate(filter(str.strip, handle), start=1):
             try:

@@ -211,12 +211,6 @@ class CurveSeries:
         return (f"CurveSeries(name={self.name!r}, x_kind={self.x_kind}, "
                 f"points={len(self)})")
 
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(p[0] for p in self.points)
-
-    def ys(self) -> tuple[Fraction, ...]:
-        return tuple(p[1] for p in self.points)
-
     def as_floats(self) -> list[tuple[float, float]]:
         return list(zip(self.x.floats().tolist(), self.y.floats().tolist()))
 

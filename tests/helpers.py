@@ -23,7 +23,7 @@ from gainslift import (BudgetExhaustedError, CurveSeries, InfeasibleError,
                        parse_metric, rank_records, stratified_sample)
 from gainslift.io import _parse_label, _parse_score
 from gainslift.compare import (EXHAUSTIVE_LIMIT, LEX_REFINE_LIMIT,
-                               DisagreementReport)
+                               DisagreementReport, Metric)
 from gainslift.resample import (GRID_POINTS, RateBand, ResampleSummary,
                                 _band, _positives_for)
 
@@ -163,10 +163,37 @@ def _lex_first_pair(arrangements, values) -> Optional[tuple[int, int]]:
     return None
 
 
+def label_evaluator(metric: Metric, n_total: int, n_pos: int):
+    """The metric as a scalar function of a label sequence whose implicit
+    scores strictly decrease with rank: auc by counting discordant pairs
+    (the Mann-Whitney form), lift@n and accuracy@n from the top-n positives."""
+    n_neg = n_total - n_pos
+    at = metric.at
+
+    def _auc(labels) -> Fraction:
+        discordant = 0
+        neg_seen = 0
+        for y in labels:
+            if y:
+                discordant += neg_seen
+            else:
+                neg_seen += 1
+        return Fraction(n_pos * n_neg - discordant, n_pos * n_neg)
+
+    def _lift(labels) -> Fraction:
+        return Fraction(sum(labels[:at]) * n_total, at * n_pos)
+
+    def _accuracy(labels) -> Fraction:
+        tp = sum(labels[:at])
+        return Fraction(tp + (n_total - at) - (n_pos - tp), n_total)
+
+    return {"auc": _auc, "lift": _lift, "accuracy": _accuracy}[metric.kind]
+
+
 def disagreement_oracle(metric_a: str, metric_b: str, n_total: int, n_pos: int,
                         budget: int = 200_000, seed: int = 0):
     """The disagreement search by its plainest route: every arrangement held
-    as a label tuple, scored by the scalar `Metric.evaluator`s, scanned over
+    as a label tuple, scored by the scalar `label_evaluator`s, scanned over
     (a, b, index) triples of `Fraction`s.
 
     Returns the report `find_disagreement` must return, None when the
@@ -180,8 +207,8 @@ def disagreement_oracle(metric_a: str, metric_b: str, n_total: int, n_pos: int,
         arrangements = _arrangements_exhaustive(n_total, n_pos)
     else:
         arrangements = _arrangements_sampled(n_total, n_pos, budget, seed)
-    eval_a = ma.evaluator(n_total, n_pos)
-    eval_b = mb.evaluator(n_total, n_pos)
+    eval_a = label_evaluator(ma, n_total, n_pos)
+    eval_b = label_evaluator(mb, n_total, n_pos)
     values = [(eval_a(labels), eval_b(labels), i)
               for i, labels in enumerate(arrangements)]
     hit = scan_for_inversion(values)

@@ -99,6 +99,17 @@ class TestAgainstLibrary:
             k, value = line.split()
             assert value == render_decimal(expected)
 
+    def test_deciles_without_positives_fail_with_or_without_out(
+            self, capsys, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("label,score\n0,0.9\n0,0.5\n", encoding="utf-8")
+        out_path = tmp_path / "deciles.csv"
+        for extra in ([], ["--out", str(out_path)]):
+            assert run(capsys, "deciles", "--input", str(path), *extra) == (
+                1, "", "gainslift: decile lift undefined: the set has no "
+                       "positives\n")
+        assert not out_path.exists()
+
     def test_roc_emission_matches_library(self, capsys):
         ranked = rank_records(load_scored(EXAMPLE))
         code, out, _ = run(capsys, "roc", "--format", "json",
@@ -245,6 +256,14 @@ class TestErrorPaths:
         assert code == 1
 
 
+# every form of command that reads a scored file
+LOADING_COMMANDS = [
+    ["auc"], ["lift", "--n", "1"], ["gains"], ["roc"],
+    ["perturb", "--swap", "1:1"], ["chart", "--kind", "lift"],
+    ["resample", "--rates", "0.5", "--reps", "1", "--size", "2"],
+    ["lift", "--n", "1", "--tie-policy", "id"]]
+
+
 class TestRejectedInputs:
     """Every input the README says is rejected exits 1 with the loader
     oracle's message on stderr, for each command that reads a file."""
@@ -271,11 +290,7 @@ class TestRejectedInputs:
     ]
 
     @pytest.mark.parametrize("name,text", CASES)
-    @pytest.mark.parametrize("command", [
-        ["auc"], ["lift", "--n", "1"], ["gains"], ["roc"],
-        ["perturb", "--swap", "1:1"], ["chart", "--kind", "lift"],
-        ["resample", "--rates", "0.5", "--reps", "1", "--size", "2"],
-        ["lift", "--n", "1", "--tie-policy", "id"]])
+    @pytest.mark.parametrize("command", LOADING_COMMANDS)
     def test_exit_1_with_the_loader_message(self, capsys, tmp_path, name,
                                             text, command):
         path = tmp_path / name
@@ -316,3 +331,31 @@ class TestSharedParser:
     def test_build_parser_returns_a_fresh_parser(self):
         from gainslift.cli import build_parser
         assert build_parser() is not build_parser()
+
+
+class TestUnreadableInputs:
+    """Bytes that are not UTF-8 and csv fields over the csv module's size
+    limit exit 1 with a message naming the file, not with a traceback."""
+
+    FIELD_LIMIT = 131_072  # csv.field_size_limit() by default
+
+    CASES = [
+        pytest.param("a.csv", b"id,score,label\na,0.9,1\n\xff\xfe,0.4,0\n",
+                     "not UTF-8 text", id="csv-not-utf8"),
+        pytest.param("a.jsonl", b'{"score": 0.9, "label": 1}\n\xff\n',
+                     "not UTF-8 text", id="jsonl-not-utf8"),
+        pytest.param("a.csv", b"id,score,label\n" + b"x" * (FIELD_LIMIT + 1)
+                     + b",0.4,0\n",
+                     f"field larger than field limit ({FIELD_LIMIT})",
+                     id="csv-oversize-field"),
+    ]
+
+    @pytest.mark.parametrize("name,data,message", CASES)
+    @pytest.mark.parametrize("command", LOADING_COMMANDS)
+    def test_exit_1_naming_the_file(self, capsys, tmp_path, name, data,
+                                    message, command):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, command[0], "--input", str(path),
+                             *command[1:])
+        assert (code, out, err) == (1, "", f"gainslift: {path}: {message}\n")

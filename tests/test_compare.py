@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from gainslift import (BudgetExhaustedError, ClassifierRun, DominanceVerdict,
-                       ScoredRecord, SwapSpec, TiePolicy, ValidationError,
-                       accuracy_at, apply_swaps, auc_pairs, compare_at,
-                       cum_gains, dominance, find_disagreement, lift,
-                       parse_metric, rank_records)
+                       Metric, ScoredRecord, SwapSpec, TiePolicy,
+                       ValidationError, accuracy_at, apply_swaps, auc_pairs,
+                       compare_at, cum_gains, dominance, find_disagreement,
+                       lift, parse_metric, rank_records)
 from gainslift.compare import evaluate_metric, ranked_from_labels
 
-from helpers import (disagreement_oracle, lift_above, random_instance,
-                     records_from_labels)
+from helpers import (disagreement_oracle, label_evaluator, lift_above,
+                     random_instance, records_from_labels)
 
 
 class TestApplySwaps:
@@ -166,7 +166,7 @@ class TestMetricParsing:
             labels = tuple(labels)
             ranked = ranked_from_labels(labels)
             for metric in metrics:
-                fast = metric.evaluator(n, n_pos)(labels)
+                fast = label_evaluator(metric, n, n_pos)(labels)
                 assert fast == evaluate_metric(metric, ranked)
 
 
@@ -205,6 +205,32 @@ class TestFindDisagreement:
         assert report is not None
         assert not report.exhaustive
         assert report.certify()
+
+    @pytest.mark.parametrize("metric_a,metric_b,n_total,n_pos,message", [
+        (Metric("gini"), "auc", 6, 3, "metric gini needs a cutoff in [1, 6]"),
+        (Metric("gini", 3), "auc", 6, 3, "unknown metric kind 'gini'"),
+        (Metric("lift"), "auc", 6, 3, "metric lift needs a cutoff in [1, 6]"),
+        ("auc", "lift@7", 6, 3, "metric lift@7 needs a cutoff in [1, 6]"),
+        ("accuracy@0", "auc", 6, 3,
+         "metric accuracy@0 needs a cutoff in [1, 6]"),
+        # metric_a is checked before metric_b
+        ("lift@9", Metric("gini", 2), 6, 3,
+         "metric lift@9 needs a cutoff in [1, 6]"),
+        (Metric("gini", 2), "lift@9", 6, 3, "unknown metric kind 'gini'"),
+        # the dimensions are checked before either metric
+        (Metric("gini"), "lift@9", 6, 6,
+         "need n_total >= 2 and 1 <= n_pos < n_total, got n_total=6, n_pos=6"),
+    ])
+    def test_bad_metric_messages(self, metric_a, metric_b, n_total, n_pos,
+                                 message):
+        with pytest.raises(ValidationError) as info:
+            find_disagreement(metric_a, metric_b, n_total, n_pos)
+        assert str(info.value) == message
+
+    def test_budget_is_checked_before_the_metrics(self):
+        with pytest.raises(ValidationError) as info:
+            find_disagreement(Metric("gini"), "auc", 6, 3, budget=1)
+        assert str(info.value) == "budget must allow at least two arrangements"
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValidationError):

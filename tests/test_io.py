@@ -114,6 +114,23 @@ class TestLoadScored:
         with pytest.raises(ValidationError, match="no data rows"):
             load_scored(path)
 
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        for name, data in (("a.csv", b"label,score\n1,0.9\n\xff\xfe,0.1\n"),
+                           ("b.jsonl", b'{"label": 1, "score": 0.9}\n\xff\n')):
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(ValidationError) as info:
+                load_scored(path)
+            assert str(info.value) == f"{path}: not UTF-8 text"
+
+    def test_oversize_csv_field_names_the_file(self, tmp_path):
+        path = write(tmp_path, "a.csv",
+                     "id,label,score\n" + "x" * 200_000 + ",1,0.9\n")
+        with pytest.raises(ValidationError) as info:
+            load_scored(path)
+        assert str(info.value) == (
+            f"{path}: field larger than field limit (131072)")
+
 
 class TestSaveScored:
     def test_round_trip(self, tmp_path):
