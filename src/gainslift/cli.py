@@ -37,7 +37,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _input_options(parser: argparse.ArgumentParser, multiple: bool = False) -> None:
+def _input_options(parser: argparse.ArgumentParser, multiple: bool = False,
+                   ranked: bool = True) -> None:
     parser.add_argument("--input", action="append", required=True,
                         metavar="FILE",
                         help="scored input file" + (" (repeatable)" if multiple else ""))
@@ -49,19 +50,20 @@ def _input_options(parser: argparse.ArgumentParser, multiple: bool = False) -> N
     parser.add_argument("--score-col", default="score")
     parser.add_argument("--id-col", default=None,
                         help="id column (default: 'id' when present, else row numbers)")
-    parser.add_argument("--tie-policy", choices=sorted(_TIE_POLICIES),
-                        default="input")
+    if ranked:
+        parser.add_argument("--tie-policy", choices=sorted(_TIE_POLICIES),
+                            default="input")
 
 
-def _output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="serialization for emitted tables/series")
-    parser.add_argument("--precision", type=int, default=5,
-                        help="decimal places for printed values")
-    parser.add_argument("--exact", action="store_true",
-                        help="print exact numerator/denominator instead of decimals")
+# every command takes --out; each declares which of these it reads
+_OUTPUT_OPTIONS = {
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="serialization for emitted tables/series"),
+    "--precision": dict(type=int, default=5,
+                        help="decimal places for printed values"),
+    "--exact": dict(action="store_true",
+                    help="print exact numerator/denominator instead of decimals"),
+}
 
 
 def build_parser() -> _Parser:
@@ -70,29 +72,37 @@ def build_parser() -> _Parser:
                                  "under top-n resource constraints.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def command(name: str, help_text: str, multiple_inputs: bool = False,
-                needs_input: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, *outputs: str,
+                multiple_inputs: bool = False, needs_input: bool = True,
+                ranked: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if needs_input:
-            _input_options(p, multiple=multiple_inputs)
-        _output_options(p)
+            _input_options(p, multiple=multiple_inputs, ranked=ranked)
+        p.add_argument("--out", default=None, metavar="FILE",
+                       help="output file (default: stdout)")
+        for option in outputs:
+            p.add_argument(option, **_OUTPUT_OPTIONS[option])
         return p
 
-    p = command("gains", "cumulative gains at a cutoff, or the whole curve")
+    # a value at a cutoff is printed; without one, a series is emitted
+    point_or_curve = ("--format", "--precision", "--exact")
+
+    p = command("gains", "cumulative gains at a cutoff, or the whole curve",
+                *point_or_curve)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--fraction", type=Fraction, default=None,
                    help="evaluate at cutoff ceil(fraction*N)")
     p.add_argument("--x", choices=("count", "fraction"), default="count",
                    help="x axis for curve output")
 
-    p = command("lift", "lift at a cutoff, or the whole curve")
+    p = command("lift", "lift at a cutoff, or the whole curve", *point_or_curve)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--fraction", type=Fraction, default=None)
     p.add_argument("--x", choices=("count", "fraction"), default="fraction")
 
-    command("deciles", "lift for each tenth of the ranked set")
+    command("deciles", "lift for each tenth of the ranked set", *point_or_curve)
 
-    p = command("benefit", "cost-weighted cumulative benefit")
+    p = command("benefit", "cost-weighted cumulative benefit", *point_or_curve)
     p.add_argument("--qtp", type=float, required=True,
                    help="net benefit per true positive")
     p.add_argument("--qfp", type=float, required=True,
@@ -100,13 +110,14 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--fraction", type=Fraction, default=None)
 
-    p = command("auc", "area under the ROC curve (exact, tie-aware)")
+    p = command("auc", "area under the ROC curve (exact, tie-aware)",
+                "--precision", "--exact")
     p.add_argument("--method", choices=("pairs", "wilcoxon"), default="pairs")
 
-    command("roc", "ROC curve points")
+    command("roc", "ROC curve points", "--format")
 
     p = command("compare", "gains/lift of several runs at shared cutoffs",
-                multiple_inputs=True)
+                "--format", "--precision", multiple_inputs=True)
     p.add_argument("--name", action="append", default=None,
                    help="run name per --input (default: file stem)")
     p.add_argument("--targets", required=True,
@@ -117,7 +128,7 @@ def build_parser() -> _Parser:
                    help="rank pair to exchange, repeatable")
 
     p = command("disagree", "search for rankings two metrics order oppositely",
-                needs_input=False)
+                "--format", "--precision", needs_input=False)
     p.add_argument("--metric-a", required=True,
                    help="auc, lift@<n>, or accuracy@<n>")
     p.add_argument("--metric-b", required=True)
@@ -127,7 +138,8 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = command("resample", "stratified-resampling bands across positive rates")
+    p = command("resample", "stratified-resampling bands across positive rates",
+                "--format", ranked=False)
     p.add_argument("--rates", required=True,
                    help="comma-separated target positive rates, e.g. 0.05,0.117,0.2")
     p.add_argument("--reps", type=int, default=50)
@@ -138,9 +150,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in charts.ChartKind])
     p.add_argument("--title", default="")
-    p.add_argument("--baseline", dest="baseline", action="store_true",
-                   default=True, help="draw the random-targeting reference")
-    p.add_argument("--no-baseline", dest="baseline", action="store_false")
+    p.add_argument("--no-baseline", dest="baseline", action="store_false",
+                   help="leave out the random-targeting reference line")
     p.add_argument("--qtp", type=float, default=None)
     p.add_argument("--qfp", type=float, default=None)
 
@@ -173,11 +184,10 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _print_value(args, value) -> None:
+def _rendered(args, value) -> str:
     if args.exact:
-        print(metrics.render_exact(value))
-    else:
-        print(metrics.render_decimal(value, args.precision))
+        return metrics.render_exact(value)
+    return metrics.render_decimal(value, args.precision)
 
 
 def _cutoff(args, n_total: int) -> int | None:
@@ -197,7 +207,7 @@ def _point_or_curve(args, ranked, point, curve) -> int:
     whole `curve(ranked)` when neither is given."""
     n = _cutoff(args, ranked.n_total)
     if n is not None:
-        _print_value(args, point(ranked, n))
+        _emit(args, _rendered(args, point(ranked, n)) + "\n")
     else:
         _emit(args, io.emit_curves([curve(ranked)], format=args.format))
     return 0
@@ -231,17 +241,15 @@ def _cmd_deciles(args) -> int:
         series = metrics.decile_series(ranked)
         _emit(args, io.emit_curves([series], format=args.format))
         return 0
-    for k, v in enumerate(metrics.decile_lift(ranked), start=1):
-        rendered = metrics.render_exact(v) if args.exact else \
-            metrics.render_decimal(v, args.precision)
-        print(f"{k} {rendered}")
+    _emit(args, "".join(f"{k} {_rendered(args, v)}\n" for k, v in
+                        enumerate(metrics.decile_lift(ranked), start=1)))
     return 0
 
 
 def _cmd_auc(args) -> int:
     ranked = _ranked(args, _single_input(args))
     fn = metrics.auc_pairs if args.method == "pairs" else metrics.auc_wilcoxon
-    _print_value(args, fn(ranked))
+    _emit(args, _rendered(args, fn(ranked)) + "\n")
     return 0
 
 
@@ -311,8 +319,9 @@ def _cmd_disagree(args) -> int:
     ma, mb = compare.parse_metric(args.metric_a), compare.parse_metric(args.metric_b)
     if report is None:
         space = math.comb(args.n, args.npos)
-        print(f"no disagreement between {ma} and {mb} exists for N={args.n}, "
-              f"{args.npos} positives (exhaustive over {space} arrangements)")
+        _emit(args, f"no disagreement between {ma} and {mb} exists for "
+                    f"N={args.n}, {args.npos} positives (exhaustive over "
+                    f"{space} arrangements)\n")
         return 0
     if args.format == "json":
         import json
@@ -375,10 +384,8 @@ def _cmd_chart(args) -> int:
             raise ValidationError("benefit charts need --qtp and --qfp")
         costs = metrics.CostSpec(q_tp=args.qtp, q_fp=args.qfp)
     spec = charts.ChartSpec(kind=kind, title=args.title,
-                            include_baseline=args.baseline, out_path=args.out)
-    svg = charts.render_chart(spec, [charts.series_for(kind, ranked, costs)])
-    if not args.out:
-        sys.stdout.write(svg)
+                            include_baseline=args.baseline)
+    _emit(args, charts.render_chart(spec, [charts.series_for(kind, ranked, costs)]))
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, ValidationError
 from .metrics import auc_pairs, cum_gains, lift
-from .records import RankedTestSet, ScoredRecord, rank_records, reranked_copy
+from .records import RankedTestSet, ScoredRecord, rank_records
 
 EXHAUSTIVE_LIMIT = 1_000_000
 LEX_REFINE_LIMIT = 2_000  # full lex-order pair scan only below this many arrangements
@@ -50,14 +50,14 @@ class SwapSpec:
 
 def apply_swaps(ranked: RankedTestSet, swaps: SwapSpec) -> RankedTestSet:
     """Exchange labels at the given rank positions; order and scores stay."""
-    labels = list(ranked.labels)
+    labels = ranked._labels.copy()
     for a, b in swaps.pairs:
         for r in (a, b):
             if not 1 <= r <= ranked.n_total:
                 raise ValidationError(
                     f"swap rank {r} out of range [1, {ranked.n_total}]")
-        labels[a - 1], labels[b - 1] = labels[b - 1], labels[a - 1]
-    return reranked_copy(ranked, labels)
+        labels[[a - 1, b - 1]] = labels[[b - 1, a - 1]]
+    return RankedTestSet(ranked.ids, ranked._scores, labels, ranked.tie_policy)
 
 
 def _check_shared_labels(runs: Sequence[ClassifierRun]) -> None:

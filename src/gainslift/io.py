@@ -47,8 +47,9 @@ class ScoredFile:
 
 
 def _parse_label(raw, row: int) -> int:
-    if raw in (0, 1):
-        return int(raw)
+    # JSON true and 1.0 compare equal to 1; only literal 0/1 count
+    if type(raw) is int and raw in (0, 1):
+        return raw
     if isinstance(raw, str) and raw.strip() in ("0", "1"):
         return int(raw.strip())
     raise ValidationError(f"row {row}: label must be 0 or 1, got {raw!r}")
@@ -56,6 +57,8 @@ def _parse_label(raw, row: int) -> int:
 
 def _parse_score(raw, row: int) -> float:
     try:
+        if isinstance(raw, bool):  # float(True) is 1.0; JSON true is no score
+            raise TypeError
         value = float(raw)
     except (TypeError, ValueError):
         raise ValidationError(f"row {row}: score {raw!r} is not a number") from None
@@ -185,16 +188,8 @@ def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
                 raise ValidationError(
                     f"row {row_no}: missing {file.label_col!r} or "
                     f"{file.score_col!r} field")
-            raw_label, raw_score = obj[file.label_col], obj[file.score_col]
-            # JSON true and 1.0 compare equal to 1; only literal 0/1 count
-            if isinstance(raw_label, (bool, float)):
-                raise ValidationError(
-                    f"row {row_no}: label must be 0 or 1, got {raw_label!r}")
-            if isinstance(raw_score, bool):
-                raise ValidationError(
-                    f"row {row_no}: score {raw_score!r} is not a number")
-            labels.append(_parse_label(raw_label, row_no))
-            scores.append(_parse_score(raw_score, row_no))
+            labels.append(_parse_label(obj[file.label_col], row_no))
+            scores.append(_parse_score(obj[file.score_col], row_no))
             ids.append(str(obj[id_col]) if id_col in obj else str(row_no))
     return ids, scores, labels
 

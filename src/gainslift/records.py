@@ -226,25 +226,3 @@ def _rank_columns(ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,
     else:
         order = np.argsort(-scores, kind="stable")
     return RankedTestSet(ids[order], scores[order], labels[order], tie_policy)
-
-
-def reranked_copy(ranked: RankedTestSet,
-                  labels: Sequence[int]) -> RankedTestSet:
-    """A new set with the same ids/scores/order but replaced labels.
-
-    Used for label perturbations where the ranking itself must not move.
-    """
-    if len(labels) != ranked.n_total:
-        raise ValidationError(
-            f"expected {ranked.n_total} labels, got {len(labels)}")
-    try:
-        valid = set(labels) <= {0, 1}
-    except TypeError:
-        valid = False
-    if not valid:
-        for rid, lab in zip(ranked.ids, labels):
-            if lab not in (0, 1):
-                raise ValidationError(
-                    f"record {rid!r}: label must be 0 or 1, got {lab!r}")
-    return RankedTestSet(ranked.ids, ranked._scores,
-                         np.array(labels, dtype=np.int64), ranked.tie_policy)

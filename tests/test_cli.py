@@ -304,6 +304,107 @@ class TestRejectedInputs:
         assert (code, out, err) == (1, "", f"gainslift: {info.value}\n")
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["lift", "--input", EXAMPLE, "--n", "3", "--fraction", "0.5"],
+         "give --n or --fraction, not both"),
+        (["compare", "--input", EXAMPLE, "--input", EXAMPLE,
+          "--targets", "6,x"], "bad --targets '6,x'"),
+        (["compare", "--input", EXAMPLE, "--input", EXAMPLE, "--name", "a",
+          "--targets", "6"], "--name count must match --input count"),
+        (["perturb", "--input", EXAMPLE, "--swap", "6-8"],
+         "bad --swap '6-8', expected A:B"),
+        (["resample", "--input", EXAMPLE, "--rates", "0.1,x"],
+         "bad --rates '0.1,x'"),
+    ])
+    def test_exit_1_with_the_message(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"gainslift: {message}\n")
+
+
+# options every command that reads a scored file takes
+INPUT_OPTIONS = ["--input", "--in-format", "--delimiter", "--label-col",
+                 "--score-col", "--id-col"]
+
+# each subcommand's option strings besides -h/--help: exactly the options
+# the command reads
+SURFACE = {
+    "gains": INPUT_OPTIONS + ["--tie-policy", "--out", "--format",
+                              "--precision", "--exact", "--n", "--fraction",
+                              "--x"],
+    "lift": INPUT_OPTIONS + ["--tie-policy", "--out", "--format",
+                             "--precision", "--exact", "--n", "--fraction",
+                             "--x"],
+    "deciles": INPUT_OPTIONS + ["--tie-policy", "--out", "--format",
+                                "--precision", "--exact"],
+    "benefit": INPUT_OPTIONS + ["--tie-policy", "--out", "--format",
+                                "--precision", "--exact", "--qtp", "--qfp",
+                                "--n", "--fraction"],
+    "auc": INPUT_OPTIONS + ["--tie-policy", "--out", "--precision", "--exact",
+                            "--method"],
+    "roc": INPUT_OPTIONS + ["--tie-policy", "--out", "--format"],
+    "compare": INPUT_OPTIONS + ["--tie-policy", "--out", "--format",
+                                "--precision", "--name", "--targets"],
+    "perturb": INPUT_OPTIONS + ["--tie-policy", "--out", "--swap"],
+    "disagree": ["--out", "--format", "--precision", "--metric-a",
+                 "--metric-b", "--n", "--npos", "--budget", "--seed"],
+    "resample": INPUT_OPTIONS + ["--out", "--format", "--rates", "--reps",
+                                 "--size", "--seed"],
+    "chart": INPUT_OPTIONS + ["--tie-policy", "--out", "--kind", "--title",
+                              "--no-baseline", "--qtp", "--qfp"],
+}
+
+
+class TestSurface:
+    def test_each_command_takes_exactly_its_options(self):
+        import argparse
+        from gainslift.cli import build_parser
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        got = {name: [s for a in parser._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, parser in sub.choices.items()}
+        assert {k: sorted(v) for k, v in got.items()} == {
+            k: sorted(v) for k, v in SURFACE.items()}
+        assert sum(map(len, SURFACE.values())) == 129
+
+    def test_no_baseline_drops_the_reference_line(self, capsys):
+        argv = ["chart", "--input", EXAMPLE, "--kind", "lift"]
+        code, with_line, _ = run(capsys, *argv)
+        assert code == 0 and 'stroke-dasharray="6 4"' in with_line
+        code, without, _ = run(capsys, *argv, "--no-baseline")
+        assert code == 0 and 'stroke-dasharray' not in without
+
+
+class TestOutFile:
+    """`--out FILE` writes exactly the bytes the command prints without it,
+    and prints nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["auc", "--input", EXAMPLE],
+        ["auc", "--input", EXAMPLE, "--exact"],
+        ["lift", "--input", EXAMPLE, "--n", "6"],
+        ["gains", "--input", EXAMPLE, "--fraction", "0.5", "--precision", "2"],
+        ["benefit", "--input", EXAMPLE, "--n", "8", "--qtp", "10",
+         "--qfp=-1"],
+        ["roc", "--input", EXAMPLE],
+        ["compare", "--input", EXAMPLE, "--input", EXAMPLE, "--name", "a",
+         "--name", "b", "--targets", "6,14"],
+        ["disagree", "--metric-a", "auc", "--metric-b", "auc", "--n", "8",
+         "--npos", "4"],
+        ["disagree", "--metric-a", "auc", "--metric-b", "lift@6", "--n", "10",
+         "--npos", "5"],
+        ["chart", "--input", EXAMPLE, "--kind", "roc"],
+        ["chart", "--input", EXAMPLE, "--kind", "decile-lift",
+         "--no-baseline"],
+    ], ids=lambda argv: " ".join(a for a in argv if a != EXAMPLE))
+    def test_out_writes_what_stdout_carries(self, capsys, tmp_path, argv):
+        code, printed, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        out = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == printed.encode("utf-8")
+
+
 class TestSharedParser:
     def test_repeatable_options_leak_no_state(self, capsys, tmp_path, perturbed24):
         from gainslift import save_scored

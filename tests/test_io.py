@@ -362,6 +362,11 @@ class TestLoaderAgainstOracles:
         (['{"score": 0.5, "label": 1}', "{bad"], "row 2: bad json"),
         (['{"score": 0.5}'], "row 1: missing 'label' or 'score' field"),
         (['{"score": NaN, "label": 1}'], "row 1: score nan is not finite"),
+        (['{"score": 0.5, "label": true}'],
+         "row 1: label must be 0 or 1, got True"),
+        (['{"score": true, "label": 1}'], "row 1: score True is not a number"),
+        (['{"score": 0.5, "label": "1.0"}'],
+         "row 1: label must be 0 or 1, got '1.0'"),
         (['{"id": "", "score": 0.5, "label": 1}',
           '{"id": "", "score": 0.4, "label": 0}'], "duplicate id ''"),
         (['{"id": 7, "score": 0.5, "label": 1}',
@@ -374,6 +379,13 @@ class TestLoaderAgainstOracles:
         expected = _outcome(load_jsonl_oracle, file)
         assert expected[0] == "ValidationError" and message in expected[1]
         assert _outcome(load_scored, file) == expected
+
+    def test_jsonl_row_with_two_faults_names_the_label(self, tmp_path):
+        # as in delimited text, a row's label is checked before its score
+        path = write(tmp_path, "in.jsonl", '{"score": true, "label": "yes"}\n')
+        with pytest.raises(ValidationError,
+                           match="row 1: label must be 0 or 1, got 'yes'"):
+            load_scored(path)
 
     def test_jsonl_empty_id_is_kept(self, tmp_path):
         path = write(tmp_path, "in.jsonl",

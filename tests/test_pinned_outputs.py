@@ -3,7 +3,8 @@
 Each digest is the sha256 of the text one command prints (or writes with
 `--out`) for a seeded 2,000-row file, under every tie policy. One file has
 distinct scores; the other has 40 score levels, so cutoffs fall inside tie
-groups and the expected-value policy yields fractional gains. Any change to
+groups and the expected-value policy yields fractional gains. Each file has
+a rescored twin with the same ids and labels, for `compare`. Any change to
 a curve kernel or serializer that moves a single byte fails here.
 """
 
@@ -21,6 +22,7 @@ from gainslift.cli import cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = 2_000
+RESCORED = "<the rescored twin of --input>"
 
 COMMANDS = {
     "lift-json": ["lift", "--format", "json"],
@@ -33,6 +35,15 @@ COMMANDS = {
     "deciles-json": ["deciles", "--format", "json", "--out"],
     "auc-pairs": ["auc", "--method", "pairs"],
     "auc-wilcoxon": ["auc", "--method", "wilcoxon"],
+    "compare-text": ["compare", "--input", RESCORED, "--targets", "100,700,1000"],
+    "chart-gains-fraction": ["chart", "--kind", "gains-fraction"],
+    "chart-decile-lift": ["chart", "--kind", "decile-lift"],
+    "chart-benefit": ["chart", "--kind", "benefit", "--qtp", "10", "--qfp=-1"],
+    "lift-at-n": ["lift", "--n", "700", "--precision", "8"],
+    "gains-at-fraction": ["gains", "--fraction", "0.37", "--exact"],
+    "benefit-at-n": ["benefit", "--n", "900", "--qtp", "10", "--qfp=-1"],
+    "deciles-text": ["deciles"],
+    "deciles-exact": ["deciles", "--exact"],
 }
 
 
@@ -52,6 +63,20 @@ def _write_input(path: Path, tied: bool) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_rescored(source: Path, path: Path, tied: bool) -> None:
+    """`source`'s ids and labels in the same order with new, weaker scores."""
+    rng = random.Random(20193 if tied else 20192)
+    header, *rows = source.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for row in rows:
+        rid, _, label = row.split(",")
+        score = rng.random() + 0.3 * int(label)
+        if tied:
+            score = int(score * 25) / 25
+        lines.append(f"{rid},{score!r},{label}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     base = tmp_path_factory.mktemp("pinned")
@@ -59,6 +84,9 @@ def inputs(tmp_path_factory):
     for kind in ("untied", "tied"):
         paths[kind] = base / f"{kind}.csv"
         _write_input(paths[kind], tied=(kind == "tied"))
+        paths[f"{kind}-rescored"] = base / f"{kind}-rescored.csv"
+        _write_rescored(paths[kind], paths[f"{kind}-rescored"],
+                        tied=(kind == "tied"))
     return paths
 
 
@@ -101,6 +129,42 @@ PINNED = {
         "7596e51236f1b6515084c552a28d9c7f240f951371878f84307addaebd1f50c8",
     "tied/expected/auc-wilcoxon":
         "ec2ff7855a32d9c53123eb704a688677487f1e9680cd220483321c43261ff351",
+    "untied/input/benefit-at-n":
+        "b2241f047e895f8aced12dfa6c3184d58f61bba70c97e50574c54f379f3f38ac",
+    "tied/input/benefit-at-n":
+        "1268f6c2ba227ddf57626db6ac6638eca74c569910aac9585cc12400866404f2",
+    "untied/id/benefit-at-n":
+        "b2241f047e895f8aced12dfa6c3184d58f61bba70c97e50574c54f379f3f38ac",
+    "tied/id/benefit-at-n":
+        "abd4c99a4a82c89eda896e0781ab6cc8271a2cebf404925e41979be3e7aa1882",
+    "untied/expected/benefit-at-n":
+        "b2241f047e895f8aced12dfa6c3184d58f61bba70c97e50574c54f379f3f38ac",
+    "tied/expected/benefit-at-n":
+        "55989239f97af45a108bd1b1de3faa708786bb31507b5dd443b6a531f5bbc031",
+    "untied/input/chart-benefit":
+        "c3fd5a6c9261097b8b321461e7aeda7efcd1aeb2530ae54202ebc3db58f976d5",
+    "tied/input/chart-benefit":
+        "8065cb0324815c7e369d3de376b2073768cd6e784b08121562692e7a906bd55c",
+    "untied/id/chart-benefit":
+        "c3fd5a6c9261097b8b321461e7aeda7efcd1aeb2530ae54202ebc3db58f976d5",
+    "tied/id/chart-benefit":
+        "2dfd03ea92206cf7d600bbdd1f454e06accbd1da83dff8e6a01d8770b66837e6",
+    "untied/expected/chart-benefit":
+        "c3fd5a6c9261097b8b321461e7aeda7efcd1aeb2530ae54202ebc3db58f976d5",
+    "tied/expected/chart-benefit":
+        "91cdf732c5dd3a1a8ba7fd7e1628c98533ba3955619521dbcdf39689b04db5e7",
+    "untied/input/chart-decile-lift":
+        "b8d0f77f2d0e43f463b051fe48cb47c4644b0bd86c9299297fc89b7a1b61d3cb",
+    "tied/input/chart-decile-lift":
+        "5a5a52dffe2463a1bcc241166a2fc5c5038a07a726bde8169e94c860017b9d63",
+    "untied/id/chart-decile-lift":
+        "b8d0f77f2d0e43f463b051fe48cb47c4644b0bd86c9299297fc89b7a1b61d3cb",
+    "tied/id/chart-decile-lift":
+        "7d0be74e2fc8f126b6a0cd45c0ce3a72a22e4ca97be6fa7601a0c8f2f8e65c48",
+    "untied/expected/chart-decile-lift":
+        "b8d0f77f2d0e43f463b051fe48cb47c4644b0bd86c9299297fc89b7a1b61d3cb",
+    "tied/expected/chart-decile-lift":
+        "b2c8871a26b48cf2af6e532afc70e362323e8aa2fd5dac9d22882134bf7a6bba",
     "untied/input/chart-gains-count":
         "705ca532144314f4a03792398939f6490ba4c97baffa7d4b977800c9bede94c6",
     "tied/input/chart-gains-count":
@@ -113,6 +177,18 @@ PINNED = {
         "705ca532144314f4a03792398939f6490ba4c97baffa7d4b977800c9bede94c6",
     "tied/expected/chart-gains-count":
         "81e068a6d0288aa71a96d1d69d80c55b63f0019cb7d3d34b0395f5ff226b8956",
+    "untied/input/chart-gains-fraction":
+        "39949e8c5d81ebfada32c7035f44859f6543b12831946f8c1ac5726db7f24765",
+    "tied/input/chart-gains-fraction":
+        "4365120baf8918ba5023d45a5f984729f38320d2d9e6bc318bd28ddb42151301",
+    "untied/id/chart-gains-fraction":
+        "39949e8c5d81ebfada32c7035f44859f6543b12831946f8c1ac5726db7f24765",
+    "tied/id/chart-gains-fraction":
+        "209f77a6827f2935f8fdf4b5c8bba008782b33eab8270ea9a156ccf3471898a7",
+    "untied/expected/chart-gains-fraction":
+        "39949e8c5d81ebfada32c7035f44859f6543b12831946f8c1ac5726db7f24765",
+    "tied/expected/chart-gains-fraction":
+        "e6c72e930d0c8ae9c7185a7b9663f35dcd3bd011a1481f857d6925e544a4d7ee",
     "untied/input/chart-lift":
         "b0d456ad424a6d3d828d5034d043698e3aa96eb4b28a78ff9580ffa2437011e1",
     "tied/input/chart-lift":
@@ -137,6 +213,30 @@ PINNED = {
         "ae5fab0f1290d1f3d67acf2c2eddc00ebd08bb402518667a25075297ff5a7f96",
     "tied/expected/chart-roc":
         "73fd353177431cadefd12b269112d213f8ddbdfc7660c9ecd62aa71448d1515f",
+    "untied/input/compare-text":
+        "6f65f20b0eba8eb7bfcebcc705146c3e298d0fab8e2737c8d314721e5ea62855",
+    "tied/input/compare-text":
+        "d4b0ff1043dc8be8f81477b787282832c0a3aade1e3e37e61921ea33eed83e3e",
+    "untied/id/compare-text":
+        "6f65f20b0eba8eb7bfcebcc705146c3e298d0fab8e2737c8d314721e5ea62855",
+    "tied/id/compare-text":
+        "725649f2845beffa4f7d258e9c8ae245c19b6583f7b0bba8d2c5c8d8d405c53d",
+    "untied/expected/compare-text":
+        "6f65f20b0eba8eb7bfcebcc705146c3e298d0fab8e2737c8d314721e5ea62855",
+    "tied/expected/compare-text":
+        "aa8406afde8a75649d25570d2f9c9567ff94565cfb383027a34206a33bc6d648",
+    "untied/input/deciles-exact":
+        "0f31c121a1528f5412d8c1248dd0da4e3d5c63e057e91420742f24ff7ca5e719",
+    "tied/input/deciles-exact":
+        "04092bbab1fa32bd4cee3f06cce4188c40b6795a437157d64d1a3eaf5ae62573",
+    "untied/id/deciles-exact":
+        "0f31c121a1528f5412d8c1248dd0da4e3d5c63e057e91420742f24ff7ca5e719",
+    "tied/id/deciles-exact":
+        "fff1e15cc412e6f59ed429821247fd505be8e84eba45399df07d032d2e569590",
+    "untied/expected/deciles-exact":
+        "0f31c121a1528f5412d8c1248dd0da4e3d5c63e057e91420742f24ff7ca5e719",
+    "tied/expected/deciles-exact":
+        "ba2711307a24019a71b47a4c5323dd412dead843ac7b8f6b8c584f46c88f82c7",
     "untied/input/deciles-json":
         "65552dcbb70ad7ba7f5aeae8adb99f813ffe007fa977a96ecb3bf9ff3ea72106",
     "tied/input/deciles-json":
@@ -149,6 +249,30 @@ PINNED = {
         "65552dcbb70ad7ba7f5aeae8adb99f813ffe007fa977a96ecb3bf9ff3ea72106",
     "tied/expected/deciles-json":
         "127b61e168e1f289ed576867b799e8356f234d1324ec7b22b6bb6260bcac3573",
+    "untied/input/deciles-text":
+        "f35ffe6880e817c41f2de28b06093279f088a657e517b2f71cbd29e62c4846fc",
+    "tied/input/deciles-text":
+        "74eb050dd3fb3f7f58c4513938c1d18533521ed60f794dbad5f2b754920c1e72",
+    "untied/id/deciles-text":
+        "f35ffe6880e817c41f2de28b06093279f088a657e517b2f71cbd29e62c4846fc",
+    "tied/id/deciles-text":
+        "ed31c79c0e969668ba444442e64ddc4223ee11d3a033d85abe040aea7458517f",
+    "untied/expected/deciles-text":
+        "f35ffe6880e817c41f2de28b06093279f088a657e517b2f71cbd29e62c4846fc",
+    "tied/expected/deciles-text":
+        "803ac49b1cbb34b147dff302d088c0b308e7a5243a4a9324ea2e569592fc035e",
+    "untied/input/gains-at-fraction":
+        "13e7a9decbce922176ed35763497a2dd518381561eea8919e344688f95c7cfdd",
+    "tied/input/gains-at-fraction":
+        "75fa55306cb81a01b436fa14731c79e18036d89472e4280d44bc2776e8d3184b",
+    "untied/id/gains-at-fraction":
+        "13e7a9decbce922176ed35763497a2dd518381561eea8919e344688f95c7cfdd",
+    "tied/id/gains-at-fraction":
+        "75fa55306cb81a01b436fa14731c79e18036d89472e4280d44bc2776e8d3184b",
+    "untied/expected/gains-at-fraction":
+        "13e7a9decbce922176ed35763497a2dd518381561eea8919e344688f95c7cfdd",
+    "tied/expected/gains-at-fraction":
+        "c549ec3f59bfec9a65dc93af301c1f022909bc851a546766f1a3b3efe35eb981",
     "untied/input/gains-fraction":
         "773d2f8312299e2e3212155fa4cff5ce5e34c19df928eb175b41ba64545f7dce",
     "tied/input/gains-fraction":
@@ -173,6 +297,18 @@ PINNED = {
         "c72b0e944706ab0b22c32c472e9d591ad1bdd2c1a5ce3f84e1e6f09fb363de02",
     "tied/expected/gains-json":
         "3ddf8216a6d9dfa426c6ae9f5086652b39f9402b5a9abdd75361eee362c23d10",
+    "untied/input/lift-at-n":
+        "c4881b891cfcaccff5be27c9187ba8e17221ba1d6ba468f447fad231356ff95a",
+    "tied/input/lift-at-n":
+        "9de6ccc883f0ad8cb25a51d26897ff2d2f9eea3915720d8a7dfcf7d6e537f819",
+    "untied/id/lift-at-n":
+        "c4881b891cfcaccff5be27c9187ba8e17221ba1d6ba468f447fad231356ff95a",
+    "tied/id/lift-at-n":
+        "bd1568d59faedd79bb7399d2b74a761aad5cfcf8ac97a3917701b24b3040880c",
+    "untied/expected/lift-at-n":
+        "c4881b891cfcaccff5be27c9187ba8e17221ba1d6ba468f447fad231356ff95a",
+    "tied/expected/lift-at-n":
+        "032c66b861f1c1b7759b07356da2816b2303846a4143a9d49a6c2da09b7dafd7",
     "untied/input/lift-json":
         "a443563fbbb26864bbe30f6bec799f7e1e6ba08451141c842e95a8a8a910810c",
     "tied/input/lift-json":
@@ -205,6 +341,8 @@ PINNED = {
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_output_digest(capsys, tmp_path, inputs, kind, policy, command):
     name, *rest = COMMANDS[command]
+    rest = [str(inputs[f"{kind}-rescored"]) if arg == RESCORED else arg
+            for arg in rest]
     argv = [name, "--input", str(inputs[kind]), "--tie-policy", policy, *rest]
     text = _output_of(capsys, tmp_path, argv)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -240,6 +378,56 @@ def test_perturb_digest(capsys, tmp_path, inputs, kind, policy):
     out = tmp_path / "swapped.csv"
     assert cli_main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == text.encode("utf-8")
+
+
+DISAGREE_COMMANDS = {
+    "found": ["disagree", "--metric-a", "auc", "--metric-b", "lift@6",
+              "--n", "10", "--npos", "5"],
+    "sampled": ["disagree", "--metric-a", "lift@3", "--metric-b",
+                "accuracy@7", "--n", "20", "--npos", "10", "--budget", "500",
+                "--seed", "3", "--precision", "3"],
+    "none": ["disagree", "--metric-a", "auc", "--metric-b", "auc",
+             "--n", "8", "--npos", "4"],
+}
+
+DISAGREE_PINNED = {
+    "found":
+        "7eb7e5dbc7901bd92f9e470e3a3154d5996b5c44f68ce72efe77d69c976895f0",
+    "none":
+        "6d7753ca442ee5d82936f47d0b06fe7959b1759f0ab6a0e8cd1c935d1f5a2591",
+    "sampled":
+        "b6ba91b0d006268fed94516c5d5c08cf6dbd83f04cef89d445953a30264e7db3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISAGREE_COMMANDS))
+def test_disagree_digest(capsys, tmp_path, case):
+    text = _output_of(capsys, tmp_path, DISAGREE_COMMANDS[case])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == DISAGREE_PINNED[case]
+
+
+RESAMPLE_PINNED = {
+    "untied/csv":
+        "538e87593a097b0abad2fd4ff14a8194aa919e534b0bd327c179a27176038fd5",
+    "untied/json":
+        "836b02010bdc6535e66c128f6857a9c8ec50851731e86b73a9828203f35a7a0c",
+    "tied/csv":
+        "dbedde8054a933d8696a5d69db012c9a2b0a71d268ac8cb1a57539ee5666c521",
+    "tied/json":
+        "9776fa320bcd3ae5c67f5b9ca0b8cbe57c54bd14517addc7e5e279716b9c1911",
+}
+
+
+@pytest.mark.parametrize("kind", ["untied", "tied"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_resample_digest(capsys, tmp_path, inputs, kind, fmt):
+    argv = ["resample", "--input", str(inputs[kind]), "--rates",
+            "0.05,0.117,0.2", "--reps", "5", "--size", "500", "--seed", "7",
+            "--format", fmt]
+    text = _output_of(capsys, tmp_path, argv)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == RESAMPLE_PINNED[f"{kind}/{fmt}"]
 
 
 def test_demos_write_the_committed_svgs(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from gainslift import (EXAMPLE24_LABELS, ScoredRecord, TiePolicy,
                        ValidationError, rank_records)
-from gainslift.records import reranked_copy
 
 from helpers import random_instance, rank_order_oracle, records_from_labels
 
@@ -195,12 +194,3 @@ class TestColumnarRankedSet:
         with pytest.raises(ValidationError) as info:
             rank_records(records)
         assert str(info.value).startswith(message)
-
-    def test_reranked_copy_checks_labels(self):
-        ranked = rank_records(make([0.9, 0.5, 0.1], [1, 0, 1]))
-        again = reranked_copy(ranked, [0, 1, 1])
-        assert again.labels == (0, 1, 1) and list(again.ids) == list(ranked.ids)
-        with pytest.raises(ValidationError, match="record 'r1': label"):
-            reranked_copy(ranked, [1, 2, 0])
-        with pytest.raises(ValidationError, match="expected 3 labels"):
-            reranked_copy(ranked, [1, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -170,6 +171,18 @@ class TestRegularity:
         verdict = regularity_check(run_plan(pool, plan))
         assert verdict.outcome is RegularityOutcome.NOT_APPLICABLE
 
+    def test_rising_lift_violates(self, small_pool):
+        plan = ResamplePlan(target_rates=(0.05, 0.117, 0.2),
+                            replicate_count=20, sample_size=1000, seed=55)
+        summary = run_plan(small_pool, plan)
+        # hand the rarest rate the commonest rate's lift band and back
+        lifts = [band.lift for band in summary.bands][::-1]
+        bands = tuple(dataclasses.replace(band, lift=lift)
+                      for band, lift in zip(summary.bands, lifts))
+        verdict = regularity_check(dataclasses.replace(summary, bands=bands))
+        assert verdict.outcome is RegularityOutcome.VIOLATED
+        assert verdict.lift_means[0] < verdict.lift_means[2]
+
     def test_single_rate_rejected(self, small_pool):
         plan = ResamplePlan(target_rates=(0.1,), replicate_count=2,
                             sample_size=200, seed=1)
@@ -181,6 +194,17 @@ class TestRegularity:
                             sample_size=200, seed=1)
         with pytest.raises(ValidationError, match="grid point"):
             regularity_check(run_plan(small_pool, plan), small_fraction=0.123)
+
+
+class TestBandFor:
+    def test_found_and_missing(self, small_pool):
+        plan = ResamplePlan(target_rates=(0.05, 0.2), replicate_count=2,
+                            sample_size=200, seed=1)
+        summary = run_plan(small_pool, plan)
+        assert summary.band_for(0.2) is summary.bands[1]
+        assert summary.band_for(0.05).n_pos == 10
+        with pytest.raises(ValidationError, match="no band for rate 0.1"):
+            summary.band_for(0.1)
 
 
 class TestSyntheticScorer:
