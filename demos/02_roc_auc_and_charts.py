@@ -46,9 +46,10 @@ charts = [
 ]
 print()
 for kind, filename in charts:
-    spec = ChartSpec(kind=kind, title=f"example set: {kind.value}",
-                     out_path=out_dir / filename)
-    render_chart(spec, [series_for(kind, ranked)])
-    print(f"wrote {spec.out_path}")
+    spec = ChartSpec(kind=kind, title=f"example set: {kind.value}")
+    path = out_dir / filename
+    path.write_text(render_chart(spec, [series_for(kind, ranked)]),
+                    encoding="utf-8")
+    print(f"wrote {path}")
 print("series lines are solid; the dashed line is the random-targeting "
       "reference.")

@@ -47,7 +47,7 @@ for band in summary.bands:
         for k, value in enumerate(band.lift.mean))
     series.append(CurveSeries(name=f"rate {band.target_rate}",
                               x_kind=XKind.FRACTION, points=points))
-spec = ChartSpec(kind=ChartKind.LIFT, title="mean lift by positive rate",
-                 out_path=out_dir / "lift_by_rate.svg")
-render_chart(spec, series)
-print(f"\nwrote {spec.out_path}")
+spec = ChartSpec(kind=ChartKind.LIFT, title="mean lift by positive rate")
+path = out_dir / "lift_by_rate.svg"
+path.write_text(render_chart(spec, series), encoding="utf-8")
+print(f"\nwrote {path}")

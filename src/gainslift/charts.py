@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
@@ -66,7 +65,6 @@ class ChartSpec:
     kind: ChartKind
     title: str = ""
     include_baseline: bool = True
-    out_path: Optional[str | Path] = None
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,9 @@ class ChartLayout:
         py = (HEIGHT - MARGIN_BOTTOM) - fy * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
         return px, py
 
-    def token(self, x: float, y: float) -> str:
-        px, py = self.px(x, y)
-        return f"{px:.2f},{py:.2f}"
-
     def tokens(self, xs: np.ndarray, ys: np.ndarray) -> str:
-        """`token` of every point, space-separated."""
+        """Every point's pixel position as 'x,y' to two places,
+        space-separated."""
         px, py = self.px(xs, ys)
         return " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
 
@@ -155,8 +150,9 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def build_chart_svg(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
-    """Assemble the chart; raises ValidationError on a kind mismatch."""
+def render_chart(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
+    """The chart's SVG markup, for the caller to write; raises
+    ValidationError on a kind mismatch."""
     if not series:
         raise ValidationError("no series to chart")
     allowed = _COMPATIBLE[spec.kind]
@@ -254,11 +250,3 @@ def _bars(s: CurveSeries, layout: ChartLayout, color: str,
                    f'fill="{color}" fill-opacity="0.85"/>')
     return out
 
-
-def render_chart(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
-    """Build the SVG and write it to spec.out_path when set; returns the
-    markup either way."""
-    svg = build_chart_svg(spec, series)
-    if spec.out_path is not None:
-        Path(spec.out_path).write_text(svg, encoding="utf-8")
-    return svg

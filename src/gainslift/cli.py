@@ -37,6 +37,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _fraction(text: str) -> Fraction:
+    """--fraction as an exact rational; '1/0' is a usage error, as 'x' is."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+
+
+def _cutoff_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--fraction", type=_fraction, default=None,
+                        help="evaluate at cutoff ceil(fraction*N)")
+
+
 def _input_options(parser: argparse.ArgumentParser, multiple: bool = False,
                    ranked: bool = True) -> None:
     parser.add_argument("--input", action="append", required=True,
@@ -89,15 +104,12 @@ def build_parser() -> _Parser:
 
     p = command("gains", "cumulative gains at a cutoff, or the whole curve",
                 *point_or_curve)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fraction", type=Fraction, default=None,
-                   help="evaluate at cutoff ceil(fraction*N)")
+    _cutoff_options(p)
     p.add_argument("--x", choices=("count", "fraction"), default="count",
                    help="x axis for curve output")
 
     p = command("lift", "lift at a cutoff, or the whole curve", *point_or_curve)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fraction", type=Fraction, default=None)
+    _cutoff_options(p)
     p.add_argument("--x", choices=("count", "fraction"), default="fraction")
 
     command("deciles", "lift for each tenth of the ranked set", *point_or_curve)
@@ -107,8 +119,7 @@ def build_parser() -> _Parser:
                    help="net benefit per true positive")
     p.add_argument("--qfp", type=float, required=True,
                    help="net benefit per false positive (usually negative)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fraction", type=Fraction, default=None)
+    _cutoff_options(p)
 
     p = command("auc", "area under the ROC curve (exact, tie-aware)",
                 "--precision", "--exact")

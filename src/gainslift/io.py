@@ -120,6 +120,9 @@ def _unreadable_named(file: ScoredFile):
 def _read_csv(file: ScoredFile) -> tuple[list, Sequence[float], list]:
     """Ids, scores and labels of the data rows, each converted as a whole
     column; when a column check fails, `_scan_rows` names the first fault."""
+    if len(file.delimiter) != 1:
+        raise ValidationError(
+            f"delimiter {file.delimiter!r} is not one character")
     # utf-8-sig drops a leading byte-order mark, which would otherwise stick
     # to the first header name
     with _unreadable_named(file), \
@@ -184,7 +187,9 @@ def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"row {row_no}: bad json ({exc})") from None
-            if file.label_col not in obj or file.score_col not in obj:
+            # a row that is not an object, such as 5 or a list, has no fields
+            if not isinstance(obj, dict) or file.label_col not in obj \
+                    or file.score_col not in obj:
                 raise ValidationError(
                     f"row {row_no}: missing {file.label_col!r} or "
                     f"{file.score_col!r} field")
@@ -212,9 +217,8 @@ def save_scored(records: Sequence[ScoredRecord] | RankedTestSet, out) -> None:
 # curve serialization
 # ---------------------------------------------------------------------------
 
-def emit_curves(series: Sequence[CurveSeries], format: str = "csv",
-                out=None) -> str:
-    """Serialize series; returns the text and writes it to `out` if given.
+def emit_curves(series: Sequence[CurveSeries], format: str = "csv") -> str:
+    """The text of the series, for the caller to write.
 
     csv is one row per point with shortest-roundtrip floats; json adds exact
     'num/den' fields so parsing recovers the rationals unchanged.
@@ -222,21 +226,10 @@ def emit_curves(series: Sequence[CurveSeries], format: str = "csv",
     if not series:
         raise ValidationError("no series to emit")
     if format == "csv":
-        text = _curves_csv(series)
-    elif format == "json":
-        text = _curves_json(series)
-    else:
-        raise ValidationError(f"unknown curve format {format!r}")
-    if out is not None:
-        _write_text(out, text)
-    return text
-
-
-def _write_text(out, text: str) -> None:
-    if isinstance(out, (str, Path)):
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        out.write(text)
+        return _curves_csv(series)
+    if format == "json":
+        return _curves_json(series)
+    raise ValidationError(f"unknown curve format {format!r}")
 
 
 def _curves_csv(series: Sequence[CurveSeries]) -> str:
@@ -327,32 +320,10 @@ def _parse_curves_json(text: str) -> list[CurveSeries]:
 def summary_to_json(summary: ResampleSummary) -> str:
     """Canonical json for a resample summary: key-sorted, shortest-roundtrip
     floats, so equal summaries serialize to identical bytes."""
-    payload = {
-        "grid": list(summary.grid),
-        "sample_size": summary.sample_size,
-        "replicate_count": summary.replicate_count,
-        "seed": summary.seed,
-        "bands": [
-            {
-                "target_rate": band.target_rate,
-                "realized_rate": band.realized_rate,
-                "n_pos": band.n_pos,
-                "mean_auc": band.mean_auc,
-                "p_cum_gains": {
-                    "mean": list(band.p_cum_gains.mean),
-                    "min": list(band.p_cum_gains.min),
-                    "max": list(band.p_cum_gains.max),
-                },
-                "lift": {
-                    "mean": list(band.lift.mean),
-                    "min": list(band.lift.min),
-                    "max": list(band.lift.max),
-                },
-            }
-            for band in summary.bands
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # vars turns each frozen dataclass into its field dict, so resample.py
+    # alone sets the layout; a class given slots=True has no __dict__ and
+    # makes vars raise TypeError rather than change the output
+    return json.dumps(summary, default=vars, sort_keys=True, indent=2) + "\n"
 
 
 def summary_to_csv(summary: ResampleSummary) -> str:

@@ -408,7 +408,8 @@ def load_jsonl_oracle(file: ScoredFile) -> list[ScoredRecord]:
                 except json.JSONDecodeError as exc:
                     raise ValidationError(
                         f"row {row_no}: bad json ({exc})") from None
-                if file.label_col not in obj or file.score_col not in obj:
+                if (not isinstance(obj, dict) or file.label_col not in obj
+                        or file.score_col not in obj):
                     raise ValidationError(
                         f"row {row_no}: missing {file.label_col!r} or "
                         f"{file.score_col!r} field")

@@ -1,12 +1,14 @@
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gainslift import (ChartKind, ChartSpec, CostSpec, ValidationError,
                        benefit_series, decile_series, gains_series,
-                       lift_series, rank_records, render_chart, roc_points)
-from gainslift.charts import build_chart_svg, layout_for
+                       lift_series, rank_records, render_chart,
+                       series_for)
+from gainslift.charts import layout_for
 
 from helpers import records_from_labels
 
@@ -19,31 +21,25 @@ def svg_root(text):
 
 class TestSvgStructure:
     def test_single_well_formed_root(self, example24):
-        svg = build_chart_svg(ChartSpec(kind=ChartKind.GAINS_FRACTION),
-                              [gains_series(example24, fraction=True)])
+        svg = render_chart(ChartSpec(kind=ChartKind.GAINS_FRACTION),
+                           [gains_series(example24, fraction=True)])
         root = svg_root(svg)
         assert root.tag == f"{SVG_NS}svg"
         assert root.get("viewBox") == "0 0 640 480"
 
     def test_title_present(self, example24):
-        svg = build_chart_svg(
+        svg = render_chart(
             ChartSpec(kind=ChartKind.LIFT, title="lift & gains"),
             [lift_series(example24)])
         assert "lift &amp; gains" in svg
-
-    def test_writes_file(self, tmp_path, example24):
-        out = tmp_path / "chart.svg"
-        spec = ChartSpec(kind=ChartKind.ROC, out_path=out)
-        render_chart(spec, [roc_points(example24)])
-        assert svg_root(out.read_text()).tag == f"{SVG_NS}svg"
 
 
 class TestPolylineGeometry:
     def test_gains_fraction_passes_through_half_point(self, example24):
         series = gains_series(example24, fraction=True)
-        svg = build_chart_svg(ChartSpec(kind=ChartKind.GAINS_FRACTION), [series])
+        svg = render_chart(ChartSpec(kind=ChartKind.GAINS_FRACTION), [series])
         layout = layout_for(ChartKind.GAINS_FRACTION, [series])
-        token = layout.token(0.5, float(Fraction(5, 6)))
+        token = layout.tokens(np.array([0.5]), np.array([float(Fraction(5, 6))]))
         polylines = [el for el in svg_root(svg).iter(f"{SVG_NS}polyline")]
         assert len(polylines) == 1
         assert token in polylines[0].get("points").split()
@@ -58,7 +54,7 @@ class TestPolylineGeometry:
 
     def test_decile_chart_has_ten_bars_last_height_one(self, example24):
         series = decile_series(example24)
-        svg = build_chart_svg(ChartSpec(kind=ChartKind.DECILE_LIFT), [series])
+        svg = render_chart(ChartSpec(kind=ChartKind.DECILE_LIFT), [series])
         layout = layout_for(ChartKind.DECILE_LIFT, [series])
         rects = [el for el in svg_root(svg).iter(f"{SVG_NS}rect")
                  if el.get("fill-opacity")]
@@ -70,14 +66,14 @@ class TestPolylineGeometry:
 
 class TestBaseline:
     def test_baseline_is_dashed(self, example24):
-        svg = build_chart_svg(ChartSpec(kind=ChartKind.GAINS_FRACTION),
-                              [gains_series(example24, fraction=True)])
+        svg = render_chart(ChartSpec(kind=ChartKind.GAINS_FRACTION),
+                           [gains_series(example24, fraction=True)])
         dashed = [el for el in svg_root(svg).iter(f"{SVG_NS}line")
                   if el.get("stroke-dasharray")]
         assert len(dashed) == 1
 
     def test_baseline_omitted_on_request(self, example24):
-        svg = build_chart_svg(
+        svg = render_chart(
             ChartSpec(kind=ChartKind.GAINS_FRACTION, include_baseline=False),
             [gains_series(example24, fraction=True)])
         dashed = [el for el in svg_root(svg).iter(f"{SVG_NS}line")
@@ -86,7 +82,7 @@ class TestBaseline:
 
     def test_lift_baseline_sits_at_one(self, example24):
         series = lift_series(example24)
-        svg = build_chart_svg(ChartSpec(kind=ChartKind.LIFT), [series])
+        svg = render_chart(ChartSpec(kind=ChartKind.LIFT), [series])
         layout = layout_for(ChartKind.LIFT, [series])
         _, y_one = layout.px(0.0, 1.0)
         dashed = [el for el in svg_root(svg).iter(f"{SVG_NS}line")
@@ -98,14 +94,18 @@ class TestBaseline:
 class TestCompatibility:
     def test_kind_mismatch_rejected(self, example24):
         with pytest.raises(ValidationError, match="incompatible"):
-            build_chart_svg(ChartSpec(kind=ChartKind.ROC),
-                            [gains_series(example24)])
+            render_chart(ChartSpec(kind=ChartKind.ROC),
+                         [gains_series(example24)])
 
     def test_benefit_chart_accepts_costs_series(self, example24):
         series = benefit_series(example24, CostSpec(q_tp=10, q_fp=-1))
-        svg = build_chart_svg(ChartSpec(kind=ChartKind.BENEFIT), [series])
+        svg = render_chart(ChartSpec(kind=ChartKind.BENEFIT), [series])
         assert svg_root(svg) is not None
+
+    def test_benefit_series_needs_costs(self, example24):
+        with pytest.raises(ValidationError, match="a benefit chart needs costs"):
+            series_for(ChartKind.BENEFIT, example24)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError, match="no series"):
-            build_chart_svg(ChartSpec(kind=ChartKind.LIFT), [])
+            render_chart(ChartSpec(kind=ChartKind.LIFT), [])

@@ -213,6 +213,13 @@ class TestResampleCommand:
                            "--rates", "0.5", "--reps", "2", "--size", "50")
         assert code == 2
 
+    def test_rate_leaving_one_class_empty_exits_2(self, capsys):
+        code, out, err = run(capsys, "resample", "--input", EXAMPLE,
+                             "--rates", "0.01", "--size", "10")
+        assert (code, out) == (2, "")
+        assert err == ("gainslift: rate 0.01 at size 10 leaves no records "
+                       "of one class\n")
+
 
 class TestChartCommand:
     def test_svg_to_file(self, capsys, tmp_path):
@@ -316,9 +323,27 @@ class TestUsageErrors:
          "bad --swap '6-8', expected A:B"),
         (["resample", "--input", EXAMPLE, "--rates", "0.1,x"],
          "bad --rates '0.1,x'"),
+        (["auc", "--input", EXAMPLE, "--input", EXAMPLE],
+         "this command takes exactly one --input"),
+        (["auc", "--input", EXAMPLE, "--delimiter", ""],
+         "delimiter '' is not one character"),
+        (["auc", "--input", EXAMPLE, "--delimiter", "ab"],
+         "delimiter 'ab' is not one character"),
     ])
     def test_exit_1_with_the_message(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"gainslift: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["gains"], ["lift"], ["benefit", "--qtp", "1", "--qfp", "-1"]])
+    @pytest.mark.parametrize("fraction", ["1/0", "x"])
+    def test_unparseable_fraction_is_a_usage_error(self, capsys, argv,
+                                                   fraction):
+        code, out, err = run(capsys, *argv, "--input", EXAMPLE,
+                             "--fraction", fraction)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: gainslift ")
+        assert err.endswith(f"error: argument --fraction: invalid Fraction "
+                            f"value: {fraction!r}\n")
 
 
 # options every command that reads a scored file takes

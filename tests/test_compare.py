@@ -86,6 +86,23 @@ class TestCompareAt:
         with pytest.raises(ValidationError, match="target"):
             compare_at(runs, [])
 
+    def test_one_run_rejected(self, example24):
+        with pytest.raises(ValidationError, match="at least two runs"):
+            compare_at([ClassifierRun("a", example24)], [5])
+
+    def test_duplicate_run_names_rejected(self, example24, perturbed24):
+        runs = [ClassifierRun("a", example24), ClassifierRun("a", perturbed24)]
+        with pytest.raises(ValidationError,
+                           match=r"duplicate run names: \['a', 'a'\]"):
+            compare_at(runs, [5])
+
+    @pytest.mark.parametrize("target", [0, 25])
+    def test_target_out_of_range(self, example24, target):
+        runs = [ClassifierRun("a", example24), ClassifierRun("b", example24)]
+        with pytest.raises(ValidationError,
+                           match=rf"target n={target} out of range \[1, 24\]"):
+            compare_at(runs, [6, target])
+
     def test_winners_depend_only_on_prefix(self, example24):
         rng = np.random.default_rng(5)
         labels = list(example24.labels)

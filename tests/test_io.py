@@ -77,6 +77,20 @@ class TestLoadScored:
         records = load_scored(file)
         assert [r.score for r in records] == [0.7, 0.2]
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = write(tmp_path, "a.csv", "label,score\n1,0.9\n")
+        file = ScoredFile(path=path, delimiter=delimiter)
+        with pytest.raises(ValidationError,
+                           match=f"delimiter {delimiter!r} is not one character"):
+            load_scored(file)
+
+    def test_unknown_format(self, tmp_path):
+        path = write(tmp_path, "a.csv", "label,score\n1,0.9\n")
+        with pytest.raises(ValidationError,
+                           match="unknown input format 'xml'"):
+            _load_columns(ScoredFile(path=path, format="xml"))
+
     def test_jsonl(self, tmp_path):
         lines = [json.dumps({"id": "a", "score": 0.9, "label": 1}),
                  json.dumps({"id": "b", "score": 0.4, "label": 0})]
@@ -177,10 +191,13 @@ class TestEmitCurves:
         text = emit_curves([series], format="csv")
         assert "0.8333333333333334" in text
 
-    def test_writes_to_path(self, tmp_path, example24):
-        out = tmp_path / "curves.json"
-        emit_curves([gains_series(example24)], format="json", out=out)
-        assert parse_curves(out.read_text(), format="json")[0].name == "gains"
+    def test_csv_round_trip_keeps_series_apart(self, example24):
+        series = [gains_series(example24, fraction=True),
+                  roc_points(example24)]
+        again = parse_curves(emit_curves(series, format="csv"), format="csv")
+        assert [(s.name, s.x_kind) for s in again] == \
+            [(s.name, s.x_kind) for s in series]
+        assert [s.as_floats() for s in again] == [s.as_floats() for s in series]
 
 
 class TestCurveSeriesValidation:
@@ -361,6 +378,12 @@ class TestLoaderAgainstOracles:
           "{bad"], "row 2: label must be 0 or 1, got 1.0"),
         (['{"score": 0.5, "label": 1}', "{bad"], "row 2: bad json"),
         (['{"score": 0.5}'], "row 1: missing 'label' or 'score' field"),
+        # valid json that is not an object has no fields
+        (['{"score": 0.5, "label": 1}', "5"],
+         "row 2: missing 'label' or 'score' field"),
+        (["null"], "row 1: missing 'label' or 'score' field"),
+        (['"label score"'], "row 1: missing 'label' or 'score' field"),
+        (['["label", "score"]'], "row 1: missing 'label' or 'score' field"),
         (['{"score": NaN, "label": 1}'], "row 1: score nan is not finite"),
         (['{"score": 0.5, "label": true}'],
          "row 1: label must be 0 or 1, got True"),

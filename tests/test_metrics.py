@@ -245,6 +245,10 @@ class TestRendering:
     def test_half_up_rendering(self, value, places, expected):
         assert render_decimal(value, places) == expected
 
+    def test_negative_places_rejected(self):
+        with pytest.raises(ValidationError, match="places must be >= 0"):
+            render_decimal(Fraction(1, 3), -1)
+
     def test_exact_rendering(self):
         assert render_exact(Fraction(135, 144)) == "15/16"
         assert render_exact(Fraction(7, 1)) == "7"
@@ -334,6 +338,15 @@ class TestSeriesKernelsAgainstOracles:
             lift_series(ranked)
         with pytest.raises(ValidationError, match="no positives"):
             gains_series(ranked, fraction=True)
+
+
+class TestCutoffType:
+    @pytest.mark.parametrize("n", [2.0, "3", True, None])
+    @pytest.mark.parametrize("measure", [cum_gains, lift])
+    def test_non_integer_cutoff_rejected(self, example24, measure, n):
+        with pytest.raises(ValidationError,
+                           match=f"cutoff n must be an integer, got {n!r}"):
+            measure(example24, n)
 
 
 class TestCutoffFor:
