@@ -77,7 +77,7 @@ def accuracy_at(ranked: RankedTestSet, n: int) -> Fraction:
     Unlike the top-n confusion matrix this counts true negatives below the
     cutoff: (tp_n + tn_n_full) / N.
     """
-    ranked.check_cutoff(n, minimum=1)
+    n = ranked.check_cutoff(n, minimum=1)
     tp = ranked.positives_in_prefix(n)
     tn = ranked.n_total - n - (ranked.n_pos - tp)
     return Fraction(Fraction(tp + tn), ranked.n_total)
@@ -119,9 +119,13 @@ def compare_at(runs: Sequence[ClassifierRun],
     if not targets:
         raise ValidationError("no target cutoffs given")
     n_total = runs[0].ranked.n_total
+    seen: set[int] = set()
     for n in targets:
         if not 1 <= n <= n_total:
             raise ValidationError(f"target n={n} out of range [1, {n_total}]")
+        if n in seen:
+            raise ValidationError(f"repeated target n={n}")
+        seen.add(n)
 
     entries = []
     winners: dict[int, tuple[str, ...]] = {}

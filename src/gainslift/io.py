@@ -2,7 +2,11 @@
 
 Input is delimited text (header row required) or json-lines, read into
 validated id, score and label columns; delimited text is converted a column
-at a time and scanned row by row only to name a fault. Curve output is
+at a time and scanned row by row only to name a fault. A delimited file with
+an ASCII delimiter, no quote, carriage return or NUL byte, the header's
+field count on every non-blank line and no line over the csv module's field
+size limit is split in blocks of whole lines; any other file is read by the
+csv module, so both give the same columns and the same errors. Curve output is
 delimited text with shortest-roundtrip floats, or json carrying exact
 numerator/denominator fields so a re-parse reproduces the rationals bit for
 bit.
@@ -10,14 +14,16 @@ bit.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io as _stdio
 import json
 import math
+import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -123,32 +129,17 @@ def _read_csv(file: ScoredFile) -> tuple[list, Sequence[float], list]:
     if len(file.delimiter) != 1:
         raise ValidationError(
             f"delimiter {file.delimiter!r} is not one character")
-    # utf-8-sig drops a leading byte-order mark, which would otherwise stick
-    # to the first header name
-    with _unreadable_named(file), \
-            open(file.path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle, delimiter=file.delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{file.path}: missing header row")
-        # a repeated column name refers to its last occurrence
-        column = {name: i for i, name in enumerate(header)}
-        id_col = "id" if file.id_col is None and "id" in column else file.id_col
-        names = [file.label_col, file.score_col] + ([] if id_col is None else [id_col])
-        for col in names:
-            if col not in column:
-                raise ValidationError(
-                    f"{file.path}: column {col!r} not in header {sorted(column)}")
-        at = [column[name] for name in names]
-        width = max(at) + 1
-        rows = filter(None, reader)  # blank lines are not counted
-        columns = [[] for _ in at]
-        # a few thousand rows at a time, so that the rows are never all held
-        while chunk := list(islice(rows, 4096)):
-            if min(map(len, chunk)) < width:  # a short row lacks its last fields
-                chunk = [row + [None] * (width - len(row)) for row in chunk]
-            for col, i in zip(columns, at):
-                col += map(itemgetter(i), chunk)
+    with _unreadable_named(file), open(file.path, "rb") as raw:
+        columns = None
+        if raw.seekable():  # a pipe can be read only once
+            columns = _plain_texts(raw, file)
+            raw.seek(0)
+        if columns is None:
+            # utf-8-sig drops a leading byte-order mark, which would
+            # otherwise stick to the first header name
+            with _stdio.TextIOWrapper(raw, encoding="utf-8-sig",
+                                      newline="") as handle:
+                columns = _csv_texts(handle, file)
     label_texts, score_texts, *id_texts = columns
     ids = id_texts[0] if id_texts else \
         list(map(str, range(1, len(label_texts) + 1)))
@@ -162,6 +153,133 @@ def _read_csv(file: ScoredFile) -> tuple[list, Sequence[float], list]:
     if not valid:
         labels, scores = _scan_rows(ids, score_texts, label_texts)
     return ids, scores, labels
+
+
+def _header_columns(file: ScoredFile, header: list[str]) -> list[int]:
+    """Positions of the label, score and (if any) id columns in the header."""
+    # a repeated column name refers to its last occurrence
+    column = {name: i for i, name in enumerate(header)}
+    id_col = "id" if file.id_col is None and "id" in column else file.id_col
+    names = [file.label_col, file.score_col] + ([] if id_col is None else [id_col])
+    for col in names:
+        if col not in column:
+            raise ValidationError(
+                f"{file.path}: column {col!r} not in header {sorted(column)}")
+    return [column[name] for name in names]
+
+
+def _csv_texts(handle, file: ScoredFile) -> list[list]:
+    """The label, score and id columns' texts as the csv module reads them;
+    a short row reads its missing fields as None."""
+    reader = csv.reader(handle, delimiter=file.delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError(f"{file.path}: missing header row")
+    at = _header_columns(file, header)
+    width = max(at) + 1
+    rows = filter(None, reader)  # blank lines are not counted
+    columns = [[] for _ in at]
+    # a few thousand rows at a time, so that the rows are never all held
+    while chunk := list(islice(rows, 4096)):
+        if min(map(len, chunk)) < width:  # a short row lacks its last fields
+            chunk = [row + [None] * (width - len(row)) for row in chunk]
+        for col, i in zip(columns, at):
+            col += map(itemgetter(i), chunk)
+    return columns
+
+
+# Delimited text is read in blocks of whole lines of about this many bytes,
+# so the block size, not the file, sets the memory a read holds beyond its
+# columns.
+_BLOCK_BYTES = 1 << 16
+_BLANK_LINE = re.compile(rb"(?m)^\n")
+
+
+def _plain_texts(raw, file: ScoredFile) -> list[list] | None:
+    """The texts `_csv_texts` would return, split from whole blocks of lines
+    without tokenizing each field; None unless the bytes show that no csv
+    rule applies (see `_plain_fields`), and then the caller reads the file
+    again from its start through the csv module. A header that lacks a
+    column also gives None: the csv module names it, after reading what it
+    reads first."""
+    d = file.delimiter
+    if not d.isascii() or d in '"\r\n\0':
+        return None
+    limit = csv.field_size_limit()
+    blocks = _line_blocks(raw, limit)
+    first = next(blocks, None)
+    if first is None:
+        return None
+    head, _, body = first.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    # the header line passes the same checks, with its own field count
+    header = _plain_fields(head + b"\n", d, head.count(d.encode()) + 1, limit)
+    if not header:  # a blank first line is the csv module's empty header
+        return None
+    try:
+        at = _header_columns(file, header)
+    except ValidationError:
+        return None
+    width = len(header)
+    columns = [[] for _ in at]
+    for block in chain([body], blocks):
+        fields = None if block is None else _plain_fields(block, d, width, limit)
+        if fields is None:
+            return None
+        for col, i in zip(columns, at):
+            col += fields[i::width]
+    return columns
+
+
+def _line_blocks(raw, limit: int):
+    """The file's bytes in blocks of whole lines, each ending in a newline
+    (one is added after an unterminated last line); then None, and no more,
+    if a line runs past `limit` bytes before its end is found."""
+    # the bytes read since the last newline; a bytearray grows in place, so a
+    # line over many reads is copied once, not once a read
+    pending = bytearray()
+    while data := raw.read(_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            pending += memoryview(data)[:cut]
+            yield pending
+            pending = bytearray(memoryview(data)[cut:])
+        else:
+            pending += data
+        if len(pending) > limit:
+            yield None
+            return
+    if pending:
+        yield pending + b"\n"
+
+
+def _plain_fields(block: bytes, d: str, width: int, limit: int
+                  ) -> list[str] | None:
+    """The fields of a block of whole lines, row after row, with blank
+    lines dropped; or None where the csv module could read the block
+    otherwise than by splitting: a quote, carriage return or NUL byte, a
+    non-blank line without exactly `width` fields, a line longer than
+    `limit` bytes (the csv module's field size limit), or bytes that are not
+    UTF-8."""
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    if block.startswith(b"\n") or b"\n\n" in block:
+        block = _BLANK_LINE.sub(b"", block)
+    view = np.frombuffer(block, dtype=np.uint8)
+    newline = view == 10
+    ends = np.flatnonzero(newline | (view == ord(d)))  # field ends
+    # each line's last field end is its newline, and there are no others
+    line_ends = ends[width - 1::width]
+    if len(ends) != width * np.count_nonzero(newline) \
+            or not newline[line_ends].all() \
+            or (np.diff(line_ends, prepend=-1) > limit + 1).any():
+        return None
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    fields = text.replace("\n", d).split(d)
+    del fields[-1]  # the empty text after the last line's end
+    return fields
 
 
 def _scan_rows(ids, score_texts, label_texts) -> tuple[list[int], list[float]]:
@@ -237,9 +355,13 @@ def _curves_csv(series: Sequence[CurveSeries]) -> str:
     writer = csv.writer(buf)
     writer.writerow(["series", "x_kind", "x", "y"])
     for s in series:
-        writer.writerows(zip(repeat(s.name), repeat(s.x_kind.value),
-                             map(repr, s.x.floats().tolist()),
-                             map(repr, s.y.floats().tolist())))
+        # the csv module quotes the name and kind once; a float's repr never
+        # needs quoting, so every row is one format of that prefix
+        head = _stdio.StringIO()
+        csv.writer(head).writerow([s.name, s.x_kind.value, ""])
+        prefix = head.getvalue()[:-2].replace("{", "{{").replace("}", "}}")
+        buf.writelines(map(f"{prefix}{{!r}},{{!r}}\r\n".format,
+                           s.x.floats().tolist(), s.y.floats().tolist()))
     return buf.getvalue()
 
 

@@ -252,7 +252,7 @@ def render_exact(value: Number) -> str:
 
 def cum_gains(ranked: RankedTestSet, n: int) -> Gain:
     """True positives among the top-n ranked records (0 <= n <= N)."""
-    ranked.check_cutoff(n)
+    n = ranked.check_cutoff(n)
     return ranked.positives_in_prefix(n)
 
 
@@ -261,7 +261,7 @@ def p_cum_gains(ranked: RankedTestSet, n: int) -> Fraction:
 
     Like lift, defined for cutoffs n >= 1 only.
     """
-    ranked.check_cutoff(n, minimum=1)
+    n = ranked.check_cutoff(n, minimum=1)
     if ranked.n_pos == 0:
         raise ValidationError("p_cum_gains undefined: the set has no positives")
     return Fraction(_as_fraction(ranked.positives_in_prefix(n)), ranked.n_pos)
@@ -273,7 +273,7 @@ def lift(ranked: RankedTestSet, n: int) -> Fraction:
     Random targeting gives 1.0; n must be at least 1 because the ratio
     divides by n.
     """
-    ranked.check_cutoff(n, minimum=1)
+    n = ranked.check_cutoff(n, minimum=1)
     if ranked.n_pos == 0:
         raise ValidationError("lift undefined: the set has no positives")
     gains = _as_fraction(ranked.positives_in_prefix(n))
@@ -299,7 +299,7 @@ def decile_lift(ranked: RankedTestSet) -> list[Fraction]:
 
 def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
     """Net benefit of acting on the top-n records: tp*q_tp + fp*q_fp."""
-    ranked.check_cutoff(n)
+    n = ranked.check_cutoff(n)
     tp = ranked.positives_in_prefix(n)
     fp = n - tp
     return tp * costs.q_tp + fp * costs.q_fp
@@ -308,7 +308,7 @@ def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
 def n_confusion_matrix(ranked: RankedTestSet, n: int) -> NConfusionMatrix:
     """Top-n confusion matrix: every one of the n records is predicted
     positive, so fn = tn = 0 and tp + fp = n."""
-    ranked.check_cutoff(n, minimum=1)
+    n = ranked.check_cutoff(n, minimum=1)
     tp = ranked.positives_in_prefix(n)
     return NConfusionMatrix(n=n, tp=tp, fp=n - tp)
 

@@ -11,6 +11,7 @@ gains at every cutoff at once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -102,12 +103,20 @@ class RankedTestSet:
     def scores(self) -> tuple[float, ...]:
         return tuple(self._scores.tolist())
 
-    def check_cutoff(self, n: int, minimum: int = 0) -> None:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError(f"cutoff n must be an integer, got {n!r}")
+    def check_cutoff(self, n: int, minimum: int = 0) -> int:
+        """The cutoff n as a Python int, such as from a numpy integer, once
+        it is known to lie in [minimum, N]; a bool is no cutoff."""
+        try:
+            if isinstance(n, bool):  # an int, but True is no cutoff
+                raise TypeError
+            n = operator.index(n)
+        except TypeError:
+            raise ValidationError(
+                f"cutoff n must be an integer, got {n!r}") from None
         if n < minimum or n > self.n_total:
             raise ValidationError(
                 f"cutoff n={n} out of range [{minimum}, {self.n_total}]")
+        return n
 
     def positives_in_prefix(self, n: int) -> Gain:
         """Positive count among the top-n ranks, fractional under the

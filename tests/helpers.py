@@ -437,16 +437,18 @@ def load_jsonl_oracle(file: ScoredFile) -> list[ScoredRecord]:
     return records
 
 
-def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01
-                      ) -> tuple[str, dict, str]:
+def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01,
+                      quote_rate: float = 0.1) -> tuple[str, dict, str]:
     """A seeded delimited-text scored file: its text, the `ScoredFile`
     options that read it, and the encoding to write it in.
 
     The header may order the columns freely, carry an extra column, repeat
     a name (the last occurrence counts) and start with a byte-order mark.
-    Rows may be blank or short, carry ids holding the delimiter, quotes or
-    spaces, and lenient labels such as ' 1'. With `fault_rate` a row gets a
-    bad label, a bad score, an empty id or a repeated id.
+    Rows may be blank or short, carry ids holding spaces and, at
+    `quote_rate`, the delimiter and quotes, and lenient labels such as ' 1'.
+    With `fault_rate` a row gets a bad label, a bad score, an empty id or a
+    repeated id. A quote rate of 0 draws the same numbers as any other, so
+    it changes only the ids that would have been quoted.
     """
     delimiter = ";" if rng.random() < 0.3 else ","
     id_name = ("id", "key", None)[int(rng.integers(0, 3))]
@@ -469,7 +471,7 @@ def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01
             buf.write("\n")
             continue
         rid = f"r{i:03d}"
-        if rng.random() < 0.1:
+        if rng.random() < quote_rate:
             rid = f'x{delimiter}"{i}" '
         values = {"score": repr(float(rng.normal())),
                   "label": str(int(rng.integers(0, 2))),

@@ -319,6 +319,8 @@ class TestUsageErrors:
           "--targets", "6,x"], "bad --targets '6,x'"),
         (["compare", "--input", EXAMPLE, "--input", EXAMPLE, "--name", "a",
           "--targets", "6"], "--name count must match --input count"),
+        (["compare", "--input", EXAMPLE, "--input", EXAMPLE, "--name", "a",
+          "--name", "b", "--targets", "6,6"], "repeated target n=6"),
         (["perturb", "--input", EXAMPLE, "--swap", "6-8"],
          "bad --swap '6-8', expected A:B"),
         (["resample", "--input", EXAMPLE, "--rates", "0.1,x"],

@@ -103,6 +103,11 @@ class TestCompareAt:
                            match=rf"target n={target} out of range \[1, 24\]"):
             compare_at(runs, [6, target])
 
+    def test_repeated_target_rejected(self, example24):
+        runs = [ClassifierRun("a", example24), ClassifierRun("b", example24)]
+        with pytest.raises(ValidationError, match=r"^repeated target n=6$"):
+            compare_at(runs, [6, 3, 6])
+
     def test_winners_depend_only_on_prefix(self, example24):
         rng = np.random.default_rng(5)
         labels = list(example24.labels)

@@ -1,4 +1,9 @@
+import csv
+import io
 import json
+import os
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +14,7 @@ from gainslift import (ScoredFile, TiePolicy, ValidationError, decile_series,
                        example24_path, gains_series, lift_series, load_scored,
                        parse_curves, random_targeting_series, rank_records,
                        render_decimal, roc_points, save_scored)
+import gainslift.io as gio
 from gainslift.io import _load_columns
 from gainslift.metrics import CurveSeries, XKind
 from gainslift.records import _rank_columns
@@ -221,6 +227,21 @@ class TestCurveSeriesValidation:
                                 (Fraction(0), Fraction(1))))
 
 
+@pytest.fixture
+def plain_reads(monkeypatch):
+    """For each delimited file read, whether the plain route read it."""
+    reads = []
+    plain_texts = gio._plain_texts
+
+    def spy(raw, file):
+        columns = plain_texts(raw, file)
+        reads.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(gio, "_plain_texts", spy)
+    return reads
+
+
 def _outcome(load, file):
     """The records a loader returns, or the type and text of what it raises."""
     try:
@@ -281,11 +302,14 @@ class TestLoaderAgainstOracles:
     random files and on the error cases: the same records, or the same
     error message with the same row number."""
 
-    def test_random_csv_files(self, tmp_path):
+    def test_random_csv_files(self, tmp_path, plain_reads):
         rng = np.random.default_rng(20240)
         failures = 0
         for k in range(300):
-            text, options, encoding = random_scored_csv(rng)
+            # every other file holds no quoted id, so most of those take
+            # the plain route and the rest the csv module
+            text, options, encoding = random_scored_csv(
+                rng, quote_rate=0.1 if k % 2 else 0.0)
             path = tmp_path / f"r{k}.csv"
             path.write_text(text, encoding=encoding)
             file = ScoredFile(path=path, format="csv", **options)
@@ -293,6 +317,7 @@ class TestLoaderAgainstOracles:
             assert _outcome(load_scored, file) == expected, text
             failures += isinstance(expected, tuple)
         assert 30 < failures < 270  # both outcomes are well exercised
+        assert 60 < plain_reads.count(True) and 60 < plain_reads.count(False)
 
     def test_random_jsonl_files(self, tmp_path):
         rng = np.random.default_rng(20241)
@@ -417,6 +442,231 @@ class TestLoaderAgainstOracles:
         assert [(r.id, r.score, r.label) for r in records] == [("", 0.5, 1)]
 
 
+def _both_routes(monkeypatch, plain_reads, file):
+    """The loader's outcome, whether the plain route read the file (None if
+    it raised or was never tried), and the outcome when the csv module reads
+    every file."""
+    got = _outcome(load_scored, file)
+    plain = plain_reads[0] if len(plain_reads) == 1 else None
+    monkeypatch.setattr(gio, "_plain_texts", lambda raw, file: None)
+    want = _outcome(load_scored, file)
+    return got, plain, want
+
+
+LONG_ID = "x" * 200_000  # over the csv module's default field size limit
+HALF_LIMIT = "x" * 70_000  # two of these make a line over that limit
+
+
+class TestPlainRoute:
+    """Quote-free delimited text is split in whole blocks of lines; any file
+    the csv module might read otherwise falls back to it. Both routes must
+    give the same records, or the same error with the same row number."""
+
+    # name: (file bytes, ScoredFile options, whether the plain route reads it)
+    CASES = {
+        "plain": (b"id,score,label\na,0.5,1\nb,0.4,0\n", {}, True),
+        # fallback triggers
+        "quoted-field": (b'id,score,label\n"a",0.5,1\nb,0.4,0\n', {}, False),
+        "inner-quote": (b'id,score,label\na"b,0.5,1\n', {}, False),
+        "crlf": (b"id,score,label\r\na,0.5,1\r\nb,0.4,0\r\n", {}, False),
+        "cr": (b"id,score,label\na\rb,0.5,1\n", {}, False),
+        "nul": (b"id,score,label\na\0b,0.5,1\nb,0.4,0\n", {}, False),
+        "field-over-limit": (f"id,score,label\n{LONG_ID},0.5,1\n".encode(),
+                             {}, False),
+        "field-under-limit": (f"id,score,label\n{HALF_LIMIT},0.5,1\n".encode(),
+                              {}, True),
+        "line-over-limit": (
+            f"id,note,score,other,label\na,{HALF_LIMIT},0.5,{HALF_LIMIT},1\n"
+            .encode(), {}, False),
+        "short-row": (b"id,score,label\na,0.5,1\nb,0.4\n", {}, False),
+        "one-field-row": (b"id,score,label\na,0.5,1\nb\n", {}, False),
+        "spaces-row": (b"id,score,label\na,0.5,1\n   \n", {}, False),
+        "extra-fields": (b"id,score,label\na,0.5,1,extra\nb,0.4,0\n", {},
+                         False),
+        "extra-then-short": (b"id,score,label\na,0.5,1,extra\nb,0.4\n", {},
+                             False),
+        "trailing-delimiter": (b"id,score,label\na,0.5,1\nb,0.4,0,\n", {},
+                               False),
+        "not-utf8": (b"id,score,label\na,0.5,1\n\xff\xfe,0.4,0\n", {}, False),
+        "not-utf8-header": (b"\xff,score,label\na,0.5,1\n", {}, False),
+        # the header lacks a column, but the csv module decodes a chunk of
+        # the next line, past the plain route's first block, before saying so
+        "missing-column-then-not-utf8": (
+            b"id,score\na\xff" + b"x" * 70_000 + b"\n", {}, False),
+        "non-ascii-delimiter": ("id§score§label\na§0.5§1\nb§0.4§0\n".encode(),
+                                {"delimiter": "§"}, False),
+        "blank-header": (b"\nid,score,label\na,0.5,1\n", {}, False),
+        "empty-file": (b"", {}, False),
+        "missing-column": (b"id,score\na,0.5\n", {}, False),
+        # no csv rule applies: the plain route reads these
+        "non-ascii-id": (
+            "id,score,label\né\u2028✓ x,0.5,1\n\u00a0,0.4,0\n".encode(), {},
+            True),
+        "byte-order-mark": (b"\xef\xbb\xbfid,score,label\na,0.5,1\n", {},
+                            True),
+        "byte-order-mark-no-id": (b"\xef\xbb\xbflabel,score\n1,0.5\n0,0.4\n",
+                                  {}, True),
+        "blank-lines": (b"id,score,label\n\na,0.5,1\n\n\nb,0.4,0\n\n", {},
+                        True),
+        "only-blank-lines": (b"id,score,label\n\n\n\n", {}, True),
+        "header-only": (b"id,score,label\n", {}, True),
+        "unterminated-header": (b"id,score,label", {}, True),
+        "unterminated-row": (b"id,score,label\na,0.5,1", {}, True),
+        "semicolons-renamed": (b"y;p;name\n1;0.7;u\n0; 0.2 ;v\n 1 ;1e-3;w\n",
+                               {"delimiter": ";", "label_col": "y",
+                                "score_col": "p", "id_col": "name"}, True),
+        "tabs": (b"id\tscore\tlabel\na\t0.5\t1\n", {"delimiter": "\t"}, True),
+        "repeated-name": (b"label,score,label\n1,0.5,0\n0,0.4,1\n", {}, True),
+        "one-column": (b"label\n1\n0\n\n1\n", {"score_col": "label"}, True),
+        # row faults found after a plain read keep their row numbers
+        "bad-score": (b"id,score,label\na,0.5,1\n\nb,x,1\nc,0.4,7\n", {}, True),
+        "infinite-score": (b"id,score,label\na,0.5,1\nb,inf,1\n", {}, True),
+        "empty-id": (b"id,score,label\na,0.5,1\n,0.3,1\n", {}, True),
+        "duplicate-id": (b"id,score,label\na,0.5,1\nb,0.4,0\na,0.3,1\n", {},
+                         True),
+    }
+
+    @pytest.mark.parametrize("data,options,plain", CASES.values(),
+                             ids=CASES.keys())
+    def test_same_outcome_as_the_csv_route(self, tmp_path, monkeypatch,
+                                           plain_reads, data, options, plain):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        file = ScoredFile(path=path, format="csv", **options)
+        got, took_plain, want = _both_routes(monkeypatch, plain_reads, file)
+        assert got == want
+        assert took_plain is plain
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("late,plain", [
+        ("", True),
+        ("r9000,0.5,1\n\n\nr9001,0.4,0\n", True),
+        ("r9000," + "9" * 300 + ",1\n", True),  # longer than some blocks
+        ('"r9000",0.5,1\n', False),
+        ("r9000,0.5\n", False),
+        ("r9000,0.5,1\r\n", False),
+        ("r9000,0.5,2\n", True),
+    ], ids=["none", "blank-lines", "long-row", "quote", "short-row", "crlf",
+            "bad-label"])
+    def test_block_boundaries(self, tmp_path, monkeypatch, plain_reads, block,
+                              late, plain):
+        """A fault that first shows in a late block sends the whole file to
+        the csv route; a row may cross any number of block boundaries."""
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
+        rng = np.random.default_rng(block)
+        lines = ["id,score,label"] + [
+            "" if i % 17 == 16 else
+            f"r{i:04d},{rng.random()!r},{int(rng.integers(0, 2))}"
+            for i in range(120)]
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n" + late, encoding="utf-8")
+        file = ScoredFile(path=path)
+        got, took_plain, want = _both_routes(monkeypatch, plain_reads, file)
+        assert got == want and took_plain is plain
+        assert got == _outcome(load_csv_oracle, file)
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 16])
+    def test_late_bytes_that_are_not_utf8(self, tmp_path, monkeypatch,
+                                          plain_reads, block):
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
+        rows = b"".join(b"r%04d,0.5,%d\n" % (i, i % 2) for i in range(5000))
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"id,score,label\n" + rows + b"\xe9t\xe9,0.5,1\n")
+        got, took_plain, want = _both_routes(monkeypatch, plain_reads,
+                                             ScoredFile(path=path))
+        assert took_plain is False
+        assert got == want == ("ValidationError", f"{path}: not UTF-8 text")
+
+    def test_quote_free_file_never_calls_the_csv_route(self, tmp_path,
+                                                       monkeypatch):
+        def no_csv(handle, file):
+            raise AssertionError("the csv route read a quote-free file")
+
+        monkeypatch.setattr(gio, "_csv_texts", no_csv)
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", 256)
+        rng = np.random.default_rng(7)
+        lines = ["score,id,label"] + [
+            f"{rng.random()!r},r{i:05d},{int(rng.integers(0, 2))}"
+            for i in range(3000)]
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ids, scores, labels = _load_columns(path)
+        assert ids.tolist() == [f"r{i:05d}" for i in range(3000)]
+        assert scores.tolist() == [float(line.split(",")[0])
+                                   for line in lines[1:]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_once_by_the_csv_route(self, tmp_path, plain_reads):
+        path = tmp_path / "in.csv"
+        os.mkfifo(path)
+        feeder = threading.Thread(target=path.write_bytes, daemon=True,
+                                  args=(b"id,score,label\na,0.5,1\nb,0.4,0\n",))
+        feeder.start()
+        try:
+            records = load_scored(path)
+        finally:
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert plain_reads == []
+        assert [(r.id, r.score, r.label) for r in records] == [
+            ("a", 0.5, 1), ("b", 0.4, 0)]
+
+    def test_size_limit_is_read_at_each_load(self, tmp_path, monkeypatch,
+                                             plain_reads):
+        """A lowered field size limit turns long lines away from the plain
+        route, and the csv module then names the oversize field."""
+        path = write(tmp_path, "in.csv", "id,score,label\n" + "x" * 40
+                     + ",0.5,1\n")
+        limit = csv.field_size_limit(32)
+        try:
+            got, took_plain, want = _both_routes(monkeypatch, plain_reads,
+                                                 ScoredFile(path=path))
+        finally:
+            csv.field_size_limit(limit)
+        assert took_plain is False
+        assert got == want == (
+            "ValidationError", f"{path}: field larger than field limit (32)")
+
+    @pytest.mark.parametrize("data,blocks", [
+        (b"", []),
+        (b"a\nb", [b"a\n", b"b\n"]),
+        (b"a\nbb\nccc\n\n", [b"a\n", b"bb\n", b"ccc\n\n"]),
+        (b"a\n" + b"x" * 20 + b"\nb\n", [b"a\n", b"x" * 20 + b"\n", b"b\n"]),
+        (b"a\n" + b"x" * 40, [b"a\n", None]),
+    ], ids=["empty", "unterminated", "blank-last", "line-over-block",
+            "line-over-limit"])
+    def test_line_blocks(self, monkeypatch, data, blocks):
+        """Blocks of whole lines, each ending in a newline; a line that runs
+        past the size limit ends the blocks early, unread to its end."""
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", 4)
+        assert list(gio._line_blocks(io.BytesIO(data), limit=32)) == blocks
+
+    def test_memory_bounded_by_the_block_not_the_file(self, tmp_path,
+                                                      monkeypatch,
+                                                      plain_reads):
+        """Splitting a block at a time holds one block's fields beyond the
+        columns, so a 10^5-row read peaks no higher than the csv route's."""
+        rng = np.random.default_rng(99)
+        rows = 100_000
+        lines = ["id,score,label"] + [
+            f"r{i:06d},{s!r},{y}" for i, (s, y) in enumerate(zip(
+                rng.random(rows).tolist(), rng.integers(0, 2, rows).tolist()))]
+        path = write(tmp_path, "big.csv", "\n".join(lines) + "\n")
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                _load_columns(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain_peak = peak()
+        assert plain_reads == [True]
+        monkeypatch.setattr(gio, "_plain_texts", lambda raw, file: None)
+        assert plain_peak <= 1.1 * peak()
+
+
 class TestColumnarLoader:
     """The command line ranks the loader's columns directly; that must give
     the same ranked set as ranking the records `load_scored` returns."""
@@ -471,7 +721,7 @@ class TestColumnarLoader:
 
 class TestSerializersAgainstOracles:
     NAMES = ["plain", "with,comma", 'with "quote"', "ünïcødé ✓", "tab\tand\\slash",
-             "new\nline", ""]
+             "new\nline", "", "{0} {x!r} }{"]
 
     @pytest.mark.parametrize("name", NAMES)
     def test_names_needing_quoting_or_escaping(self, example24, name):

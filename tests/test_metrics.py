@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gainslift import (CostSpec, CurveSeries, ScoredRecord, TiePolicy,
-                       ValidationError, XKind, cum_benefit, cum_gains,
+                       ValidationError, XKind, accuracy_at, cum_benefit,
+                       cum_gains,
                        decile_lift, emit_curves, gains_series, lift,
                        lift_series, n_confusion_matrix, p_cum_gains,
                        random_targeting_rate, rank_records, render_decimal,
@@ -179,6 +180,46 @@ class TestNConfusion:
                 m = n_confusion_matrix(ranked, n)
                 assert m.tp + m.fp == n
                 assert m.fn == 0 and m.tn == 0
+
+
+class TestNumpyIntegerCutoffs:
+    """A cutoff taken from a numpy array is an exact integer: each
+    single-cutoff measure gives for it what it gives for the Python int, of
+    the same Python type."""
+
+    @staticmethod
+    def _measures(ranked, n):
+        matrix = n_confusion_matrix(ranked, n)
+        return [cum_gains(ranked, n), p_cum_gains(ranked, n), lift(ranked, n),
+                accuracy_at(ranked, n),
+                cum_benefit(ranked, n, CostSpec(q_tp=2, q_fp=-1)),
+                matrix.n, matrix.tp, matrix.fp]
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_same_values_and_types_as_a_python_int(self, policy, dtype):
+        ranked = rank_records(records_from_labels(
+            [1, 0, 1, 1, 0, 0, 1, 0], [0.9, 0.5, 0.5, 0.5, 0.2, 0.2, 0.1, 0.0]),
+            policy)
+        for n in range(1, ranked.n_total + 1):
+            want = self._measures(ranked, n)
+            got = self._measures(ranked, dtype(n))
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert {type(v) for v in got} <= {int, Fraction}
+        assert cum_gains(ranked, dtype(0)) == 0
+
+    @pytest.mark.parametrize("n", [True, np.bool_(True), 3.0, np.float64(3),
+                                   "3", Fraction(3)])
+    def test_non_integers_rejected(self, example24, n):
+        with pytest.raises(ValidationError,
+                           match="cutoff n must be an integer"):
+            cum_gains(example24, n)
+
+    def test_numpy_cutoff_out_of_range_names_a_plain_int(self, example24):
+        with pytest.raises(ValidationError,
+                           match=r"^cutoff n=25 out of range \[1, 24\]$"):
+            lift(example24, np.int64(25))
 
 
 class TestTailPermutation:
