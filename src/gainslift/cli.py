@@ -370,7 +370,8 @@ def _cmd_disagree(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    pool = io.load_scored(_scored_file(args, _single_input(args)))
+    # the loader has checked the ids; only scores and labels are kept
+    scores, labels = io._load_columns(_scored_file(args, _single_input(args)))[1:]
     try:
         rates = tuple(float(r) for r in args.rates.split(",") if r)
     except ValueError:
@@ -378,7 +379,7 @@ def _cmd_resample(args) -> int:
     plan = resample.ResamplePlan(target_rates=rates,
                                  replicate_count=args.reps,
                                  sample_size=args.size, seed=args.seed)
-    summary = resample.run_plan(pool, plan)
+    summary = resample._run_columns(scores[labels == 1], scores[labels == 0], plan)
     if args.format == "json":
         _emit(args, io.summary_to_json(summary))
     else:

@@ -452,6 +452,8 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
         count = space
         chunks = _exhaustive_chunks(n_total, n_pos, rows)
     else:
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         sampled = _sampled_positions(n_total, n_pos, budget, seed)
         count = len(sampled)
         chunks = (sampled[k:k + rows] for k in range(0, count, rows))

@@ -21,7 +21,7 @@ import json
 import math
 import re
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
@@ -91,7 +91,8 @@ def _load_columns(file: ScoredFile | str | Path, **overrides
     """A scored file's validated ids (object array), float64 scores and
     int64 labels in row order; the command line's one check for repeated ids."""
     if not isinstance(file, ScoredFile):
-        file = ScoredFile(path=file, format=guess_format(file), **overrides)
+        file = ScoredFile(path=file, format=guess_format(file))
+    file = replace(file, **overrides)
     read = {"csv": _read_csv, "jsonl": _read_jsonl}.get(file.format)
     if read is None:
         raise ValidationError(f"unknown input format {file.format!r}")

@@ -385,7 +385,10 @@ def doubled_mann_whitney_u(group_ends, group_pos, n_pos: int) -> int:
 
     Ranks ascend with score (rank 1 = lowest). A tie group occupying
     ascending ranks s+1..s+g has midrank s + (g+1)/2, i.e. doubled
-    2s + g + 1, so the doubled statistic stays integral.
+    2s + g + 1, so the doubled statistic stays integral. U / (P * N) is the
+    area under the ROC curve, ties counting one half (Hanley & McNeil,
+    "The meaning and use of the area under a receiver operating
+    characteristic (ROC) curve", Radiology 143(1), 1982).
     """
     ends = np.asarray(group_ends, dtype=np.int64)
     sizes = np.diff(ends, prepend=0)

@@ -5,7 +5,9 @@ positive rate. `run_plan` draws repeated stratified subsamples at each target
 rate, evaluates fractional gains and lift on a common grid, and aggregates
 mean/min/max bands; `regularity_check` then tests the expected ordering: for
 a better-than-random scorer, rarer positives mean higher lift at small
-targeting fractions.
+targeting fractions. The pool is checked whole, as `rank_records` checks a
+set, and split once into the positive and negative score columns every
+replicate draws from; the command line passes the loader's columns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .metrics import cutoff_for, doubled_mann_whitney_u
-from .records import ScoredRecord, rank_records
+from .records import ScoredRecord, _columns
+from .records import rank_records  # noqa: F401  (perfbench wraps it here)
 
 GRID_POINTS = 100
 BETTER_THAN_RANDOM_MARGIN = 0.02
@@ -51,6 +54,8 @@ class ResamplePlan:
             raise ValidationError("replicate_count must be >= 1")
         if self.sample_size < 10:
             raise ValidationError("sample_size must be >= 10")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -87,63 +92,36 @@ class ResampleSummary:
         raise ValidationError(f"no band for rate {rate}")
 
 
-def _draw(rate: float, size: int, n_pos: int, n_neg: int,
-          seed) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of round(rate*size) of n_pos positives and of the complement
-    of n_neg negatives, uniformly without replacement within each class."""
+def _wanted(rate: float, size: int, n_pos: int, n_neg: int) -> int:
+    """round(rate*size), once n_pos positives and n_neg negatives are known
+    to hold that many positives and the complement of negatives."""
     if not 0.0 < rate < 1.0:
         raise ValidationError(f"rate {rate} must be strictly inside (0, 1)")
     if size < 1:
         raise ValidationError("sample size must be positive")
     want_pos = _positives_for(rate, size)
-    want_neg = size - want_pos
-    if n_pos < want_pos or n_neg < want_neg:
+    if n_pos < want_pos or n_neg < size - want_pos:
         raise InfeasibleError(
             f"rate {rate} at size {size} needs {want_pos} positives and "
-            f"{want_neg} negatives; pool has {n_pos}/{n_neg}")
+            f"{size - want_pos} negatives; pool has {n_pos}/{n_neg}")
+    return want_pos
+
+
+def _draw(want_pos: int, size: int, pos: np.ndarray, neg: np.ndarray,
+          seed) -> np.ndarray:
+    """want_pos entries of the positives' column, then size - want_pos of
+    the negatives', uniformly without replacement within each class."""
     rng = np.random.default_rng(seed)
-    pos_idx = rng.choice(n_pos, size=want_pos, replace=False)
-    neg_idx = rng.choice(n_neg, size=want_neg, replace=False)
-    return pos_idx, neg_idx
+    picked_pos = pos[rng.choice(len(pos), want_pos, replace=False)]
+    picked_neg = neg[rng.choice(len(neg), size - want_pos, replace=False)]
+    return np.concatenate((picked_pos, picked_neg))
 
 
-def stratified_sample(pool: Sequence[ScoredRecord], rate: float, size: int,
-                      seed) -> list[ScoredRecord]:
-    """Draw exactly round(rate*size) positives and the complement negatives,
-    uniformly without replacement within each class; positives come first.
-
-    `seed` may be an int or a numpy Generator; the same seed always yields
-    the same sample, and the sample `run_plan` draws for the same seed.
-    """
-    pos = [r for r in pool if r.label == 1]
-    neg = [r for r in pool if r.label == 0]
-    pos_idx, neg_idx = _draw(rate, size, len(pos), len(neg), seed)
-    return [pos[i] for i in pos_idx] + [neg[i] for i in neg_idx]
-
-
-def _default_grid() -> tuple[float, ...]:
-    return tuple(k / GRID_POINTS for k in range(1, GRID_POINTS + 1))
-
-
-def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummary:
-    """Execute the plan: per rate, draw replicates, rank each, evaluate
-    fractional gains/lift on the grid, and aggregate bands.
-
-    Replicate r at rate index k is seeded from (plan.seed, k, r), so results
-    are bit-identical across runs and independent of evaluation order.
-
-    The pool is split into positive and negative score arrays once. Each
-    replicate draws the same indices `stratified_sample` would, ranks the
-    sample with a stable descending sort (the input-order tie policy),
-    reads gains from an integer cumulative sum, and takes the midrank AUC
-    from its tie groups. A sample raises what ranking it as records would:
-    a non-finite score or a repeated id fails only the samples that hold it.
-    """
-    grid = _default_grid()
-    size = plan.sample_size
-    cutoffs = np.array([cutoff_for(Fraction(k, GRID_POINTS), size)
-                        for k in range(1, GRID_POINTS + 1)], dtype=np.int64)
-
+def _split(pool: Sequence[ScoredRecord]) -> tuple[np.ndarray, ...]:
+    """The pool rows of the positives and the negatives, then their scores,
+    in pool order. A pool the three streaming passes cannot prove valid is
+    checked as `rank_records` checks a set, which raises its diagnostic or,
+    for distinct ids that merely share a hash, passes."""
     # each whole-pool array is dropped once used, so the split's peak memory
     # stays near one array the size of the pool
     labels = np.array([r.label for r in pool])
@@ -152,33 +130,68 @@ def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummar
     del labels
     scores = np.fromiter((r.score for r in pool), dtype=np.float64,
                          count=len(pool))
+    valid = len(pos_rows) + len(neg_rows) == len(pool) and np.isfinite(scores).all()
     pos_scores, neg_scores = scores[pos_rows], scores[neg_rows]
     del scores
-    # distinct id hashes prove no sample can repeat an id; a repeated hash
-    # sends every sample through the record-level check
     id_hashes = np.fromiter((hash(r.id) for r in pool), dtype=np.int64,
                             count=len(pool))
     id_hashes.sort()
-    unique_ids = not np.any(id_hashes[1:] == id_hashes[:-1])
-    del id_hashes
+    if not (valid and np.all(id_hashes[1:] != id_hashes[:-1])):
+        _columns(pool)
+    return pos_rows, neg_rows, pos_scores, neg_scores
 
-    bands = []
-    for k, rate in enumerate(plan.target_rates):
-        want_pos = _positives_for(rate, size)
-        if want_pos < 1 or want_pos >= size:
+
+def stratified_sample(pool: Sequence[ScoredRecord], rate: float, size: int,
+                      seed) -> list[ScoredRecord]:
+    """Draw exactly round(rate*size) positives and the complement negatives,
+    uniformly without replacement within each class; positives come first.
+
+    `seed` may be an int or a numpy Generator; the same seed always yields
+    the same sample, and the sample `run_plan` draws for the same seed. The
+    pool is checked whole first, as `run_plan` checks it.
+    """
+    pos_rows, neg_rows, _, _ = _split(pool)
+    want_pos = _wanted(rate, size, len(pos_rows), len(neg_rows))
+    rows = _draw(want_pos, size, pos_rows, neg_rows, seed)
+    return [pool[i] for i in rows.tolist()]
+
+
+def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummary:
+    """Execute the plan: per rate, draw replicates, rank each, evaluate
+    fractional gains/lift on the grid, and aggregate bands.
+
+    Replicate r at rate index k is seeded from (plan.seed, k, r), so results
+    are bit-identical across runs and independent of evaluation order. The
+    pool is checked whole first and raises what `rank_records` raises for it.
+    """
+    return _run_columns(*_split(pool)[2:], plan)
+
+
+def _run_columns(pos_scores: np.ndarray, neg_scores: np.ndarray,
+                 plan: ResamplePlan) -> ResampleSummary:
+    """`run_plan` on a valid pool's positive and negative scores, each in
+    pool order. Every rate is checked feasible, in rate order, before any
+    work. Each replicate draws the same indices `stratified_sample` would,
+    ranks the sample with a stable descending sort (the input-order tie
+    policy), reads gains from an integer cumulative sum, and takes the
+    midrank AUC from its tie groups."""
+    size = plan.sample_size
+    wanted = []
+    for rate in plan.target_rates:
+        if not 1 <= _positives_for(rate, size) < size:
             raise InfeasibleError(
                 f"rate {rate} at size {size} leaves no records of one class")
+        wanted.append(_wanted(rate, size, len(pos_scores), len(neg_scores)))
+    cutoffs = np.array([cutoff_for(Fraction(k, GRID_POINTS), size)
+                        for k in range(1, GRID_POINTS + 1)], dtype=np.int64)
+
+    bands = []
+    for k, (rate, want_pos) in enumerate(zip(plan.target_rates, wanted)):
         lift_rows = np.empty((plan.replicate_count, GRID_POINTS))
         pcg_rows = np.empty((plan.replicate_count, GRID_POINTS))
         aucs = []
         for r in range(plan.replicate_count):
-            pos_idx, neg_idx = _draw(rate, size, len(pos_rows), len(neg_rows),
-                                     [plan.seed, k, r])
-            sample = np.concatenate((pos_scores[pos_idx], neg_scores[neg_idx]))
-            if not (unique_ids and np.isfinite(sample).all()):
-                # raises as before for a sample that holds a bad record
-                rank_records([pool[i] for i in np.concatenate(
-                    (pos_rows[pos_idx], neg_rows[neg_idx]))])
+            sample = _draw(want_pos, size, pos_scores, neg_scores, [plan.seed, k, r])
             order = np.argsort(-sample, kind="stable")
             ranked_scores = sample[order]
             prefix = np.cumsum(order < want_pos)  # positives lead the sample
@@ -198,6 +211,7 @@ def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummar
             p_cum_gains=_band(pcg_rows),
             lift=_band(lift_rows),
         ))
+    grid = tuple(k / GRID_POINTS for k in range(1, GRID_POINTS + 1))
     return ResampleSummary(grid=grid, sample_size=size,
                            replicate_count=plan.replicate_count,
                            seed=plan.seed, bands=tuple(bands))

@@ -438,7 +438,8 @@ def load_jsonl_oracle(file: ScoredFile) -> list[ScoredRecord]:
 
 
 def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01,
-                      quote_rate: float = 0.1) -> tuple[str, dict, str]:
+                      quote_rate: float = 0.1,
+                      tie_step: float = 0.0) -> tuple[str, dict, str]:
     """A seeded delimited-text scored file: its text, the `ScoredFile`
     options that read it, and the encoding to write it in.
 
@@ -448,7 +449,9 @@ def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01,
     `quote_rate`, the delimiter and quotes, and lenient labels such as ' 1'.
     With `fault_rate` a row gets a bad label, a bad score, an empty id or a
     repeated id. A quote rate of 0 draws the same numbers as any other, so
-    it changes only the ids that would have been quoted.
+    it changes only the ids that would have been quoted. A positive
+    `tie_step` rounds every score to a multiple of it, so ties are common;
+    it too draws the same numbers.
     """
     delimiter = ";" if rng.random() < 0.3 else ","
     id_name = ("id", "key", None)[int(rng.integers(0, 3))]
@@ -473,7 +476,10 @@ def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01,
         rid = f"r{i:03d}"
         if rng.random() < quote_rate:
             rid = f'x{delimiter}"{i}" '
-        values = {"score": repr(float(rng.normal())),
+        score = float(rng.normal())
+        if tie_step:
+            score = round(score / tie_step) * tie_step
+        values = {"score": repr(score),
                   "label": str(int(rng.integers(0, 2))),
                   "note": "n", "key": rid, "id": rid}
         if rng.random() < 0.1:

@@ -1,14 +1,20 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from gainslift import (ScoredFile, ValidationError, auc_pairs, cum_gains, decile_lift, example24_path,
-                       lift, load_scored, parse_curves, rank_records,
-                       render_decimal, roc_points)
+from gainslift import (InfeasibleError, ResamplePlan, ScoredFile,
+                       ValidationError, auc_pairs, cum_gains, decile_lift,
+                       example24_path, lift, load_scored, parse_curves,
+                       rank_records, render_decimal, roc_points, run_plan,
+                       summary_to_csv, summary_to_json)
+import gainslift.cli
 from gainslift.cli import cli_main
+from gainslift.io import _load_columns
 
-from helpers import load_csv_oracle, load_jsonl_oracle
+from helpers import load_csv_oracle, load_jsonl_oracle, random_scored_csv
 
 EXAMPLE = str(example24_path())
 
@@ -191,6 +197,20 @@ class TestDisagreeCommand:
         assert code == 2
         assert "budget" in err or "not certified" in err
 
+    def test_sampled_search_rejects_a_negative_seed(self, capsys):
+        code, out, err = run(capsys, "disagree", "--metric-a", "auc",
+                             "--metric-b", "lift@6", "--n", "40",
+                             "--npos", "20", "--budget", "5", "--seed", "-1")
+        assert (code, out, err) == (
+            1, "", "gainslift: seed must be >= 0, got -1\n")
+
+    def test_exhaustive_search_ignores_the_seed(self, capsys):
+        argv = ["disagree", "--metric-a", "auc", "--metric-b", "lift@6",
+                "--n", "10", "--npos", "5"]
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, out, err) == (0, *run(capsys, *argv)[1:])
+        assert out.startswith("disagreement: auc vs lift@6")
+
 
 class TestResampleCommand:
     def test_summary_emission(self, capsys, tmp_path):
@@ -219,6 +239,82 @@ class TestResampleCommand:
         assert (code, out) == (2, "")
         assert err == ("gainslift: rate 0.01 at size 10 leaves no records "
                        "of one class\n")
+
+    def test_negative_seed_exits_1(self, capsys):
+        code, out, err = run(capsys, "resample", "--input", EXAMPLE,
+                             "--rates", "0.3", "--size", "10", "--seed", "-1")
+        assert (code, out, err) == (
+            1, "", "gainslift: seed must be >= 0, got -1\n")
+
+    def test_huge_size_exits_2(self, capsys):
+        code, out, err = run(capsys, "resample", "--input", EXAMPLE,
+                             "--rates", "0.3",
+                             "--size", "100000000000000000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("gainslift: rate 0.3 at size "
+                              "100000000000000000000 needs ")
+        assert err.endswith(" negatives; pool has 12/12\n")
+
+    def test_random_files_against_the_record_route(self, capsys, tmp_path):
+        """`resample` reads the loader's columns; on the first 20 random
+        files that give a summary, and every file drawn before them, it
+        prints what the library's record route gives for the file."""
+        path = tmp_path / "pool.csv"
+        summaries = 0
+        for seed in range(400):
+            rng = np.random.default_rng(7300 + seed)
+            text, options, encoding = random_scored_csv(
+                rng, quote_rate=(0.0, 0.3)[seed % 2],
+                tie_step=(0.0, 0.5)[seed // 2 % 2])
+            path.write_text(text, encoding=encoding)
+            plan = ResamplePlan(target_rates=(0.2, 0.4), replicate_count=3,
+                                sample_size=10, seed=seed)
+            try:
+                summary = run_plan(load_scored(ScoredFile(path, **options)),
+                                   plan)
+                want = {"csv": (0, summary_to_csv(summary), ""),
+                        "json": (0, summary_to_json(summary), "")}
+                summaries += 1
+            except (InfeasibleError, ValidationError) as exc:
+                code = 2 if isinstance(exc, InfeasibleError) else 1
+                want = dict.fromkeys(("csv", "json"),
+                                     (code, "", f"gainslift: {exc}\n"))
+            flags = ["--delimiter", options["delimiter"]]
+            if "id_col" in options:
+                flags += ["--id-col", options["id_col"]]
+            for fmt in ("csv", "json"):
+                got = run(capsys, "resample", "--input", str(path), *flags,
+                          "--rates", "0.2,0.4", "--reps", "3", "--size", "10",
+                          "--seed", str(seed), "--format", fmt)
+                assert got == want[fmt], (seed, fmt)
+            if summaries == 20:
+                break
+        assert summaries == 20
+
+    def test_peak_memory_stays_near_the_loaders(self, tmp_path):
+        rng = np.random.default_rng(23)
+        rows = 10**5
+        lines = ["id,score,label"] + [
+            f"r{i:06d},{s!r},{y}" for i, (s, y) in enumerate(zip(
+                rng.random(rows).tolist(), rng.integers(0, 2, rows).tolist()))]
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        gainslift.cli._shared_parser()  # built once, outside the trace
+
+        def peak(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loader = peak(lambda: _load_columns(path))
+        command = peak(lambda: cli_main([
+            "resample", "--input", str(path), "--rates", "0.05,0.117,0.2",
+            "--reps", "3", "--size", "5000",
+            "--out", str(tmp_path / "bands.csv")]))
+        assert command <= 1.05 * loader
 
 
 class TestChartCommand:

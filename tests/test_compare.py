@@ -228,6 +228,16 @@ class TestFindDisagreement:
         assert not report.exhaustive
         assert report.certify()
 
+    def test_sampled_search_rejects_a_negative_seed(self):
+        with pytest.raises(ValidationError) as info:
+            find_disagreement("auc", "lift@6", 40, 20, budget=5, seed=-1)
+        assert str(info.value) == "seed must be >= 0, got -1"
+
+    def test_exhaustive_search_ignores_the_seed(self):
+        # the exhaustive route draws nothing, so no seed is wrong for it
+        assert (find_disagreement("auc", "lift@6", 10, 5, seed=-1)
+                == find_disagreement("auc", "lift@6", 10, 5, seed=0))
+
     @pytest.mark.parametrize("metric_a,metric_b,n_total,n_pos,message", [
         (Metric("gini"), "auc", 6, 3, "metric gini needs a cutoff in [1, 6]"),
         (Metric("gini", 3), "auc", 6, 3, "unknown metric kind 'gini'"),

@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (ScoredFile, TiePolicy, ValidationError, decile_series,
-                       emit_curves,
-                       example24_path, gains_series, lift_series, load_scored,
-                       parse_curves, random_targeting_series, rank_records,
-                       render_decimal, roc_points, save_scored)
+from gainslift import (ScoredFile, ScoredRecord, TiePolicy, ValidationError,
+                       decile_series, emit_curves, example24_path,
+                       gains_series, lift_series, load_scored, parse_curves,
+                       random_targeting_series, rank_records, render_decimal,
+                       roc_points, save_scored)
 import gainslift.io as gio
 from gainslift.io import _load_columns
 from gainslift.metrics import CurveSeries, XKind
@@ -82,6 +82,25 @@ class TestLoadScored:
                           label_col="y", score_col="p")
         records = load_scored(file)
         assert [r.score for r in records] == [0.7, 0.2]
+
+    def test_overrides_apply_to_a_scored_file(self, tmp_path):
+        path = write(tmp_path, "semi.csv", "id;label;score\na;1;0.7\nb;0;0.2\n")
+        records = load_scored(ScoredFile(path), delimiter=";")
+        assert [(r.id, r.score, r.label) for r in records] == [
+            ("a", 0.7, 1), ("b", 0.2, 0)]
+        # fields the overrides leave alone keep the file's values
+        file = ScoredFile(path, delimiter=";", label_col="y")
+        assert load_scored(file, label_col="label") == records
+
+    @pytest.mark.parametrize("name, format", [
+        ("x.csv", "csv"), ("x.data", "jsonl"), ("x.jsonl", "csv")])
+    def test_format_override_on_a_path(self, tmp_path, name, format):
+        text = ('{"id": "a", "label": 1, "score": 0.7}\n' if format == "jsonl"
+                else "id,label,score\na,1,0.7\n")
+        path = write(tmp_path, name, text)
+        assert load_scored(path, format=format) == [ScoredRecord("a", 0.7, 1)]
+        assert load_scored(str(path), format=format) == [
+            ScoredRecord("a", 0.7, 1)]
 
     @pytest.mark.parametrize("delimiter", ["", ";;"])
     def test_delimiter_must_be_one_character(self, tmp_path, delimiter):

@@ -8,6 +8,7 @@ from gainslift import (InfeasibleError, RegularityOutcome, ResamplePlan,
                        ScoredRecord, ValidationError, auc_pairs, rank_records,
                        regularity_check, run_plan, stratified_sample,
                        summary_to_json, synthetic_scorer)
+from gainslift import resample
 from gainslift.resample import SEPARATION_AUC_090, _positives_for
 
 from helpers import records_from_labels, run_plan_oracle
@@ -75,6 +76,11 @@ class TestPlanValidation:
             ResamplePlan(target_rates=(0.2,), replicate_count=5,
                          sample_size=9, seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            ResamplePlan(target_rates=(0.2,), replicate_count=5,
+                         sample_size=100, seed=-1)
+
 
 class TestRunPlan:
     def test_band_shape_and_ordering(self, small_pool):
@@ -117,6 +123,34 @@ class TestRunPlan:
                             sample_size=5000, seed=0)
         with pytest.raises(InfeasibleError, match="0.9"):
             run_plan(small_pool, plan)
+
+    def test_huge_size_is_infeasible_before_the_grid(self):
+        pool = records_from_labels([1] * 12 + [0] * 12)
+        plan = ResamplePlan(target_rates=(0.3,), replicate_count=1,
+                            sample_size=10**20, seed=0)
+        with pytest.raises(InfeasibleError) as info:
+            run_plan(pool, plan)
+        want = _positives_for(0.3, 10**20)  # 0.3 as its exact binary value
+        assert str(info.value) == (
+            f"rate 0.3 at size {10**20} needs {want} positives and "
+            f"{10**20 - want} negatives; pool has 12/12")
+
+    @pytest.mark.parametrize("rates, message", [
+        ((0.9, 0.01), "rate 0.9 at size 10 needs 9 positives"),
+        ((0.01, 0.9), "rate 0.01 at size 10 leaves no records"),
+        ((0.2, 0.9), "rate 0.9 at size 10 needs 9 positives"),
+    ])
+    def test_rates_checked_in_order_before_any_draw(self, monkeypatch,
+                                                    rates, message):
+        pool = records_from_labels([1] * 3 + [0] * 50)
+        plan = ResamplePlan(target_rates=rates, replicate_count=2,
+                            sample_size=10, seed=0)
+        draws = []
+        monkeypatch.setattr(resample, "_draw",
+                            lambda *args: draws.append(args))
+        with pytest.raises(InfeasibleError, match=message):
+            run_plan(pool, plan)
+        assert draws == []
 
     def test_realized_rate_reported(self, small_pool):
         plan = ResamplePlan(target_rates=(0.117,), replicate_count=2,
@@ -274,11 +308,27 @@ def _tied_pool(rng, n_pos, n_neg, step):
             for i in order]
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # the type is what must match
-        return type(exc)
+def _pool_for_checks():
+    return records_from_labels([1] * 20 + [0] * 40,
+                               [float(i % 7) for i in range(60)])
+
+
+def _assert_raises_as_rank_records(pool) -> str:
+    """Every seed's `run_plan`, `stratified_sample` and oracle run raises
+    what `rank_records(pool)` raises, with its message; return that."""
+    with pytest.raises(ValidationError) as expected:
+        rank_records(pool)
+    message = str(expected.value)
+    for seed in range(24):
+        plan = ResamplePlan(target_rates=(0.2,), replicate_count=3,
+                            sample_size=10, seed=seed)
+        for call in (lambda: run_plan(pool, plan),
+                     lambda: stratified_sample(pool, 0.2, 10, seed),
+                     lambda: run_plan_oracle(pool, plan)):
+            with pytest.raises(ValidationError) as got:
+                call()
+            assert str(got.value) == message
+    return message
 
 
 class TestRunPlanAgainstOracle:
@@ -293,33 +343,69 @@ class TestRunPlanAgainstOracle:
         assert got == run_plan_oracle(pool, plan)
         assert summary_to_json(got) == summary_to_json(run_plan_oracle(pool, plan))
 
-    def test_non_finite_score_raises_only_when_sampled(self):
-        pool = records_from_labels([1] * 20 + [0] * 40,
-                                   [float(i % 7) for i in range(60)])
-        pool[3] = ScoredRecord(pool[3].id, float("nan"), 1)
-        outcomes = set()
-        for seed in range(24):
-            plan = ResamplePlan(target_rates=(0.2,), replicate_count=3,
-                                sample_size=10, seed=seed)
-            got = _outcome(run_plan, pool, plan)
-            want = _outcome(run_plan_oracle, pool, plan)
-            assert got == want
-            outcomes.add(got if isinstance(got, type) else "ok")
-        assert outcomes == {"ok", ValidationError}
+    @pytest.mark.parametrize("row, score", [
+        (3, float("nan")), (3, float("inf")), (45, float("-inf")),
+        (59, float("nan"))])
+    def test_non_finite_score_raises_for_every_seed(self, row, score):
+        pool = _pool_for_checks()
+        pool[row] = ScoredRecord(pool[row].id, score, pool[row].label)
+        _assert_raises_as_rank_records(pool)
 
-    def test_duplicate_ids_raise_only_when_both_sampled(self):
-        pool = records_from_labels([1] * 30 + [0] * 12,
-                                   [float(i % 5) for i in range(42)])
-        pool[40] = ScoredRecord(pool[41].id, pool[40].score, 0)
-        outcomes = set()
-        for seed in range(24):
-            plan = ResamplePlan(target_rates=(0.2,), replicate_count=1,
-                                sample_size=10, seed=seed)
-            got = _outcome(run_plan, pool, plan)
-            want = _outcome(run_plan_oracle, pool, plan)
-            assert got == want
-            outcomes.add(got if isinstance(got, type) else "ok")
-        assert outcomes == {"ok", ValidationError}
+    @pytest.mark.parametrize("row, source", [(40, 41), (5, 50), (0, 19)])
+    def test_duplicate_id_raises_for_every_seed(self, row, source):
+        pool = _pool_for_checks()
+        pool[row] = ScoredRecord(pool[source].id, pool[row].score,
+                                 pool[row].label)
+        _assert_raises_as_rank_records(pool)
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5, None, "1", "0"])
+    @pytest.mark.parametrize("row", [7, 33])
+    def test_bad_label_raises_for_every_seed(self, label, row):
+        pool = _pool_for_checks()
+        pool[row] = ScoredRecord(pool[row].id, pool[row].score, label)
+        _assert_raises_as_rank_records(pool)
+
+    def test_first_fault_in_pool_order_is_named(self):
+        pool = _pool_for_checks()
+        pool[50] = ScoredRecord(pool[50].id, float("nan"), 0)
+        pool[9] = ScoredRecord(pool[9].id, pool[9].score, 2)
+        pool[30] = ScoredRecord(pool[29].id, pool[30].score, 0)
+        message = _assert_raises_as_rank_records(pool)
+        assert message == f"record {pool[9].id!r}: label must be 0 or 1, got 2"
+
+    def test_empty_pool_is_infeasible(self):
+        plan = ResamplePlan(target_rates=(0.2,), replicate_count=2,
+                            sample_size=10, seed=0)
+        for call in (lambda: run_plan([], plan),
+                     lambda: stratified_sample([], 0.2, 10, 0),
+                     lambda: run_plan_oracle([], plan)):
+            with pytest.raises(InfeasibleError, match="pool has 0/0"):
+                call()
+
+    @pytest.mark.parametrize("as_label", [bool, float, np.int64, np.float64])
+    def test_equal_labels_of_other_types_give_the_same_summary(self, as_label):
+        rng = np.random.default_rng(31)
+        pool = _tied_pool(rng, 40, 160, 0.25)
+        other = [ScoredRecord(r.id, r.score, as_label(r.label)) for r in pool]
+        plan = ResamplePlan(target_rates=(0.1, 0.3), replicate_count=4,
+                            sample_size=50, seed=32)
+        assert run_plan(other, plan) == run_plan(pool, plan)
+        for seed in range(4):
+            assert ([r.id for r in stratified_sample(other, 0.3, 50, seed)]
+                    == [r.id for r in stratified_sample(pool, 0.3, 50, seed)])
+
+    def test_distinct_ids_sharing_a_hash_pass(self):
+        # hash(-1) == hash(-2) in CPython, so the hash pass cannot prove the
+        # ids distinct and the pool is checked record by record
+        assert hash(-1) == hash(-2)
+        pool = _pool_for_checks()
+        numbered = [ScoredRecord(-1 - i, r.score, r.label)
+                    for i, r in enumerate(pool)]
+        rank_records(numbered)
+        plan = ResamplePlan(target_rates=(0.2, 0.5), replicate_count=3,
+                            sample_size=10, seed=5)
+        assert run_plan(numbered, plan) == run_plan(pool, plan)
+        assert run_plan(numbered, plan) == run_plan_oracle(numbered, plan)
 
     def test_infeasible_pool_matches(self):
         pool = records_from_labels([1] * 3 + [0] * 50)
