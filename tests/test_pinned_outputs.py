@@ -42,6 +42,8 @@ COMMANDS = {
     "lift-at-n": ["lift", "--n", "700", "--precision", "8"],
     "gains-at-fraction": ["gains", "--fraction", "0.37", "--exact"],
     "benefit-at-n": ["benefit", "--n", "900", "--qtp", "10", "--qfp=-1"],
+    "benefit-csv": ["benefit", "--qtp", "0.1", "--qfp=-0.3"],
+    "benefit-json": ["benefit", "--format", "json", "--qtp", "0.1", "--qfp=-0.3"],
     "deciles-text": ["deciles"],
     "deciles-exact": ["deciles", "--exact"],
 }
@@ -141,6 +143,30 @@ PINNED = {
         "b2241f047e895f8aced12dfa6c3184d58f61bba70c97e50574c54f379f3f38ac",
     "tied/expected/benefit-at-n":
         "55989239f97af45a108bd1b1de3faa708786bb31507b5dd443b6a531f5bbc031",
+    "untied/input/benefit-csv":
+        "af19588e9372510087b50c0fb75b78e8a11c9d61d6dd86042e516cfea5ac4dd7",
+    "tied/input/benefit-csv":
+        "4c440727cc574771e51cae43d1568952fe4369b6a9d30664729c03070c50dcc3",
+    "untied/id/benefit-csv":
+        "af19588e9372510087b50c0fb75b78e8a11c9d61d6dd86042e516cfea5ac4dd7",
+    "tied/id/benefit-csv":
+        "284681207157b11a7996fffef50912ccf8fbd0e3eb17ec8f6ba0d9b0cfca5690",
+    "untied/expected/benefit-csv":
+        "af19588e9372510087b50c0fb75b78e8a11c9d61d6dd86042e516cfea5ac4dd7",
+    "tied/expected/benefit-csv":
+        "8204da5ccc5f3db918e3a8defd26ace35ad21767fc156410fe3a45fc3c43fc24",
+    "untied/input/benefit-json":
+        "b3208c1fda030f9c5e3d9c940b856a1f101f1dfbbd7dfce05026f30dcd6ea53e",
+    "tied/input/benefit-json":
+        "b24c5fda62690cf258c28b5e62837e79f13177fc833eebd482701190aeacedbe",
+    "untied/id/benefit-json":
+        "b3208c1fda030f9c5e3d9c940b856a1f101f1dfbbd7dfce05026f30dcd6ea53e",
+    "tied/id/benefit-json":
+        "de4e2b685e096fbb9beb87285d42ecf59ba8f4c5e8f0c782799fae4b50a4b907",
+    "untied/expected/benefit-json":
+        "b3208c1fda030f9c5e3d9c940b856a1f101f1dfbbd7dfce05026f30dcd6ea53e",
+    "tied/expected/benefit-json":
+        "25552cae84ee1a37b9f8c98cb61db3a0300ac79d4a6a6925cbc7dfc21973e012",
     "untied/input/chart-benefit":
         "c3fd5a6c9261097b8b321461e7aeda7efcd1aeb2530ae54202ebc3db58f976d5",
     "tied/input/chart-benefit":
