@@ -379,7 +379,10 @@ def _cmd_resample(args) -> int:
     plan = resample.ResamplePlan(target_rates=rates,
                                  replicate_count=args.reps,
                                  sample_size=args.size, seed=args.seed)
-    summary = resample._run_columns(scores[labels == 1], scores[labels == 0], plan)
+    try:
+        summary = resample._run_columns(scores[labels == 1], scores[labels == 0], plan)
+    except MemoryError:  # numpy refuses bands of one row per replicate at once
+        raise ValidationError(f"--reps {args.reps} does not fit in memory") from None
     if args.format == "json":
         _emit(args, io.summary_to_json(summary))
     else:

@@ -130,17 +130,12 @@ def compare_at(runs: Sequence[ClassifierRun],
     entries = []
     winners: dict[int, tuple[str, ...]] = {}
     for n in targets:
-        best: Optional[Fraction] = None
-        gains_by_run = []
-        for run in runs:
-            g = cum_gains(run.ranked, n)
-            gains_by_run.append((run.name, g))
-            entries.append(CompareEntry(run=run.name, n=n, cum_gains=g,
-                                        lift=lift(run.ranked, n)))
-            gf = Fraction(g)
-            best = gf if best is None or gf > best else best
-        winners[n] = tuple(name for name, g in gains_by_run
-                           if Fraction(g) == best)
+        gains = [cum_gains(run.ranked, n) for run in runs]
+        entries += [CompareEntry(run=run.name, n=n, cum_gains=g,
+                                 lift=lift(run.ranked, n))
+                    for run, g in zip(runs, gains)]
+        best = max(gains)
+        winners[n] = tuple(run.name for run, g in zip(runs, gains) if g == best)
     return CompareTable(targets=tuple(targets), entries=tuple(entries),
                         winners=winners)
 

@@ -71,11 +71,19 @@ def _magnitude(column) -> int:
 
 def _product(a, b) -> np.ndarray:
     """Exact elementwise a * b of integer columns (or ints): int64 when no
-    product can pass 2**63 - 1, otherwise Python ints in an object array.
-    A product never wraps."""
-    if _magnitude(a) * _magnitude(b) <= _INT64_MAX:
-        return np.multiply(a, b)
-    return np.multiply(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+    operand or product can pass 2**63 - 1, otherwise Python ints in an
+    object array. A product never wraps."""
+    ma, mb = _magnitude(a), _magnitude(b)
+    if max(ma, mb, ma * mb) > _INT64_MAX:
+        a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    return np.multiply(a, b)
+
+
+def _sum(a, b) -> np.ndarray:
+    """Exact elementwise a + b, in int64 or Python ints as `_product`."""
+    if _magnitude(a) + _magnitude(b) > _INT64_MAX:
+        a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    return np.add(a, b)
 
 
 def _lowest_terms(num: np.ndarray, den: np.ndarray
@@ -215,10 +223,6 @@ class CurveSeries:
         return list(zip(self.x.floats().tolist(), self.y.floats().tolist()))
 
 
-def _as_fraction(value: Number) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def render_decimal(value: Number, places: int = 5) -> str:
     """Render exactly, rounding half away from zero at `places` decimals.
 
@@ -227,7 +231,7 @@ def render_decimal(value: Number, places: int = 5) -> str:
     """
     if places < 0:
         raise ValidationError("places must be >= 0")
-    f = _as_fraction(value)
+    f = Fraction(value)
     scaled = f * 10**places
     half = Fraction(1, 2)
     magnitude = math.floor(abs(scaled) + half)
@@ -240,7 +244,7 @@ def render_decimal(value: Number, places: int = 5) -> str:
 
 def render_exact(value: Number) -> str:
     """Numerator/denominator rendering, e.g. '135/144'; integers plain."""
-    f = _as_fraction(value)
+    f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -264,7 +268,7 @@ def p_cum_gains(ranked: RankedTestSet, n: int) -> Fraction:
     n = ranked.check_cutoff(n, minimum=1)
     if ranked.n_pos == 0:
         raise ValidationError("p_cum_gains undefined: the set has no positives")
-    return Fraction(_as_fraction(ranked.positives_in_prefix(n)), ranked.n_pos)
+    return Fraction(ranked.positives_in_prefix(n), ranked.n_pos)
 
 
 def lift(ranked: RankedTestSet, n: int) -> Fraction:
@@ -276,8 +280,8 @@ def lift(ranked: RankedTestSet, n: int) -> Fraction:
     n = ranked.check_cutoff(n, minimum=1)
     if ranked.n_pos == 0:
         raise ValidationError("lift undefined: the set has no positives")
-    gains = _as_fraction(ranked.positives_in_prefix(n))
-    return Fraction(gains * ranked.n_total, n * ranked.n_pos)
+    return Fraction(ranked.positives_in_prefix(n) * ranked.n_total,
+                    n * ranked.n_pos)
 
 
 def cutoff_for(share: Fraction, n_total: int) -> int:
@@ -298,7 +302,8 @@ def decile_lift(ranked: RankedTestSet) -> list[Fraction]:
 
 
 def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
-    """Net benefit of acting on the top-n records: tp*q_tp + fp*q_fp."""
+    """Net benefit of acting on the top-n records: tp*q_tp + fp*q_fp, in
+    floats; the exact `benefit_series` can differ in the last bits."""
     n = ranked.check_cutoff(n)
     tp = ranked.positives_in_prefix(n)
     fp = n - tp
@@ -369,33 +374,20 @@ def auc_pairs(ranked: RankedTestSet) -> Fraction:
 def auc_wilcoxon(ranked: RankedTestSet) -> Fraction:
     """AUC from the rank-sum statistic with midranks for tied scores.
 
-    Ranks ascend with score (rank 1 = lowest score); the sum of positive
-    midranks minus n_pos*(n_pos+1)/2 is the U statistic, and U/(n_pos*n_neg)
-    equals the pair-counting AUC on every input.
+    Ranks ascend with score. A tie group at ranks s+1..s+g has doubled
+    midrank 2s + g + 1, so the doubled rank sum of the positives, less
+    n_pos*(n_pos+1), is twice the Mann-Whitney U, an integer; U/(n_pos*n_neg)
+    equals the pair-counting AUC on every input (Hanley & McNeil, "The
+    meaning and use of the area under a receiver operating characteristic
+    (ROC) curve", Radiology 143(1), 1982).
     """
     _require_both_classes(ranked, "AUC")
-    doubled_u = doubled_mann_whitney_u(ranked._group_ends, ranked._group_pos,
-                                       ranked.n_pos)
-    return Fraction(doubled_u, 2 * ranked.n_pos * ranked.n_neg)
-
-
-def doubled_mann_whitney_u(group_ends, group_pos, n_pos: int) -> int:
-    """Twice the Mann-Whitney U of the positives, from the tie groups of a
-    descending ranking: each group's exclusive end rank and positive count.
-
-    Ranks ascend with score (rank 1 = lowest). A tie group occupying
-    ascending ranks s+1..s+g has midrank s + (g+1)/2, i.e. doubled
-    2s + g + 1, so the doubled statistic stays integral. U / (P * N) is the
-    area under the ROC curve, ties counting one half (Hanley & McNeil,
-    "The meaning and use of the area under a receiver operating
-    characteristic (ROC) curve", Radiology 143(1), 1982).
-    """
-    ends = np.asarray(group_ends, dtype=np.int64)
+    ends = ranked._group_ends
     sizes = np.diff(ends, prepend=0)
-    below = ends[-1] - ends  # records with strictly lower score
-    doubled_rank_sum = int((np.asarray(group_pos, dtype=np.int64)
-                            * (2 * below + sizes + 1)).sum())
-    return doubled_rank_sum - n_pos * (n_pos + 1)
+    below = ranked.n_total - ends  # records with strictly lower score
+    doubled_rank_sum = int((ranked._group_pos * (2 * below + sizes + 1)).sum())
+    doubled_u = doubled_rank_sum - ranked.n_pos * (ranked.n_pos + 1)
+    return Fraction(doubled_u, 2 * ranked.n_pos * ranked.n_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +433,19 @@ def _cutoff_axis(n_total: int, fraction: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def benefit_series(ranked: RankedTestSet, costs: CostSpec,
                    name: str = "benefit") -> CurveSeries:
-    points = []
-    for n in range(1, ranked.n_total + 1):
-        tp = _as_fraction(ranked.positives_in_prefix(n))
-        value = tp * _as_fraction(costs.q_tp) + (n - tp) * _as_fraction(costs.q_fp)
-        points.append((Fraction(n), value))
-    return CurveSeries(name=name, x_kind=XKind.COUNT, points=tuple(points))
+    """Net benefit per cutoff n = 1..N, tp*q_tp + (n - tp)*q_fp, exact in
+    the costs' rationals a/b and c/d (`cum_benefit` computes in floats, so
+    the two can differ in the last bits at one cutoff): with gains
+    tnum/tden, (tnum*a*d + (n*tden - tnum)*c*b) / (tden*b*d)."""
+    a, b = Fraction(costs.q_tp).as_integer_ratio()
+    c, d = Fraction(costs.q_fp).as_integer_ratio()
+    num, den = ranked.gains_arrays()
+    num, den = num[1:], den[1:]
+    counts = _cutoff_axis(ranked.n_total, False)
+    misses = _product(counts[0], den) - num  # false positives, over den
+    benefit = _lowest_terms(_sum(_product(num, a * d), _product(misses, c * b)),
+                            _product(den, b * d))
+    return CurveSeries.from_columns(name, XKind.COUNT, counts, benefit)
 
 
 def decile_series(ranked: RankedTestSet, name: str = "decile-lift") -> CurveSeries:

@@ -176,7 +176,12 @@ def _first_fault(records: Sequence[ScoredRecord]) -> None:
         if rec.label not in (0, 1):
             raise ValidationError(
                 f"record {rec.id!r}: label must be 0 or 1, got {rec.label!r}")
-        if not math.isfinite(rec.score):
+        try:
+            finite = math.isfinite(rec.score)
+        except TypeError:
+            raise ValidationError(f"record {rec.id!r}: score must be a number, "
+                                  f"got {rec.score!r}") from None
+        if not finite:
             raise ValidationError(
                 f"record {rec.id!r}: score must be finite, got {rec.score!r}")
         if rec.id in seen:

@@ -6,13 +6,15 @@ rate, evaluates fractional gains and lift on a common grid, and aggregates
 mean/min/max bands; `regularity_check` then tests the expected ordering: for
 a better-than-random scorer, rarer positives mean higher lift at small
 targeting fractions. The pool is checked whole, as `rank_records` checks a
-set, and split once into the positive and negative score columns every
-replicate draws from; the command line passes the loader's columns.
+set, and split once into the two classes' score columns (the command line
+passes the loader's). Each replicate is ranked into a `RankedTestSet`, so its
+gains and AUC come from the same kernels as every other measure's.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .metrics import cutoff_for, doubled_mann_whitney_u
-from .records import ScoredRecord, _columns
+from .metrics import auc_wilcoxon, cutoff_for
+from .records import ScoredRecord, TiePolicy, _columns, _rank_columns
 from .records import rank_records  # noqa: F401  (perfbench wraps it here)
 
 GRID_POINTS = 100
@@ -119,24 +121,29 @@ def _draw(want_pos: int, size: int, pos: np.ndarray, neg: np.ndarray,
 
 def _split(pool: Sequence[ScoredRecord]) -> tuple[np.ndarray, ...]:
     """The pool rows of the positives and the negatives, then their scores,
-    in pool order. A pool the three streaming passes cannot prove valid is
-    checked as `rank_records` checks a set, which raises its diagnostic or,
-    for distinct ids that merely share a hash, passes."""
-    # each whole-pool array is dropped once used, so the split's peak memory
-    # stays near one array the size of the pool
-    labels = np.array([r.label for r in pool])
-    pos_rows = np.flatnonzero(labels == 1)
-    neg_rows = np.flatnonzero(labels == 0)
-    del labels
-    scores = np.fromiter((r.score for r in pool), dtype=np.float64,
-                         count=len(pool))
-    valid = len(pos_rows) + len(neg_rows) == len(pool) and np.isfinite(scores).all()
-    pos_scores, neg_scores = scores[pos_rows], scores[neg_rows]
-    del scores
-    id_hashes = np.fromiter((hash(r.id) for r in pool), dtype=np.int64,
-                            count=len(pool))
-    id_hashes.sort()
-    if not (valid and np.all(id_hashes[1:] != id_hashes[:-1])):
+    in pool order. A pool the streaming passes cannot prove valid is checked
+    as `rank_records` checks a set, which raises its diagnostic or, for
+    distinct ids that merely share a hash, passes. Each whole-pool array is
+    dropped once used, so peak memory stays near one the size of the pool."""
+    try:
+        labels = np.array([r.label for r in pool])
+        pos_rows = np.flatnonzero(labels == 1)
+        neg_rows = np.flatnonzero(labels == 0)
+        del labels
+        # array("d"), unlike numpy, takes what math.isfinite takes: no strings
+        scores = np.frombuffer(array("d", [r.score for r in pool]))
+        valid = len(pos_rows) + len(neg_rows) == len(pool) and np.isfinite(scores).all()
+        pos_scores, neg_scores = scores[pos_rows], scores[neg_rows]
+        del scores
+    except (TypeError, ValueError):  # a label or score no column can hold
+        _columns(pool)
+        raise
+    if valid:  # ids are hashed only once labels and scores are known good
+        id_hashes = np.fromiter((hash(r.id) for r in pool), dtype=np.int64,
+                                count=len(pool))
+        id_hashes.sort()
+        valid = np.all(id_hashes[1:] != id_hashes[:-1])
+    if not valid:
         _columns(pool)
     return pos_rows, neg_rows, pos_scores, neg_scores
 
@@ -171,10 +178,8 @@ def _run_columns(pos_scores: np.ndarray, neg_scores: np.ndarray,
                  plan: ResamplePlan) -> ResampleSummary:
     """`run_plan` on a valid pool's positive and negative scores, each in
     pool order. Every rate is checked feasible, in rate order, before any
-    work. Each replicate draws the same indices `stratified_sample` would,
-    ranks the sample with a stable descending sort (the input-order tie
-    policy), reads gains from an integer cumulative sum, and takes the
-    midrank AUC from its tie groups."""
+    work. Each replicate draws the same indices `stratified_sample` would
+    and is ranked as `rank_records` ranks it under the input-order policy."""
     size = plan.sample_size
     wanted = []
     for rate in plan.target_rates:
@@ -184,32 +189,25 @@ def _run_columns(pos_scores: np.ndarray, neg_scores: np.ndarray,
         wanted.append(_wanted(rate, size, len(pos_scores), len(neg_scores)))
     cutoffs = np.array([cutoff_for(Fraction(k, GRID_POINTS), size)
                         for k in range(1, GRID_POINTS + 1)], dtype=np.int64)
+    rows = np.arange(size)  # the ranked sets' ids, never read
 
     bands = []
     for k, (rate, want_pos) in enumerate(zip(plan.target_rates, wanted)):
-        lift_rows = np.empty((plan.replicate_count, GRID_POINTS))
-        pcg_rows = np.empty((plan.replicate_count, GRID_POINTS))
+        gains = np.empty((plan.replicate_count, GRID_POINTS), dtype=np.int64)
         aucs = []
+        labels = (rows < want_pos).astype(np.int64)  # positives lead the sample
         for r in range(plan.replicate_count):
             sample = _draw(want_pos, size, pos_scores, neg_scores, [plan.seed, k, r])
-            order = np.argsort(-sample, kind="stable")
-            ranked_scores = sample[order]
-            prefix = np.cumsum(order < want_pos)  # positives lead the sample
-            gains = prefix[cutoffs - 1]
-            pcg_rows[r] = gains / want_pos
-            lift_rows[r] = gains * size / (cutoffs * want_pos)
-            ends = np.append(np.flatnonzero(ranked_scores[1:] != ranked_scores[:-1]) + 1,
-                             size)
-            group_pos = np.diff(prefix[ends - 1], prepend=0)
-            aucs.append(doubled_mann_whitney_u(ends, group_pos, want_pos)
-                        / (2 * want_pos * (size - want_pos)))
+            ranked = _rank_columns(rows, sample, labels, TiePolicy.INPUT_ORDER)
+            gains[r] = ranked._prefix_pos[cutoffs]
+            aucs.append(float(auc_wilcoxon(ranked)))
         bands.append(RateBand(
             target_rate=rate,
             realized_rate=want_pos / size,
             n_pos=want_pos,
             mean_auc=float(sum(aucs) / len(aucs)),
-            p_cum_gains=_band(pcg_rows),
-            lift=_band(lift_rows),
+            p_cum_gains=_band(gains / want_pos),
+            lift=_band(gains * size / (cutoffs * want_pos)),
         ))
     grid = tuple(k / GRID_POINTS for k in range(1, GRID_POINTS + 1))
     return ResampleSummary(grid=grid, sample_size=size,
@@ -219,10 +217,9 @@ def _run_columns(pos_scores: np.ndarray, neg_scores: np.ndarray,
 
 def _band(rows: np.ndarray) -> BandStats:
     # summation order fixed by row order, which is fixed by replicate index
-    mean = rows.mean(axis=0)
-    return BandStats(mean=tuple(float(v) for v in mean),
-                     min=tuple(float(v) for v in rows.min(axis=0)),
-                     max=tuple(float(v) for v in rows.max(axis=0)))
+    return BandStats(mean=tuple(rows.mean(axis=0).tolist()),
+                     min=tuple(rows.min(axis=0).tolist()),
+                     max=tuple(rows.max(axis=0).tolist()))
 
 
 class RegularityOutcome(Enum):

@@ -19,7 +19,7 @@ import numpy as np
 
 from gainslift import (BudgetExhaustedError, CurveSeries, InfeasibleError,
                        RankedTestSet, ResamplePlan, ScoredFile, ScoredRecord,
-                       TiePolicy, ValidationError, XKind, auc_wilcoxon, lift,
+                       TiePolicy, ValidationError, XKind, auc_pairs, lift,
                        parse_metric, rank_records, stratified_sample)
 from gainslift.io import _parse_label, _parse_score
 from gainslift.compare import (EXHAUSTIVE_LIMIT, LEX_REFINE_LIMIT,
@@ -232,7 +232,8 @@ def disagreement_oracle(metric_a: str, metric_b: str, n_total: int, n_pos: int,
 def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
     """`run_plan` by the record route: per replicate a `stratified_sample`
     list, `rank_records`, one `positives_in_prefix` per grid cutoff and
-    `auc_wilcoxon`, aggregated exactly as `run_plan` aggregates."""
+    `auc_pairs` (a second AUC route; `run_plan` takes the rank-sum one),
+    aggregated exactly as `run_plan` aggregates."""
     size = plan.sample_size
     cutoffs = [-(-k * size // GRID_POINTS) for k in range(1, GRID_POINTS + 1)]
     bands = []
@@ -248,7 +249,7 @@ def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
             pcg_rows.append([g / want_pos for g in gains])
             lift_rows.append([g * size / (n * want_pos)
                               for g, n in zip(gains, cutoffs)])
-            aucs.append(float(auc_wilcoxon(ranked)))
+            aucs.append(float(auc_pairs(ranked)))
         bands.append(RateBand(
             target_rate=rate, realized_rate=want_pos / size, n_pos=want_pos,
             mean_auc=float(sum(aucs) / len(aucs)),
@@ -310,6 +311,17 @@ def lift_series_oracle(ranked: RankedTestSet, fraction: bool = True,
         points.append((x, lift(ranked, n)))
     kind = XKind.FRACTION if fraction else XKind.COUNT
     return CurveSeries(name=name, x_kind=kind, points=tuple(points))
+
+
+def benefit_series_oracle(ranked: RankedTestSet, costs,
+                          name: str = "benefit") -> CurveSeries:
+    """One `positives_in_prefix` and three `Fraction` products per cutoff."""
+    points = []
+    for n in range(1, ranked.n_total + 1):
+        tp = Fraction(ranked.positives_in_prefix(n))
+        value = tp * Fraction(costs.q_tp) + (n - tp) * Fraction(costs.q_fp)
+        points.append((Fraction(n), value))
+    return CurveSeries(name=name, x_kind=XKind.COUNT, points=tuple(points))
 
 
 def roc_points_oracle(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:

@@ -255,6 +255,15 @@ class TestResampleCommand:
                               "100000000000000000000 needs ")
         assert err.endswith(" negatives; pool has 12/12\n")
 
+    def test_huge_reps_exits_1(self, capsys):
+        # 10**14 rows of 100 floats is 71 PiB, past any address space, so
+        # numpy refuses the bands before allocating anything
+        code, out, err = run(capsys, "resample", "--input", EXAMPLE,
+                             "--rates", "0.3", "--size", "10",
+                             "--reps", "100000000000000")
+        assert (code, out) == (1, "")
+        assert err == "gainslift: --reps 100000000000000 does not fit in memory\n"
+
     def test_random_files_against_the_record_route(self, capsys, tmp_path):
         """`resample` reads the loader's columns; on the first 20 random
         files that give a summary, and every file drawn before them, it

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from gainslift import (CostSpec, CurveSeries, ScoredRecord, TiePolicy,
-                       ValidationError, XKind, accuracy_at, cum_benefit,
-                       cum_gains,
+                       ValidationError, XKind, accuracy_at, benefit_series,
+                       cum_benefit, cum_gains,
                        decile_lift, emit_curves, gains_series, lift,
                        lift_series, n_confusion_matrix, p_cum_gains,
                        random_targeting_rate, rank_records, render_decimal,
                        render_exact, roc_points)
-from gainslift.metrics import _lowest_terms, _product, cutoff_for
+from gainslift.metrics import _lowest_terms, _product, _sum, cutoff_for
 
-from helpers import (curves_csv_oracle, curves_json_oracle,
-                     gains_series_oracle, lift_series_oracle, prefix_gains,
-                     random_instance, records_from_labels, roc_points_oracle)
+from helpers import (benefit_series_oracle, curves_csv_oracle,
+                     curves_json_oracle, gains_series_oracle,
+                     lift_series_oracle, prefix_gains, random_instance,
+                     records_from_labels, roc_points_oracle)
 
 # the 24-record example: cumulative gains by cutoff, 12 positives total
 EXPECTED_GAINS_24 = (1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 10, 10,
@@ -323,6 +324,29 @@ class TestSeriesKernelsAgainstOracles:
                 assert (emit_curves([fast], format="csv")
                         == curves_csv_oracle([slow]))
 
+    # costs whose exact ratios pass int64 (1e-300 has a 2**1049 denominator,
+    # 1e300 a 997-bit numerator), zero costs, and the usual float and
+    # integer ones
+    BENEFIT_COSTS = [(10, -1), (0.1, -0.3), (1, -0.2), (5.0, -1.0),
+                     (1e-300, -7.5), (1e300, 3), (0, 0), (-2.5, 0.125)]
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_benefit_random_tied_inputs(self, policy):
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            ranked = rank_records(random_instance(rng, max_n=60, tie_prob=0.5),
+                                  policy)
+            for q_tp, q_fp in self.BENEFIT_COSTS:
+                costs = CostSpec(q_tp=q_tp, q_fp=q_fp)
+                fast = benefit_series(ranked, costs)
+                slow = benefit_series_oracle(ranked, costs)
+                assert fast == slow
+                assert fast.points == slow.points
+                assert (emit_curves([fast], format="json")
+                        == curves_json_oracle([slow]))
+                assert (emit_curves([fast], format="csv")
+                        == curves_csv_oracle([slow]))
+
     def test_expected_lift_beyond_float_precision(self):
         # 180,001 untied positives ahead of one tie group of 180,007 (a
         # prime) records: inside the group the exact lift has numerators
@@ -353,6 +377,11 @@ class TestSeriesKernelsAgainstOracles:
         assert product.tolist() == [2**70, 15, 2**63]
         assert _product(big, 2**21).tolist() == [2**61, 3 * 2**21, 2**83]
         assert _product(big[:2], 4).dtype == np.int64
+        # a scalar past int64 times a column that fits, even a zero one
+        assert _product(np.zeros(3, np.int64), 2**70).tolist() == [0, 0, 0]
+        assert _product(2**70, big[:2]).tolist() == [2**110, 3 * 2**70]
+        assert _sum(big, 2**62).tolist() == [2**62 + 2**40, 2**62 + 3, 2**63]
+        assert _sum(big[:2], 2**62).dtype == np.int64
         num, den = _lowest_terms(product, np.array([2**35, 10, 3], dtype=np.int64))
         assert num.tolist() == [2**35, 3, 2**63]
         assert den.tolist() == [1, 2, 3]

@@ -76,6 +76,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite"):
             rank_records(make([float("inf"), 0.4], [1, 0]))
 
+    @pytest.mark.parametrize("score", ["0.5", None, 1j])
+    def test_non_numeric_score(self, score):
+        records = [ScoredRecord("a", 0.5, 1), ScoredRecord("b", score, 0)]
+        with pytest.raises(ValidationError, match=(
+                f"record 'b': score must be a number, got {score!r}")):
+            rank_records(records)
+
 
 class TestExpectedValuePrefix:
     def test_boundary_cutoffs_stay_integral(self):

@@ -358,12 +358,28 @@ class TestRunPlanAgainstOracle:
                                  pool[row].label)
         _assert_raises_as_rank_records(pool)
 
-    @pytest.mark.parametrize("label", [2, -1, 0.5, None, "1", "0"])
+    @pytest.mark.parametrize("label", [2, -1, 0.5, None, "1", "0", [1]])
     @pytest.mark.parametrize("row", [7, 33])
     def test_bad_label_raises_for_every_seed(self, label, row):
         pool = _pool_for_checks()
         pool[row] = ScoredRecord(pool[row].id, pool[row].score, label)
         _assert_raises_as_rank_records(pool)
+
+    @pytest.mark.parametrize("score", ["0.5", None])
+    def test_non_numeric_score_raises_for_every_seed(self, score):
+        # a numeric string converts to float64 in numpy, so the pool split
+        # must reject it as rank_records does rather than parse it
+        pool = _pool_for_checks()
+        pool[3] = ScoredRecord(pool[3].id, score, pool[3].label)
+        message = _assert_raises_as_rank_records(pool)
+        assert message == f"record {pool[3].id!r}: score must be a number, got {score!r}"
+
+    def test_bad_label_named_before_a_later_unhashable_id(self):
+        pool = _pool_for_checks()
+        pool[0] = ScoredRecord(pool[0].id, pool[0].score, 2)
+        pool[40] = ScoredRecord(["x"], pool[40].score, pool[40].label)
+        message = _assert_raises_as_rank_records(pool)
+        assert message == f"record {pool[0].id!r}: label must be 0 or 1, got 2"
 
     def test_first_fault_in_pool_order_is_named(self):
         pool = _pool_for_checks()
