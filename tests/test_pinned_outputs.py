@@ -16,8 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gainslift import ResamplePlan, ScoredRecord, run_plan, summary_to_json
 from gainslift.cli import cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -470,3 +472,78 @@ def test_demos_write_the_committed_svgs(tmp_path):
     for name in committed:
         assert ((tmp_path / "output" / name).read_bytes()
                 == (ROOT / "demos" / "output" / name).read_bytes()), name
+
+
+# A 20,000-row file at 48 score levels, as in perfbench's cli-point-ties:
+# every tie group holds about 417 rows, so any change to the order within a
+# group (an unstable sort, a different id key) moves these bytes.
+TIES_ROWS = 20_000
+TIES_LEVELS = 48
+
+
+def _tied_columns(seed: int):
+    """Seeded labels, 48-level scores and shuffled ids of TIES_ROWS rows."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(TIES_ROWS) < 0.15).astype(np.int64)
+    latent = rng.normal(size=TIES_ROWS) + 1.2 * labels
+    level = np.argsort(np.argsort(latent, kind="stable"), kind="stable")
+    scores = (level * TIES_LEVELS // TIES_ROWS + 1) / 64
+    ids = [f"r{i:06d}" for i in rng.permutation(TIES_ROWS)]
+    return ids, scores, labels
+
+
+@pytest.fixture(scope="module")
+def large_tied(tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "ties.csv"
+    ids, scores, labels = _tied_columns(20_200)
+    lines = ["id,score,label"]
+    lines += [f"{i},{s!r},{y}" for i, s, y in
+              zip(ids, scores.tolist(), labels.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+LARGE_TIED_COMMANDS = {
+    "gains-id": ["gains", "--n", "3333", "--tie-policy", "id"],
+    "lift-json": ["lift", "--format", "json"],
+    "lift-json-id": ["lift", "--format", "json", "--tie-policy", "id"],
+    "deciles-expected": ["deciles", "--tie-policy", "expected"],
+    "perturb-id": ["perturb", "--swap", "6:8", "--tie-policy", "id"],
+    "perturb-input": ["perturb", "--swap", "6:8"],
+}
+
+LARGE_TIED_PINNED = {
+    "deciles-expected":
+        "152e348f2dacc51def282fa350977a38e922650b94bfa8f9840ca114884e9242",
+    "gains-id":
+        "119972e038a9b61ca0673a2752fb5875e5270d64056ce8e3dfdf2a54f79ccc1a",
+    "lift-json":
+        "97e058ca568d99e1f0d2bdb90aecba3035d8b0fe6097f6c73fb5f5bbc7a707ca",
+    "lift-json-id":
+        "e3cb9d2875438133999054b31e2617b8ff42b5abb6ded68c720eda84669ca374",
+    "perturb-id":
+        "5f3fddc829ac90a33d776cbd8ae8db3a2894f3416a7f021ca59e15ef880dddd5",
+    "perturb-input":
+        "280ab5bbf26952fad6a64c53e40b040afd5c8530f9b39034e4da64a24bdf74a9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_TIED_COMMANDS))
+def test_large_tied_digest(capsys, tmp_path, large_tied, command):
+    name, *rest = LARGE_TIED_COMMANDS[command]
+    text = _output_of(capsys, tmp_path, [name, "--input", str(large_tied), *rest])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == LARGE_TIED_PINNED[command]
+
+
+def test_run_plan_digest_on_a_tied_pool():
+    """Replicates of 5,000 drawn from a 20,000-row pool at 48 score levels,
+    so each replicate's ranking keeps many tied rows in draw order."""
+    ids, scores, labels = _tied_columns(20_201)
+    pool = list(map(ScoredRecord, ids, scores.tolist(), labels.tolist()))
+    plan = ResamplePlan(target_rates=(0.05, 0.117, 0.2), replicate_count=4,
+                        sample_size=5_000, seed=11)
+    text = summary_to_json(run_plan(pool, plan))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == (
+        "5fec5c84bde8e2576609e1cb2c123ae8a3976debd72b373aefb6140b7c1de2c0")
