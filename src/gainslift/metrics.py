@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
@@ -104,6 +105,17 @@ def _int_column(values: list[int]) -> np.ndarray:
         return column
 
 
+def _float(num: int, den: int, what: str = "a value") -> float:
+    """num / den as float(Fraction(num, den)); a quotient past the float
+    range raises ValidationError naming it, not OverflowError."""
+    try:
+        return num / den
+    except OverflowError:
+        value = Decimal(num) / Decimal(den)
+        raise ValidationError(
+            f"{what} is {value:.6e}, beyond the float range") from None
+
+
 def _ratio_floats(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """float64 of every num / den, each equal to float(Fraction(num, den)).
 
@@ -111,7 +123,7 @@ def _ratio_floats(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     correctly rounded quotient; elsewhere Python's int / int does.
     """
     if num.dtype == object or den.dtype == object:
-        return np.array([n / d for n, d in zip(num.tolist(), den.tolist())],
+        return np.array(list(map(_float, num.tolist(), den.tolist())),
                         dtype=np.float64)
     out = num / den
     big = np.flatnonzero((num > _FLOAT_EXACT) | (num < -_FLOAT_EXACT)
@@ -303,11 +315,18 @@ def decile_lift(ranked: RankedTestSet) -> list[Fraction]:
 
 def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
     """Net benefit of acting on the top-n records: tp*q_tp + fp*q_fp, in
-    floats; the exact `benefit_series` can differ in the last bits."""
+    floats; the exact `benefit_series` can differ in the last bits. When a
+    float product overflows, the exact sum is rounded instead, and a sum
+    past the float range raises ValidationError."""
     n = ranked.check_cutoff(n)
     tp = ranked.positives_in_prefix(n)
     fp = n - tp
-    return tp * costs.q_tp + fp * costs.q_fp
+    value = tp * costs.q_tp + fp * costs.q_fp
+    if math.isfinite(value):
+        return value
+    exact = tp * Fraction(costs.q_tp) + fp * Fraction(costs.q_fp)
+    return _float(exact.numerator, exact.denominator,
+                  f"the net benefit at n={n}")
 
 
 def n_confusion_matrix(ranked: RankedTestSet, n: int) -> NConfusionMatrix:

@@ -229,14 +229,50 @@ def rank_records(records: Sequence[ScoredRecord],
 def _rank_columns(ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,
                   tie_policy: TiePolicy) -> RankedTestSet:
     """Rank validated columns in input order: non-empty unique ids (object
-    array), finite float64 scores and 0/1 int64 labels."""
-    if tie_policy is TiePolicy.ID_ORDER:
-        # ids compared as Python strings (code point order), then used as
-        # the secondary key under descending score
-        by_id = sorted(range(len(ids)), key=ids.tolist().__getitem__)
-        id_rank = np.empty(len(ids), dtype=np.intp)
-        id_rank[by_id] = np.arange(len(ids))
-        order = np.lexsort((id_rank, -scores))
-    else:
-        order = np.argsort(-scores, kind="stable")
+    array), finite float64 scores and 0/1 int64 labels.
+
+    The rank order is descending score; within equal scores (0.0 and -0.0
+    are equal) it is ascending row index, or ascending id under the id
+    policy: what a stable sort on (-score) or (-score, id) gives. One kernel
+    serves every policy. The unstable `np.argsort` (a SIMD quicksort on CPUs
+    that have one) orders the scores, and when no two are equal its order is
+    the answer. Otherwise each equal-score group gets its number g in rank
+    order, and one int64 sort of g * n + w, where w is the row index or the
+    id's rank, puts every group back in order; subtracting g * n leaves w.
+    The key stays below n**2 < 2**63, so the kernel is exact for
+    n < 3.0e9 rows. Scores that are all equal form one group, whose order
+    needs no sort by score.
+    """
+    order = _rank_order(ids, scores, tie_policy)
     return RankedTestSet(ids[order], scores[order], labels[order], tie_policy)
+
+
+def _rank_order(ids: np.ndarray, scores: np.ndarray,
+                tie_policy: TiePolicy) -> np.ndarray:
+    """The rows in the rank order of `_rank_columns`."""
+    n = len(scores)
+    by_id = None  # the rows in ascending id order, under the id policy
+    if tie_policy is TiePolicy.ID_ORDER:
+        # ids compared as Python strings (code point order)
+        by_id = np.array(sorted(range(n), key=ids.tolist().__getitem__),
+                         dtype=np.intp)
+    if scores.min() == scores.max():
+        return np.arange(n) if by_id is None else by_id
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    starts_group = ranked[1:] != ranked[:-1]
+    if starts_group.all():
+        return order
+    base = np.zeros(n, dtype=np.int64)  # group number times n, rank order
+    np.cumsum(starts_group, out=base[1:])
+    base *= n
+    if by_id is None:
+        within = order
+    else:
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[by_id] = np.arange(n)
+        within = id_rank[order]
+    key = base + within
+    key.sort()
+    key -= base
+    return key if by_id is None else by_id[key]

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -366,6 +367,40 @@ class TestErrorPaths:
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "auc", "--input", "/nonexistent.csv")
         assert code == 1
+
+
+
+class TestBenefitFloatRange:
+    """A net benefit past the float range exits 1 with a message naming it;
+    values inside the range print as the float formula gives them."""
+
+    @pytest.mark.parametrize("cutoff,message", [
+        (["--n", "12"], "the net benefit at n=12 is 1.000000e+309"),
+        (["--n", "12", "--exact"], "the net benefit at n=12 is 1.000000e+309"),
+        ([], "a value is 2.000000e+308"),
+        (["--format", "json"], "a value is 2.000000e+308"),
+    ])
+    def test_exit_1_naming_the_value(self, capsys, cutoff, message):
+        assert run(capsys, "benefit", "--input", EXAMPLE, "--qtp", "1e308",
+                   "--qfp", "0", *cutoff) == (
+            1, "", f"gainslift: {message}, beyond the float range\n")
+
+    def test_benefit_chart_exits_1(self, capsys):
+        code, out, err = run(capsys, "chart", "--input", EXAMPLE, "--kind",
+                             "benefit", "--qtp", "1e308", "--qfp", "0")
+        assert (code, out) == (1, "")
+        assert err == "gainslift: a value is 2.000000e+308, beyond the float range\n"
+
+    def test_overflowing_products_fall_back_to_the_exact_sum(self, capsys):
+        # 12 hits and 12 misses: 12e308 - 12e308 is nan in floats, 0 exactly
+        assert run(capsys, "benefit", "--input", EXAMPLE, "--n", "24",
+                   "--qtp", "1e308", "--qfp=-1e308") == (0, "0.00000\n", "")
+
+    def test_values_inside_the_range_are_the_float_formula(self, capsys):
+        # top 12 of example24: 10 hits and 2 misses
+        code, out, _ = run(capsys, "benefit", "--input", EXAMPLE, "--n", "12",
+                           "--qtp", "1.5e307", "--qfp=-3e306", "--exact")
+        assert (code, out) == (0, f"{Fraction(10 * 1.5e307 + 2 * -3e306)}\n")
 
 
 # every form of command that reads a scored file

@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (EXAMPLE24_LABELS, ScoredRecord, TiePolicy,
-                       ValidationError, rank_records)
+from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ScoredRecord,
+                       TiePolicy, ValidationError, rank_records)
+from gainslift.records import _rank_columns
 
-from helpers import random_instance, rank_order_oracle, records_from_labels
+from helpers import (random_instance, rank_order_oracle, records_from_labels,
+                     stable_order_oracle)
 
 
 def make(scores, labels):
@@ -201,3 +203,68 @@ class TestColumnarRankedSet:
         with pytest.raises(ValidationError) as info:
             rank_records(records)
         assert str(info.value).startswith(message)
+
+
+def _kernel_case(rng: np.random.Generator, shape: str, n: int):
+    """Seeded id, score and label columns of n rows; the ids are shuffled so
+    that id order differs from row order."""
+    ids = np.empty(n, dtype=object)
+    ids[:] = [f"r{i}" for i in rng.permutation(n)]
+    labels = rng.integers(0, 2, size=n)
+    if shape == "untied":
+        scores = rng.normal(size=n)
+    elif shape == "levels":
+        levels = int(rng.integers(2, 65))
+        scores = (rng.integers(0, levels, size=n) - levels // 2) / 8
+    elif shape == "equal":
+        scores = np.full(n, rng.normal())
+    elif shape == "long-run":
+        scores = rng.normal(size=n)
+        start = int(rng.integers(0, n))
+        scores[start:start + max(1, n // 2)] = rng.normal()
+    elif shape == "signed-zeros":
+        scores = rng.choice([0.0, -0.0, 0.0, -0.0, 1.5, -2.0], size=n)
+    else:  # "zeros": one tie group whose members differ in sign bit
+        scores = rng.choice([0.0, -0.0], size=n)
+    return ids, scores, labels
+
+
+_COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_ends",
+            "_group_pos")
+
+
+class TestRankKernel:
+    """`_rank_columns` against numpy's stable merge sort and lexsort."""
+
+    SHAPES = ["untied", "levels", "equal", "long-run", "signed-zeros", "zeros"]
+
+    def _check(self, ids, scores, labels, policy):
+        inputs = [column.copy() for column in (ids, scores, labels)]
+        ranked = _rank_columns(ids, scores, labels, policy)
+        order = stable_order_oracle(ids, scores, policy)
+        want = RankedTestSet(ids[order], scores[order], labels[order], policy)
+        for name in _COLUMNS:
+            got, expected = getattr(ranked, name), getattr(want, name)
+            assert got.dtype == expected.dtype, name
+            assert not got.flags.writeable, name
+            if got.dtype == np.float64:  # the sign of every zero too
+                got, expected = got.view(np.int64), expected.view(np.int64)
+            assert np.array_equal(got, expected), name
+        for before, after in zip(inputs, (ids, scores, labels)):
+            assert np.array_equal(before, after) and after.flags.writeable
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sizes_up_to_200k(self, shape):
+        rng = np.random.default_rng([2024, self.SHAPES.index(shape)])
+        for n in (1, 2, 3, 17, 1_000, 4_097, 200_000):
+            case = _kernel_case(rng, shape, n)
+            for policy in TiePolicy:
+                self._check(*case, policy)
+
+    def test_random_small_sets(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            shape = self.SHAPES[int(rng.integers(0, len(self.SHAPES)))]
+            case = _kernel_case(rng, shape, int(rng.integers(1, 300)))
+            for policy in TiePolicy:
+                self._check(*case, policy)
