@@ -380,7 +380,7 @@ def _cmd_resample(args) -> int:
                                  replicate_count=args.reps,
                                  sample_size=args.size, seed=args.seed)
     try:
-        summary = resample._run_columns(scores[labels == 1], scores[labels == 0], plan)
+        summary = resample._run_columns(scores, labels, plan)
     except MemoryError:  # numpy refuses bands of one row per replicate at once
         raise ValidationError(f"--reps {args.reps} does not fit in memory") from None
     if args.format == "json":

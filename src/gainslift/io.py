@@ -68,6 +68,8 @@ def _parse_score(raw, row: int) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise ValidationError(f"row {row}: score {raw!r} is not a number") from None
+    except OverflowError:  # a json integer, maybe too long to repr
+        raise ValidationError(f"row {row}: score is beyond the float range") from None
     if not math.isfinite(value):
         raise ValidationError(f"row {row}: score {raw!r} is not finite")
     return value
@@ -306,6 +308,9 @@ def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"row {row_no}: bad json ({exc})") from None
+            except ValueError:  # an integer past int's string-conversion limit
+                raise ValidationError(
+                    f"row {row_no}: an integer has too many digits") from None
             # a row that is not an object, such as 5 or a list, has no fields
             if not isinstance(obj, dict) or file.label_col not in obj \
                     or file.score_col not in obj:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -181,37 +182,52 @@ def _first_fault(records: Sequence[ScoredRecord]) -> None:
         except TypeError:
             raise ValidationError(f"record {rec.id!r}: score must be a number, "
                                   f"got {rec.score!r}") from None
+        except OverflowError:  # an int past the float range, maybe too long to repr
+            raise ValidationError(
+                f"record {rec.id!r}: score is beyond the float range") from None
+        except ValueError:  # Decimal("sNaN") has no float
+            finite = False
         if not finite:
             raise ValidationError(
                 f"record {rec.id!r}: score must be finite, got {rec.score!r}")
-        if rec.id in seen:
+        try:
+            repeated = rec.id in seen
+        except TypeError:
+            raise ValidationError(
+                f"record {rec.id!r}: id must be hashable") from None
+        if repeated:
             raise ValidationError(f"duplicate record id {rec.id!r}")
         seen.add(rec.id)
 
 
-def _columns(records: Sequence[ScoredRecord]
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The id, score and label columns of valid records, in input order.
+def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 score and int64 label columns of valid records, in input
+    order: the one check of a record set, which `rank_records` and the
+    resampler's `run_plan` and `stratified_sample` share.
 
-    Each check runs over a whole column at once; when one fails,
-    `_first_fault` names the first offending record.
+    Each check is one pass over a whole column: the labels, the scores (read
+    by `array("d")`, which like `math.isfinite` and unlike numpy rejects
+    strings), then, once both pass, the sorted hashes of the ids. When a
+    pass fails, `_first_fault` names the first offending record; distinct
+    ids that merely share a hash pass.
     """
-    if not records:
-        raise ValidationError("test set is empty: at least one record required")
-    ids = [r.id for r in records]
-    labels = [r.label for r in records]
-    scores = [r.score for r in records]
     try:
-        valid = (set(labels) <= {0, 1} and all(map(math.isfinite, scores))
-                 and len(set(ids)) == len(ids))
-    except TypeError:
-        valid = False
+        labels = np.array([r.label for r in records])
+        scores = np.frombuffer(array("d", [r.score for r in records]))
+        # labels that are one-element sequences make a column of shape (n, 1)
+        valid = (labels.shape == scores.shape and np.isfinite(scores).all()
+                 and ((labels == 0) | (labels == 1)).all())
+        if valid:
+            hashes = np.fromiter((hash(r.id) for r in records), np.int64,
+                                 count=len(records))
+            hashes.sort()
+            valid = not (hashes[1:] == hashes[:-1]).any()
+    except (TypeError, ValueError, OverflowError):  # a value no column holds
+        _first_fault(records)
+        raise
     if not valid:
         _first_fault(records)
-    id_column = np.empty(len(ids), dtype=object)
-    id_column[:] = ids
-    return (id_column, np.array(scores, dtype=np.float64),
-            np.array(labels, dtype=np.int64))
+    return scores, labels.astype(np.int64, copy=False)
 
 
 def rank_records(records: Sequence[ScoredRecord],
@@ -220,10 +236,15 @@ def rank_records(records: Sequence[ScoredRecord],
 
     Ties are resolved per `tie_policy`; the expected-value policy keeps the
     input order but marks tie groups so cutoff queries can average over them.
-    Raises ValidationError for empty input, non-binary labels, non-finite
-    scores, or duplicate ids (each with its own diagnostic).
+    Raises ValidationError for empty input, then whatever `_columns`, the
+    check the resampler's pool goes through too, raises: for a non-binary
+    label, a non-finite score or a duplicate id, each with its own diagnostic.
     """
-    return _rank_columns(*_columns(records), tie_policy)
+    if not records:
+        raise ValidationError("test set is empty: at least one record required")
+    scores, labels = _columns(records)
+    ids = np.fromiter((r.id for r in records), object, count=len(records))
+    return _rank_columns(ids, scores, labels, tie_policy)
 
 
 def _rank_columns(ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,

@@ -5,16 +5,16 @@ positive rate. `run_plan` draws repeated stratified subsamples at each target
 rate, evaluates fractional gains and lift on a common grid, and aggregates
 mean/min/max bands; `regularity_check` then tests the expected ordering: for
 a better-than-random scorer, rarer positives mean higher lift at small
-targeting fractions. The pool is checked whole, as `rank_records` checks a
-set, and split once into the two classes' score columns (the command line
-passes the loader's). Each replicate is ranked into a `RankedTestSet`, so its
-gains and AUC come from the same kernels as every other measure's.
+targeting fractions. The pool is checked whole by `records._columns`, the
+same function `rank_records` checks a set with, whose score and label
+columns `run_plan` then splits by class (the command line passes the
+loader's columns instead). Each replicate is ranked into a `RankedTestSet`,
+so its gains and AUC come from the same kernels as every other measure's.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -119,35 +119,6 @@ def _draw(want_pos: int, size: int, pos: np.ndarray, neg: np.ndarray,
     return np.concatenate((picked_pos, picked_neg))
 
 
-def _split(pool: Sequence[ScoredRecord]) -> tuple[np.ndarray, ...]:
-    """The pool rows of the positives and the negatives, then their scores,
-    in pool order. A pool the streaming passes cannot prove valid is checked
-    as `rank_records` checks a set, which raises its diagnostic or, for
-    distinct ids that merely share a hash, passes. Each whole-pool array is
-    dropped once used, so peak memory stays near one the size of the pool."""
-    try:
-        labels = np.array([r.label for r in pool])
-        pos_rows = np.flatnonzero(labels == 1)
-        neg_rows = np.flatnonzero(labels == 0)
-        del labels
-        # array("d"), unlike numpy, takes what math.isfinite takes: no strings
-        scores = np.frombuffer(array("d", [r.score for r in pool]))
-        valid = len(pos_rows) + len(neg_rows) == len(pool) and np.isfinite(scores).all()
-        pos_scores, neg_scores = scores[pos_rows], scores[neg_rows]
-        del scores
-    except (TypeError, ValueError):  # a label or score no column can hold
-        _columns(pool)
-        raise
-    if valid:  # ids are hashed only once labels and scores are known good
-        id_hashes = np.fromiter((hash(r.id) for r in pool), dtype=np.int64,
-                                count=len(pool))
-        id_hashes.sort()
-        valid = np.all(id_hashes[1:] != id_hashes[:-1])
-    if not valid:
-        _columns(pool)
-    return pos_rows, neg_rows, pos_scores, neg_scores
-
-
 def stratified_sample(pool: Sequence[ScoredRecord], rate: float, size: int,
                       seed) -> list[ScoredRecord]:
     """Draw exactly round(rate*size) positives and the complement negatives,
@@ -155,9 +126,10 @@ def stratified_sample(pool: Sequence[ScoredRecord], rate: float, size: int,
 
     `seed` may be an int or a numpy Generator; the same seed always yields
     the same sample, and the sample `run_plan` draws for the same seed. The
-    pool is checked whole first, as `run_plan` checks it.
+    pool is checked whole first, by `rank_records`' own check `_columns`.
     """
-    pos_rows, neg_rows, _, _ = _split(pool)
+    labels = _columns(pool)[1]
+    pos_rows, neg_rows = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
     want_pos = _wanted(rate, size, len(pos_rows), len(neg_rows))
     rows = _draw(want_pos, size, pos_rows, neg_rows, seed)
     return [pool[i] for i in rows.tolist()]
@@ -169,17 +141,20 @@ def run_plan(pool: Sequence[ScoredRecord], plan: ResamplePlan) -> ResampleSummar
 
     Replicate r at rate index k is seeded from (plan.seed, k, r), so results
     are bit-identical across runs and independent of evaluation order. The
-    pool is checked whole first and raises what `rank_records` raises for it.
+    pool is checked whole first, by `rank_records`' own check `_columns`, so
+    it raises what `rank_records` raises for it.
     """
-    return _run_columns(*_split(pool)[2:], plan)
+    return _run_columns(*_columns(pool), plan)
 
 
-def _run_columns(pos_scores: np.ndarray, neg_scores: np.ndarray,
+def _run_columns(scores: np.ndarray, labels: np.ndarray,
                  plan: ResamplePlan) -> ResampleSummary:
-    """`run_plan` on a valid pool's positive and negative scores, each in
-    pool order. Every rate is checked feasible, in rate order, before any
-    work. Each replicate draws the same indices `stratified_sample` would
-    and is ranked as `rank_records` ranks it under the input-order policy."""
+    """`run_plan` on a valid pool's float64 scores and 0/1 int64 labels in
+    pool order, as `_columns` gives them. Every rate is checked feasible, in
+    rate order, before any work. Each replicate draws the same indices
+    `stratified_sample` would and is ranked as `rank_records` ranks it under
+    the input-order policy."""
+    pos_scores, neg_scores = scores[labels == 1], scores[labels == 0]
     size = plan.sample_size
     wanted = []
     for rate in plan.target_rates:

@@ -433,6 +433,9 @@ def load_jsonl_oracle(file: ScoredFile) -> list[ScoredRecord]:
                 except json.JSONDecodeError as exc:
                     raise ValidationError(
                         f"row {row_no}: bad json ({exc})") from None
+                except ValueError:  # an int of over 4300 digits, by default
+                    raise ValidationError(
+                        f"row {row_no}: an integer has too many digits") from None
                 if (not isinstance(obj, dict) or file.label_col not in obj
                         or file.score_col not in obj):
                     raise ValidationError(

@@ -434,6 +434,16 @@ class TestRejectedInputs:
         ("a.jsonl", '{"id": "x", "score": 0.9, "label": 1}\n'
                     '{"id": "x", "score": 0.4, "label": 0}\n'),
         ("a.jsonl", "{not json\n"),
+        # integers past the float range, or past the digits Python reads
+        pytest.param("a.jsonl", '{"score": 0.9, "label": 1}\n'
+                     f'{{"score": -1{"0" * 400}, "label": 0}}\n',
+                     id="jsonl-score-past-float-range"),
+        *(pytest.param("a.jsonl", '{"id": "a", "score": 0.9, "label": 1}\n'
+                       + row.replace("N", "9" * 5000) + "\n",
+                       id=f"jsonl-{field}-past-int-digits")
+          for field, row in (("id", '{"id": N, "score": 0.4, "label": 0}'),
+                             ("score", '{"id": "b", "score": N, "label": 0}'),
+                             ("label", '{"id": "b", "score": 0.4, "label": N}'))),
     ]
 
     @pytest.mark.parametrize("name,text", CASES)

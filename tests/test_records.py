@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ScoredRecord,
                        TiePolicy, ValidationError, rank_records)
-from gainslift.records import _rank_columns
+from gainslift.records import _columns, _first_fault, _rank_columns
 
 from helpers import (random_instance, rank_order_oracle, records_from_labels,
                      stable_order_oracle)
@@ -187,6 +188,8 @@ class TestColumnarRankedSet:
         ([(4, "dup"), (1, "label")], "record 'r1': label must be 0 or 1"),
         ([(3, "score"), (3, "dup")], "record 'r0': score must be finite"),
         ([(2, "unhashable")], "record 'r2': label must be 0 or 1"),
+        ([(3, "unhashable id"), (4, "dup")],
+         "record ['r3']: id must be hashable"),
     ])
     def test_first_fault_is_named(self, faults, message):
         records = make([0.9, 0.8, 0.7, 0.6, 0.5], [1, 0, 1, 0, 1])
@@ -196,6 +199,8 @@ class TestColumnarRankedSet:
                 records[i] = ScoredRecord(rec.id, rec.score, 2)
             elif kind == "unhashable":
                 records[i] = ScoredRecord(rec.id, rec.score, [1])
+            elif kind == "unhashable id":
+                records[i] = ScoredRecord([rec.id], rec.score, rec.label)
             elif kind == "score":
                 records[i] = ScoredRecord(rec.id, float("nan"), rec.label)
             else:
@@ -203,6 +208,56 @@ class TestColumnarRankedSet:
         with pytest.raises(ValidationError) as info:
             rank_records(records)
         assert str(info.value).startswith(message)
+
+
+# faults injected into the pools of TestSharedCheck: a value for one field
+_FAULTS = ([("label", v) for v in (2, "1", None, [1])]
+           + [("score", v) for v in (float("nan"), float("inf"), "0.5", None,
+                                     10**400, Decimal("sNaN"))]
+           + [("id", v) for v in ("repeat", ["x"], "shared hash")])
+
+
+class TestSharedCheck:
+    """`_columns`, the whole-column check that `rank_records`, `run_plan`
+    and `stratified_sample` share, against `_first_fault`, the check that
+    reads one record at a time."""
+
+    def test_seeded_pools_with_faults(self):
+        rng = np.random.default_rng(1313)
+        for _ in range(300):
+            n = int(rng.integers(1, 61))
+            as_label = (int, bool, float, np.int64)[rng.integers(0, 4)]
+            pool = make(np.round(rng.normal(size=n), 1).tolist(),
+                        map(as_label, rng.integers(0, 2, size=n).tolist()))
+            for k in rng.integers(0, len(_FAULTS), size=rng.integers(0, 4)):
+                field, value = _FAULTS[k]
+                i = int(rng.integers(0, n))
+                rec = pool[i]
+                if field == "label":
+                    pool[i] = ScoredRecord(rec.id, rec.score, value)
+                elif field == "score":
+                    pool[i] = ScoredRecord(rec.id, value, rec.label)
+                elif value == "repeat":
+                    source = pool[int(rng.integers(0, n))]
+                    pool[i] = ScoredRecord(source.id, rec.score, rec.label)
+                elif value == "shared hash":  # hash(-1) == hash(-2)
+                    j = int(rng.integers(0, n))
+                    pool[i] = ScoredRecord(-1, rec.score, rec.label)
+                    pool[j] = ScoredRecord(-2, pool[j].score, pool[j].label)
+                else:
+                    pool[i] = ScoredRecord(value, rec.score, rec.label)
+            try:
+                _first_fault(pool)
+            except Exception as fault:
+                with pytest.raises(Exception) as info:
+                    _columns(pool)
+                assert type(info.value) is type(fault)
+                assert str(info.value) == str(fault)
+                continue
+            scores, labels = _columns(pool)
+            assert scores.dtype == np.float64 and labels.dtype == np.int64
+            assert scores.tolist() == [float(r.score) for r in pool]
+            assert labels.tolist() == [int(r.label) for r in pool]
 
 
 def _kernel_case(rng: np.random.Generator, shape: str, n: int):

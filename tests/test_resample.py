@@ -1,13 +1,15 @@
 import dataclasses
 import hashlib
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gainslift import (InfeasibleError, RegularityOutcome, ResamplePlan,
-                       ScoredRecord, ValidationError, auc_pairs, rank_records,
-                       regularity_check, run_plan, stratified_sample,
-                       summary_to_json, synthetic_scorer)
+                       ScoredRecord, TiePolicy, ValidationError, auc_pairs,
+                       rank_records, regularity_check, run_plan,
+                       stratified_sample, summary_to_json, synthetic_scorer)
 from gainslift import resample
 from gainslift.resample import SEPARATION_AUC_090, _positives_for
 
@@ -345,11 +347,19 @@ class TestRunPlanAgainstOracle:
 
     @pytest.mark.parametrize("row, score", [
         (3, float("nan")), (3, float("inf")), (45, float("-inf")),
-        (59, float("nan"))])
+        (59, float("nan")),
+        # ints past the float range (the second too long to repr) and a
+        # signalling NaN, which has no float
+        pytest.param(3, 10**400, id="3-10**400"),
+        pytest.param(45, 10**5000, id="45-10**5000"),
+        pytest.param(7, Decimal("sNaN"), id="7-sNaN")])
     def test_non_finite_score_raises_for_every_seed(self, row, score):
         pool = _pool_for_checks()
         pool[row] = ScoredRecord(pool[row].id, score, pool[row].label)
-        _assert_raises_as_rank_records(pool)
+        message = _assert_raises_as_rank_records(pool)
+        if isinstance(score, int):
+            assert message == (f"record {pool[row].id!r}: "
+                               "score is beyond the float range")
 
     @pytest.mark.parametrize("row, source", [(40, 41), (5, 50), (0, 19)])
     def test_duplicate_id_raises_for_every_seed(self, row, source):
@@ -365,10 +375,19 @@ class TestRunPlanAgainstOracle:
         pool[row] = ScoredRecord(pool[row].id, pool[row].score, label)
         _assert_raises_as_rank_records(pool)
 
+    @pytest.mark.parametrize("wrap", [lambda y: [y], lambda y: (y,)],
+                             ids=["list", "tuple"])
+    def test_labels_that_are_all_sequences_raise_for_every_seed(self, wrap):
+        # numpy reads them as one label column of shape (n, 1)
+        pool = [ScoredRecord(r.id, r.score, wrap(r.label))
+                for r in _pool_for_checks()]
+        message = _assert_raises_as_rank_records(pool)
+        assert message.startswith(f"record {pool[0].id!r}: label must be 0 or 1")
+
     @pytest.mark.parametrize("score", ["0.5", None])
     def test_non_numeric_score_raises_for_every_seed(self, score):
-        # a numeric string converts to float64 in numpy, so the pool split
-        # must reject it as rank_records does rather than parse it
+        # a numeric string converts to float64 in numpy, so the shared check
+        # must reject it rather than parse it
         pool = _pool_for_checks()
         pool[3] = ScoredRecord(pool[3].id, score, pool[3].label)
         message = _assert_raises_as_rank_records(pool)
@@ -409,6 +428,26 @@ class TestRunPlanAgainstOracle:
         for seed in range(4):
             assert ([r.id for r in stratified_sample(other, 0.3, 50, seed)]
                     == [r.id for r in stratified_sample(pool, 0.3, 50, seed)])
+
+    @pytest.mark.parametrize("as_score", [Fraction, Decimal, np.float64])
+    def test_equal_scores_of_other_types_give_the_same_results(self, as_score):
+        rng = np.random.default_rng(33)
+        pool = _tied_pool(rng, 40, 160, 0.25)
+        pool += [ScoredRecord(f"y{i}", s, i % 2) for i, s in
+                 enumerate(rng.normal(size=50).tolist() + [0.0, 1e-300])]
+        other = [ScoredRecord(r.id, as_score(r.score), r.label) for r in pool]
+        plan = ResamplePlan(target_rates=(0.1, 0.3), replicate_count=4,
+                            sample_size=50, seed=34)
+        assert run_plan(other, plan) == run_plan(pool, plan)
+        for seed in range(4):
+            assert ([r.id for r in stratified_sample(other, 0.3, 50, seed)]
+                    == [r.id for r in stratified_sample(pool, 0.3, 50, seed)])
+        for policy in TiePolicy:
+            got, want = rank_records(other, policy), rank_records(pool, policy)
+            assert got._scores.dtype == np.float64
+            # == on scores: Fraction(-0.0) is 0, and the pool has -0.0
+            assert ((list(got.ids), got.scores, got.labels)
+                    == (list(want.ids), want.scores, want.labels))
 
     def test_distinct_ids_sharing_a_hash_pass(self):
         # hash(-1) == hash(-2) in CPython, so the hash pass cannot prove the
