@@ -476,7 +476,8 @@ def test_demos_write_the_committed_svgs(tmp_path):
 
 # A 20,000-row file at 48 score levels, as in perfbench's cli-point-ties:
 # every tie group holds about 417 rows, so any change to the order within a
-# group (an unstable sort, a different id key) moves these bytes.
+# group (an unstable sort, a different id key) moves these bytes, and the
+# curves' columns hold long runs of equal values.
 TIES_ROWS = 20_000
 TIES_LEVELS = 48
 
@@ -510,13 +511,28 @@ LARGE_TIED_COMMANDS = {
     "deciles-expected": ["deciles", "--tie-policy", "expected"],
     "perturb-id": ["perturb", "--swap", "6:8", "--tie-policy", "id"],
     "perturb-input": ["perturb", "--swap", "6:8"],
+    "gains": ["gains"],
+    "gains-fraction-json": ["gains", "--x", "fraction", "--format", "json"],
+    "gains-json-expected": ["gains", "--format", "json", "--tie-policy",
+                            "expected"],
+    "roc": ["roc"],
+    "roc-json": ["roc", "--format", "json"],
+    "benefit-json": ["benefit", "--qtp", "1", "--qfp=-0.2", "--format", "json"],
 }
 
 LARGE_TIED_PINNED = {
+    "benefit-json":
+        "9ac56b6ac2abbe5f8a8c5f22f3f9f445d24f0a6d387e8f1c15eb4e767d4a01e7",
     "deciles-expected":
         "152e348f2dacc51def282fa350977a38e922650b94bfa8f9840ca114884e9242",
+    "gains":
+        "9decf825a81b0f6fb6c812d86871b030e15e334b255e8746dcb2235dfda6786a",
+    "gains-fraction-json":
+        "d5fd310de95f2b68c7074baa57b16e5842c234af83c30412bd9f8e61c007f338",
     "gains-id":
         "119972e038a9b61ca0673a2752fb5875e5270d64056ce8e3dfdf2a54f79ccc1a",
+    "gains-json-expected":
+        "73039fe2f36545d529560fcd7b44ee2a2ae0ae8d74642928f13bd191f650bc40",
     "lift-json":
         "97e058ca568d99e1f0d2bdb90aecba3035d8b0fe6097f6c73fb5f5bbc7a707ca",
     "lift-json-id":
@@ -525,6 +541,10 @@ LARGE_TIED_PINNED = {
         "5f3fddc829ac90a33d776cbd8ae8db3a2894f3416a7f021ca59e15ef880dddd5",
     "perturb-input":
         "280ab5bbf26952fad6a64c53e40b040afd5c8530f9b39034e4da64a24bdf74a9",
+    "roc":
+        "49c252692f9112906e9d710ffce64c029b24fe26a8bf2875cd2c94b585167b5b",
+    "roc-json":
+        "90cc365dbcb398f0e04737049b655325251126ec3da5d06cd87e71263f105dd0",
 }
 
 
