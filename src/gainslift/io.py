@@ -3,13 +3,14 @@
 Input is delimited text (header row required) or json-lines, read into
 validated id, score and label columns; delimited text is converted a column
 at a time and scanned row by row only to name a fault. A delimited file with
-an ASCII delimiter, no quote, carriage return or NUL byte, the header's
-field count on every non-blank line and no line over the csv module's field
-size limit is split in blocks of whole lines; any other file is read by the
-csv module, so both give the same columns and the same errors. Curve output is
-delimited text with shortest-roundtrip floats, or json carrying exact
-numerator/denominator fields so a re-parse reproduces the rationals bit for
-bit.
+an ASCII delimiter, no quote or NUL byte, no carriage return but in a CRLF
+line end, the header's field count on every non-blank line and no line over
+the csv module's field size limit is split in blocks of whole lines; any
+other file is read by the csv module, so both give the same columns and the
+same errors. Curve output is delimited text with shortest-roundtrip floats,
+or json carrying exact numerator/denominator fields so a re-parse reproduces
+the rationals bit for bit; each run of equal values in a column is formatted
+once.
 """
 
 from __future__ import annotations
@@ -259,10 +260,14 @@ def _plain_fields(block: bytes, d: str, width: int, limit: int
                   ) -> list[str] | None:
     """The fields of a block of whole lines, row after row, with blank
     lines dropped; or None where the csv module could read the block
-    otherwise than by splitting: a quote, carriage return or NUL byte, a
-    non-blank line without exactly `width` fields, a line longer than
-    `limit` bytes (the csv module's field size limit), or bytes that are not
-    UTF-8."""
+    otherwise than by splitting: a quote or NUL byte, a carriage return not
+    directly before a newline, a non-blank line without exactly `width`
+    fields, a line longer than `limit` bytes (the csv module's field size
+    limit), or bytes that are not UTF-8."""
+    if b"\r" in block:
+        # a CRLF line end reads as LF; the csv module also ends a line at
+        # any other carriage return, so one left over sends the file to it
+        block = block.replace(b"\r\n", b"\n")
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     if block.startswith(b"\n") or b"\n\n" in block:
@@ -311,6 +316,9 @@ def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
             except ValueError:  # an integer past int's string-conversion limit
                 raise ValidationError(
                     f"row {row_no}: an integer has too many digits") from None
+            except RecursionError:
+                raise ValidationError(
+                    f"row {row_no}: json nested too deeply") from None
             # a row that is not an object, such as 5 or a list, has no fields
             if not isinstance(obj, dict) or file.label_col not in obj \
                     or file.score_col not in obj:
@@ -345,7 +353,8 @@ def emit_curves(series: Sequence[CurveSeries], format: str = "csv") -> str:
     """The text of the series, for the caller to write.
 
     csv is one row per point with shortest-roundtrip floats; json adds exact
-    'num/den' fields so parsing recovers the rationals unchanged.
+    'num/den' fields so parsing recovers the rationals unchanged. Each run
+    of equal values in a column is formatted once and its text repeated.
     """
     if not series:
         raise ValidationError("no series to emit")
@@ -362,33 +371,30 @@ def _curves_csv(series: Sequence[CurveSeries]) -> str:
     writer.writerow(["series", "x_kind", "x", "y"])
     for s in series:
         # the csv module quotes the name and kind once; a float's repr never
-        # needs quoting, so every row is one format of that prefix
+        # needs quoting, so every row is that prefix and the two reprs
         head = _stdio.StringIO()
         csv.writer(head).writerow([s.name, s.x_kind.value, ""])
-        prefix = head.getvalue()[:-2].replace("{", "{{").replace("}", "}}")
-        buf.writelines(map(f"{prefix}{{!r}},{{!r}}\r\n".format,
-                           s.x.floats().tolist(), s.y.floats().tolist()))
+        prefix = head.getvalue()[:-2]
+        buf.writelines(f"{prefix}{x},{y}\r\n"
+                       for x, y in zip(s.x.reprs(), s.y.reprs()))
     return buf.getvalue()
-
-
-# One point as `json.dumps(payload, indent=2)` lays it out. Floats are
-# written by repr, as the json module writes them, and the exact texts hold
-# only digits, '-' and '/', which need no escaping.
-_JSON_POINT = ('        {{\n          "x": {!r},\n          "y": {!r},\n'
-               '          "x_exact": "{}",\n          "y_exact": "{}"\n'
-               '        }}')
 
 
 def _curves_json(series: Sequence[CurveSeries]) -> str:
     """The text of json.dumps(payload, indent=2) + newline for the payload
     {"series": [{"name", "x_kind", "points": [{"x", "y", "x_exact",
     "y_exact"}, ...]}, ...]}, written from the columns directly: the json
-    module's indented encoder is its slow pure-Python one."""
+    module's indented encoder is its slow pure-Python one. Floats are
+    written by repr, as the json module writes them, and the exact texts
+    hold only digits, '-' and '/', which need no escaping."""
     blocks = []
     for s in series:
-        points = ",\n".join(map(_JSON_POINT.format, s.x.floats().tolist(),
-                                s.y.floats().tolist(), s.x.texts(),
-                                s.y.texts()))
+        points = ",\n".join(
+            f'        {{\n          "x": {x},\n          "y": {y},\n'
+            f'          "x_exact": "{x_exact}",\n'
+            f'          "y_exact": "{y_exact}"\n        }}'
+            for x, y, x_exact, y_exact in zip(s.x.reprs(), s.y.reprs(),
+                                              s.x.texts(), s.y.texts()))
         points = f"[\n{points}\n      ]" if points else "[]"
         blocks.append(f'    {{\n      "name": {json.dumps(s.name)},\n'
                       f'      "x_kind": {json.dumps(s.x_kind.value)},\n'

@@ -436,6 +436,9 @@ def load_jsonl_oracle(file: ScoredFile) -> list[ScoredRecord]:
                 except ValueError:  # an int of over 4300 digits, by default
                     raise ValidationError(
                         f"row {row_no}: an integer has too many digits") from None
+                except RecursionError:
+                    raise ValidationError(
+                        f"row {row_no}: json nested too deeply") from None
                 if (not isinstance(obj, dict) or file.label_col not in obj
                         or file.score_col not in obj):
                     raise ValidationError(

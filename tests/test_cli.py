@@ -444,6 +444,9 @@ class TestRejectedInputs:
           for field, row in (("id", '{"id": N, "score": 0.4, "label": 0}'),
                              ("score", '{"id": "b", "score": N, "label": 0}'),
                              ("label", '{"id": "b", "score": 0.4, "label": N}'))),
+        pytest.param("a.jsonl", '{"score": 0.9, "label": 1}\n{"score": '
+                     + "[" * 100_000 + "]" * 100_000 + ', "label": 0}\n',
+                     id="jsonl-score-nested-too-deeply"),
     ]
 
     @pytest.mark.parametrize("name,text", CASES)

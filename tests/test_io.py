@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (ScoredFile, ScoredRecord, TiePolicy, ValidationError,
-                       decile_series, emit_curves, example24_path,
+from gainslift import (CostSpec, ScoredFile, ScoredRecord, TiePolicy,
+                       ValidationError, benefit_series, decile_series, emit_curves, example24_path,
                        gains_series, lift_series, load_scored, parse_curves,
                        random_targeting_series, rank_records, render_decimal,
                        roc_points, save_scored)
@@ -172,13 +172,15 @@ class TestLoadScored:
 
 
 class TestSaveScored:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, plain_reads):
         records = records_from_labels([1, 0, 1], [0.9, 0.5, 0.25])
         out = tmp_path / "out.csv"
         save_scored(records, out)
         again = load_scored(out)
         assert [(r.id, r.score, r.label) for r in again] == \
             [(r.id, r.score, r.label) for r in records]
+        # its CRLF line ends do not send the file to the csv module
+        assert b"\r\n" in out.read_bytes() and plain_reads == [True]
 
 
 class TestEmitCurves:
@@ -438,6 +440,10 @@ class TestLoaderAgainstOracles:
           '{"id": "", "score": 0.4, "label": 0}'], "duplicate id ''"),
         (['{"id": 7, "score": 0.5, "label": 1}',
           '{"id": "7", "score": 0.4, "label": 0}'], "duplicate id '7'"),
+        # json.loads raises RecursionError, not a JSONDecodeError
+        (['{"score": 0.5, "label": 1}',
+          '{"score": ' + "[" * 100_000 + "]" * 100_000 + ', "label": 1}'],
+         "row 2: json nested too deeply"),
         ([], "no data rows"),
     ])
     def test_jsonl_errors(self, tmp_path, lines, message):
@@ -487,8 +493,8 @@ class TestPlainRoute:
         # fallback triggers
         "quoted-field": (b'id,score,label\n"a",0.5,1\nb,0.4,0\n', {}, False),
         "inner-quote": (b'id,score,label\na"b,0.5,1\n', {}, False),
-        "crlf": (b"id,score,label\r\na,0.5,1\r\nb,0.4,0\r\n", {}, False),
         "cr": (b"id,score,label\na\rb,0.5,1\n", {}, False),
+        "cr-cr-lf": (b"id,score,label\na,0.5,1\r\r\nb,0.4,0\n", {}, False),
         "nul": (b"id,score,label\na\0b,0.5,1\nb,0.4,0\n", {}, False),
         "field-over-limit": (f"id,score,label\n{LONG_ID},0.5,1\n".encode(),
                              {}, False),
@@ -531,6 +537,16 @@ class TestPlainRoute:
         "header-only": (b"id,score,label\n", {}, True),
         "unterminated-header": (b"id,score,label", {}, True),
         "unterminated-row": (b"id,score,label\na,0.5,1", {}, True),
+        # a carriage return that only makes a CRLF line end is dropped
+        "crlf": (b"id,score,label\r\na,0.5,1\r\nb,0.4,0\r\n", {}, True),
+        "unterminated-cr": (b"id,score,label\r\na,0.5,1\r\nb,0.4,0\r", {},
+                            True),
+        "crlf-blank-lines": (
+            b"id,score,label\r\n\r\na,0.5,1\r\n\r\n\r\nb,0.4,0\r\n\r\n", {},
+            True),
+        "lf-and-crlf": (b"id,score,label\na,0.5,1\r\nb,0.4,0\n\r\nc,0.3,1\n",
+                        {}, True),
+        "crlf-header-only": (b"id,score,label\r\n", {}, True),
         "semicolons-renamed": (b"y;p;name\n1;0.7;u\n0; 0.2 ;v\n 1 ;1e-3;w\n",
                                {"delimiter": ";", "label_col": "y",
                                 "score_col": "p", "id_col": "name"}, True),
@@ -563,7 +579,7 @@ class TestPlainRoute:
         ("r9000," + "9" * 300 + ",1\n", True),  # longer than some blocks
         ('"r9000",0.5,1\n', False),
         ("r9000,0.5\n", False),
-        ("r9000,0.5,1\r\n", False),
+        ("r9000,0.5,1\r\n", True),
         ("r9000,0.5,2\n", True),
     ], ids=["none", "blank-lines", "long-row", "quote", "short-row", "crlf",
             "bad-label"])
@@ -759,3 +775,87 @@ class TestSerializersAgainstOracles:
                   decile_series(example24)]
         assert emit_curves(series, format="csv") == curves_csv_oracle(series)
         assert emit_curves(series, format="json") == curves_json_oracle(series)
+
+
+class TestRunsAgainstOracles:
+    """The writers format the first value of each run of equal values and
+    repeat its text over the run; series with runs of every length, in
+    int64 and in object (Python int) columns, must still match the oracles
+    point for point."""
+
+    # 1: int64 columns; the others put Python ints in the columns
+    SCALES = [Fraction(1), Fraction(10**300, 3**150), Fraction(1, 7**200)]
+
+    @staticmethod
+    def _runs(rng, length: int, run_lengths, scale: Fraction) -> list:
+        values = []
+        for run in run_lengths:
+            value = Fraction(int(rng.integers(-10**6, 10**6)),
+                             int(rng.integers(1, 10**4))) * scale
+            values += [value] * run
+            if len(values) >= length:
+                return values[:length]
+        return values
+
+    @staticmethod
+    def _check(series) -> None:
+        assert emit_curves(series, format="csv") == curves_csv_oracle(series)
+        assert emit_curves(series, format="json") == curves_json_oracle(series)
+        for s in series:
+            for column, values in ((s.x, [x for x, _ in s.points]),
+                                   (s.y, [y for _, y in s.points])):
+                assert column.reprs() == [repr(float(v)) for v in values]
+                assert column.texts() == [
+                    f"{v.numerator}/{v.denominator}" for v in map(Fraction, values)]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_runs_of_every_length(self, scale):
+        rng = np.random.default_rng(3001)
+        series = []
+        for length in (1, 2, 3, 5, 17, 64):
+            for run in range(1, length + 1):
+                y = self._runs(rng, length, [run] * length, scale)
+                series.append(CurveSeries(f"count {length}/{run}", XKind.COUNT,
+                                          zip(range(1, length + 1), y)))
+                # fpr x values may repeat: runs of `run` equal x
+                x = [Fraction(k // run, length) * scale for k in range(length)]
+                series.append(CurveSeries(f"fpr {length}/{run}", XKind.FPR,
+                                          zip(x, y)))
+        if scale != 1:
+            assert series[-1].y.num.dtype == object \
+                or series[-1].y.den.dtype == object
+        self._check(series)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_random_run_lengths(self, scale):
+        rng = np.random.default_rng(3002)
+        for k in range(30):
+            length = int(rng.integers(1, 300))
+            x_runs = rng.integers(1, 12, size=length).tolist()
+            y_runs = rng.integers(1, 12, size=length).tolist()
+            # sorting keeps equal values together, so x keeps runs
+            x = sorted(abs(v) * scale for v in
+                       self._runs(rng, length, x_runs, Fraction(1)))
+            y = self._runs(rng, length, y_runs, scale)
+            self._check([CurveSeries(f"fpr {k}", XKind.FPR, zip(x, y))])
+
+    def test_empty_and_one_point_series(self):
+        self._check([CurveSeries("empty", XKind.COUNT, ())])
+        self._check([CurveSeries("one", XKind.FPR,
+                                 [(Fraction(0), Fraction(10**400, 3 * 10**399))])])
+        self._check([CurveSeries("empty", XKind.COUNT, ()),
+                     CurveSeries("one", XKind.COUNT, [(1, Fraction(-1, 3))]),
+                     CurveSeries("empty", XKind.FPR, ())])
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_curves_of_a_tied_set(self, policy):
+        rng = np.random.default_rng(3003)
+        labels = (rng.random(400) < 0.3).astype(int).tolist()
+        scores = rng.integers(0, 6, size=400).tolist()
+        ranked = rank_records(records_from_labels(labels, scores), policy)
+        series = [gains_series(ranked), gains_series(ranked, fraction=True),
+                  lift_series(ranked), roc_points(ranked),
+                  benefit_series(ranked, CostSpec(1e300, -0.2)),
+                  benefit_series(ranked, CostSpec(0.1, -0.3))]
+        assert series[4].y.num.dtype == object
+        self._check(series)

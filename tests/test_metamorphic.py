@@ -4,10 +4,14 @@ A ranking is fixed by the order of the scores, not their values, so a
 rank-preserving map of the scores changes no printed measure under any tie
 policy. The id and expected-value policies are fixed by the set, not by the
 input's row order, so shuffling the rows changes none of their measures.
-Each relation is checked on a seeded file with many ties and signed zeros,
-on outputs compared byte for byte.
+Negating every score reverses the ranking, which maps AUC to 1 - AUC. ROC
+and AUC do not see the class distribution (Fawcett 2006, "An introduction to
+ROC analysis"), so repeating every negative changes neither. Each relation
+is checked on a seeded file with many ties and signed zeros, on outputs
+compared byte for byte.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,10 @@ MEASURES = {
     "auc-pairs": ["auc", "--exact"],
     "auc-wilcoxon": ["auc", "--method", "wilcoxon", "--exact"],
     "roc": ["roc"],
+    "roc-json": ["roc", "--format", "json"],
+    "benefit-json": ["benefit", "--qtp", "1", "--qfp=-0.2", "--format", "json"],
+    "chart-lift": ["chart", "--kind", "lift", "--out"],
+    "chart-roc": ["chart", "--kind", "roc", "--out"],
 }
 
 
@@ -50,10 +58,11 @@ def _write(path: Path, rows) -> str:
     return str(path)
 
 
-def _outputs(capsys, tmp_path, path: str, policy: str) -> dict[str, str]:
+def _outputs(capsys, tmp_path, path: str, policy: str,
+             measures=MEASURES) -> dict[str, str]:
     """Every measure's text for the file under the tie policy."""
     texts = {}
-    for name, argv in MEASURES.items():
+    for name, argv in measures.items():
         argv = [argv[0], "--input", path, "--tie-policy", policy, *argv[1:]]
         if argv[-1] == "--out":
             out = tmp_path / "out.txt"
@@ -92,3 +101,34 @@ def test_row_order_changes_no_output(capsys, tmp_path, rows, policy):
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
         path = _write(tmp_path / f"shuffled{k}.csv", shuffled)
         assert _outputs(capsys, tmp_path, path, policy) == original
+
+
+AUC_MEASURES = {name: MEASURES[name] for name in ("auc-pairs", "auc-wilcoxon")}
+
+
+@pytest.mark.parametrize("policy", ["input", "id", "expected"])
+def test_negated_scores_give_one_minus_auc(capsys, tmp_path, rows, policy):
+    negated = [(i, -s, y) for i, s, y in rows]
+    original = _outputs(capsys, tmp_path, _write(tmp_path / "a.csv", rows),
+                        policy, AUC_MEASURES)
+    mapped = _outputs(capsys, tmp_path, _write(tmp_path / "b.csv", negated),
+                      policy, AUC_MEASURES)
+    for name in AUC_MEASURES:
+        auc = Fraction(original[name].strip())
+        assert 0 < auc < 1 and auc != Fraction(1, 2)
+        assert Fraction(mapped[name].strip()) == 1 - auc
+
+
+@pytest.mark.parametrize("policy", ["input", "id", "expected"])
+def test_repeated_negatives_change_no_roc_output(capsys, tmp_path, rows,
+                                                 policy):
+    measures = {name: MEASURES[name] for name in (
+        "roc", "roc-json", "auc-pairs", "auc-wilcoxon")}
+    copies = [(f"{i}-copy{k}", s, y) for k in (1, 2)
+              for i, s, y in rows if y == 0]
+    original = _outputs(capsys, tmp_path, _write(tmp_path / "a.csv", rows),
+                        policy, measures)
+    repeated = _outputs(capsys, tmp_path,
+                        _write(tmp_path / "b.csv", rows + copies), policy,
+                        measures)
+    assert repeated == original
