@@ -546,3 +546,35 @@ def test_run_plan_digest_on_a_tied_pool():
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == (
         "5fec5c84bde8e2576609e1cb2c123ae8a3976debd72b373aefb6140b7c1de2c0")
+
+
+def _is_curve(argv) -> bool:
+    """A command that writes a whole curve: no cutoff, and not `deciles`,
+    whose stdout is a text table and whose --out is the decile series."""
+    name, *rest = argv
+    return (name in ("gains", "lift", "roc", "benefit")
+            and "--n" not in rest and "--fraction" not in rest)
+
+
+CURVE_COMMANDS = sorted(
+    [(f"pinned/{command}", argv) for command, argv in COMMANDS.items()
+     if _is_curve(argv)]
+    + [(f"large/{command}", argv) for command, argv in
+       LARGE_TIED_COMMANDS.items() if _is_curve(argv)])
+
+
+@pytest.mark.parametrize("case,argv", CURVE_COMMANDS,
+                         ids=[case for case, _ in CURVE_COMMANDS])
+def test_stdout_and_out_write_the_same_bytes(capsys, tmp_path, inputs,
+                                             large_tied, case, argv):
+    """The 20,000-row curves span many write pieces; --out must hold
+    exactly what stdout shows."""
+    path = inputs["tied"] if case.startswith("pinned/") else large_tied
+    argv = [argv[0], "--input", str(path), *argv[1:]]
+    assert cli_main(argv) == 0
+    shown, err = capsys.readouterr()
+    assert err == ""
+    out = tmp_path / "curve.txt"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == shown.encode("utf-8")
