@@ -16,6 +16,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from . import charts, compare, io, metrics, resample
 from .errors import BudgetExhaustedError, GainsLiftError, InfeasibleError, ValidationError
@@ -188,11 +189,17 @@ def _single_input(args) -> str:
     return args.input[0]
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, pieces: str | Iterable[str]) -> None:
+    """Write one text, or each piece of an iterable in turn, to --out or
+    stdout."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        # opened as Path.write_text opens it
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _rendered(args, value) -> str:
@@ -220,7 +227,7 @@ def _point_or_curve(args, ranked, point, curve) -> int:
     if n is not None:
         _emit(args, _rendered(args, point(ranked, n)) + "\n")
     else:
-        _emit(args, io.emit_curves([curve(ranked)], format=args.format))
+        _emit(args, io._curve_pieces([curve(ranked)], args.format))
     return 0
 
 
@@ -250,7 +257,7 @@ def _cmd_deciles(args) -> int:
     ranked = _ranked(args, _single_input(args))
     if args.out:
         series = metrics.decile_series(ranked)
-        _emit(args, io.emit_curves([series], format=args.format))
+        _emit(args, io._curve_pieces([series], args.format))
         return 0
     _emit(args, "".join(f"{k} {_rendered(args, v)}\n" for k, v in
                         enumerate(metrics.decile_lift(ranked), start=1)))
@@ -266,7 +273,7 @@ def _cmd_auc(args) -> int:
 
 def _cmd_roc(args) -> int:
     ranked = _ranked(args, _single_input(args))
-    _emit(args, io.emit_curves([metrics.roc_points(ranked)], format=args.format))
+    _emit(args, io._curve_pieces([metrics.roc_points(ranked)], args.format))
     return 0
 
 

@@ -10,7 +10,8 @@ other file is read by the csv module, so both give the same columns and the
 same errors. Curve output is delimited text with shortest-roundtrip floats,
 or json carrying exact numerator/denominator fields so a re-parse reproduces
 the rationals bit for bit; each run of equal values in a column is formatted
-once.
+once. The command line streams a curve 1,024 points at a time
+(`_curve_pieces`), and `emit_curves` joins the same pieces.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import CurveSeries, XKind
+from .metrics import CurveSeries, RationalColumn, XKind
 from .records import RankedTestSet, ScoredRecord
 from .resample import ResampleSummary
 
@@ -349,57 +350,83 @@ def save_scored(records: Sequence[ScoredRecord] | RankedTestSet, out) -> None:
 # curve serialization
 # ---------------------------------------------------------------------------
 
+# A curve is written this many points at a time, so the text held at once
+# is one piece, not the whole output.
+_CHUNK_POINTS = 1024
+
+
 def emit_curves(series: Sequence[CurveSeries], format: str = "csv") -> str:
     """The text of the series, for the caller to write.
 
     csv is one row per point with shortest-roundtrip floats; json adds exact
     'num/den' fields so parsing recovers the rationals unchanged. Each run
     of equal values in a column is formatted once and its text repeated.
+    The text is the join of the pieces the command line writes one by one.
     """
+    return "".join(_curve_pieces(series, format))
+
+
+def _curve_pieces(series: Sequence[CurveSeries], format: str
+                  ) -> Iterator[str]:
+    """The text of `emit_curves`, `_CHUNK_POINTS` points a piece. Every
+    check runs before the first piece: a bad argument, or a value past the
+    float range, raises here, so nothing has been written."""
     if not series:
         raise ValidationError("no series to emit")
-    if format == "csv":
-        return _curves_csv(series)
-    if format == "json":
-        return _curves_json(series)
-    raise ValidationError(f"unknown curve format {format!r}")
+    pieces = {"csv": _csv_pieces, "json": _json_pieces}.get(format)
+    if pieces is None:
+        raise ValidationError(f"unknown curve format {format!r}")
+    # whole float columns, 8 bytes a point: only they can fail
+    floats = [(s.x.floats(), s.y.floats()) for s in series]
+    return pieces(series, floats)
 
 
-def _curves_csv(series: Sequence[CurveSeries]) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["series", "x_kind", "x", "y"])
-    for s in series:
+def _chunks(column: RationalColumn, floats: np.ndarray):
+    """The column and its floats, `_CHUNK_POINTS` values at a time."""
+    for at in range(0, len(floats), _CHUNK_POINTS):
+        cut = slice(at, at + _CHUNK_POINTS)
+        yield RationalColumn(column.num[cut], column.den[cut]), floats[cut]
+
+
+def _csv_pieces(series, floats) -> Iterator[str]:
+    yield "series,x_kind,x,y\r\n"
+    for s, (x_floats, y_floats) in zip(series, floats):
         # the csv module quotes the name and kind once; a float's repr never
         # needs quoting, so every row is that prefix and the two reprs
         head = _stdio.StringIO()
         csv.writer(head).writerow([s.name, s.x_kind.value, ""])
         prefix = head.getvalue()[:-2]
-        buf.writelines(f"{prefix}{x},{y}\r\n"
-                       for x, y in zip(s.x.reprs(), s.y.reprs()))
-    return buf.getvalue()
+        for (x, xf), (y, yf) in zip(_chunks(s.x, x_floats),
+                                    _chunks(s.y, y_floats)):
+            yield "".join(f"{prefix}{a},{b}\r\n"
+                          for a, b in zip(x._reprs(xf), y._reprs(yf)))
 
 
-def _curves_json(series: Sequence[CurveSeries]) -> str:
+def _json_pieces(series, floats) -> Iterator[str]:
     """The text of json.dumps(payload, indent=2) + newline for the payload
     {"series": [{"name", "x_kind", "points": [{"x", "y", "x_exact",
     "y_exact"}, ...]}, ...]}, written from the columns directly: the json
     module's indented encoder is its slow pure-Python one. Floats are
     written by repr, as the json module writes them, and the exact texts
     hold only digits, '-' and '/', which need no escaping."""
-    blocks = []
-    for s in series:
-        points = ",\n".join(
-            f'        {{\n          "x": {x},\n          "y": {y},\n'
-            f'          "x_exact": "{x_exact}",\n'
-            f'          "y_exact": "{y_exact}"\n        }}'
-            for x, y, x_exact, y_exact in zip(s.x.reprs(), s.y.reprs(),
-                                              s.x.texts(), s.y.texts()))
-        points = f"[\n{points}\n      ]" if points else "[]"
-        blocks.append(f'    {{\n      "name": {json.dumps(s.name)},\n'
-                      f'      "x_kind": {json.dumps(s.x_kind.value)},\n'
-                      f'      "points": {points}\n    }}')
-    return '{\n  "series": [\n' + ",\n".join(blocks) + "\n  ]\n}\n"
+    yield '{\n  "series": ['
+    for i, (s, (x_floats, y_floats)) in enumerate(zip(series, floats)):
+        yield ((",\n" if i else "\n") + '    {\n'
+               f'      "name": {json.dumps(s.name)},\n'
+               f'      "x_kind": {json.dumps(s.x_kind.value)},\n'
+               f'      "points": [')
+        before = "\n"  # what comes before a piece's first point
+        for (x, xf), (y, yf) in zip(_chunks(s.x, x_floats),
+                                    _chunks(s.y, y_floats)):
+            yield before + ",\n".join(
+                f'        {{\n          "x": {a},\n          "y": {b},\n'
+                f'          "x_exact": "{a_exact}",\n'
+                f'          "y_exact": "{b_exact}"\n        }}'
+                for a, b, a_exact, b_exact in zip(x._reprs(xf), y._reprs(yf),
+                                                  x.texts(), y.texts()))
+            before = ",\n"
+        yield "\n      ]\n    }" if len(s) else "]\n    }"
+    yield "\n  ]\n}\n"
 
 
 def parse_curves(text: str, format: str = "csv") -> list[CurveSeries]:

@@ -153,25 +153,33 @@ class RationalColumn:
     def reprs(self) -> list[str]:
         """repr of each value's float, the shortest text that reads back as
         that float."""
-        return self._per_run(
-            lambda num, den: list(map(repr, _ratio_floats(num, den).tolist())))
+        return self._reprs(self.floats())
+
+    def _reprs(self, floats: np.ndarray) -> list[str]:
+        """`reprs()`, given the column's `floats()`."""
+        return self._per_run(lambda at: list(map(repr, floats[at].tolist())))
 
     def texts(self) -> list[str]:
         """'num/den' per value, denominator always written."""
-        return self._per_run(lambda num, den: [
-            f"{n}/{d}" for n, d in zip(num.tolist(), den.tolist())])
+        return self._per_run(lambda at: [
+            f"{n}/{d}" for n, d in zip(self.num[at].tolist(),
+                                       self.den[at].tolist())])
 
     def _per_run(self, texts_of) -> list[str]:
-        """texts_of(num, den) of the first value of each run of equal values,
-        repeated over its run: equal (num, den) pairs give equal floats and
-        equal texts, so each run is formatted once."""
+        """texts_of(at), the texts of the values at the positions `at` that
+        start a run of equal values, each repeated over its run: equal
+        (num, den) pairs give equal floats and equal texts, so each run is
+        formatted once."""
         num, den = self.num, self.den
         first = np.ones(len(num), dtype=bool)
         # != compares int64 and object (Python int) columns alike
         first[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
         starts = np.flatnonzero(first)
-        texts = np.array(texts_of(num[starts], den[starts]), dtype=object)
-        return np.repeat(texts, np.diff(starts, append=len(num))).tolist()
+        texts = texts_of(starts)
+        if len(starts) == len(num):  # every run is one value long
+            return texts
+        return np.repeat(np.array(texts, dtype=object),
+                         np.diff(starts, append=len(num))).tolist()
 
     def fractions(self) -> list[Fraction]:
         return list(map(Fraction, self.num.tolist(), self.den.tolist()))

@@ -272,13 +272,10 @@ def _rank_order(ids: np.ndarray, scores: np.ndarray,
                 tie_policy: TiePolicy) -> np.ndarray:
     """The rows in the rank order of `_rank_columns`."""
     n = len(scores)
-    by_id = None  # the rows in ascending id order, under the id policy
-    if tie_policy is TiePolicy.ID_ORDER:
-        # ids compared as Python strings (code point order)
-        by_id = np.array(sorted(range(n), key=ids.tolist().__getitem__),
-                         dtype=np.intp)
+    # the id order is sorted only where some scores tie
+    id_policy = tie_policy is TiePolicy.ID_ORDER
     if scores.min() == scores.max():
-        return np.arange(n) if by_id is None else by_id
+        return _rows_by_id(ids) if id_policy else np.arange(n)
     order = np.argsort(-scores)
     ranked = scores[order]
     starts_group = ranked[1:] != ranked[:-1]
@@ -287,13 +284,19 @@ def _rank_order(ids: np.ndarray, scores: np.ndarray,
     base = np.zeros(n, dtype=np.int64)  # group number times n, rank order
     np.cumsum(starts_group, out=base[1:])
     base *= n
-    if by_id is None:
-        within = order
-    else:
+    within = order
+    if id_policy:
+        by_id = _rows_by_id(ids)
         id_rank = np.empty(n, dtype=np.intp)
         id_rank[by_id] = np.arange(n)
         within = id_rank[order]
     key = base + within
     key.sort()
     key -= base
-    return key if by_id is None else by_id[key]
+    return by_id[key] if id_policy else key
+
+
+def _rows_by_id(ids: np.ndarray) -> np.ndarray:
+    """The rows in ascending Python-string (code point) order of their ids."""
+    return np.array(sorted(range(len(ids)), key=ids.tolist().__getitem__),
+                    dtype=np.intp)

@@ -1,6 +1,11 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,12 +17,15 @@ from gainslift import (InfeasibleError, ResamplePlan, ScoredFile,
                        rank_records, render_decimal, roc_points, run_plan,
                        summary_to_csv, summary_to_json)
 import gainslift.cli
+import gainslift.io as gio
 from gainslift.cli import cli_main
 from gainslift.io import _load_columns
+from gainslift.metrics import CurveSeries, XKind
 
 from helpers import load_csv_oracle, load_jsonl_oracle, random_scored_csv
 
 EXAMPLE = str(example24_path())
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -385,6 +393,15 @@ class TestBenefitFloatRange:
                    "--qfp", "0", *cutoff) == (
             1, "", f"gainslift: {message}, beyond the float range\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_out_file_is_made(self, capsys, tmp_path, fmt):
+        # the curve is checked whole before its first piece is written
+        out = tmp_path / "benefit.txt"
+        assert run(capsys, "benefit", "--input", EXAMPLE, "--qtp", "1e308",
+                   "--qfp", "0", "--format", fmt, "--out", str(out)) == (
+            1, "", "gainslift: a value is 2.000000e+308, beyond the float range\n")
+        assert not out.exists()
+
     def test_benefit_chart_exits_1(self, capsys):
         code, out, err = run(capsys, "chart", "--input", EXAMPLE, "--kind",
                              "benefit", "--qtp", "1e308", "--qfp", "0")
@@ -583,6 +600,44 @@ class TestOutFile:
         out = tmp_path / "out.txt"
         assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
         assert out.read_bytes() == printed.encode("utf-8")
+
+
+class TestStreamedCurves:
+    def test_a_curve_file_is_written_in_pieces(self, tmp_path):
+        """The json of a 200,000-point lift curve goes to the file a piece at
+        a time: the memory traced while writing it stays below a fifth of
+        the file, which a writer holding the whole text exceeds."""
+        n = 200_000
+        labels = (np.random.default_rng(31).random(n) < 0.117).astype(np.int64)
+        cut = np.arange(1, n + 1, dtype=np.int64)
+
+        def lowest(num, den):
+            divisor = np.gcd(num, den)
+            return num // divisor, den // divisor
+
+        series = CurveSeries.from_columns(
+            "lift", XKind.FRACTION, lowest(cut, np.full(n, n)),
+            lowest(np.cumsum(labels) * n, cut * int(labels.sum())))
+        out = tmp_path / "lift.json"
+        tracemalloc.start()
+        try:
+            gainslift.cli._emit(argparse.Namespace(out=str(out)),
+                                gio._curve_pieces([series], "json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 100 * n
+        assert peak < out.stat().st_size / 5
+
+
+class TestModuleEntry:
+    def test_python_m_gainslift(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "gainslift", "auc", "--input", EXAMPLE],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "0.93750\n", "")
 
 
 class TestSharedParser:

@@ -859,3 +859,55 @@ class TestRunsAgainstOracles:
                   benefit_series(ranked, CostSpec(0.1, -0.3))]
         assert series[4].y.num.dtype == object
         self._check(series)
+
+
+class TestChunkBoundaries:
+    """The command line writes a curve `_CHUNK_POINTS` points a piece, and
+    `emit_curves` joins the same pieces; the text must match the oracles
+    wherever a series meets a cut."""
+
+    CHUNK = gio._CHUNK_POINTS
+
+    @staticmethod
+    def _check(series) -> None:
+        TestRunsAgainstOracles._check(series)
+        rows = 0
+        for piece in gio._curve_pieces(series, "csv"):
+            assert piece.count("\r\n") <= TestChunkBoundaries.CHUNK
+            rows += piece.count("\r\n")
+        assert rows == 1 + sum(map(len, series))
+
+    @pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                        2 * CHUNK + 1])
+    def test_lengths_around_a_cut(self, length):
+        y = [Fraction(k * k % 97, k + 1) for k in range(length)]
+        self._check([CurveSeries(f"{length} points", XKind.COUNT,
+                                 zip(range(1, length + 1), y))])
+
+    @pytest.mark.parametrize("scale", TestRunsAgainstOracles.SCALES)
+    def test_a_run_across_cuts(self, scale):
+        # one run spans the first cut; another spans the second and ends
+        # the series
+        length = 2 * self.CHUNK + 1
+        y = [Fraction(k, 7) * scale for k in range(length)]
+        y[self.CHUNK - 5:self.CHUNK + 9] = [y[self.CHUNK - 5]] * 14
+        y[2 * self.CHUNK - 1:] = [Fraction(-3, 11) * scale] * 2
+        self._check([CurveSeries("runs", XKind.COUNT,
+                                 zip(range(1, length + 1), y))])
+
+    def test_fpr_with_repeated_x_across_a_cut(self):
+        length = self.CHUNK + 40
+        x = [Fraction(k // 30, length) for k in range(length)]
+        y = [Fraction(k // 3, length) for k in range(length)]
+        self._check([CurveSeries("roc", XKind.FPR, zip(x, y))])
+
+    def test_two_series_in_one_output(self):
+        first = self.CHUNK + 1
+        second = 2 * self.CHUNK - 1
+        self._check([
+            CurveSeries("first", XKind.FRACTION,
+                        [(Fraction(k, first), Fraction(k % 5, 9))
+                         for k in range(1, first + 1)]),
+            CurveSeries("second, quoted", XKind.FPR,
+                        [(Fraction(k // 2, second), Fraction(k, second))
+                         for k in range(second)])])

@@ -58,6 +58,5 @@ def test_layer_tracer_sees_the_command_line_calls(tmp_path):
         "metrics.point": 4,
         "metrics.lift_series": 2,
         "metrics.roc_points": 1,
-        "io.emit_curves": 1,
         "charts.render_chart": 2,
     }
