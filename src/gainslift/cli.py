@@ -177,10 +177,15 @@ def _scored_file(args, path: str) -> io.ScoredFile:
                          id_col=args.id_col)
 
 
-def _ranked(args, path: str):
-    """Rank the file's validated columns; no per-row record is built."""
-    return _rank_columns(*io._load_columns(_scored_file(args, path)),
-                         _TIE_POLICIES[args.tie_policy])
+def _ranked(args, path: str, id_texts: bool = False):
+    """Rank the file's validated columns; no per-row record is built. The
+    ids are read as texts only for the id policy, which sorts by them, or
+    where the command writes them (`id_texts`)."""
+    policy = _TIE_POLICIES[args.tie_policy]
+    columns = io._load_columns(
+        _scored_file(args, path),
+        id_texts=id_texts or policy is TiePolicy.ID_ORDER)
+    return _rank_columns(*columns, policy)
 
 
 def _single_input(args) -> str:
@@ -317,7 +322,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    ranked = _ranked(args, _single_input(args))
+    ranked = _ranked(args, _single_input(args), id_texts=True)
     pairs = []
     for raw in args.swap:
         try:
@@ -331,9 +336,12 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_disagree(args) -> int:
-    report = compare.find_disagreement(args.metric_a, args.metric_b,
-                                       args.n, args.npos,
-                                       budget=args.budget, seed=args.seed)
+    try:
+        report = compare.find_disagreement(args.metric_a, args.metric_b,
+                                           args.n, args.npos,
+                                           budget=args.budget, seed=args.seed)
+    except MemoryError:  # numpy refuses a label matrix of --n columns
+        raise ValidationError(f"--n {args.n} does not fit in memory") from None
     ma, mb = compare.parse_metric(args.metric_a), compare.parse_metric(args.metric_b)
     if report is None:
         space = math.comb(args.n, args.npos)
@@ -377,8 +385,9 @@ def _cmd_disagree(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    # the loader has checked the ids; only scores and labels are kept
-    scores, labels = io._load_columns(_scored_file(args, _single_input(args)))[1:]
+    # the loader checks the ids; only scores and labels are kept
+    scores, labels = io._load_columns(_scored_file(args, _single_input(args)),
+                                      id_texts=False)[1:]
     try:
         rates = tuple(float(r) for r in args.rates.split(",") if r)
     except ValueError:

@@ -57,7 +57,7 @@ def apply_swaps(ranked: RankedTestSet, swaps: SwapSpec) -> RankedTestSet:
                 raise ValidationError(
                     f"swap rank {r} out of range [1, {ranked.n_total}]")
         labels[[a - 1, b - 1]] = labels[[b - 1, a - 1]]
-    return RankedTestSet(ranked.ids, ranked._scores, labels, ranked.tie_policy)
+    return RankedTestSet(ranked._ids, ranked._scores, labels, ranked.tie_policy)
 
 
 def _check_shared_labels(runs: Sequence[ClassifierRun]) -> None:
@@ -435,6 +435,11 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
         raise ValidationError(
             f"need n_total >= 2 and 1 <= n_pos < n_total, got "
             f"n_total={n_total}, n_pos={n_pos}")
+    # every numerator (auc's P * N-, lift's tp * N) stays below n_pos * n_total
+    if n_pos * n_total > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"n_total={n_total} with n_pos={n_pos} overflows the search's "
+            f"int64 numerators")
     if budget < 2:
         raise ValidationError("budget must allow at least two arrangements")
     _check_metric(metric_a, n_total)

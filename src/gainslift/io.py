@@ -1,17 +1,24 @@
 """Reading scored files and serializing curves and summaries.
 
 Input is delimited text (header row required) or json-lines, read into
-validated id, score and label columns; delimited text is converted a column
-at a time and scanned row by row only to name a fault. A delimited file with
-an ASCII delimiter, no quote or NUL byte, no carriage return but in a CRLF
-line end, the header's field count on every non-blank line and no line over
-the csv module's field size limit is split in blocks of whole lines; any
-other file is read by the csv module, so both give the same columns and the
-same errors. Curve output is delimited text with shortest-roundtrip floats,
-or json carrying exact numerator/denominator fields so a re-parse reproduces
-the rationals bit for bit; each run of equal values in a column is formatted
-once. The command line streams a curve 1,024 points at a time
-(`_curve_pieces`), and `emit_curves` joins the same pieces.
+validated id, score and label columns. A delimited file with an ASCII
+delimiter, no quote or NUL byte, no carriage return but in a CRLF line end,
+the header's field count on every non-blank line and no line over the csv
+module's field size limit is read in blocks of whole lines (the block
+route), and each block's columns are converted from its bytes before the
+next is read: labels of exactly `0` or `1`, scores by `float`, ids into
+64-bit keys whose sorted repeats are looked for once the file is read. Id
+texts are made only for a caller that reads them (`_load_columns`'s
+`id_texts`); on the command line that is `perturb` and the `id` tie policy.
+Where a value fails its check, the block route reads the file again as
+texts; any other delimited file is read by the csv module. The texts are
+converted a column at a time and scanned row by row only to name a fault,
+so every route gives the same columns and the same errors. Curve output is
+delimited text with shortest-roundtrip floats, or json carrying exact
+numerator/denominator fields so a re-parse reproduces the rationals bit for
+bit; each run of equal values in a column is formatted once. The command
+line streams a curve 1,024 points at a time (`_curve_pieces`), and
+`emit_curves` joins the same pieces.
 """
 
 from __future__ import annotations
@@ -28,13 +35,13 @@ from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .metrics import CurveSeries, RationalColumn, XKind
-from .records import RankedTestSet, ScoredRecord
+from .records import RankedTestSet, ScoredRecord, _any_equal
 from .resample import ResampleSummary
 
 
@@ -90,10 +97,19 @@ def load_scored(file: ScoredFile | str | Path, **overrides) -> list[ScoredRecord
                     labels.tolist()))
 
 
-def _load_columns(file: ScoredFile | str | Path, **overrides
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_columns(file: ScoredFile | str | Path, *, id_texts: bool = True,
+                  **overrides
+                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """A scored file's validated ids (object array), float64 scores and
-    int64 labels in row order; the command line's one check for repeated ids."""
+    int64 labels in row order; the command line's one check for repeated ids.
+
+    The block route (`_plain_texts`) converts each block's labels and scores
+    as it reads, and checks the ids by sorted 64-bit keys of their bytes;
+    the csv-module and json-lines routes check the texts' sorted hashes.
+    With `id_texts` false the ids are checked but not returned (None stands
+    in their place), and the block route never turns one into a Python
+    string: the command line asks for the texts only for `perturb` and the
+    `id` tie policy."""
     if not isinstance(file, ScoredFile):
         file = ScoredFile(path=file, format=guess_format(file))
     file = replace(file, **overrides)
@@ -101,16 +117,29 @@ def _load_columns(file: ScoredFile | str | Path, **overrides
     if read is None:
         raise ValidationError(f"unknown input format {file.format!r}")
     ids, scores, labels = read(file)
-    if not ids:
+    if not len(labels):
         raise ValidationError(f"{file.path}: no data rows")
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for rid in ids:
-            if rid in seen:
-                raise ValidationError(f"{file.path}: duplicate id {rid!r}")
-            seen.add(rid)
-    return (np.array(ids, dtype=object), np.asarray(scores, dtype=np.float64),
-            np.array(labels, dtype=np.int64))
+    if isinstance(ids, list):  # texts, not yet checked for repeats
+        _check_distinct(ids, file)
+    elif id_texts:  # from the block route, which found no repeated key
+        ids = (ids.decode("utf-8").split("\n")[:-1] if ids is not None
+               else list(map(str, range(1, len(labels) + 1))))
+    return (np.array(ids, dtype=object) if id_texts else None,
+            np.asarray(scores, dtype=np.float64),
+            np.asarray(labels, dtype=np.int64))
+
+
+def _check_distinct(ids: list[str], file: ScoredFile) -> None:
+    """Raise for the first id that repeats an earlier one. The ids' sorted
+    hashes are compared first, as `records._columns` compares a record
+    set's, so distinct ids that merely share a hash pass."""
+    if not _any_equal(np.fromiter(map(hash, ids), np.int64, count=len(ids))):
+        return
+    seen: set[str] = set()
+    for rid in ids:
+        if rid in seen:
+            raise ValidationError(f"{file.path}: duplicate id {rid!r}")
+        seen.add(rid)
 
 
 _CSV_LABELS = {"0": 0, "1": 1}
@@ -128,9 +157,12 @@ def _unreadable_named(file: ScoredFile):
         raise ValidationError(f"{file.path}: {exc}") from None
 
 
-def _read_csv(file: ScoredFile) -> tuple[list, Sequence[float], list]:
-    """Ids, scores and labels of the data rows, each converted as a whole
-    column; when a column check fails, `_scan_rows` names the first fault."""
+def _read_csv(file: ScoredFile) -> tuple[list | bytes | None,
+                                         Sequence[float], Sequence[int]]:
+    """Ids, scores and labels of the data rows: as the block route converts
+    them (see `_Converted`), or else from their texts, each converted as a
+    whole column; when a column check fails, `_scan_rows` names the first
+    fault."""
     if len(file.delimiter) != 1:
         raise ValidationError(
             f"delimiter {file.delimiter!r} is not one character")
@@ -145,6 +177,8 @@ def _read_csv(file: ScoredFile) -> tuple[list, Sequence[float], list]:
             with _stdio.TextIOWrapper(raw, encoding="utf-8-sig",
                                       newline="") as handle:
                 columns = _csv_texts(handle, file)
+    if isinstance(columns, _Converted):
+        return columns
     label_texts, score_texts, *id_texts = columns
     ids = id_texts[0] if id_texts else \
         list(map(str, range(1, len(label_texts) + 1)))
@@ -198,15 +232,72 @@ def _csv_texts(handle, file: ScoredFile) -> list[list]:
 # columns.
 _BLOCK_BYTES = 1 << 16
 _BLANK_LINE = re.compile(rb"(?m)^\n")
+# odd, so that each step of `_id_keys` is invertible modulo 2**64
+_KEY_STEP = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _plain_texts(raw, file: ScoredFile) -> list[list] | None:
-    """The texts `_csv_texts` would return, split from whole blocks of lines
-    without tokenizing each field; None unless the bytes show that no csv
-    rule applies (see `_plain_fields`), and then the caller reads the file
-    again from its start through the csv module. A header that lacks a
-    column also gives None: the csv module names it, after reading what it
-    reads first."""
+class _Converted(NamedTuple):
+    """The columns the block route converts: the id fields' bytes, each
+    followed by a newline (None without an id column), float64 scores and
+    int64 labels."""
+
+    ids: bytes | None
+    scores: np.ndarray
+    labels: np.ndarray
+
+
+def _plain_texts(raw, file: ScoredFile) -> _Converted | list[list] | None:
+    """The file's columns, read from whole blocks of lines without
+    tokenizing each field; None unless the bytes show that no csv rule
+    applies (see `_field_ends`), and then the caller reads the file again
+    from its start through the csv module. A header that lacks a column
+    also gives None: the csv module names it, after reading what it reads
+    first.
+
+    Each block's labels and scores are converted, and its ids turned into
+    64-bit keys, before the next block is read (`_block_columns`), and the
+    columns come back as a `_Converted`; the keys of the whole file are
+    sorted once to find a repeat. Where a value fails a check (a label
+    other than `0` or `1`, a score `float` rejects or that is not finite, an
+    empty id, or two equal keys), the file is read again and the texts
+    `_csv_texts` would return come back instead, so that the caller names
+    the fault, or finds ids whose keys collide distinct, as it does for the
+    csv route."""
+    plain = _plain_blocks(raw, file)
+    if plain is None:
+        return None
+    at, width, cuts = plain
+    parts = []
+    for cut in cuts:
+        if cut is None:
+            return None
+        part = _block_columns(*cut, width, at)
+        if part is None:
+            break
+        parts.append(part)
+    else:
+        labels, scores, keys, ids = zip(*parts)
+        if keys[0] is None or not _any_equal(np.concatenate(keys)):
+            return _Converted(None if ids[0] is None else b"".join(ids),
+                              np.concatenate(scores),
+                              np.concatenate(labels).astype(np.int64))
+    raw.seek(0)
+    at, width, cuts = _plain_blocks(raw, file)
+    columns = [[] for _ in at]
+    for cut in cuts:
+        if cut is None:
+            return None
+        fields = _fields(cut[0], file.delimiter)
+        for col, i in zip(columns, at):
+            col += fields[i::width]
+    return columns
+
+
+def _plain_blocks(raw, file: ScoredFile):
+    """The positions of the label, score and (if any) id columns, the
+    header's field count, and an iterator over the body's blocks as
+    `_field_ends` returns them; None for a delimiter or a header the
+    plain route does not read."""
     d = file.delimiter
     if not d.isascii() or d in '"\r\n\0':
         return None
@@ -217,7 +308,8 @@ def _plain_texts(raw, file: ScoredFile) -> list[list] | None:
         return None
     head, _, body = first.removeprefix(codecs.BOM_UTF8).partition(b"\n")
     # the header line passes the same checks, with its own field count
-    header = _plain_fields(head + b"\n", d, head.count(d.encode()) + 1, limit)
+    cut = _field_ends(head + b"\n", d, head.count(d.encode()) + 1, limit)
+    header = cut and _fields(cut[0], d)
     if not header:  # a blank first line is the csv module's empty header
         return None
     try:
@@ -225,14 +317,9 @@ def _plain_texts(raw, file: ScoredFile) -> list[list] | None:
     except ValidationError:
         return None
     width = len(header)
-    columns = [[] for _ in at]
-    for block in chain([body], blocks):
-        fields = None if block is None else _plain_fields(block, d, width, limit)
-        if fields is None:
-            return None
-        for col, i in zip(columns, at):
-            col += fields[i::width]
-    return columns
+    return at, width, (None if block is None
+                       else _field_ends(block, d, width, limit)
+                       for block in chain([body], blocks))
 
 
 def _line_blocks(raw, limit: int):
@@ -257,14 +344,15 @@ def _line_blocks(raw, limit: int):
         yield pending + b"\n"
 
 
-def _plain_fields(block: bytes, d: str, width: int, limit: int
-                  ) -> list[str] | None:
-    """The fields of a block of whole lines, row after row, with blank
-    lines dropped; or None where the csv module could read the block
-    otherwise than by splitting: a quote or NUL byte, a carriage return not
-    directly before a newline, a non-blank line without exactly `width`
-    fields, a line longer than `limit` bytes (the csv module's field size
-    limit), or bytes that are not UTF-8."""
+def _field_ends(block: bytes, d: str, width: int, limit: int
+                ) -> tuple[bytes, np.ndarray] | None:
+    """A block of whole lines with its blank lines dropped, and the offset
+    of each field's end (its delimiter or newline), row after row; or None
+    where the csv module could read the block otherwise than by splitting:
+    a quote or NUL byte, a carriage return not directly before a newline, a
+    non-blank line without exactly `width` fields, a line longer than
+    `limit` bytes (the csv module's field size limit), or bytes that are
+    not UTF-8."""
     if b"\r" in block:
         # a CRLF line end reads as LF; the csv module also ends a line at
         # any other carriage return, so one left over sends the file to it
@@ -283,12 +371,92 @@ def _plain_fields(block: bytes, d: str, width: int, limit: int
             or (np.diff(line_ends, prepend=-1) > limit + 1).any():
         return None
     try:
-        text = block.decode("utf-8")
+        if not block.isascii():
+            block.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    fields = text.replace("\n", d).split(d)
+    return block, ends
+
+
+def _fields(block: bytes, d: str) -> list[str]:
+    """The texts of a checked block's fields, row after row."""
+    fields = block.decode("utf-8").replace("\n", d).split(d)
     del fields[-1]  # the empty text after the last line's end
     return fields
+
+
+def _block_columns(block: bytes, ends: np.ndarray, width: int,
+                   at: list[int]):
+    """A checked block's uint8 labels, float64 scores, and, with an id
+    column, its ids' uint64 keys and bytes (each followed by a newline), or
+    None for both; None where a label is not exactly `0` or `1`, a score is
+    not a finite number by `float`, or an id is empty."""
+    view = np.frombuffer(block, dtype=np.uint8)
+    starts = np.empty_like(ends)  # each field's first byte
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+    label, score, *id_col = at
+    # b"0" and b"1" give 0 and 1; a byte below b"0" wraps past 1
+    labels = view[starts[:, label]] - 48
+    if not ((ends[:, label] - starts[:, label] == 1).all()
+            and (labels <= 1).all()):
+        return None
+    texts = _field_bytes(view, starts[:, score], ends[:, score])
+    try:
+        scores = np.fromiter(map(float, texts.split(b"\n")), np.float64,
+                             count=len(labels))
+    except ValueError:
+        return None
+    if not np.isfinite(scores).all():
+        return None
+    if not id_col:
+        return labels, scores, None, None
+    id_starts, id_ends = starts[:, id_col[0]], ends[:, id_col[0]]
+    sizes = id_ends - id_starts
+    if not sizes.all():
+        return None
+    return (labels, scores, _id_keys(block, id_starts, sizes),
+            _field_bytes(view, id_starts, id_ends))
+
+
+def _field_bytes(view: np.ndarray, starts: np.ndarray, ends: np.ndarray
+                 ) -> bytes:
+    """The bytes of the fields view[starts[k]:ends[k]], each followed by a
+    newline, one after another."""
+    sizes = ends - starts + 1  # with the byte that ends the field
+    after = np.cumsum(sizes)  # where the next field starts in the result
+    index = np.repeat(starts - after + sizes, sizes)
+    index += np.arange(len(index))
+    out = view[index]
+    out[after - 1] = 10
+    return out.tobytes()
+
+
+def _id_keys(block: bytes, starts: np.ndarray, sizes: np.ndarray
+             ) -> np.ndarray:
+    """A uint64 key for each id of `sizes[k]` bytes at `starts[k]`.
+
+    The key is the id's first eight bytes read as a little-endian word,
+    shifted up past the bytes it lacks; each further eight bytes fold in as
+    key * `_KEY_STEP` + word. Equal ids get equal keys. Distinct ids of at
+    most eight bytes never share one, as none holds a NUL byte; longer ones
+    seldom do."""
+    # word k is the eight bytes from byte k on; seven bytes of padding put
+    # every id's last word inside the buffer
+    words = np.ndarray((len(block),), dtype="<u8", buffer=block + bytes(7),
+                       strides=(1,))
+
+    def word(rows, at):
+        kept = np.minimum(sizes[rows] - at, 8).astype(np.uint64)
+        return words[starts[rows] + at] << (64 - 8 * kept)
+
+    rows = np.arange(len(starts))
+    keys = word(rows, 0)
+    for at in range(8, int(sizes.max(initial=0)), 8):
+        rows = rows[sizes[rows] > at]
+        keys[rows] = keys[rows] * _KEY_STEP + word(rows, at)
+    return keys
 
 
 def _scan_rows(ids, score_texts, label_texts) -> tuple[list[int], list[float]]:

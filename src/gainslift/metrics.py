@@ -262,14 +262,23 @@ class CurveSeries:
         return list(zip(self.x.floats().tolist(), self.y.floats().tolist()))
 
 
+# decimal places `render_decimal` prints at most. A value the command line
+# prints has under 400 integer digits (a benefit of float costs), so its
+# digits stay within the 4,300 that int-to-str converts by default.
+MAX_PLACES = 1000
+
+
 def render_decimal(value: Number, places: int = 5) -> str:
     """Render exactly, rounding half away from zero at `places` decimals.
 
     Matches the fixed-precision style of printed gains tables, so equal
-    rationals always render to equal strings.
+    rationals always render to equal strings. `places` runs from 0 to
+    `MAX_PLACES`.
     """
     if places < 0:
         raise ValidationError("places must be >= 0")
+    if places > MAX_PLACES:
+        raise ValidationError(f"places must be <= {MAX_PLACES}")
     f = Fraction(value)
     scaled = f * 10**places
     half = Fraction(1, 2)

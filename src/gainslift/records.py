@@ -56,24 +56,27 @@ class RankedTestSet:
     The set is held as columns in rank order: `ids` (an object array of the
     record ids), float64 scores and int64 labels, the int64 prefix positive
     counts, and the exclusive end rank and positive count of every
-    equal-score group. Instances are immutable after construction (every
-    array is read-only); they may be shared across threads freely. Build one
-    with :func:`rank_records`. Single-cutoff queries return Python ints and
+    equal-score group. A set built without its ids (the command line ranks
+    most files so) refuses to give them out: `ids` and `records` raise.
+    Instances are immutable after construction (every array is read-only);
+    they may be shared across threads freely. Build one with
+    :func:`rank_records`. Single-cutoff queries return Python ints and
     `Fraction`s, never numpy scalars.
     """
 
-    __slots__ = ("ids", "tie_policy", "n_total", "n_pos", "n_neg", "_scores",
+    __slots__ = ("_ids", "tie_policy", "n_total", "n_pos", "n_neg", "_scores",
                  "_labels", "_prefix_pos", "_group_ends", "_group_pos",
                  "_records")
 
-    def __init__(self, ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,
-                 tie_policy: TiePolicy):
+    def __init__(self, ids: np.ndarray | None, scores: np.ndarray,
+                 labels: np.ndarray, tie_policy: TiePolicy):
         prefix = np.zeros(len(labels) + 1, dtype=np.int64)
         np.cumsum(labels, out=prefix[1:])
-        # tie groups: a new group starts wherever the score changes
-        ends = np.append(np.flatnonzero(scores[1:] != scores[:-1]) + 1,
-                         len(labels))
-        self.ids = ids
+        # tie groups: a new group starts wherever the score changes; each
+        # column is built in place, so that 10**6 rows hold few temporaries
+        ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+        ends += 1
+        self._ids = ids
         self.tie_policy = tie_policy
         self.n_total = len(labels)
         self.n_pos = int(prefix[-1])
@@ -82,10 +85,20 @@ class RankedTestSet:
         self._labels = labels
         self._prefix_pos = prefix
         self._group_ends = ends
-        self._group_pos = np.diff(prefix[ends], prepend=0)
-        for column in (ids, scores, labels, prefix, ends, self._group_pos):
+        self._group_pos = prefix[ends]
+        self._group_pos[1:] -= self._group_pos[:-1].copy()
+        for column in (scores, labels, prefix, ends, self._group_pos):
             column.flags.writeable = False
+        if ids is not None:
+            ids.flags.writeable = False
         self._records: tuple[ScoredRecord, ...] | None = None
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The record ids in rank order, an object array."""
+        if self._ids is None:
+            raise ValidationError("this ranked set was built without its ids")
+        return self._ids
 
     @property
     def records(self) -> tuple[ScoredRecord, ...]:
@@ -218,16 +231,20 @@ def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
         valid = (labels.shape == scores.shape and np.isfinite(scores).all()
                  and ((labels == 0) | (labels == 1)).all())
         if valid:
-            hashes = np.fromiter((hash(r.id) for r in records), np.int64,
-                                 count=len(records))
-            hashes.sort()
-            valid = not (hashes[1:] == hashes[:-1]).any()
+            valid = not _any_equal(np.fromiter(
+                (hash(r.id) for r in records), np.int64, count=len(records)))
     except (TypeError, ValueError, OverflowError):  # a value no column holds
         _first_fault(records)
         raise
     if not valid:
         _first_fault(records)
     return scores, labels.astype(np.int64, copy=False)
+
+
+def _any_equal(keys: np.ndarray) -> bool:
+    """Whether two of the keys are equal; sorts `keys` in place."""
+    keys.sort()
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def rank_records(records: Sequence[ScoredRecord],
@@ -247,10 +264,11 @@ def rank_records(records: Sequence[ScoredRecord],
     return _rank_columns(ids, scores, labels, tie_policy)
 
 
-def _rank_columns(ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,
-                  tie_policy: TiePolicy) -> RankedTestSet:
+def _rank_columns(ids: np.ndarray | None, scores: np.ndarray,
+                  labels: np.ndarray, tie_policy: TiePolicy) -> RankedTestSet:
     """Rank validated columns in input order: non-empty unique ids (object
-    array), finite float64 scores and 0/1 int64 labels.
+    array, or None where nothing reads them: the id policy reads them
+    wherever scores tie), finite float64 scores and 0/1 int64 labels.
 
     The rank order is descending score; within equal scores (0.0 and -0.0
     are equal) it is ascending row index, or ascending id under the id
@@ -265,10 +283,11 @@ def _rank_columns(ids: np.ndarray, scores: np.ndarray, labels: np.ndarray,
     needs no sort by score.
     """
     order = _rank_order(ids, scores, tie_policy)
-    return RankedTestSet(ids[order], scores[order], labels[order], tie_policy)
+    return RankedTestSet(None if ids is None else ids[order], scores[order],
+                         labels[order], tie_policy)
 
 
-def _rank_order(ids: np.ndarray, scores: np.ndarray,
+def _rank_order(ids: np.ndarray | None, scores: np.ndarray,
                 tie_policy: TiePolicy) -> np.ndarray:
     """The rows in the rank order of `_rank_columns`."""
     n = len(scores)

@@ -168,7 +168,13 @@ def _run_columns(scores: np.ndarray, labels: np.ndarray,
 
     bands = []
     for k, (rate, want_pos) in enumerate(zip(plan.target_rates, wanted)):
-        gains = np.empty((plan.replicate_count, GRID_POINTS), dtype=np.int64)
+        try:
+            gains = np.empty((plan.replicate_count, GRID_POINTS),
+                             dtype=np.int64)
+        except ValueError:  # more cells than any array can index
+            raise MemoryError(
+                f"{plan.replicate_count} replicates do not fit in memory"
+            ) from None
         aucs = []
         labels = (rows < want_pos).astype(np.int64)  # positives lead the sample
         for r in range(plan.replicate_count):

@@ -264,14 +264,17 @@ class TestResampleCommand:
                               "100000000000000000000 needs ")
         assert err.endswith(" negatives; pool has 12/12\n")
 
-    def test_huge_reps_exits_1(self, capsys):
-        # 10**14 rows of 100 floats is 71 PiB, past any address space, so
-        # numpy refuses the bands before allocating anything
+    # 10**14 rows of 100 floats is 71 PiB, past any address space, so numpy
+    # refuses the bands before allocating anything; 10**22 rows are more
+    # than an array can index
+    @pytest.mark.parametrize("reps", ["100000000000000",
+                                      "10000000000000000000000"])
+    def test_huge_reps_exits_1(self, capsys, reps):
         code, out, err = run(capsys, "resample", "--input", EXAMPLE,
                              "--rates", "0.3", "--size", "10",
-                             "--reps", "100000000000000")
+                             "--reps", reps)
         assert (code, out) == (1, "")
-        assert err == "gainslift: --reps 100000000000000 does not fit in memory\n"
+        assert err == f"gainslift: --reps {reps} does not fit in memory\n"
 
     def test_random_files_against_the_record_route(self, capsys, tmp_path):
         """`resample` reads the loader's columns; on the first 20 random
@@ -333,6 +336,65 @@ class TestResampleCommand:
             "--reps", "3", "--size", "5000",
             "--out", str(tmp_path / "bands.csv")]))
         assert command <= 1.05 * loader
+
+
+class TestIdTexts:
+    """The command line asks the loader for id texts only for `perturb`,
+    which writes ids, and the id policy, which sorts by them. Every other
+    command ranks a set without ids, which raises if read, and prints what
+    it prints when the ids are loaded."""
+
+    COMMANDS = [
+        ["gains", "--n", "7"], ["gains"], ["lift", "--fraction", "0.3"],
+        ["lift"], ["deciles"], ["deciles", "--out", "OUT"],
+        ["benefit", "--n", "9", "--qtp", "3", "--qfp=-1"],
+        ["benefit", "--qtp", "3", "--qfp=-1"], ["auc"],
+        ["auc", "--method", "wilcoxon"], ["roc"],
+        ["compare", "--input", "IN", "--name", "a", "--name", "b",
+         "--targets", "5,9"],
+        ["chart", "--kind", "gains-fraction"], ["perturb", "--swap", "1:2"]]
+
+    @pytest.mark.parametrize("policy", ["input", "id", "expected"])
+    def test_only_perturb_and_the_id_policy_read_id_texts(
+            self, capsys, tmp_path, monkeypatch, policy):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "ties.csv"
+        path.write_text("id,score,label\n" + "".join(
+            f"r{int(i):02d},{int(rng.integers(0, 4)) / 4!r},"
+            f"{int(rng.integers(0, 2))}\n" for i in rng.permutation(40)),
+            encoding="utf-8")
+        load = gio._load_columns
+        asked = []
+
+        def spy(file, *, id_texts=True, **overrides):
+            asked.append(id_texts)
+            return load(file, id_texts=id_texts, **overrides)
+
+        def run_all():
+            """Each command's output and the `id_texts` of its loads."""
+            results = []
+            for argv in self.COMMANDS:
+                out = tmp_path / "out.txt"
+                argv = [str(out) if a == "OUT" else str(path) if a == "IN"
+                        else a for a in argv]
+                asked.clear()
+                code, printed, err = run(capsys, *argv, "--input", str(path),
+                                         "--tie-policy", policy)
+                assert (code, err) == (0, ""), argv
+                if "--out" in argv:
+                    printed += out.read_text(encoding="utf-8")
+                results.append((printed, asked.copy()))
+            return results
+
+        monkeypatch.setattr(gio, "_load_columns", spy)
+        got = run_all()
+        for argv, (_, asked_for) in zip(self.COMMANDS, got):
+            reads = argv[0] == "perturb" or policy == "id"
+            assert asked_for == [reads] * (2 if argv[0] == "compare" else 1)
+        # the same bytes when the loader always keeps the ids
+        monkeypatch.setattr(gio, "_load_columns",
+                            lambda file, id_texts, **kw: spy(file, **kw))
+        assert [out for out, _ in run_all()] == [out for out, _ in got]
 
 
 class TestChartCommand:
@@ -501,7 +563,26 @@ class TestUsageErrors:
          "delimiter '' is not one character"),
         (["auc", "--input", EXAMPLE, "--delimiter", "ab"],
          "delimiter 'ab' is not one character"),
-    ])
+        (["disagree", "--metric-a", "auc", "--metric-b", "lift@6",
+          "--n", "10000000000000000000000", "--npos", "5"],
+         "n_total=10000000000000000000000 with n_pos=5 overflows the "
+         "search's int64 numerators"),
+        # one sampled arrangement of 10**18 labels: numpy refuses its
+        # label matrix before allocating anything
+        (["disagree", "--metric-a", "auc", "--metric-b", "lift@6",
+          "--n", "1000000000000000000", "--npos", "1", "--budget", "2"],
+         "--n 1000000000000000000 does not fit in memory"),
+    ] + [(argv + ["--precision", "1001"], "places must be <= 1000")
+         for argv in (["gains", "--input", EXAMPLE, "--n", "8"],
+                      ["lift", "--input", EXAMPLE, "--fraction", "0.5"],
+                      ["deciles", "--input", EXAMPLE],
+                      ["benefit", "--input", EXAMPLE, "--n", "8",
+                       "--qtp", "10", "--qfp", "-1"],
+                      ["auc", "--input", EXAMPLE],
+                      ["compare", "--input", EXAMPLE, "--input", EXAMPLE,
+                       "--name", "a", "--name", "b", "--targets", "6"],
+                      ["disagree", "--metric-a", "auc", "--metric-b",
+                       "lift@6", "--n", "10", "--npos", "5"])])
     def test_exit_1_with_the_message(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"gainslift: {message}\n")
 

@@ -702,6 +702,90 @@ class TestPlainRoute:
         assert plain_peak <= 1.1 * peak()
 
 
+class TestBlockRoute:
+    """The plain route converts each block's labels and scores and keys its
+    ids as it reads; a value that fails a check there sends it back to the
+    texts, so every outcome is the csv route's."""
+
+    @staticmethod
+    def _file(tmp_path, ids, levels=5):
+        lines = ["id,score,label"] + [
+            f"{rid},{k % levels / 4!r},{k * 7 % 3 % 2}"
+            for k, rid in enumerate(ids)]
+        return ScoredFile(path=write(tmp_path, "in.csv", "\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_distinct_ids_with_equal_keys_load(self, tmp_path, monkeypatch,
+                                               plain_reads, policy):
+        monkeypatch.setattr(gio, "_id_keys", lambda block, starts, sizes:
+                            np.zeros(len(starts), dtype=np.uint64))
+        ids = [f"r{k:03d}" for k in range(60, 0, -1)] + [
+            "é✓", "an id of more than eight bytes", "an id of more than nine"]
+        file = self._file(tmp_path, ids)
+        want = load_csv_oracle(file)
+        assert load_scored(file) == want
+        # ranked as the command line ranks it: with the id texts only
+        # under the id policy
+        id_policy = policy is TiePolicy.ID_ORDER
+        ranked = _rank_columns(*_load_columns(file, id_texts=id_policy),
+                               policy)
+        expected = rank_records(want, policy)
+        assert (ranked.scores, ranked.labels) == (expected.scores,
+                                                  expected.labels)
+        if id_policy:
+            assert ranked.records == expected.records
+        assert plain_reads == [True, True]
+
+    def test_a_repeat_names_the_first_repeated_id(self, tmp_path, monkeypatch,
+                                                  plain_reads):
+        file = self._file(tmp_path, ["a", "b", "c", "b", "a"])
+        message = ("ValidationError", f"{file.path}: duplicate id 'b'")
+        assert _outcome(load_csv_oracle, file) == message
+        assert _outcome(load_scored, file) == message
+        monkeypatch.setattr(gio, "_id_keys", lambda block, starts, sizes:
+                            np.zeros(len(starts), dtype=np.uint64))
+        assert _outcome(load_scored, file) == message
+        assert plain_reads == [True, True]
+
+    def test_id_keys(self):
+        """Distinct ids, such as ids sharing their first words, get
+        distinct keys, and an id's key does not depend on its neighbours."""
+        ids = sorted({b"x" * n + tail for n in range(26)
+                      for tail in (b"", b"a", b"b", b"ab", "é".encode())} - {b""})
+
+        def keys(order, sep):
+            block = sep.join(order) + b"\n"
+            starts = np.cumsum([0] + [len(i) + 1 for i in order[:-1]])
+            sizes = np.array([len(i) for i in order])
+            return dict(zip(order, gio._id_keys(block, starts, sizes).tolist()))
+
+        first = keys(ids, b",")
+        assert len(set(first.values())) == len(ids)
+        assert keys(ids[::-1], b"\n") == first
+
+    @pytest.mark.parametrize("block", range(1, 42))
+    def test_fields_cut_at_every_block_boundary(self, tmp_path, monkeypatch,
+                                                plain_reads, block):
+        """Each read ends at every offset of some row, ids run to four
+        eight-byte words, and blank lines and CRLF ends fall in between."""
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
+        text = "id,score,label\r\n" + "".join(
+            f"{'x' * (k % 23)}é{k},{k / 7!r},{k % 2}"
+            + ("\r\n\n" if k % 9 == 8 else "\n") for k in range(40))
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        got = _load_columns(path)
+        bare = _load_columns(path, id_texts=False)
+        monkeypatch.setattr(gio, "_plain_texts", lambda raw, file: None)
+        want = _load_columns(path)
+        assert plain_reads == [True, True]
+        assert bare[0] is None
+        for column in range(3):
+            assert got[column].tolist() == want[column].tolist()
+        for column in (1, 2):
+            assert bare[column].tolist() == want[column].tolist()
+
+
 class TestColumnarLoader:
     """The command line ranks the loader's columns directly; that must give
     the same ranked set as ranking the records `load_scored` returns."""
@@ -734,6 +818,10 @@ class TestColumnarLoader:
                 continue
             columns = _load_columns(file)
             assert [c.dtype for c in columns] == [object, np.float64, np.int64]
+            bare = _load_columns(file, id_texts=False)
+            assert bare[0] is None
+            assert [c.tolist() for c in bare[1:]] == [
+                c.tolist() for c in columns[1:]]
             from_columns = _rank_columns(*columns, policy)
             from_records = rank_records(records, policy)
             for name in self.COLUMNS:
@@ -743,6 +831,24 @@ class TestColumnarLoader:
                 assert got.tolist() == want.tolist(), name
             ranked_any += 1
         assert ranked_any > 40
+
+    @pytest.mark.parametrize("policy", [TiePolicy.INPUT_ORDER,
+                                        TiePolicy.EXPECTED_VALUE])
+    def test_a_set_ranked_without_ids_refuses_them(self, tmp_path, policy):
+        path = write(tmp_path, "in.csv",
+                     "id,score,label\nb,0.5,1\na,0.5,0\nc,0.9,0\n")
+        ids, scores, labels = _load_columns(path)
+        ranked = _rank_columns(None, scores, labels, policy)
+        with_ids = _rank_columns(ids, scores, labels, policy)
+        assert (ranked.scores, ranked.labels) == (with_ids.scores,
+                                                  with_ids.labels)
+        out = tmp_path / "out.csv"
+        for read in (lambda: ranked.ids, lambda: ranked.records,
+                     lambda: save_scored(ranked, out)):
+            with pytest.raises(ValidationError,
+                               match="ranked set was built without its ids"):
+                read()
+        assert not out.exists()
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_save_scored_writes_a_ranked_set_as_its_records(self, tmp_path,

@@ -10,7 +10,8 @@ from gainslift import (CostSpec, CurveSeries, ScoredRecord, TiePolicy,
                        lift_series, n_confusion_matrix, p_cum_gains,
                        random_targeting_rate, rank_records, render_decimal,
                        render_exact, roc_points)
-from gainslift.metrics import _lowest_terms, _product, _sum, cutoff_for
+from gainslift.metrics import (MAX_PLACES, _lowest_terms, _product, _sum,
+                               cutoff_for)
 
 from helpers import (benefit_series_oracle, curves_csv_oracle,
                      curves_json_oracle, gains_series_oracle,
@@ -290,6 +291,13 @@ class TestRendering:
     def test_negative_places_rejected(self):
         with pytest.raises(ValidationError, match="places must be >= 0"):
             render_decimal(Fraction(1, 3), -1)
+
+    def test_places_capped(self):
+        # the largest benefit of float costs, at the most places allowed
+        value = Fraction(2.0**1023) * 10**9
+        assert render_decimal(value, MAX_PLACES) == f"{int(value)}.{'0' * 1000}"
+        with pytest.raises(ValidationError, match="places must be <= 1000"):
+            render_decimal(Fraction(1, 3), MAX_PLACES + 1)
 
     def test_exact_rendering(self):
         assert render_exact(Fraction(135, 144)) == "15/16"
