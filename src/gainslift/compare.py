@@ -366,7 +366,12 @@ def _sampled_positions(n_total: int, n_pos: int, budget: int,
     """Sorted positive positions of `budget` seeded draws, duplicates dropped
     and first occurrences kept in draw order."""
     rng = np.random.default_rng(seed)
-    drawn = np.empty((budget, n_pos), dtype=np.int64)
+    try:
+        drawn = np.empty((budget, n_pos), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: past any array's index
+        raise ValidationError(
+            f"budget={budget} draws of {n_pos} positions do not fit in "
+            f"memory") from None
     for row in drawn:
         row[:] = rng.choice(n_total, size=n_pos, replace=False)
     drawn.sort(axis=1)
@@ -424,8 +429,10 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
 
     Arrangements are scored as int8 label matrices of at most
     CHUNK_CELLS cells each, so memory stays bounded by two integer
-    numerators per arrangement. Only the two reported arrangements are
-    evaluated in `Fraction`s, through `evaluate_metric`.
+    numerators per arrangement. A label row numpy cannot allocate raises
+    MemoryError, and `budget` draws that do not fit raise ValidationError,
+    both before any arrangement is drawn. Only the two reported
+    arrangements are evaluated in `Fraction`s, through `evaluate_metric`.
     """
     if isinstance(metric_a, str):
         metric_a = parse_metric(metric_a)
@@ -445,6 +452,9 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
     _check_metric(metric_a, n_total)
     _check_metric(metric_b, n_total)
 
+    # a label row numpy cannot allocate raises MemoryError here, before any
+    # arrangement is drawn
+    np.empty(n_total, dtype=np.int8)
     space = math.comb(n_total, n_pos)
     exhaustive = space <= min(budget, EXHAUSTIVE_LIMIT)
     rows = max(1, CHUNK_CELLS // n_total)

@@ -107,16 +107,18 @@ def _load_columns(file: ScoredFile | str | Path, *, id_texts: bool = True,
     as it reads, and checks the ids by sorted 64-bit keys of their bytes;
     the csv-module and json-lines routes check the texts' sorted hashes.
     With `id_texts` false the ids are checked but not returned (None stands
-    in their place), and the block route never turns one into a Python
-    string: the command line asks for the texts only for `perturb` and the
-    `id` tie policy."""
+    in their place), and the block route neither keeps their bytes nor
+    turns one into a Python string: the command line asks for the texts
+    only for `perturb` and the `id` tie policy."""
     if not isinstance(file, ScoredFile):
         file = ScoredFile(path=file, format=guess_format(file))
     file = replace(file, **overrides)
-    read = {"csv": _read_csv, "jsonl": _read_jsonl}.get(file.format)
-    if read is None:
+    if file.format == "csv":
+        ids, scores, labels = _read_csv(file, id_texts)
+    elif file.format == "jsonl":
+        ids, scores, labels = _read_jsonl(file)
+    else:
         raise ValidationError(f"unknown input format {file.format!r}")
-    ids, scores, labels = read(file)
     if not len(labels):
         raise ValidationError(f"{file.path}: no data rows")
     if isinstance(ids, list):  # texts, not yet checked for repeats
@@ -157,8 +159,8 @@ def _unreadable_named(file: ScoredFile):
         raise ValidationError(f"{file.path}: {exc}") from None
 
 
-def _read_csv(file: ScoredFile) -> tuple[list | bytes | None,
-                                         Sequence[float], Sequence[int]]:
+def _read_csv(file: ScoredFile, id_texts: bool
+              ) -> tuple[list | bytes | None, Sequence[float], Sequence[int]]:
     """Ids, scores and labels of the data rows: as the block route converts
     them (see `_Converted`), or else from their texts, each converted as a
     whole column; when a column check fails, `_scan_rows` names the first
@@ -169,7 +171,7 @@ def _read_csv(file: ScoredFile) -> tuple[list | bytes | None,
     with _unreadable_named(file), open(file.path, "rb") as raw:
         columns = None
         if raw.seekable():  # a pipe can be read only once
-            columns = _plain_texts(raw, file)
+            columns = _plain_texts(raw, file, id_texts)
             raw.seek(0)
         if columns is None:
             # utf-8-sig drops a leading byte-order mark, which would
@@ -238,15 +240,16 @@ _KEY_STEP = np.uint64(0x9E3779B97F4A7C15)
 
 class _Converted(NamedTuple):
     """The columns the block route converts: the id fields' bytes, each
-    followed by a newline (None without an id column), float64 scores and
-    int64 labels."""
+    followed by a newline (None without an id column or where no id texts
+    are wanted), float64 scores and int64 labels."""
 
     ids: bytes | None
     scores: np.ndarray
     labels: np.ndarray
 
 
-def _plain_texts(raw, file: ScoredFile) -> _Converted | list[list] | None:
+def _plain_texts(raw, file: ScoredFile, id_texts: bool
+                 ) -> _Converted | list[list] | None:
     """The file's columns, read from whole blocks of lines without
     tokenizing each field; None unless the bytes show that no csv rule
     applies (see `_field_ends`), and then the caller reads the file again
@@ -257,12 +260,13 @@ def _plain_texts(raw, file: ScoredFile) -> _Converted | list[list] | None:
     Each block's labels and scores are converted, and its ids turned into
     64-bit keys, before the next block is read (`_block_columns`), and the
     columns come back as a `_Converted`; the keys of the whole file are
-    sorted once to find a repeat. Where a value fails a check (a label
-    other than `0` or `1`, a score `float` rejects or that is not finite, an
-    empty id, or two equal keys), the file is read again and the texts
-    `_csv_texts` would return come back instead, so that the caller names
-    the fault, or finds ids whose keys collide distinct, as it does for the
-    csv route."""
+    sorted once to find a repeat; the ids' bytes are kept only for a
+    caller that wants their texts (`id_texts`). Where a value fails a check
+    (a label other than `0` or `1`, a score `float` rejects or that is not
+    finite, an empty id, or two equal keys), the file is read again and the
+    texts `_csv_texts` would return come back instead, so that the caller
+    names the fault, or finds ids whose keys collide distinct, as it does
+    for the csv route."""
     plain = _plain_blocks(raw, file)
     if plain is None:
         return None
@@ -271,7 +275,7 @@ def _plain_texts(raw, file: ScoredFile) -> _Converted | list[list] | None:
     for cut in cuts:
         if cut is None:
             return None
-        part = _block_columns(*cut, width, at)
+        part = _block_columns(*cut, width, at, id_texts)
         if part is None:
             break
         parts.append(part)
@@ -386,11 +390,12 @@ def _fields(block: bytes, d: str) -> list[str]:
 
 
 def _block_columns(block: bytes, ends: np.ndarray, width: int,
-                   at: list[int]):
+                   at: list[int], id_texts: bool):
     """A checked block's uint8 labels, float64 scores, and, with an id
-    column, its ids' uint64 keys and bytes (each followed by a newline), or
-    None for both; None where a label is not exactly `0` or `1`, a score is
-    not a finite number by `float`, or an id is empty."""
+    column, its ids' uint64 keys and, if `id_texts`, bytes (each followed by
+    a newline), None in place of what is not there; None where a label is
+    not exactly `0` or `1`, a score is not a finite number by `float`, or an
+    id is empty."""
     view = np.frombuffer(block, dtype=np.uint8)
     starts = np.empty_like(ends)  # each field's first byte
     starts[:1] = 0
@@ -417,7 +422,7 @@ def _block_columns(block: bytes, ends: np.ndarray, width: int,
     if not sizes.all():
         return None
     return (labels, scores, _id_keys(block, id_starts, sizes),
-            _field_bytes(view, id_starts, id_ends))
+            _field_bytes(view, id_starts, id_ends) if id_texts else None)
 
 
 def _field_bytes(view: np.ndarray, starts: np.ndarray, ends: np.ndarray

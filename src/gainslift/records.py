@@ -280,7 +280,9 @@ def _rank_columns(ids: np.ndarray | None, scores: np.ndarray,
     id's rank, puts every group back in order; subtracting g * n leaves w.
     The key stays below n**2 < 2**63, so the kernel is exact for
     n < 3.0e9 rows. Scores that are all equal form one group, whose order
-    needs no sort by score.
+    needs no sort by score. The ids' ranks come from `_rows_by_id`, which
+    sorts their UTF-8 bytes in numpy, eight at a time, into Python's string
+    order, with memory that grows with the total id bytes.
     """
     order = _rank_order(ids, scores, tie_policy)
     return RankedTestSet(None if ids is None else ids[order], scores[order],
@@ -315,7 +317,101 @@ def _rank_order(ids: np.ndarray | None, scores: np.ndarray,
     return by_id[key] if id_policy else key
 
 
+# _PREFIX_MASK[k] keeps the first k bytes of a big-endian 64-bit word
+_PREFIX_MASK = np.array([(-1 << 8 * (8 - k)) & ((1 << 64) - 1)
+                         for k in range(9)], dtype=np.uint64)
+
+
 def _rows_by_id(ids: np.ndarray) -> np.ndarray:
-    """The rows in ascending Python-string (code point) order of their ids."""
-    return np.array(sorted(range(len(ids)), key=ids.tolist().__getitem__),
-                    dtype=np.intp)
+    """The rows in ascending Python-string (code point) order of their ids.
+
+    The ids are compared as their UTF-8 bytes (`surrogatepass`, so lone
+    surrogates too), whose order is code-point order, eight bytes at a time.
+    They are joined by newlines and encoded once; the newlines mark where
+    each id starts, unless an id holds one, and then each id is encoded
+    alone to count its bytes. An id's word at offset o is its bytes o to
+    o + 7 read big-endian, with zeros past its end. One unstable
+    `np.argsort` orders the first words; only the rows in runs of equal
+    words go on to their next word, and a row whose id has ended by then
+    is ordered by its byte length, before the rows that go on. The order is
+    Python's: where two ids' zero-padded bytes first differ, either both
+    hold a byte there, or the one that has ended reads a zero against a
+    nonzero byte, and is a prefix of the other; where they never differ,
+    one is the other followed by NULs, and the shorter comes first. Ids of
+    at most eight bytes with no NUL, such as `r012345`, are ordered by the
+    first sort alone. Each further pass sorts its tied rows by one int64
+    key, run number times m plus the row's rank within its pass of m rows
+    (below n**2 < 2**63). Memory is the joined text and its UTF-8 bytes,
+    plus a few int64 columns of n: it grows with the total id bytes, never
+    with the longest id times n. Ids that are not all `str` are ordered by
+    `sorted`.
+    """
+    texts = ids.tolist()
+    n = len(texts)
+    texts.append("\0" * 7)  # after the last id's newline: a whole word
+    try:
+        blob = "\n".join(texts).encode("utf-8", "surrogatepass")
+    except TypeError:  # ids that are not all str
+        del texts[-1]
+        return np.array(sorted(range(n), key=texts.__getitem__),
+                        dtype=np.intp)
+    del texts
+    data = np.frombuffer(blob, dtype=np.uint8)
+    starts = np.zeros(n, dtype=np.intp)
+    sizes = np.flatnonzero(data == 10)
+    if len(sizes) == n:  # the newline after each id, and no other
+        np.add(sizes[:-1], 1, out=starts[1:])
+        sizes -= starts
+    else:  # some id holds a newline
+        sizes = np.fromiter((len(t.encode("utf-8", "surrogatepass"))
+                             for t in ids), dtype=np.intp, count=n)
+        np.cumsum(sizes[:-1] + 1, out=starts[1:])
+    end = len(blob) - 8  # the last id's newline
+    words = np.ndarray((end + 1,), dtype=">u8", buffer=blob, strides=(1,))
+
+    def word(rows, offset: int) -> np.ndarray:
+        at = starts[rows] + offset
+        np.minimum(at, end, out=at)
+        key = words[at]
+        key.byteswap(inplace=True)  # the same values, as native uint64
+        key = key.view(np.uint64)
+        np.subtract(sizes[rows], offset, out=at)
+        key &= _PREFIX_MASK[np.clip(at, 0, 8, out=at)]
+        return key
+
+    key = word(slice(None), 0)
+    order = np.argsort(key)
+    key = key[order]
+    pos = np.arange(n)  # the places in `order` of the rows being refined
+    same = key[1:] == key[:-1]
+    offset = 0
+    while same.any():
+        # the ids of each run of equal words share every byte so far
+        tied = np.zeros(len(pos), dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        run = np.zeros(len(pos), dtype=np.int64)
+        np.cumsum(~same, out=run[1:])
+        pos, run = pos[tied], run[tied]
+        m = len(pos)
+        rows = order[pos]
+        offset += 8
+        size = sizes[rows]
+        ended = size <= offset
+        key = word(rows, offset)
+        # ended ids by byte length, then the others by their next word
+        by_value = np.argsort(np.where(ended, size.astype(np.uint64), key))
+        first = ended[by_value]
+        by_value = np.concatenate((by_value[first], by_value[~first]))
+        rank = np.empty(m, dtype=np.int64)
+        rank[by_value] = np.arange(m)
+        run *= m  # runs hold their places: sort within each at once
+        rank += run
+        rank.sort()
+        rank -= run
+        within = by_value[rank]
+        order[pos] = rows[within]
+        key, ended = key[within], ended[within]
+        same = ((key[1:] == key[:-1]) & (run[1:] == run[:-1])
+                & ~(ended[1:] | ended[:-1]))
+    return order

@@ -17,6 +17,7 @@ from gainslift import (InfeasibleError, ResamplePlan, ScoredFile,
                        rank_records, render_decimal, roc_points, run_plan,
                        summary_to_csv, summary_to_json)
 import gainslift.cli
+import gainslift.compare
 import gainslift.io as gio
 from gainslift.cli import cli_main
 from gainslift.io import _load_columns
@@ -586,6 +587,17 @@ class TestUsageErrors:
     def test_exit_1_with_the_message(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"gainslift: {message}\n")
 
+    def test_unallocatable_label_row_is_refused_before_drawing(
+            self, capsys, monkeypatch):
+        def draw(*args):
+            raise AssertionError("arrangements drawn")
+
+        monkeypatch.setattr(gainslift.compare, "_sampled_positions", draw)
+        assert run(capsys, "disagree", "--metric-a", "auc", "--metric-b",
+                   "lift@6", "--n", "1000000000000000000", "--npos", "1") == (
+            1, "", "gainslift: --n 1000000000000000000 does not fit in "
+            "memory\n")
+
     @pytest.mark.parametrize("argv", [
         ["gains"], ["lift"], ["benefit", "--qtp", "1", "--qfp", "-1"]])
     @pytest.mark.parametrize("fraction", ["1/0", "x"])
@@ -776,3 +788,88 @@ class TestUnreadableInputs:
         code, out, err = run(capsys, command[0], "--input", str(path),
                              *command[1:])
         assert (code, out, err) == (1, "", f"gainslift: {path}: {message}\n")
+
+
+class TestExitCodeSweep:
+    """Every numeric option of every command, given each value below on
+    example24 (or, for `disagree`, with no input), exits 0, 1 or 2 in
+    process, and no other exception escapes `cli_main`.
+
+    Left out are valid runs that do unbounded work; none of these values
+    makes one from these bases. They are a sampled `disagree` search with a
+    large valid `--budget` (it draws each arrangement in a Python loop), and
+    `resample` with a large valid `--reps` or `--size`. `--precision` past
+    1,000 places and `--reps` past memory are refused by their own checks,
+    so no value here runs without bound."""
+
+    VALUES = ["0", "-1", "1e20", "nan", "inf", "", "0x10", "1e308", "-1e308",
+              str(10**22)]
+    BASES = {
+        "gains": ["gains", "--input", EXAMPLE],
+        "gains-n": ["gains", "--input", EXAMPLE, "--n", "8"],
+        "lift": ["lift", "--input", EXAMPLE],
+        "lift-fraction": ["lift", "--input", EXAMPLE, "--fraction", "1/4"],
+        "deciles": ["deciles", "--input", EXAMPLE],
+        "benefit": ["benefit", "--input", EXAMPLE, "--qtp", "10",
+                    "--qfp=-1"],
+        "benefit-n": ["benefit", "--input", EXAMPLE, "--qtp", "10",
+                      "--qfp=-1", "--n", "8"],
+        "auc": ["auc", "--input", EXAMPLE],
+        "compare": ["compare", "--input", EXAMPLE, "--input", EXAMPLE,
+                    "--name", "a", "--name", "b", "--targets", "6"],
+        "perturb": ["perturb", "--input", EXAMPLE, "--swap", "1:2"],
+        # 252 arrangements, enumerated
+        "disagree": ["disagree", "--metric-a", "auc", "--metric-b", "lift@6",
+                     "--n", "10", "--npos", "5"],
+        # C(40, 20) arrangements, sampled
+        "disagree-sampled": ["disagree", "--metric-a", "auc", "--metric-b",
+                             "lift@6", "--n", "40", "--npos", "20",
+                             "--budget", "1000"],
+        "resample": ["resample", "--input", EXAMPLE, "--rates", "0.2",
+                     "--reps", "3", "--size", "12"],
+        "chart": ["chart", "--input", EXAMPLE, "--kind", "benefit",
+                  "--qtp", "10", "--qfp=-1"],
+    }
+    OPTIONS = {
+        "gains": ["--n", "--fraction", "--precision"],
+        "gains-n": ["--precision"],
+        "lift": ["--n", "--fraction", "--precision"],
+        "lift-fraction": ["--precision"],
+        "deciles": ["--precision"],
+        "benefit": ["--qtp", "--qfp", "--n", "--fraction", "--precision"],
+        "benefit-n": ["--qtp", "--qfp", "--precision"],
+        "auc": ["--precision"],
+        "compare": ["--targets", "--precision"],
+        "perturb": ["--swap"],
+        "disagree": ["--n", "--npos", "--budget", "--seed", "--precision"],
+        "disagree-sampled": ["--budget", "--seed"],
+        "resample": ["--rates", "--reps", "--size", "--seed"],
+        "chart": ["--qtp", "--qfp"],
+    }
+
+    @pytest.mark.parametrize("base,option", [
+        (base, option) for base, options in OPTIONS.items()
+        for option in options])
+    def test_exit_code(self, capsys, base, option):
+        argv = list(self.BASES[base])
+        for i, arg in enumerate(argv):
+            if arg == option:  # the base's own value makes way
+                del argv[i:i + 2]
+                break
+            if arg.startswith(option + "="):
+                del argv[i]
+                break
+        for value in self.VALUES:
+            if option == "--swap":
+                value += ":2"
+            # joined by `=`: argparse reads a bare -1e308 as an option
+            code = cli_main(argv + [f"{option}={value}"])
+            capsys.readouterr()
+            assert code in (0, 1, 2), (option, value)
+
+    def test_a_budget_past_memory_exits_1(self, capsys):
+        code, out, err = run(capsys, *self.BASES["disagree-sampled"][:-2],
+                             "--budget", str(10**22))
+        assert (code, out) == (1, "")
+        assert err == (f"gainslift: budget={10**22} draws of 20 positions do "
+                       f"not fit in memory\n")

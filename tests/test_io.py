@@ -254,8 +254,8 @@ def plain_reads(monkeypatch):
     reads = []
     plain_texts = gio._plain_texts
 
-    def spy(raw, file):
-        columns = plain_texts(raw, file)
+    def spy(raw, file, id_texts):
+        columns = plain_texts(raw, file, id_texts)
         reads.append(columns is not None)
         return columns
 
@@ -473,7 +473,7 @@ def _both_routes(monkeypatch, plain_reads, file):
     every file."""
     got = _outcome(load_scored, file)
     plain = plain_reads[0] if len(plain_reads) == 1 else None
-    monkeypatch.setattr(gio, "_plain_texts", lambda raw, file: None)
+    monkeypatch.setattr(gio, "_plain_texts", lambda raw, file, id_texts: None)
     want = _outcome(load_scored, file)
     return got, plain, want
 
@@ -698,7 +698,8 @@ class TestPlainRoute:
 
         plain_peak = peak()
         assert plain_reads == [True]
-        monkeypatch.setattr(gio, "_plain_texts", lambda raw, file: None)
+        monkeypatch.setattr(gio, "_plain_texts",
+                            lambda raw, file, id_texts: None)
         assert plain_peak <= 1.1 * peak()
 
 
@@ -735,6 +736,14 @@ class TestBlockRoute:
         if id_policy:
             assert ranked.records == expected.records
         assert plain_reads == [True, True]
+
+    def test_id_bytes_are_kept_only_for_texts(self, tmp_path):
+        file = self._file(tmp_path, [f"r{k:03d}" for k in range(50)])
+        for id_texts in (True, False):
+            with open(file.path, "rb") as raw:
+                columns = gio._plain_texts(raw, file, id_texts)
+            assert isinstance(columns, gio._Converted)
+            assert (columns.ids is not None) is id_texts
 
     def test_a_repeat_names_the_first_repeated_id(self, tmp_path, monkeypatch,
                                                   plain_reads):
@@ -776,7 +785,8 @@ class TestBlockRoute:
         path.write_bytes(text.encode())
         got = _load_columns(path)
         bare = _load_columns(path, id_texts=False)
-        monkeypatch.setattr(gio, "_plain_texts", lambda raw, file: None)
+        monkeypatch.setattr(gio, "_plain_texts",
+                            lambda raw, file, id_texts: None)
         want = _load_columns(path)
         assert plain_reads == [True, True]
         assert bare[0] is None

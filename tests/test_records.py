@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ScoredRecord,
                        TiePolicy, ValidationError, rank_records)
-from gainslift.records import _columns, _first_fault, _rank_columns
+from gainslift.records import (_columns, _first_fault, _rank_columns,
+                               _rows_by_id)
 
 from helpers import (random_instance, rank_order_oracle, records_from_labels,
                      stable_order_oracle)
@@ -284,6 +286,49 @@ def _kernel_case(rng: np.random.Generator, shape: str, n: int):
     return ids, scores, labels
 
 
+# characters of 1 to 4 UTF-8 bytes on each side of every width's edge, lone
+# surrogates (3 bytes with `surrogatepass`) and the largest code points
+_WIDE_CHARS = ["\0", "a", "\x7f", "\x80", "\xe9", "\u07ff", "\u0800",
+               "\ud7ff", "\ud800", "\udbff", "\udc00", "\udfff", "\ue000",
+               "\uffff", "\U00010000", "\U0010ffff"]
+
+
+def _text(rng: np.random.Generator, chars, size: int) -> str:
+    """`size` seeded draws from `chars`; `rng.choice` would make them a numpy
+    str array, which reads "\\0" as the empty string."""
+    return "".join([chars[i] for i in rng.integers(0, len(chars), size)])
+
+
+def _id_case(rng: np.random.Generator, shape: str, n: int):
+    """n distinct ids of one shape in a seeded order, with scores at three
+    levels (or all equal for n below 4) so that most rows tie."""
+    prefix = _text(rng, "ab", 24)
+    ids: set[str] = set()
+    while len(ids) < n:
+        size = int(rng.integers(0, 13))
+        if shape == "lengths":  # 0 to 40 bytes
+            text = _text(rng, "ab", int(rng.integers(0, 41)))
+        elif shape.startswith("prefix-"):  # 8, 16 or 24 shared bytes
+            text = prefix[:int(shape[7:])] + _text(rng, "ab\0", size)
+        elif shape == "nul":  # at the start, in the middle and at the end
+            text = _text(rng, "ab", size)
+            cut = int(rng.integers(0, size + 1))
+            text = ("\0" * int(rng.integers(0, 3)) + text[:cut]
+                    + "\0" * int(rng.integers(0, 3)) + text[cut:]
+                    + "\0" * int(rng.integers(0, 3)))
+        elif shape == "wide":  # non-ASCII, astral and lone surrogates
+            text = _text(rng, _WIDE_CHARS, size)
+        else:  # "newline": ids that hold the byte that joins them
+            text = _text(rng, "a\n\0", size)
+        ids.add(text)
+    column = np.empty(n, dtype=object)
+    texts = sorted(ids)  # a numpy str array would drop trailing NULs
+    column[:] = [texts[i] for i in rng.permutation(n)]
+    levels = 1 if n < 4 else 3
+    scores = rng.integers(0, levels, size=n) / 2
+    return column, scores, rng.integers(0, 2, size=n)
+
+
 _COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_ends",
             "_group_pos")
 
@@ -323,3 +368,49 @@ class TestRankKernel:
             case = _kernel_case(rng, shape, int(rng.integers(1, 300)))
             for policy in TiePolicy:
                 self._check(*case, policy)
+
+    ID_SHAPES = ["lengths", "prefix-8", "prefix-16", "prefix-24", "nul",
+                 "wide", "newline"]
+
+    @pytest.mark.parametrize("shape", ID_SHAPES)
+    def test_id_shapes(self, shape):
+        rng = np.random.default_rng([2026, self.ID_SHAPES.index(shape)])
+        for n in (1, 2, 3, 17, 300, 4_097):
+            self._check(*_id_case(rng, shape, n), TiePolicy.ID_ORDER)
+
+    def test_random_id_sets(self):
+        rng = np.random.default_rng(78)
+        for _ in range(300):
+            shape = self.ID_SHAPES[int(rng.integers(0, len(self.ID_SHAPES)))]
+            case = _id_case(rng, shape, int(rng.integers(1, 60)))
+            self._check(*case, TiePolicy.ID_ORDER)
+
+    def test_one_long_id_among_short_ones(self):
+        # a fixed-width array would hold 10**4 copies of the long id's width;
+        # the long id ties with `id000000` on its first eight bytes
+        rng = np.random.default_rng(79)
+        texts = [f"id{i:06d}" for i in range(10_000)]
+        texts.append("id000000" + "x" * (1 << 20))
+        ids = np.empty(len(texts), dtype=object)
+        ids[:] = [texts[i] for i in rng.permutation(len(texts))]
+        tracemalloc.start()
+        try:
+            rows = _rows_by_id(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ids[rows].tolist() == sorted(texts)
+        assert peak < 4 * sum(map(len, texts))
+        labels = rng.integers(0, 2, size=len(ids))
+        self._check(ids, np.zeros(len(ids)), labels, TiePolicy.ID_ORDER)
+
+    def test_int_ids_keep_python_order(self):
+        rng = np.random.default_rng(80)
+        for n in (1, 5, 300):
+            ids = np.empty(n, dtype=object)
+            ids[:] = [int(v) for v in rng.permutation(n) * 7 - 3 * n]
+            self._check(ids, rng.integers(0, 3, size=n) / 2,
+                        rng.integers(0, 2, size=n), TiePolicy.ID_ORDER)
+            ranked = _rank_columns(ids, np.zeros(n), np.zeros(n, np.int64),
+                                   TiePolicy.ID_ORDER)
+            assert ranked.ids.tolist() == sorted(ids.tolist())
