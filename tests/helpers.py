@@ -578,3 +578,64 @@ def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
             ids.append(obj[id_name])
         lines.append(json.dumps(obj))
     return "\n".join(lines) + ("\n" if lines else ""), options
+
+
+# Malformed scored files, each with the message its loader error holds.
+MALFORMED_CSV = [
+    # the earliest faulty row wins, whatever its fault
+    ("id,score,label\na,0.5,1\nb,x,1\nc,0.4,7\n,0.3,1\n",
+     "row 2: score 'x' is not a number"),
+    ("id,score,label\na,0.5,1\nb,0.5,1\n,0.3,1\nc,nan,2\n",
+     "row 3: empty id"),
+    ("id,score,label\na,0.5,1\nb,inf,1\nc,0.4,7\n",
+     "row 2: score 'inf' is not finite"),
+    # within a row: label, then score, then id
+    ("id,score,label\n,x,2\n", "row 1: label must be 0 or 1, got '2'"),
+    (",score,label\n,x,1\n", "row 1: score 'x' is not a number"),
+    # blank lines are not counted
+    ("id,score,label\n\na,0.5,1\n\n\nb,0.5,yes\n",
+     "row 2: label must be 0 or 1, got 'yes'"),
+    # short rows read their missing fields as None
+    ("score,label,id\n0.5,1,a\n0.4,0\n", "row 2: empty id"),
+    ("label,score\n1,0.5\n1\n", "row 2: score None is not a number"),
+    ("score,label\n0.5\n", "row 1: label must be 0 or 1, got None"),
+    ("id,score,label\n", "no data rows"),
+    ("id,score,label\n\n\n", "no data rows"),
+    ("", "missing header row"),
+    ("id,score,label\na,0.5,1\nb,0.4,0\na,0.3,1\nb,0.2,0\n",
+     "duplicate id 'a'"),
+    ("id,score,label\na,0.5,1\nb,0.4,0\nb,0.3,1\na,0.2,0\n",
+     "duplicate id 'b'"),
+    # a row fault comes before a repeated id on an earlier row
+    ("id,score,label\na,0.5,1\na,0.4,0\nc,0.3,3\n",
+     "row 3: label must be 0 or 1, got '3'"),
+]
+
+# Malformed json-lines files, as lines, each with its loader message.
+MALFORMED_JSONL = [
+    (['{"score": 0.5, "label": 1}', '{"score": 0.4, "label": 1.0}',
+      "{bad"], "row 2: label must be 0 or 1, got 1.0"),
+    (['{"score": 0.5, "label": 1}', "{bad"], "row 2: bad json"),
+    (['{"score": 0.5}'], "row 1: missing 'label' or 'score' field"),
+    # valid json that is not an object has no fields
+    (['{"score": 0.5, "label": 1}', "5"],
+     "row 2: missing 'label' or 'score' field"),
+    (["null"], "row 1: missing 'label' or 'score' field"),
+    (['"label score"'], "row 1: missing 'label' or 'score' field"),
+    (['["label", "score"]'], "row 1: missing 'label' or 'score' field"),
+    (['{"score": NaN, "label": 1}'], "row 1: score nan is not finite"),
+    (['{"score": 0.5, "label": true}'],
+     "row 1: label must be 0 or 1, got True"),
+    (['{"score": true, "label": 1}'], "row 1: score True is not a number"),
+    (['{"score": 0.5, "label": "1.0"}'],
+     "row 1: label must be 0 or 1, got '1.0'"),
+    (['{"id": "", "score": 0.5, "label": 1}',
+      '{"id": "", "score": 0.4, "label": 0}'], "duplicate id ''"),
+    (['{"id": 7, "score": 0.5, "label": 1}',
+      '{"id": "7", "score": 0.4, "label": 0}'], "duplicate id '7'"),
+    # json.loads raises RecursionError, not a JSONDecodeError
+    (['{"score": 0.5, "label": 1}',
+      '{"score": ' + "[" * 100_000 + "]" * 100_000 + ', "label": 1}'],
+     "row 2: json nested too deeply"),
+    ([], "no data rows"),
+]

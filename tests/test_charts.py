@@ -1,3 +1,5 @@
+import random
+import string
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from gainslift import (ChartKind, ChartSpec, CostSpec, ValidationError,
                        benefit_series, decile_series, gains_series,
                        lift_series, rank_records, render_chart,
                        series_for)
-from gainslift.charts import layout_for
+from gainslift.charts import escape, layout_for
 
 from helpers import records_from_labels
 
@@ -32,6 +34,21 @@ class TestSvgStructure:
             ChartSpec(kind=ChartKind.LIFT, title="lift & gains"),
             [lift_series(example24)])
         assert "lift &amp; gains" in svg
+
+
+class TestEscape:
+    def test_matches_saxutils_escape(self):
+        """The chart text escape is the standard library's, with no extra
+        entities, over strings of markup characters, quotes, a non-ASCII
+        letter, a newline and NUL among ASCII letters."""
+        from xml.sax.saxutils import escape as sax_escape
+        rng = random.Random(2019)
+        alphabet = list("&<>\"';\u00e9\n\0") + list(string.ascii_letters)
+        texts = ["", "&amp;", "&lt;&gt;", "<&>"] + [
+            "".join(rng.choices(alphabet, k=rng.randrange(1, 40)))
+            for _ in range(2_000)]
+        for text in texts:
+            assert escape(text) == sax_escape(text), repr(text)
 
 
 class TestPolylineGeometry:

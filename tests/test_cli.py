@@ -23,7 +23,8 @@ from gainslift.cli import cli_main
 from gainslift.io import _load_columns
 from gainslift.metrics import CurveSeries, XKind
 
-from helpers import load_csv_oracle, load_jsonl_oracle, random_scored_csv
+from helpers import (MALFORMED_CSV, MALFORMED_JSONL, load_csv_oracle,
+                     load_jsonl_oracle, random_scored_csv)
 
 EXAMPLE = str(example24_path())
 ROOT = Path(__file__).resolve().parent.parent
@@ -873,3 +874,48 @@ class TestExitCodeSweep:
         assert (code, out) == (1, "")
         assert err == (f"gainslift: budget={10**22} draws of 20 positions do "
                        f"not fit in memory\n")
+
+
+class TestMalformedFiles:
+    """Each malformed file of the loader tests, fed to every command that
+    reads a scored file, exits 1 with the loader's message as the one line
+    on stderr, prints nothing and leaves no --out file behind."""
+
+    COMMANDS = {
+        "gains": ["gains"],
+        "lift": ["lift"],
+        "deciles": ["deciles"],
+        "benefit": ["benefit", "--qtp", "10", "--qfp=-1"],
+        "auc": ["auc"],
+        "roc": ["roc"],
+        # the malformed file is the second run, after a good one has loaded
+        "compare": ["compare", "--input", EXAMPLE, "--targets", "6"],
+        "perturb": ["perturb", "--swap", "1:2"],
+        "resample": ["resample", "--rates", "0.2", "--reps", "3", "--size",
+                     "12"],
+        "chart": ["chart", "--kind", "lift"],
+    }
+    CASES = (
+        [pytest.param("in.csv", text, message, id=f"csv{k}")
+         for k, (text, message) in enumerate(MALFORMED_CSV)]
+        + [pytest.param("in.jsonl", "\n".join(lines) + "\n", message,
+                        id=f"jsonl{k}")
+           for k, (lines, message) in enumerate(MALFORMED_JSONL)])
+
+    @pytest.mark.parametrize("name,text,message", CASES)
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_1_with_the_loader_message(self, capsys, tmp_path, name,
+                                            text, message, command):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        fmt = "jsonl" if name.endswith(".jsonl") else "csv"
+        oracle = load_jsonl_oracle if fmt == "jsonl" else load_csv_oracle
+        with pytest.raises(ValidationError) as info:
+            oracle(ScoredFile(path=path, format=fmt))
+        assert message in str(info.value) and "\n" not in str(info.value)
+        argv = [*self.COMMANDS[command], "--input", str(path)]
+        assert run(capsys, *argv) == (1, "", f"gainslift: {info.value}\n")
+        out = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(out)) == (
+            1, "", f"gainslift: {info.value}\n")
+        assert not out.exists()

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gainslift import ResamplePlan, ScoredRecord, run_plan, summary_to_json
+from gainslift import (ResamplePlan, ScoredRecord, example24_path, run_plan,
+                       summary_to_json)
 from gainslift.cli import cli_main
 
 ROWS = 2_000
@@ -370,6 +371,18 @@ def test_output_digest(capsys, tmp_path, inputs, kind, policy, command):
     text = _output_of(capsys, tmp_path, argv)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == PINNED[f"{kind}/{policy}/{command}"]
+
+
+def test_chart_title_digest(capsys, tmp_path):
+    """A title holding markup characters, an entity's text and a non-ASCII
+    letter: `&`, `<` and `>` are escaped, quotes and the rest kept."""
+    title = "A & B <c> \"d\" 'e' &amp; \u00e9"
+    text = _output_of(capsys, tmp_path, ["chart", "--input",
+                                         str(example24_path()), "--kind",
+                                         "lift", "--title", title])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == (
+        "c3aa12bb37530ce4cc634111b18d30a06cada7a9d06bd48c39fbbe77ecd77feb")
 
 
 PERTURB_PINNED = {
