@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -29,6 +28,16 @@ MARGIN_BOTTOM = 50
 
 PALETTE = ("#1a1a1a", "#c0392b", "#1e8449", "#2457a6", "#8e44ad", "#b9770e")
 BASELINE_DASH = "6 4"
+
+
+def escape(text: str) -> str:
+    """`&`, `<` and `>` as entities, as `xml.sax.saxutils.escape` writes them.
+
+    Kept here because importing `xml.sax.saxutils` loads `urllib.request`
+    and with it the http, email and ssl modules, most of the package's
+    import time and memory. `&` goes first, so no entity is escaped twice.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class ChartKind(Enum):

@@ -8,7 +8,6 @@ all known in closed form.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .records import ScoredRecord
@@ -27,4 +26,6 @@ def example24_records() -> list[ScoredRecord]:
 
 def example24_path() -> Path:
     """Path of the bundled csv copy (id,score,label with header)."""
+    # imported here: importlib.resources loads tempfile, shutil and zipfile
+    from importlib import resources
     return Path(resources.files("gainslift").joinpath("data/example24.csv"))

@@ -734,6 +734,35 @@ class TestModuleEntry:
             0, "0.93750\n", "")
 
 
+class TestImportSet:
+    # the web, mail, TLS and archive modules; urllib.parse is allowed, as
+    # pathlib imports it
+    UNWANTED = ("xml", "http", "email", "ssl", "socket", "urllib.request",
+                "importlib.resources", "tempfile", "shutil", "zipfile", "bz2",
+                "lzma")
+
+    def test_import_loads_no_web_mail_or_archive_modules(self):
+        """A fresh interpreter without `site` (whose hooks may load some of
+        these first) imports numpy, then gainslift and its command line;
+        none of the modules gainslift adds is one of UNWANTED."""
+        numpy_home = Path(np.__file__).resolve().parent.parent
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                               str(numpy_home)]))
+        script = ("import sys, numpy\n"
+                  "before = set(sys.modules)\n"
+                  "import gainslift, gainslift.cli\n"
+                  "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+        result = subprocess.run([sys.executable, "-S", "-c", script],
+                                capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stderr) == (0, "")
+        added = result.stdout.split()
+        assert "gainslift.cli" in added
+        assert [name for name in added if any(
+            name == unwanted or name.startswith(unwanted + ".")
+            for unwanted in self.UNWANTED)] == []
+
+
 class TestSharedParser:
     def test_repeatable_options_leak_no_state(self, capsys, tmp_path, perturbed24):
         from gainslift import save_scored
