@@ -735,8 +735,9 @@ class TestModuleEntry:
 
 
 class TestImportSet:
-    # the web, mail, TLS and archive modules; urllib.parse is allowed, as
-    # pathlib imports it
+    # the web, mail and TLS modules, and the file and archive modules that
+    # importlib.resources loads; urllib.parse is allowed, as pathlib
+    # imports it
     UNWANTED = ("xml", "http", "email", "ssl", "socket", "urllib.request",
                 "importlib.resources", "tempfile", "shutil", "zipfile", "bz2",
                 "lzma")
