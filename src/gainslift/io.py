@@ -10,15 +10,16 @@ next is read: labels of exactly `0` or `1`, scores by `float`, ids into
 64-bit keys whose sorted repeats are looked for once the file is read. Id
 texts are made only for a caller that reads them (`_load_columns`'s
 `id_texts`); on the command line that is `perturb` and the `id` tie policy.
-Where a value fails its check, the block route reads the file again as
-texts; any other delimited file is read by the csv module. The texts are
-converted a column at a time and scanned row by row only to name a fault,
-so every route gives the same columns and the same errors. Curve output is
-delimited text with shortest-roundtrip floats, or json carrying exact
-numerator/denominator fields so a re-parse reproduces the rationals bit for
-bit; each run of equal values in a column is formatted once. The command
-line streams a curve 1,024 points at a time (`_curve_pieces`), and
-`emit_curves` joins the same pieces.
+Where a value fails its check, or two id keys are equal, the block route
+stops, and the csv module reads the file from its start, as it reads every
+other delimited file. Its texts are converted a column at a time and
+scanned row by row only to name a fault, so both routes give the same
+columns and the same errors. Curve output is delimited text with
+shortest-roundtrip floats, or json carrying exact numerator/denominator
+fields so a re-parse reproduces the rationals bit for bit; each run of
+equal values in a column is formatted once. The command line streams a
+curve 1,024 points at a time (`_curve_pieces`), and `emit_curves` joins the
+same pieces.
 """
 
 from __future__ import annotations
@@ -104,8 +105,10 @@ def _load_columns(file: ScoredFile | str | Path, *, id_texts: bool = True,
     int64 labels in row order; the command line's one check for repeated ids.
 
     The block route (`_plain_texts`) converts each block's labels and scores
-    as it reads, and checks the ids by sorted 64-bit keys of their bytes;
-    the csv-module and json-lines routes check the texts' sorted hashes.
+    as it reads, and checks the ids by sorted 64-bit keys of their bytes; a
+    file it turns down, for its bytes or for a value that fails a check, is
+    read from its start by the csv module. The csv-module and json-lines
+    routes check the texts' sorted hashes.
     With `id_texts` false the ids are checked but not returned (None stands
     in their place), and the block route neither keeps their bytes nor
     turns one into a Python string: the command line asks for the texts
@@ -162,30 +165,29 @@ def _unreadable_named(file: ScoredFile):
 def _read_csv(file: ScoredFile, id_texts: bool
               ) -> tuple[list | bytes | None, Sequence[float], Sequence[int]]:
     """Ids, scores and labels of the data rows: as the block route converts
-    them (see `_Converted`), or else from their texts, each converted as a
-    whole column; when a column check fails, `_scan_rows` names the first
-    fault."""
+    them (see `_Converted`), or else, where that route turns the file down,
+    from the texts the csv module reads from the file's start, each
+    converted as a whole column; when a column check fails, `_scan_rows`
+    names the first fault."""
     if len(file.delimiter) != 1:
         raise ValidationError(
             f"delimiter {file.delimiter!r} is not one character")
     with _unreadable_named(file), open(file.path, "rb") as raw:
-        columns = None
         if raw.seekable():  # a pipe can be read only once
-            columns = _plain_texts(raw, file, id_texts)
+            converted = _plain_texts(raw, file, id_texts)
+            if converted is not None:
+                return converted
             raw.seek(0)
-        if columns is None:
-            # utf-8-sig drops a leading byte-order mark, which would
-            # otherwise stick to the first header name
-            with _stdio.TextIOWrapper(raw, encoding="utf-8-sig",
-                                      newline="") as handle:
-                columns = _csv_texts(handle, file)
-    if isinstance(columns, _Converted):
-        return columns
-    label_texts, score_texts, *id_texts = columns
-    ids = id_texts[0] if id_texts else \
-        list(map(str, range(1, len(label_texts) + 1)))
-    labels = list(map(_CSV_LABELS.get, label_texts))
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # stick to the first header name
+        with _stdio.TextIOWrapper(raw, encoding="utf-8-sig",
+                                  newline="") as handle:
+            label_texts, score_texts, *ids = _csv_texts(handle, file)
+    ids = ids[0] if ids else list(map(str, range(1, len(label_texts) + 1)))
     try:
+        # a lenient label, as ' 1', is stripped here as `_parse_label`
+        # strips it; `float` strips a score itself
+        labels = list(map(_CSV_LABELS.get, map(str.strip, label_texts)))
         scores = np.fromiter(map(float, score_texts), dtype=np.float64,
                              count=len(score_texts))
         valid = None not in labels and np.isfinite(scores).all() and all(ids)
@@ -248,60 +250,22 @@ class _Converted(NamedTuple):
     labels: np.ndarray
 
 
-def _plain_texts(raw, file: ScoredFile, id_texts: bool
-                 ) -> _Converted | list[list] | None:
+def _plain_texts(raw, file: ScoredFile, id_texts: bool) -> _Converted | None:
     """The file's columns, read from whole blocks of lines without
-    tokenizing each field; None unless the bytes show that no csv rule
-    applies (see `_field_ends`), and then the caller reads the file again
-    from its start through the csv module. A header that lacks a column
-    also gives None: the csv module names it, after reading what it reads
-    first.
+    tokenizing each field; None where the bytes show that a csv rule may
+    apply (see `_field_ends`), where the header lacks a column (the csv
+    module names it, after reading what it reads first), or where a value
+    fails a check. The caller then reads the file again from its start
+    through the csv module.
 
     Each block's labels and scores are converted, and its ids turned into
-    64-bit keys, before the next block is read (`_block_columns`), and the
-    columns come back as a `_Converted`; the keys of the whole file are
-    sorted once to find a repeat; the ids' bytes are kept only for a
-    caller that wants their texts (`id_texts`). Where a value fails a check
-    (a label other than `0` or `1`, a score `float` rejects or that is not
-    finite, an empty id, or two equal keys), the file is read again and the
-    texts `_csv_texts` would return come back instead, so that the caller
-    names the fault, or finds ids whose keys collide distinct, as it does
-    for the csv route."""
-    plain = _plain_blocks(raw, file)
-    if plain is None:
-        return None
-    at, width, cuts = plain
-    parts = []
-    for cut in cuts:
-        if cut is None:
-            return None
-        part = _block_columns(*cut, width, at, id_texts)
-        if part is None:
-            break
-        parts.append(part)
-    else:
-        labels, scores, keys, ids = zip(*parts)
-        if keys[0] is None or not _any_equal(np.concatenate(keys)):
-            return _Converted(None if ids[0] is None else b"".join(ids),
-                              np.concatenate(scores),
-                              np.concatenate(labels).astype(np.int64))
-    raw.seek(0)
-    at, width, cuts = _plain_blocks(raw, file)
-    columns = [[] for _ in at]
-    for cut in cuts:
-        if cut is None:
-            return None
-        fields = _fields(cut[0], file.delimiter)
-        for col, i in zip(columns, at):
-            col += fields[i::width]
-    return columns
-
-
-def _plain_blocks(raw, file: ScoredFile):
-    """The positions of the label, score and (if any) id columns, the
-    header's field count, and an iterator over the body's blocks as
-    `_field_ends` returns them; None for a delimiter or a header the
-    plain route does not read."""
+    64-bit keys, before the next block is read (`_block_columns`); the keys
+    of the whole file are sorted once to find a repeat; the ids' bytes are
+    kept only for a caller that wants their texts (`id_texts`). The checks
+    that give None are a label other than `0` or `1`, a score `float`
+    rejects or that is not finite, an empty id, and two equal keys: the csv
+    route accepts a lenient label, names the faulty row, and finds ids
+    whose keys merely collide distinct."""
     d = file.delimiter
     if not d.isascii() or d in '"\r\n\0':
         return None
@@ -313,17 +277,29 @@ def _plain_blocks(raw, file: ScoredFile):
     head, _, body = first.removeprefix(codecs.BOM_UTF8).partition(b"\n")
     # the header line passes the same checks, with its own field count
     cut = _field_ends(head + b"\n", d, head.count(d.encode()) + 1, limit)
-    header = cut and _fields(cut[0], d)
-    if not header:  # a blank first line is the csv module's empty header
+    # a blank first line is the csv module's empty header
+    if cut is None or not cut[0]:
         return None
+    header = cut[0][:-1].decode("utf-8").split(d)
     try:
         at = _header_columns(file, header)
     except ValidationError:
         return None
     width = len(header)
-    return at, width, (None if block is None
-                       else _field_ends(block, d, width, limit)
-                       for block in chain([body], blocks))
+    parts = []
+    for block in chain([body], blocks):
+        cut = None if block is None else _field_ends(block, d, width, limit)
+        part = None if cut is None else _block_columns(*cut, width, at,
+                                                       id_texts)
+        if part is None:
+            return None
+        parts.append(part)
+    labels, scores, keys, ids = zip(*parts)
+    if keys[0] is not None and _any_equal(np.concatenate(keys)):
+        return None
+    return _Converted(None if ids[0] is None else b"".join(ids),
+                      np.concatenate(scores),
+                      np.concatenate(labels).astype(np.int64))
 
 
 def _line_blocks(raw, limit: int):
@@ -380,13 +356,6 @@ def _field_ends(block: bytes, d: str, width: int, limit: int
     except UnicodeDecodeError:
         return None
     return block, ends
-
-
-def _fields(block: bytes, d: str) -> list[str]:
-    """The texts of a checked block's fields, row after row."""
-    fields = block.decode("utf-8").replace("\n", d).split(d)
-    del fields[-1]  # the empty text after the last line's end
-    return fields
 
 
 def _block_columns(block: bytes, ends: np.ndarray, width: int,

@@ -328,7 +328,7 @@ class TestLoaderAgainstOracles:
         rng = np.random.default_rng(20240)
         failures = 0
         for k in range(300):
-            # every other file holds no quoted id, so most of those take
+            # every other file holds no quoted id, so some of those take
             # the plain route and the rest the csv module
             text, options, encoding = random_scored_csv(
                 rng, quote_rate=0.1 if k % 2 else 0.0)
@@ -338,8 +338,12 @@ class TestLoaderAgainstOracles:
             expected = _outcome(load_csv_oracle, file)
             assert _outcome(load_scored, file) == expected, text
             failures += isinstance(expected, tuple)
+            # the plain route returns only a file that loads without error,
+            # or that has no data row at all
+            if plain_reads[-1] and isinstance(expected, tuple):
+                assert expected[1] == f"{path}: no data rows", text
         assert 30 < failures < 270  # both outcomes are well exercised
-        assert 60 < plain_reads.count(True) and 60 < plain_reads.count(False)
+        assert 30 < plain_reads.count(True) and 60 < plain_reads.count(False)
 
     def test_random_jsonl_files(self, tmp_path):
         rng = np.random.default_rng(20241)
@@ -406,6 +410,18 @@ class TestLoaderAgainstOracles:
         with pytest.raises(ValidationError,
                            match="row 1: label must be 0 or 1, got 'yes'"):
             load_scored(path)
+
+    def test_jsonl_id_is_the_text_of_its_value(self, tmp_path):
+        path = write(tmp_path, "in.jsonl",
+                     '{"id": null, "score": 0.5, "label": 1}\n'
+                     '{"id": 1, "score": 0.4, "label": 0}\n')
+        assert [r.id for r in load_scored(path)] == ["None", "1"]
+        # so the number 1 and the string "1" are one id
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"id": "1", "score": 0.3, "label": 1}\n')
+        with pytest.raises(ValidationError) as info:
+            load_scored(path)
+        assert str(info.value) == f"{path}: duplicate id '1'"
 
     def test_jsonl_empty_id_is_kept(self, tmp_path):
         path = write(tmp_path, "in.jsonl",
@@ -494,18 +510,21 @@ class TestPlainRoute:
         "lf-and-crlf": (b"id,score,label\na,0.5,1\r\nb,0.4,0\n\r\nc,0.3,1\n",
                         {}, True),
         "crlf-header-only": (b"id,score,label\r\n", {}, True),
+        # the lenient label ` 1 ` sends this one to the csv route
         "semicolons-renamed": (b"y;p;name\n1;0.7;u\n0; 0.2 ;v\n 1 ;1e-3;w\n",
                                {"delimiter": ";", "label_col": "y",
-                                "score_col": "p", "id_col": "name"}, True),
+                                "score_col": "p", "id_col": "name"}, False),
         "tabs": (b"id\tscore\tlabel\na\t0.5\t1\n", {"delimiter": "\t"}, True),
         "repeated-name": (b"label,score,label\n1,0.5,0\n0,0.4,1\n", {}, True),
         "one-column": (b"label\n1\n0\n\n1\n", {"score_col": "label"}, True),
-        # row faults found after a plain read keep their row numbers
-        "bad-score": (b"id,score,label\na,0.5,1\n\nb,x,1\nc,0.4,7\n", {}, True),
-        "infinite-score": (b"id,score,label\na,0.5,1\nb,inf,1\n", {}, True),
-        "empty-id": (b"id,score,label\na,0.5,1\n,0.3,1\n", {}, True),
+        # a value that fails a check sends the file to the csv route, which
+        # names the faulty row
+        "bad-score": (b"id,score,label\na,0.5,1\n\nb,x,1\nc,0.4,7\n", {},
+                      False),
+        "infinite-score": (b"id,score,label\na,0.5,1\nb,inf,1\n", {}, False),
+        "empty-id": (b"id,score,label\na,0.5,1\n,0.3,1\n", {}, False),
         "duplicate-id": (b"id,score,label\na,0.5,1\nb,0.4,0\na,0.3,1\n", {},
-                         True),
+                         False),
     }
 
     @pytest.mark.parametrize("data,options,plain", CASES.values(),
@@ -527,13 +546,14 @@ class TestPlainRoute:
         ('"r9000",0.5,1\n', False),
         ("r9000,0.5\n", False),
         ("r9000,0.5,1\r\n", True),
-        ("r9000,0.5,2\n", True),
+        ("r9000,0.5,2\n", False),
     ], ids=["none", "blank-lines", "long-row", "quote", "short-row", "crlf",
             "bad-label"])
     def test_block_boundaries(self, tmp_path, monkeypatch, plain_reads, block,
                               late, plain):
-        """A fault that first shows in a late block sends the whole file to
-        the csv route; a row may cross any number of block boundaries."""
+        """A fault that first shows in a late block, in the bytes or in a
+        value, sends the whole file to the csv route; a row may cross any
+        number of block boundaries."""
         monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
         rng = np.random.default_rng(block)
         lines = ["id,score,label"] + [
@@ -652,8 +672,9 @@ class TestPlainRoute:
 
 class TestBlockRoute:
     """The plain route converts each block's labels and scores and keys its
-    ids as it reads; a value that fails a check there sends it back to the
-    texts, so every outcome is the csv route's."""
+    ids as it reads; a value that fails a check there, or two equal keys,
+    sends the file to the csv module from its start, so every outcome is
+    the csv route's."""
 
     @staticmethod
     def _file(tmp_path, ids, levels=5):
@@ -662,11 +683,26 @@ class TestBlockRoute:
             for k, rid in enumerate(ids)]
         return ScoredFile(path=write(tmp_path, "in.csv", "\n".join(lines) + "\n"))
 
+    @staticmethod
+    def _calls(monkeypatch, name):
+        """Count the calls to the loader function `name`."""
+        calls = []
+        real = getattr(gio, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(gio, name, spy)
+        return calls
+
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_distinct_ids_with_equal_keys_load(self, tmp_path, monkeypatch,
                                                plain_reads, policy):
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", 64)
         monkeypatch.setattr(gio, "_id_keys", lambda block, starts, sizes:
                             np.zeros(len(starts), dtype=np.uint64))
+        csv_reads = self._calls(monkeypatch, "_csv_texts")
         ids = [f"r{k:03d}" for k in range(60, 0, -1)] + [
             "é✓", "an id of more than eight bytes", "an id of more than nine"]
         file = self._file(tmp_path, ids)
@@ -682,7 +718,21 @@ class TestBlockRoute:
                                                   expected.labels)
         if id_policy:
             assert ranked.records == expected.records
-        assert plain_reads == [True, True]
+        # each of the two loads reads the file once more, by the csv module
+        assert plain_reads == [False, False] and len(csv_reads) == 2
+
+    def test_a_bad_value_costs_one_partial_pass(self, tmp_path, monkeypatch):
+        """A bad label in the first of many blocks stops the block route
+        there; the csv module then reads the file once, from its start."""
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", 256)
+        blocks = self._calls(monkeypatch, "_block_columns")
+        csv_reads = self._calls(monkeypatch, "_csv_texts")
+        lines = ["id,score,label", "r0,0.5,2"] + [
+            f"r{k},{k / 3000!r},{k % 2}" for k in range(1, 3000)]
+        path = write(tmp_path, "in.csv", "\n".join(lines) + "\n")
+        assert _outcome(load_scored, ScoredFile(path=path)) == (
+            "ValidationError", "row 1: label must be 0 or 1, got '2'")
+        assert len(blocks) == 1 and len(csv_reads) == 1
 
     def test_id_bytes_are_kept_only_for_texts(self, tmp_path):
         file = self._file(tmp_path, [f"r{k:03d}" for k in range(50)])
@@ -701,7 +751,7 @@ class TestBlockRoute:
         monkeypatch.setattr(gio, "_id_keys", lambda block, starts, sizes:
                             np.zeros(len(starts), dtype=np.uint64))
         assert _outcome(load_scored, file) == message
-        assert plain_reads == [True, True]
+        assert plain_reads == [False, False]
 
     def test_id_keys(self):
         """Distinct ids, such as ids sharing their first words, get
