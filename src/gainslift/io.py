@@ -194,7 +194,7 @@ def _read_csv(file: ScoredFile, id_texts: bool
     except (TypeError, ValueError):
         valid = False
     if not valid:
-        labels, scores = _scan_rows(ids, score_texts, label_texts)
+        _scan_rows(ids, score_texts, label_texts)
     return ids, scores, labels
 
 
@@ -433,17 +433,16 @@ def _id_keys(block: bytes, starts: np.ndarray, sizes: np.ndarray
     return keys
 
 
-def _scan_rows(ids, score_texts, label_texts) -> tuple[list[int], list[float]]:
+def _scan_rows(ids, score_texts, label_texts) -> None:
     """Parse each row's label (leniently, as ' 1'), then its score, then
-    check its id: raise the first fault, or return the labels and scores."""
-    labels, scores = [], []
+    check its id, and raise the first fault: some row holds one wherever
+    a column check of `_read_csv` fails."""
     for row_no, (rid, raw_score, raw_label) in enumerate(
             zip(ids, score_texts, label_texts), start=1):
-        labels.append(_parse_label(raw_label, row_no))
-        scores.append(_parse_score(raw_score, row_no))
+        _parse_label(raw_label, row_no)
+        _parse_score(raw_score, row_no)
         if not rid:
             raise ValidationError(f"row {row_no}: empty id")
-    return labels, scores
 
 
 def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:

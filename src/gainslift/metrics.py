@@ -304,7 +304,6 @@ def render_exact(value: Number) -> str:
 
 def cum_gains(ranked: RankedTestSet, n: int) -> Gain:
     """True positives among the top-n ranked records (0 <= n <= N)."""
-    n = ranked.check_cutoff(n)
     return ranked.positives_in_prefix(n)
 
 
@@ -397,7 +396,7 @@ def roc_points(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
     """
     _require_both_classes(ranked, "ROC")
     ends = np.append(0, ranked._group_ends)
-    cum_pos = ranked._prefix_pos[ends]
+    cum_pos = ranked._gains_at(ends)[0]  # whole at a group end, any policy
     cum_neg = ends - cum_pos
     return CurveSeries.from_columns(
         name, XKind.FPR,

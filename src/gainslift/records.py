@@ -3,9 +3,9 @@
 A test set is a list of :class:`ScoredRecord` (id, score, true label). All
 downstream measures operate on a :class:`RankedTestSet`, which fixes the
 descending-score order once, resolves ties according to a policy, and holds
-the set as columns (scores, labels, prefix positive counts, tie groups) so
-that every cutoff query is O(1) and `RankedTestSet.gains_arrays` gives the
-gains at every cutoff at once.
+the set as columns (scores, labels, prefix positive counts, tie groups). A
+cutoff query, at one cutoff or at all (`RankedTestSet.gains_arrays`), is one
+kernel: a prefix read, or a tie-group search under the expected policy.
 """
 
 from __future__ import annotations
@@ -134,43 +134,40 @@ class RankedTestSet:
 
     def positives_in_prefix(self, n: int) -> Gain:
         """Positive count among the top-n ranks, fractional under the
-        expected-value tie policy when n falls inside a tie group."""
-        prefix = self._prefix_pos
-        if self.tie_policy is not TiePolicy.EXPECTED_VALUE or n == 0:
-            return int(prefix[n])
-        # group owning rank n: first group whose exclusive end exceeds n-1
-        g = int(np.searchsorted(self._group_ends, n - 1, side="right"))
-        start = int(self._group_ends[g - 1]) if g > 0 else 0
-        end = int(self._group_ends[g])
-        if n == end:
-            return int(prefix[n])
-        value = int(prefix[start]) + Fraction(
-            int(self._group_pos[g]) * (n - start), end - start)
-        return int(value) if value.denominator == 1 else value
+        expected-value tie policy when n falls inside a tie group; a cutoff
+        outside [0, N] raises ValidationError."""
+        num, den = self._gains_at(np.array([self.check_cutoff(n)]))
+        num, den = int(num[0]), int(den[0])
+        return num if den == 1 else Fraction(num, den)
 
     def gains_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact gains at every cutoff n = 0..N as int64 arrays `num`, `den`
-        in lowest terms: num[n] / den[n] == positives_in_prefix(n).
-
-        The denominator is 1 except at cutoffs inside a tie group under the
-        expected-value policy. Every value stays below N**2, far inside
-        int64 at any size that fits in memory.
-        """
-        prefix = self._prefix_pos
-        den = np.ones_like(prefix)
+        in lowest terms: num[n] / den[n] == positives_in_prefix(n). Under
+        the input and id policies `num` is the read-only prefix column."""
         if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
-            return prefix, den
+            return self._prefix_pos, np.ones_like(self._prefix_pos)
+        return self._gains_at(np.arange(self.n_total + 1))
+
+    def _gains_at(self, cutoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gains at an int array of cutoffs in [0, N], in any order and
+        with repeats, as int64 arrays `num`, `den` in lowest terms: the one
+        kernel of every gains query. They are the prefix counts, except that
+        under the expected-value policy a cutoff n in the tie group of ranks
+        s+1..s+g, with q positives, gets (prefix[s] * g + q * (n - s)) / g.
+        Every value stays below N**2, far inside int64 at any size that fits
+        in memory."""
+        prefix = self._prefix_pos
+        if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
+            num = prefix[cutoffs]
+            return num, np.ones_like(num)
         ends = self._group_ends
-        sizes = np.diff(ends, prepend=0)
-        group = np.repeat(np.arange(len(ends)), sizes)  # group of rank n = 1..N
-        start = (ends - sizes)[group]
-        inside = np.arange(1, self.n_total + 1) - start
-        # prefix[start] + group_pos * inside / size, over the group size
-        num = prefix.copy()
-        num[1:] = prefix[start] * sizes[group] + self._group_pos[group] * inside
-        den[1:] = sizes[group]
-        common = np.gcd(num, den)
-        return num // common, den // common
+        # the group of rank n is the first to end at or past n
+        group = np.searchsorted(ends, cutoffs)
+        start = np.where(group > 0, ends[group - 1], 0)
+        size = ends[group] - start
+        num = prefix[start] * size + self._group_pos[group] * (cutoffs - start)
+        common = np.gcd(num, size)
+        return num // common, size // common
 
     def tie_groups(self) -> Iterable[tuple[int, int, int]]:
         """Yield (start, end, positives) per equal-score group, rank order."""

@@ -180,7 +180,7 @@ def _run_columns(scores: np.ndarray, labels: np.ndarray,
         for r in range(plan.replicate_count):
             sample = _draw(want_pos, size, pos_scores, neg_scores, [plan.seed, k, r])
             ranked = _rank_columns(rows, sample, labels, TiePolicy.INPUT_ORDER)
-            gains[r] = ranked._prefix_pos[cutoffs]
+            gains[r] = ranked._gains_at(cutoffs)[0]
             aucs.append(float(auc_wilcoxon(ranked)))
         bands.append(RateBand(
             target_rate=rate,

@@ -47,6 +47,24 @@ def prefix_gains(labels, n: int) -> int:
     return sum(labels[:n])
 
 
+def gains_oracle(ranked: RankedTestSet, n: int) -> int | Fraction:
+    """Gains at cutoff n, in plain Python from the rank-order `scores` and
+    `labels` tuples: the positives among the first n labels, except that
+    under the expected-value policy each record of the equal-score run that
+    holds rank n counts the run's positive share. An int when whole."""
+    scores, labels = ranked.scores, ranked.labels
+    if n == 0 or ranked.tie_policy is not TiePolicy.EXPECTED_VALUE:
+        return sum(labels[:n])
+    start = end = n - 1  # the run holding rank n spans indexes start..end-1
+    while start > 0 and scores[start - 1] == scores[n - 1]:
+        start -= 1
+    while end < len(scores) and scores[end] == scores[n - 1]:
+        end += 1
+    share = Fraction(sum(labels[start:end]), end - start)
+    gains = sum(labels[:start]) + share * (n - start)
+    return gains.numerator if gains.denominator == 1 else gains
+
+
 def records_from_labels(labels, scores=None) -> list[ScoredRecord]:
     """Build records in the given order; default scores strictly decrease."""
     n = len(labels)
@@ -231,7 +249,7 @@ def disagreement_oracle(metric_a: str, metric_b: str, n_total: int, n_pos: int,
 
 def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
     """`run_plan` by the record route: per replicate a `stratified_sample`
-    list, `rank_records`, one `positives_in_prefix` per grid cutoff and
+    list, `rank_records`, one `gains_oracle` per grid cutoff and
     `auc_pairs` (a second AUC route; `run_plan` takes the rank-sum one),
     aggregated exactly as `run_plan` aggregates."""
     size = plan.sample_size
@@ -245,7 +263,7 @@ def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
         for r in range(plan.replicate_count):
             rng = np.random.default_rng([plan.seed, k, r])
             ranked = rank_records(stratified_sample(pool, rate, size, rng))
-            gains = [ranked.positives_in_prefix(n) for n in cutoffs]
+            gains = [gains_oracle(ranked, n) for n in cutoffs]
             pcg_rows.append([g / want_pos for g in gains])
             lift_rows.append([g * size / (n * want_pos)
                               for g, n in zip(gains, cutoffs)])
@@ -302,10 +320,10 @@ def auc_pairs_matrix(ranked: RankedTestSet) -> Fraction:
 
 def gains_series_oracle(ranked: RankedTestSet, fraction: bool = False,
                         name: str = "gains") -> CurveSeries:
-    """One `positives_in_prefix` and two `Fraction`s per cutoff."""
+    """One `gains_oracle` and two `Fraction`s per cutoff."""
     points = []
     for n in range(1, ranked.n_total + 1):
-        g = Fraction(ranked.positives_in_prefix(n))
+        g = Fraction(gains_oracle(ranked, n))
         if fraction:
             points.append((Fraction(n, ranked.n_total),
                            Fraction(g, ranked.n_pos)))
@@ -328,10 +346,10 @@ def lift_series_oracle(ranked: RankedTestSet, fraction: bool = True,
 
 def benefit_series_oracle(ranked: RankedTestSet, costs,
                           name: str = "benefit") -> CurveSeries:
-    """One `positives_in_prefix` and three `Fraction` products per cutoff."""
+    """One `gains_oracle` and three `Fraction` products per cutoff."""
     points = []
     for n in range(1, ranked.n_total + 1):
-        tp = Fraction(ranked.positives_in_prefix(n))
+        tp = Fraction(gains_oracle(ranked, n))
         value = tp * Fraction(costs.q_tp) + (n - tp) * Fraction(costs.q_fp)
         points.append((Fraction(n), value))
     return CurveSeries(name=name, x_kind=XKind.COUNT, points=tuple(points))

@@ -126,6 +126,19 @@ class TestAgainstLibrary:
                 1, "", "gainslift: decile lift undefined: the set has no "
                        "positives\n")
         assert not out_path.exists()
+        # the scalar lift, the lift curve and chart, and fractional gains
+        for argv, message in (
+                (["lift", "--n", "1"], "lift undefined: the set has no positives"),
+                (["lift"], "lift undefined: the set has no positives"),
+                (["gains", "--x", "fraction"],
+                 "fractional gains undefined: no positives"),
+                (["chart", "--kind", "lift"],
+                 "lift undefined: the set has no positives")):
+            out_path = tmp_path / f"{argv[0]}-{len(argv)}.out"
+            for extra in ([], ["--out", str(out_path)]):
+                assert run(capsys, *argv, "--input", str(path), *extra) == (
+                    1, "", f"gainslift: {message}\n"), argv + extra
+            assert not out_path.exists()
 
     def test_roc_emission_matches_library(self, capsys):
         ranked = rank_records(load_scored(EXAMPLE))

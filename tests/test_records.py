@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ScoredRecord,
-                       TiePolicy, ValidationError, rank_records)
+                       TiePolicy, ValidationError, example24_records,
+                       rank_records)
 from gainslift.records import (_columns, _first_fault, _rank_columns,
                                _rows_by_id)
 
-from helpers import (random_instance, rank_order_oracle, records_from_labels,
-                     stable_order_oracle)
+from helpers import (gains_oracle, random_instance, rank_order_oracle,
+                     records_from_labels, stable_order_oracle)
 
 
 def make(scores, labels):
@@ -109,6 +110,42 @@ class TestExpectedValuePrefix:
         records = make([0.5] * 4, [1, 0, 1, 0])
         ranked = rank_records(records, TiePolicy.INPUT_ORDER)
         assert [ranked.positives_in_prefix(n) for n in range(5)] == [0, 1, 1, 2, 2]
+
+
+class TestGainsKernel:
+    """`_gains_at`, `gains_arrays` and `positives_in_prefix` against the
+    plain-Python `gains_oracle`, never against each other."""
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_random_tied_inputs_match_oracle(self, policy):
+        rng = np.random.default_rng(4711)
+        for _ in range(80):
+            ranked = rank_records(random_instance(rng, max_n=50, tie_prob=0.6),
+                                  policy)
+            n_total = ranked.n_total
+            want = [gains_oracle(ranked, n) for n in range(n_total + 1)]
+            # every cutoff, 0 and N twice more, some more again, shuffled
+            cutoffs = np.concatenate((np.arange(n_total + 1), [0, n_total] * 2,
+                                      rng.integers(0, n_total + 1, size=20)))
+            rng.shuffle(cutoffs)
+            num, den = ranked._gains_at(cutoffs)
+            assert num.dtype == den.dtype == np.int64
+            assert np.all(np.gcd(num, den) == 1)
+            assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == [
+                want[n] for n in cutoffs]
+            num, den = ranked.gains_arrays()
+            assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == want
+            got = [ranked.positives_in_prefix(n) for n in range(n_total + 1)]
+            assert got == want
+            assert [type(g) for g in got] == [type(g) for g in want]
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_positives_in_prefix_checks_its_cutoff(self, policy):
+        ranked = rank_records(example24_records(), policy)
+        for bad in (-1, ranked.n_total + 1, True, 2.0, "3"):
+            with pytest.raises(ValidationError, match="cutoff n"):
+                ranked.positives_in_prefix(bad)
+        assert ranked.positives_in_prefix(np.int64(3)) == gains_oracle(ranked, 3)
 
 
 class TestGainsArrays:
