@@ -179,12 +179,12 @@ def _scored_file(args, path: str) -> io.ScoredFile:
 
 def _ranked(args, path: str, id_texts: bool = False):
     """Rank the file's validated columns; no per-row record is built. The
-    ids are read as texts only for the id policy, which sorts by them, or
-    where the command writes them (`id_texts`)."""
+    ids are read as texts only where the command writes them (`id_texts`);
+    otherwise the id policy, which sorts by them, takes them as bytes."""
     policy = _TIE_POLICIES[args.tie_policy]
-    columns = io._load_columns(
-        _scored_file(args, path),
-        id_texts=id_texts or policy is TiePolicy.ID_ORDER)
+    id_form = ("texts" if id_texts else
+               "bytes" if policy is TiePolicy.ID_ORDER else None)
+    columns = io._load_columns(_scored_file(args, path), id_form=id_form)
     return _rank_columns(*columns, policy)
 
 
@@ -387,7 +387,7 @@ def _cmd_disagree(args) -> int:
 def _cmd_resample(args) -> int:
     # the loader checks the ids; only scores and labels are kept
     scores, labels = io._load_columns(_scored_file(args, _single_input(args)),
-                                      id_texts=False)[1:]
+                                      id_form=None)[1:]
     try:
         rates = tuple(float(r) for r in args.rates.split(",") if r)
     except ValueError:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, ValidationError
 from .metrics import auc_pairs, cum_gains, lift
-from .records import RankedTestSet, ScoredRecord, rank_records
+from .records import (RankedTestSet, ScoredRecord, _integer_cutoff,
+                      rank_records)
 
 EXHAUSTIVE_LIMIT = 1_000_000
 LEX_REFINE_LIMIT = 2_000  # full lex-order pair scan only below this many arrangements
@@ -116,8 +117,9 @@ def compare_at(runs: Sequence[ClassifierRun],
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate run names: {names}")
     _check_shared_labels(runs)
-    if not targets:
+    if not len(targets):  # a numpy array has no truth value
         raise ValidationError("no target cutoffs given")
+    targets = tuple(map(_integer_cutoff, targets))
     n_total = runs[0].ranked.n_total
     seen: set[int] = set()
     for n in targets:
@@ -136,7 +138,7 @@ def compare_at(runs: Sequence[ClassifierRun],
                     for run, g in zip(runs, gains)]
         best = max(gains)
         winners[n] = tuple(run.name for run, g in zip(runs, gains) if g == best)
-    return CompareTable(targets=tuple(targets), entries=tuple(entries),
+    return CompareTable(targets=targets, entries=tuple(entries),
                         winners=winners)
 
 

@@ -9,7 +9,8 @@ route), and each block's columns are converted from its bytes before the
 next is read: labels of exactly `0` or `1`, scores by `float`, ids into
 64-bit keys whose sorted repeats are looked for once the file is read. Id
 texts are made only for a caller that reads them (`_load_columns`'s
-`id_texts`); on the command line that is `perturb` and the `id` tie policy.
+`id_form`); on the command line that is `perturb`, and the `id` tie policy
+sorts the block route's id bytes as they are.
 Where a value fails its check, or two id keys are equal, the block route
 stops, and the csv module reads the file from its start, as it reads every
 other delimited file. Its texts are converted a column at a time and
@@ -98,26 +99,29 @@ def load_scored(file: ScoredFile | str | Path, **overrides) -> list[ScoredRecord
                     labels.tolist()))
 
 
-def _load_columns(file: ScoredFile | str | Path, *, id_texts: bool = True,
-                  **overrides
-                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """A scored file's validated ids (object array), float64 scores and
-    int64 labels in row order; the command line's one check for repeated ids.
+def _load_columns(file: ScoredFile | str | Path, *,
+                  id_form: str | None = "texts", **overrides
+                  ) -> tuple[np.ndarray | bytes | None, np.ndarray,
+                             np.ndarray]:
+    """A scored file's validated ids, float64 scores and int64 labels in row
+    order; the command line's one check for repeated ids.
 
     The block route (`_plain_texts`) converts each block's labels and scores
     as it reads, and checks the ids by sorted 64-bit keys of their bytes; a
     file it turns down, for its bytes or for a value that fails a check, is
     read from its start by the csv module. The csv-module and json-lines
     routes check the texts' sorted hashes.
-    With `id_texts` false the ids are checked but not returned (None stands
-    in their place), and the block route neither keeps their bytes nor
-    turns one into a Python string: the command line asks for the texts
-    only for `perturb` and the `id` tie policy."""
+    `id_form` is how the ids come back: "texts", an object array of str;
+    "bytes", for the id policy's sort (`records._rows_by_id`), the block
+    route's bytes as it read them, each id followed by a newline, and texts
+    from any other route or where row numbers stand in for ids; or None, in
+    place of ids that are checked but not returned, and the block route
+    neither keeps their bytes nor turns one into a Python string."""
     if not isinstance(file, ScoredFile):
         file = ScoredFile(path=file, format=guess_format(file))
     file = replace(file, **overrides)
     if file.format == "csv":
-        ids, scores, labels = _read_csv(file, id_texts)
+        ids, scores, labels = _read_csv(file, id_form is not None)
     elif file.format == "jsonl":
         ids, scores, labels = _read_jsonl(file)
     else:
@@ -126,10 +130,13 @@ def _load_columns(file: ScoredFile | str | Path, *, id_texts: bool = True,
         raise ValidationError(f"{file.path}: no data rows")
     if isinstance(ids, list):  # texts, not yet checked for repeats
         _check_distinct(ids, file)
-    elif id_texts:  # from the block route, which found no repeated key
-        ids = (ids.decode("utf-8").split("\n")[:-1] if ids is not None
-               else list(map(str, range(1, len(labels) + 1))))
-    return (np.array(ids, dtype=object) if id_texts else None,
+    if id_form is None:
+        ids = None
+    elif ids is None:  # the block route, with no id column: row numbers
+        ids = list(map(str, range(1, len(labels) + 1)))
+    elif isinstance(ids, bytes) and id_form == "texts":
+        ids = ids.decode("utf-8").split("\n")[:-1]
+    return (np.array(ids, dtype=object) if isinstance(ids, list) else ids,
             np.asarray(scores, dtype=np.float64),
             np.asarray(labels, dtype=np.int64))
 
@@ -162,7 +169,7 @@ def _unreadable_named(file: ScoredFile):
         raise ValidationError(f"{file.path}: {exc}") from None
 
 
-def _read_csv(file: ScoredFile, id_texts: bool
+def _read_csv(file: ScoredFile, keep_ids: bool
               ) -> tuple[list | bytes | None, Sequence[float], Sequence[int]]:
     """Ids, scores and labels of the data rows: as the block route converts
     them (see `_Converted`), or else, where that route turns the file down,
@@ -174,7 +181,7 @@ def _read_csv(file: ScoredFile, id_texts: bool
             f"delimiter {file.delimiter!r} is not one character")
     with _unreadable_named(file), open(file.path, "rb") as raw:
         if raw.seekable():  # a pipe can be read only once
-            converted = _plain_texts(raw, file, id_texts)
+            converted = _plain_texts(raw, file, keep_ids)
             if converted is not None:
                 return converted
             raw.seek(0)
@@ -242,15 +249,15 @@ _KEY_STEP = np.uint64(0x9E3779B97F4A7C15)
 
 class _Converted(NamedTuple):
     """The columns the block route converts: the id fields' bytes, each
-    followed by a newline (None without an id column or where no id texts
-    are wanted), float64 scores and int64 labels."""
+    followed by a newline (None without an id column or where the ids are
+    not wanted), float64 scores and int64 labels."""
 
     ids: bytes | None
     scores: np.ndarray
     labels: np.ndarray
 
 
-def _plain_texts(raw, file: ScoredFile, id_texts: bool) -> _Converted | None:
+def _plain_texts(raw, file: ScoredFile, keep_ids: bool) -> _Converted | None:
     """The file's columns, read from whole blocks of lines without
     tokenizing each field; None where the bytes show that a csv rule may
     apply (see `_field_ends`), where the header lacks a column (the csv
@@ -261,7 +268,7 @@ def _plain_texts(raw, file: ScoredFile, id_texts: bool) -> _Converted | None:
     Each block's labels and scores are converted, and its ids turned into
     64-bit keys, before the next block is read (`_block_columns`); the keys
     of the whole file are sorted once to find a repeat; the ids' bytes are
-    kept only for a caller that wants their texts (`id_texts`). The checks
+    kept only for a caller that wants the ids (`keep_ids`). The checks
     that give None are a label other than `0` or `1`, a score `float`
     rejects or that is not finite, an empty id, and two equal keys: the csv
     route accepts a lenient label, names the faulty row, and finds ids
@@ -290,7 +297,7 @@ def _plain_texts(raw, file: ScoredFile, id_texts: bool) -> _Converted | None:
     for block in chain([body], blocks):
         cut = None if block is None else _field_ends(block, d, width, limit)
         part = None if cut is None else _block_columns(*cut, width, at,
-                                                       id_texts)
+                                                       keep_ids)
         if part is None:
             return None
         parts.append(part)
@@ -359,9 +366,9 @@ def _field_ends(block: bytes, d: str, width: int, limit: int
 
 
 def _block_columns(block: bytes, ends: np.ndarray, width: int,
-                   at: list[int], id_texts: bool):
+                   at: list[int], keep_ids: bool):
     """A checked block's uint8 labels, float64 scores, and, with an id
-    column, its ids' uint64 keys and, if `id_texts`, bytes (each followed by
+    column, its ids' uint64 keys and, if `keep_ids`, bytes (each followed by
     a newline), None in place of what is not there; None where a label is
     not exactly `0` or `1`, a score is not a finite number by `float`, or an
     id is empty."""
@@ -391,7 +398,7 @@ def _block_columns(block: bytes, ends: np.ndarray, width: int,
     if not sizes.all():
         return None
     return (labels, scores, _id_keys(block, id_starts, sizes),
-            _field_bytes(view, id_starts, id_ends) if id_texts else None)
+            _field_bytes(view, id_starts, id_ends) if keep_ids else None)
 
 
 def _field_bytes(view: np.ndarray, starts: np.ndarray, ends: np.ndarray

@@ -118,15 +118,9 @@ class RankedTestSet:
         return tuple(self._scores.tolist())
 
     def check_cutoff(self, n: int, minimum: int = 0) -> int:
-        """The cutoff n as a Python int, such as from a numpy integer, once
-        it is known to lie in [minimum, N]; a bool is no cutoff."""
-        try:
-            if isinstance(n, bool):  # an int, but True is no cutoff
-                raise TypeError
-            n = operator.index(n)
-        except TypeError:
-            raise ValidationError(
-                f"cutoff n must be an integer, got {n!r}") from None
+        """The cutoff n as a Python int (see `_integer_cutoff`), once it is
+        known to lie in [minimum, N]."""
+        n = _integer_cutoff(n)
         if n < minimum or n > self.n_total:
             raise ValidationError(
                 f"cutoff n={n} out of range [{minimum}, {self.n_total}]")
@@ -177,6 +171,18 @@ class RankedTestSet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RankedTestSet(n={self.n_total}, pos={self.n_pos}, "
                 f"neg={self.n_neg}, tie_policy={self.tie_policy.value})")
+
+
+def _integer_cutoff(n) -> int:
+    """The cutoff n as a Python int, such as from a numpy integer; a bool is
+    no cutoff."""
+    try:
+        if isinstance(n, bool):  # an int, but True is no cutoff
+            raise TypeError
+        return operator.index(n)
+    except TypeError:
+        raise ValidationError(
+            f"cutoff n must be an integer, got {n!r}") from None
 
 
 def _first_fault(records: Sequence[ScoredRecord]) -> None:
@@ -261,11 +267,13 @@ def rank_records(records: Sequence[ScoredRecord],
     return _rank_columns(ids, scores, labels, tie_policy)
 
 
-def _rank_columns(ids: np.ndarray | None, scores: np.ndarray,
+def _rank_columns(ids: np.ndarray | bytes | None, scores: np.ndarray,
                   labels: np.ndarray, tie_policy: TiePolicy) -> RankedTestSet:
-    """Rank validated columns in input order: non-empty unique ids (object
-    array, or None where nothing reads them: the id policy reads them
-    wherever scores tie), finite float64 scores and 0/1 int64 labels.
+    """Rank validated columns in input order: non-empty unique ids, finite
+    float64 scores and 0/1 int64 labels. The ids are an object array; the
+    loader's block-route bytes (see `_rows_by_id`), which only the id policy
+    reads (it does wherever scores tie); or None where nothing reads them.
+    The set holds them only from an object array.
 
     The rank order is descending score; within equal scores (0.0 and -0.0
     are equal) it is ascending row index, or ascending id under the id
@@ -282,11 +290,11 @@ def _rank_columns(ids: np.ndarray | None, scores: np.ndarray,
     order, with memory that grows with the total id bytes.
     """
     order = _rank_order(ids, scores, tie_policy)
-    return RankedTestSet(None if ids is None else ids[order], scores[order],
-                         labels[order], tie_policy)
+    return RankedTestSet(ids[order] if isinstance(ids, np.ndarray) else None,
+                         scores[order], labels[order], tie_policy)
 
 
-def _rank_order(ids: np.ndarray | None, scores: np.ndarray,
+def _rank_order(ids: np.ndarray | bytes | None, scores: np.ndarray,
                 tie_policy: TiePolicy) -> np.ndarray:
     """The rows in the rank order of `_rank_columns`."""
     n = len(scores)
@@ -319,7 +327,7 @@ _PREFIX_MASK = np.array([(-1 << 8 * (8 - k)) & ((1 << 64) - 1)
                          for k in range(9)], dtype=np.uint64)
 
 
-def _rows_by_id(ids: np.ndarray) -> np.ndarray:
+def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
     """The rows in ascending Python-string (code point) order of their ids.
 
     The ids are compared as their UTF-8 bytes (`surrogatepass`, so lone
@@ -342,20 +350,29 @@ def _rows_by_id(ids: np.ndarray) -> np.ndarray:
     plus a few int64 columns of n: it grows with the total id bytes, never
     with the longest id times n. Ids that are not all `str` are ordered by
     `sorted`.
+
+    Ids given as bytes are that joined text already, as the loader's block
+    route reads it: each id's UTF-8 bytes followed by a newline. They give
+    the order of their texts exactly, with no text made: the route takes
+    only valid UTF-8, which holds no lone surrogate, and an id there holds
+    no newline, so the newlines mark every start.
     """
-    texts = ids.tolist()
-    n = len(texts)
-    texts.append("\0" * 7)  # after the last id's newline: a whole word
-    try:
-        blob = "\n".join(texts).encode("utf-8", "surrogatepass")
-    except TypeError:  # ids that are not all str
-        del texts[-1]
-        return np.array(sorted(range(n), key=texts.__getitem__),
-                        dtype=np.intp)
-    del texts
+    if isinstance(ids, bytes):  # the block route's text, as it is
+        blob = ids + bytes(7)
+    else:
+        texts = ids.tolist()
+        texts.append("\0" * 7)  # after the last id's newline: a whole word
+        try:
+            blob = "\n".join(texts).encode("utf-8", "surrogatepass")
+        except TypeError:  # ids that are not all str
+            del texts[-1]
+            return np.array(sorted(range(len(texts)), key=texts.__getitem__),
+                            dtype=np.intp)
+        del texts
     data = np.frombuffer(blob, dtype=np.uint8)
-    starts = np.zeros(n, dtype=np.intp)
     sizes = np.flatnonzero(data == 10)
+    n = len(sizes) if isinstance(ids, bytes) else len(ids)
+    starts = np.zeros(n, dtype=np.intp)
     if len(sizes) == n:  # the newline after each id, and no other
         np.add(sizes[:-1], 1, out=starts[1:])
         sizes -= starts

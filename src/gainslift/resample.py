@@ -164,7 +164,7 @@ def _run_columns(scores: np.ndarray, labels: np.ndarray,
         wanted.append(_wanted(rate, size, len(pos_scores), len(neg_scores)))
     cutoffs = np.array([cutoff_for(Fraction(k, GRID_POINTS), size)
                         for k in range(1, GRID_POINTS + 1)], dtype=np.int64)
-    rows = np.arange(size)  # the ranked sets' ids, never read
+    rows = np.arange(size)
 
     bands = []
     for k, (rate, want_pos) in enumerate(zip(plan.target_rates, wanted)):
@@ -179,7 +179,7 @@ def _run_columns(scores: np.ndarray, labels: np.ndarray,
         labels = (rows < want_pos).astype(np.int64)  # positives lead the sample
         for r in range(plan.replicate_count):
             sample = _draw(want_pos, size, pos_scores, neg_scores, [plan.seed, k, r])
-            ranked = _rank_columns(rows, sample, labels, TiePolicy.INPUT_ORDER)
+            ranked = _rank_columns(None, sample, labels, TiePolicy.INPUT_ORDER)
             gains[r] = ranked._gains_at(cutoffs)[0]
             aucs.append(float(auc_wilcoxon(ranked)))
         bands.append(RateBand(

@@ -355,9 +355,9 @@ class TestResampleCommand:
 
 class TestIdTexts:
     """The command line asks the loader for id texts only for `perturb`,
-    which writes ids, and the id policy, which sorts by them. Every other
-    command ranks a set without ids, which raises if read, and prints what
-    it prints when the ids are loaded."""
+    which writes ids; the id policy, which sorts by them, asks for the
+    block route's bytes. Every other command ranks a set without ids, which
+    raises if read, and prints what it prints when the ids are loaded."""
 
     COMMANDS = [
         ["gains", "--n", "7"], ["gains"], ["lift", "--fraction", "0.3"],
@@ -370,7 +370,7 @@ class TestIdTexts:
         ["chart", "--kind", "gains-fraction"], ["perturb", "--swap", "1:2"]]
 
     @pytest.mark.parametrize("policy", ["input", "id", "expected"])
-    def test_only_perturb_and_the_id_policy_read_id_texts(
+    def test_only_perturb_reads_id_texts(
             self, capsys, tmp_path, monkeypatch, policy):
         rng = np.random.default_rng(5)
         path = tmp_path / "ties.csv"
@@ -381,12 +381,12 @@ class TestIdTexts:
         load = gio._load_columns
         asked = []
 
-        def spy(file, *, id_texts=True, **overrides):
-            asked.append(id_texts)
-            return load(file, id_texts=id_texts, **overrides)
+        def spy(file, *, id_form="texts", **overrides):
+            asked.append(id_form)
+            return load(file, id_form=id_form, **overrides)
 
         def run_all():
-            """Each command's output and the `id_texts` of its loads."""
+            """Each command's output and the `id_form` of its loads."""
             results = []
             for argv in self.COMMANDS:
                 out = tmp_path / "out.txt"
@@ -404,11 +404,12 @@ class TestIdTexts:
         monkeypatch.setattr(gio, "_load_columns", spy)
         got = run_all()
         for argv, (_, asked_for) in zip(self.COMMANDS, got):
-            reads = argv[0] == "perturb" or policy == "id"
-            assert asked_for == [reads] * (2 if argv[0] == "compare" else 1)
-        # the same bytes when the loader always keeps the ids
+            form = ("texts" if argv[0] == "perturb" else
+                    "bytes" if policy == "id" else None)
+            assert asked_for == [form] * (2 if argv[0] == "compare" else 1)
+        # the same bytes when the loader always returns the id texts
         monkeypatch.setattr(gio, "_load_columns",
-                            lambda file, id_texts, **kw: spy(file, **kw))
+                            lambda file, id_form, **kw: spy(file, **kw))
         assert [out for out, _ in run_all()] == [out for out, _ in got]
 
 

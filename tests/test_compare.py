@@ -108,6 +108,35 @@ class TestCompareAt:
         with pytest.raises(ValidationError, match=r"^repeated target n=6$"):
             compare_at(runs, [6, 3, 6])
 
+    def test_numpy_targets(self, example24, perturbed24):
+        runs = [ClassifierRun("original", example24),
+                ClassifierRun("perturbed", perturbed24)]
+        want = compare_at(runs, [6, 14])
+        for targets in (np.array([6, 14]), [np.int64(6), np.uint8(14)]):
+            table = compare_at(runs, targets)
+            assert table == want
+            assert [type(n) for n in table.targets] == [int, int]
+            assert {type(e.n) for e in table.entries} == {int}
+            assert [type(n) for n in table.winners] == [int, int]
+
+    @pytest.mark.parametrize("targets,message", [
+        (np.array([], dtype=np.int64), r"^no target cutoffs given$"),
+        (np.array([6, 0]), r"^target n=0 out of range \[1, 24\]$"),
+        ([np.int64(25)], r"^target n=25 out of range \[1, 24\]$"),
+        (np.array([6, 3, 6]), r"^repeated target n=6$"),
+        ([np.int64(6), 6], r"^repeated target n=6$"),
+        ([6, True], r"^cutoff n must be an integer, got True$"),
+        ([6.0], r"^cutoff n must be an integer, got 6\.0$"),
+        # a numpy scalar's repr differs between numpy versions
+        ([np.bool_(True)], r"^cutoff n must be an integer, got "),
+        (np.array([6.0]), r"^cutoff n must be an integer, got "),
+    ])
+    def test_bad_numpy_targets_keep_their_messages(self, example24, targets,
+                                                   message):
+        runs = [ClassifierRun("a", example24), ClassifierRun("b", example24)]
+        with pytest.raises(ValidationError, match=message):
+            compare_at(runs, targets)
+
     def test_winners_depend_only_on_prefix(self, example24):
         rng = np.random.default_rng(5)
         labels = list(example24.labels)

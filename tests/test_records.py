@@ -7,9 +7,11 @@ import pytest
 
 from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ScoredRecord,
                        TiePolicy, ValidationError, example24_records,
-                       rank_records)
+                       load_scored, rank_records)
+import gainslift.io as gio
+from gainslift.io import _load_columns
 from gainslift.records import (_columns, _first_fault, _rank_columns,
-                               _rows_by_id)
+                               _rank_order, _rows_by_id)
 
 from helpers import (gains_oracle, random_instance, rank_order_oracle,
                      records_from_labels, stable_order_oracle)
@@ -366,6 +368,31 @@ def _id_case(rng: np.random.Generator, shape: str, n: int):
     return column, scores, rng.integers(0, 2, size=n)
 
 
+# the characters of `_WIDE_CHARS` that a delimited line can carry
+_LINE_CHARS = [c for c in _WIDE_CHARS
+               if c != "\0" and not "\ud800" <= c <= "\udfff"]
+
+
+def _line_ids(rng: np.random.Generator, shape: str, n: int) -> list[str]:
+    """n distinct ids in a seeded order, drawn as `_id_case` draws the ids
+    of its `lengths`, `prefix-*` and `wide` shapes but with what no line of
+    the loader's block route holds left out: empty ids, NULs (a byte below
+    `a` stands in for them) and lone surrogates."""
+    prefix = _text(rng, "ab", 24)
+    ids: set[str] = set()
+    while len(ids) < n:
+        size = int(rng.integers(1, 13))
+        if shape == "lengths":  # 1 to 40 bytes
+            text = _text(rng, "ab", int(rng.integers(1, 41)))
+        elif shape.startswith("prefix-"):  # 8, 16 or 24 shared bytes
+            text = prefix[:int(shape[7:])] + _text(rng, "ab\x01", size - 1)
+        else:  # "wide": non-ASCII and astral
+            text = _text(rng, _LINE_CHARS, size)
+        ids.add(text)
+    texts = sorted(ids)
+    return [texts[i] for i in rng.permutation(n)]
+
+
 _COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_ends",
             "_group_pos")
 
@@ -421,6 +448,33 @@ class TestRankKernel:
             shape = self.ID_SHAPES[int(rng.integers(0, len(self.ID_SHAPES)))]
             case = _id_case(rng, shape, int(rng.integers(1, 60)))
             self._check(*case, TiePolicy.ID_ORDER)
+
+    LINE_SHAPES = ["lengths", "prefix-8", "prefix-16", "prefix-24", "wide"]
+
+    @pytest.mark.parametrize("shape", LINE_SHAPES)
+    def test_block_route_bytes_order_as_their_texts(self, tmp_path,
+                                                    monkeypatch, shape):
+        """The ids the loader's block route hands over as bytes give the
+        order of the texts they decode to, and the id policy's rank order
+        is Python's."""
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", 256)  # ids cross blocks
+        rng = np.random.default_rng([2027, self.LINE_SHAPES.index(shape)])
+        path = tmp_path / "ids.csv"
+        for n in (1, 2, 3, 17, 300, 4_097):
+            texts = _line_ids(rng, shape, n)
+            path.write_text("id,score,label\n" + "".join(
+                f"{text},{int(rng.integers(0, 3)) / 2!r},"
+                f"{int(rng.integers(0, 2))}\n" for text in texts),
+                encoding="utf-8")
+            blob, scores, labels = _load_columns(path, id_form="bytes")
+            ids = _load_columns(path)[0]
+            assert isinstance(blob, bytes) and ids.tolist() == texts
+            want = sorted(range(n), key=texts.__getitem__)
+            assert _rows_by_id(blob).tolist() == _rows_by_id(ids).tolist() \
+                == want
+            order = _rank_order(blob, scores, TiePolicy.ID_ORDER)
+            assert ids[order].tolist() == rank_order_oracle(
+                load_scored(path), TiePolicy.ID_ORDER)
 
     def test_one_long_id_among_short_ones(self):
         # a fixed-width array would hold 10**4 copies of the long id's width;
