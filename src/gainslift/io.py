@@ -111,12 +111,12 @@ def _load_columns(file: ScoredFile | str | Path, *,
     file it turns down, for its bytes or for a value that fails a check, is
     read from its start by the csv module. The csv-module and json-lines
     routes check the texts' sorted hashes.
-    `id_form` is how the ids come back: "texts", an object array of str;
-    "bytes", for the id policy's sort (`records._rows_by_id`), the block
-    route's bytes as it read them, each id followed by a newline, and texts
-    from any other route or where row numbers stand in for ids; or None, in
-    place of ids that are checked but not returned, and the block route
-    neither keeps their bytes nor turns one into a Python string."""
+    `id_form` says how the ids come back: "texts", an object array of str;
+    "bytes", the block route's bytes as it read them (each id followed by a
+    newline) for `records._rows_by_id` to order, but texts from any other
+    route or for row numbers; or None, for ids that are checked but not
+    wanted: the block route then neither keeps their bytes nor turns one
+    into a Python string."""
     if not isinstance(file, ScoredFile):
         file = ScoredFile(path=file, format=guess_format(file))
     file = replace(file, **overrides)

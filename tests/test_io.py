@@ -849,7 +849,7 @@ class TestColumnarLoader:
         assert ranked_any > 40
 
     def test_the_id_policy_makes_no_id_text_on_the_block_route(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         path = write(tmp_path, "in.csv",
                      "id,score,label\nb,0.5,1\né,0.5,0\na,0.5,0\nc,0.9,1\n")
         ids, scores, labels = _load_columns(path, id_form="bytes")
