@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (CostSpec, CurveSeries, ScoredRecord, TiePolicy,
-                       ValidationError, XKind, accuracy_at, benefit_series,
-                       cum_benefit, cum_gains,
-                       decile_lift, emit_curves, gains_series, lift,
-                       lift_series, n_confusion_matrix, p_cum_gains,
+from gainslift import (ClassifierRun, CostSpec, CurveSeries, ScoredRecord,
+                       TiePolicy, ValidationError, XKind, accuracy_at,
+                       benefit_series, compare_at, cum_benefit, cum_gains,
+                       decile_lift, emit_curves, example24_records,
+                       gains_series, lift, lift_series, n_confusion_matrix,
+                       p_cum_gains,
                        random_targeting_rate, rank_records, render_decimal,
                        render_exact, roc_points)
 from gainslift.metrics import (MAX_PLACES, _lowest_terms, _product, _sum,
@@ -21,6 +22,26 @@ from helpers import (benefit_series_oracle, curves_csv_oracle,
 # the 24-record example: cumulative gains by cutoff, 12 positives total
 EXPECTED_GAINS_24 = (1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 10, 10,
                      11, 11, 11, 12, 12, 12, 12, 12, 12, 12, 12, 12)
+
+
+def _benefit(ranked, n):
+    return cum_benefit(ranked, n, CostSpec(q_tp=2, q_fp=-1))
+
+
+# every single-cutoff measure, with the least cutoff it takes
+CUTOFF_MEASURES = [
+    (cum_gains, 0), (lambda ranked, n: ranked.positives_in_prefix(n), 0),
+    (_benefit, 0), (p_cum_gains, 1), (lift, 1), (n_confusion_matrix, 1),
+    (accuracy_at, 1)]
+CUTOFF_MEASURE_IDS = ["cum_gains", "positives_in_prefix", "cum_benefit",
+                      "p_cum_gains", "lift", "n_confusion_matrix",
+                      "accuracy_at"]
+
+
+def _message(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
 
 
 class TestCumGains:
@@ -195,7 +216,7 @@ class TestNumpyIntegerCutoffs:
         return [cum_gains(ranked, n), p_cum_gains(ranked, n), lift(ranked, n),
                 accuracy_at(ranked, n),
                 cum_benefit(ranked, n, CostSpec(q_tp=2, q_fp=-1)),
-                matrix.n, matrix.tp, matrix.fp]
+                matrix.n, matrix.tp, matrix.fp, ranked.positives_in_prefix(n)]
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
@@ -209,7 +230,8 @@ class TestNumpyIntegerCutoffs:
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
             assert {type(v) for v in got} <= {int, Fraction}
-        assert cum_gains(ranked, dtype(0)) == 0
+        for measure, minimum in CUTOFF_MEASURES[:3]:
+            assert measure(ranked, dtype(0)) == measure(ranked, 0) == 0
 
     @pytest.mark.parametrize("n", [True, np.bool_(True), 3.0, np.float64(3),
                                    "3", Fraction(3)])
@@ -218,10 +240,33 @@ class TestNumpyIntegerCutoffs:
                            match="cutoff n must be an integer"):
             cum_gains(example24, n)
 
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("measure,minimum", CUTOFF_MEASURES,
+                             ids=CUTOFF_MEASURE_IDS)
+    @pytest.mark.parametrize("n", [True, np.bool_(True), np.float64(3),
+                                   Fraction(3)])
+    def test_non_integers_rejected_by_every_measure(self, measure, minimum,
+                                                    policy, n):
+        ranked = rank_records(example24_records(), policy)
+        assert _message(lambda: measure(ranked, n)) == (
+            ValidationError, f"cutoff n must be an integer, got {n!r}")
+
     def test_numpy_cutoff_out_of_range_names_a_plain_int(self, example24):
         with pytest.raises(ValidationError,
                            match=r"^cutoff n=25 out of range \[1, 24\]$"):
             lift(example24, np.int64(25))
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("measure,minimum", CUTOFF_MEASURES,
+                             ids=CUTOFF_MEASURE_IDS)
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_numpy_cutoffs_out_of_range_by_every_measure(
+            self, measure, minimum, policy, dtype):
+        ranked = rank_records(example24_records(), policy)
+        for n in (minimum - 1, 25):
+            assert _message(lambda: measure(ranked, dtype(n))) == (
+                ValidationError,
+                f"cutoff n={n} out of range [{minimum}, 24]")
 
 
 class TestTailPermutation:
@@ -420,11 +465,109 @@ class TestSeriesKernelsAgainstOracles:
 
 class TestCutoffType:
     @pytest.mark.parametrize("n", [2.0, "3", True, None])
-    @pytest.mark.parametrize("measure", [cum_gains, lift])
+    @pytest.mark.parametrize("measure", [
+        cum_gains, lift, lambda ranked, n: ranked.positives_in_prefix(n),
+        p_cum_gains, n_confusion_matrix, _benefit, accuracy_at])
     def test_non_integer_cutoff_rejected(self, example24, measure, n):
         with pytest.raises(ValidationError,
                            match=f"cutoff n must be an integer, got {n!r}"):
             measure(example24, n)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("measure,minimum", CUTOFF_MEASURES,
+                             ids=CUTOFF_MEASURE_IDS)
+    def test_exact_messages(self, measure, minimum, policy):
+        """The class and exact text of each rejection, a numpy cutoff's
+        named as a plain int."""
+        ranked = rank_records(example24_records(), policy)
+        span = f"[{minimum}, 24]"
+        cases = [(True, "cutoff n must be an integer, got True"),
+                 (2.0, "cutoff n must be an integer, got 2.0"),
+                 ("3", "cutoff n must be an integer, got '3'"),
+                 (None, "cutoff n must be an integer, got None"),
+                 (-1, f"cutoff n=-1 out of range {span}"),
+                 (25, f"cutoff n=25 out of range {span}"),
+                 (np.int64(25), f"cutoff n=25 out of range {span}")]
+        if minimum:
+            cases.append((0, f"cutoff n=0 out of range {span}"))
+        for n, message in cases:
+            assert _message(lambda: measure(ranked, n)) == (
+                ValidationError, message)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("measure,minimum", CUTOFF_MEASURES,
+                             ids=CUTOFF_MEASURE_IDS)
+    def test_no_positives(self, measure, minimum, policy):
+        """On a set with no positives the ratios name the missing
+        positives, but only once the cutoff has passed its check."""
+        ranked = rank_records(records_from_labels(
+            [0] * 6, [0.9, 0.5, 0.5, 0.5, 0.2, 0.1]), policy)
+        undefined = {p_cum_gains: "p_cum_gains", lift: "lift"}.get(measure)
+        for n in range(minimum, 7):
+            if undefined:
+                assert _message(lambda: measure(ranked, n)) == (
+                    ValidationError,
+                    f"{undefined} undefined: the set has no positives")
+            else:
+                measure(ranked, n)
+        for n, message in [
+                (minimum - 1, f"cutoff n={minimum - 1} out of range "
+                              f"[{minimum}, 6]"),
+                (7, f"cutoff n=7 out of range [{minimum}, 6]"),
+                ("3", "cutoff n must be an integer, got '3'")]:
+            assert _message(lambda: measure(ranked, n)) == (
+                ValidationError, message)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_compare_at_no_positives_after_its_target_checks(self, policy):
+        ranked = rank_records(records_from_labels([0] * 5), policy)
+        runs = [ClassifierRun("a", ranked), ClassifierRun("b", ranked)]
+        for targets, message in [
+                ([], "no target cutoffs given"),
+                ([2, 0], "target n=0 out of range [1, 5]"),
+                ([6], "target n=6 out of range [1, 5]"),
+                ([2, "3"], "cutoff n must be an integer, got '3'"),
+                ([3, 1, 3], "repeated target n=3"),
+                ([3, 1], "lift undefined: the set has no positives")]:
+            assert _message(lambda: compare_at(runs, targets)) == (
+                ValidationError, message)
+        assert _message(lambda: decile_lift(ranked)) == (
+            ValidationError, "decile lift undefined: the set has no positives")
+
+
+class TestMultiCutoffMeasures:
+    """`decile_lift` and `compare_at` give at each cutoff what `lift` and
+    `cum_gains` give there, value and Python type alike."""
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_random_tied_sets_match_single_cutoffs(self, policy):
+        rng = np.random.default_rng(2323)
+        for _ in range(60):
+            records = random_instance(rng, max_n=40, tie_prob=0.6)
+            ranked = rank_records(records, policy)
+            n_total = ranked.n_total
+            deciles = decile_lift(ranked)
+            want = [lift(ranked, cutoff_for(Fraction(k, 10), n_total))
+                    for k in range(1, 11)]
+            assert deciles == want
+            assert [type(v) for v in deciles] == [type(v) for v in want]
+            # a second run: the same labels under other scores
+            scores = [r.score for r in records]
+            rng.shuffle(scores)
+            other = rank_records([ScoredRecord(r.id, s, r.label)
+                                  for r, s in zip(records, scores)], policy)
+            runs = [ClassifierRun("a", ranked), ClassifierRun("b", other)]
+            targets = rng.permutation(np.arange(1, n_total + 1))[
+                :int(rng.integers(1, n_total + 1))]
+            table = compare_at(runs, targets)
+            assert [(e.run, e.n) for e in table.entries] == [
+                (run.name, n) for n in targets.tolist() for run in runs]
+            for entry, run in zip(table.entries, runs * len(targets)):
+                gains = cum_gains(run.ranked, entry.n)
+                value = lift(run.ranked, entry.n)
+                assert (entry.cum_gains, entry.lift) == (gains, value)
+                assert type(entry.cum_gains) is type(gains)
+                assert type(entry.n) is int and type(entry.lift) is Fraction
 
 
 class TestCutoffFor:
