@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExhaustedError, ValidationError
-from .metrics import auc_pairs, cum_gains, lift
+from .metrics import auc_pairs, lift
 from .records import (RankedTestSet, ScoredRecord, _integer_cutoff,
                       rank_records)
 
@@ -78,8 +78,7 @@ def accuracy_at(ranked: RankedTestSet, n: int) -> Fraction:
     Unlike the top-n confusion matrix this counts true negatives below the
     cutoff: (tp_n + tn_n_full) / N.
     """
-    n = ranked.check_cutoff(n, minimum=1)
-    tp = ranked.positives_in_prefix(n)
+    n, tp = ranked._checked_gains(n, minimum=1)
     tn = ranked.n_total - n - (ranked.n_pos - tp)
     return Fraction(Fraction(tp + tn), ranked.n_total)
 
@@ -120,7 +119,7 @@ def compare_at(runs: Sequence[ClassifierRun],
     if not len(targets):  # a numpy array has no truth value
         raise ValidationError("no target cutoffs given")
     targets = tuple(map(_integer_cutoff, targets))
-    n_total = runs[0].ranked.n_total
+    n_total, n_pos = runs[0].ranked.n_total, runs[0].ranked.n_pos
     seen: set[int] = set()
     for n in targets:
         if not 1 <= n <= n_total:
@@ -128,13 +127,20 @@ def compare_at(runs: Sequence[ClassifierRun],
         if n in seen:
             raise ValidationError(f"repeated target n={n}")
         seen.add(n)
+    if n_pos == 0:
+        raise ValidationError("lift undefined: the set has no positives")
 
+    table = []  # each run's gains at every target, an int when whole
+    for run in runs:
+        num, den = run.ranked._gains_at(np.array(targets))
+        den = np.broadcast_to(den, num.shape).tolist()
+        table.append([g if d == 1 else Fraction(g, d)
+                      for g, d in zip(num.tolist(), den)])
     entries = []
     winners: dict[int, tuple[str, ...]] = {}
-    for n in targets:
-        gains = [cum_gains(run.ranked, n) for run in runs]
+    for n, gains in zip(targets, zip(*table)):
         entries += [CompareEntry(run=run.name, n=n, cum_gains=g,
-                                 lift=lift(run.ranked, n))
+                                 lift=Fraction(g * n_total, n * n_pos))
                     for run, g in zip(runs, gains)]
         best = max(gains)
         winners[n] = tuple(run.name for run, g in zip(runs, gains) if g == best)

@@ -312,10 +312,10 @@ def p_cum_gains(ranked: RankedTestSet, n: int) -> Fraction:
 
     Like lift, defined for cutoffs n >= 1 only.
     """
-    n = ranked.check_cutoff(n, minimum=1)
+    gains = ranked._checked_gains(n, minimum=1)[1]
     if ranked.n_pos == 0:
         raise ValidationError("p_cum_gains undefined: the set has no positives")
-    return Fraction(ranked.positives_in_prefix(n), ranked.n_pos)
+    return Fraction(gains, ranked.n_pos)
 
 
 def lift(ranked: RankedTestSet, n: int) -> Fraction:
@@ -324,11 +324,10 @@ def lift(ranked: RankedTestSet, n: int) -> Fraction:
     Random targeting gives 1.0; n must be at least 1 because the ratio
     divides by n.
     """
-    n = ranked.check_cutoff(n, minimum=1)
+    n, gains = ranked._checked_gains(n, minimum=1)
     if ranked.n_pos == 0:
         raise ValidationError("lift undefined: the set has no positives")
-    return Fraction(ranked.positives_in_prefix(n) * ranked.n_total,
-                    n * ranked.n_pos)
+    return Fraction(gains * ranked.n_total, n * ranked.n_pos)
 
 
 def cutoff_for(share: Fraction, n_total: int) -> int:
@@ -340,12 +339,18 @@ def cutoff_for(share: Fraction, n_total: int) -> int:
     return -(-share.numerator * n_total // share.denominator)
 
 
+_DECILES = tuple(Fraction(k, 10) for k in range(1, 11))
+
+
 def decile_lift(ranked: RankedTestSet) -> list[Fraction]:
     """Lift at the ten cutoffs n_k = ceil(k*N/10); the last is always 1."""
     if ranked.n_pos == 0:
         raise ValidationError("decile lift undefined: the set has no positives")
-    cutoffs = [cutoff_for(Fraction(k, 10), ranked.n_total) for k in range(1, 11)]
-    return [lift(ranked, n) for n in cutoffs]
+    cutoffs = np.array([cutoff_for(s, ranked.n_total) for s in _DECILES])
+    num, den = ranked._gains_at(cutoffs)
+    # the lift (num / den) * N / (n * P), exactly
+    return [Fraction(g * ranked.n_total, d * ranked.n_pos)
+            for g, d in zip(num.tolist(), (den * cutoffs).tolist())]
 
 
 def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
@@ -353,8 +358,7 @@ def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
     floats; the exact `benefit_series` can differ in the last bits. When a
     float product overflows, the exact sum is rounded instead, and a sum
     past the float range raises ValidationError."""
-    n = ranked.check_cutoff(n)
-    tp = ranked.positives_in_prefix(n)
+    n, tp = ranked._checked_gains(n)
     fp = n - tp
     value = tp * costs.q_tp + fp * costs.q_fp
     if math.isfinite(value):
@@ -367,8 +371,7 @@ def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
 def n_confusion_matrix(ranked: RankedTestSet, n: int) -> NConfusionMatrix:
     """Top-n confusion matrix: every one of the n records is predicted
     positive, so fn = tn = 0 and tp + fp = n."""
-    n = ranked.check_cutoff(n, minimum=1)
-    tp = ranked.positives_in_prefix(n)
+    n, tp = ranked._checked_gains(n, minimum=1)
     return NConfusionMatrix(n=n, tp=tp, fp=n - tp)
 
 

@@ -129,10 +129,15 @@ class RankedTestSet:
     def positives_in_prefix(self, n: int) -> Gain:
         """Positive count among the top-n ranks, fractional under the
         expected-value tie policy when n falls inside a tie group; a cutoff
-        outside [0, N] raises ValidationError."""
-        num, den = self._gains_at(np.array([self.check_cutoff(n)]))
-        num, den = int(num[0]), int(den[0])
-        return num if den == 1 else Fraction(num, den)
+        outside [0, N] raises ValidationError. Like every single-cutoff
+        measure, it checks n once and hands it to `_gains_at` as it is."""
+        return self._checked_gains(n)[1]
+
+    def _checked_gains(self, n: int, minimum: int = 0) -> tuple[int, Gain]:
+        """The checked cutoff n and its gains: one check, one kernel read."""
+        n = self.check_cutoff(n, minimum)
+        num, den = self._gains_at(n)
+        return n, int(num) if den == 1 else Fraction(int(num), int(den))
 
     def gains_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact gains at every cutoff n = 0..N as int64 arrays `num`, `den`
@@ -142,18 +147,18 @@ class RankedTestSet:
             return self._prefix_pos, np.ones_like(self._prefix_pos)
         return self._gains_at(np.arange(self.n_total + 1))
 
-    def _gains_at(self, cutoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gains at an int array of cutoffs in [0, N], in any order and
-        with repeats, as int64 arrays `num`, `den` in lowest terms: the one
-        kernel of every gains query. They are the prefix counts, except that
-        under the expected-value policy a cutoff n in the tie group of ranks
-        s+1..s+g, with q positives, gets (prefix[s] * g + q * (n - s)) / g.
-        Every value stays below N**2, far inside int64 at any size that fits
-        in memory."""
+    def _gains_at(self, cutoffs):
+        """Exact gains at one cutoff or an int array of cutoffs in [0, N],
+        in any order and with repeats, as int64 `num`, `den` in lowest terms
+        (numpy integers for one cutoff): the one kernel of every gains
+        query. They are the prefix counts over a `den` of 1, no column,
+        except that under the expected-value policy a cutoff n in the tie
+        group of ranks s+1..s+g, with q positives, gets
+        (prefix[s] * g + q * (n - s)) / g. Every value stays below N**2, far
+        inside int64 at any size that fits in memory."""
         prefix = self._prefix_pos
         if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
-            num = prefix[cutoffs]
-            return num, np.ones_like(num)
+            return prefix[cutoffs], 1
         ends = self._group_ends
         # the group of rank n is the first to end at or past n
         group = np.searchsorted(ends, cutoffs)

@@ -3,14 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (ClassifierRun, CostSpec, CurveSeries, ScoredRecord,
-                       TiePolicy, ValidationError, XKind, accuracy_at,
-                       benefit_series, compare_at, cum_benefit, cum_gains,
-                       decile_lift, emit_curves, example24_records,
+from gainslift import (ClassifierRun, CostSpec, CurveSeries, RankedTestSet,
+                       ScoredRecord, TiePolicy, ValidationError, XKind,
+                       accuracy_at, benefit_series, compare_at, cum_benefit,
+                       cum_gains, decile_lift, emit_curves, example24_records,
                        gains_series, lift, lift_series, n_confusion_matrix,
-                       p_cum_gains,
-                       random_targeting_rate, rank_records, render_decimal,
-                       render_exact, roc_points)
+                       p_cum_gains, random_targeting_rate, rank_records,
+                       records, render_decimal, render_exact, roc_points)
 from gainslift.metrics import (MAX_PLACES, _lowest_terms, _product, _sum,
                                cutoff_for)
 
@@ -568,6 +567,48 @@ class TestMultiCutoffMeasures:
                 assert (entry.cum_gains, entry.lift) == (gains, value)
                 assert type(entry.cum_gains) is type(gains)
                 assert type(entry.n) is int and type(entry.lift) is Fraction
+
+
+class TestOneReadPerCutoff:
+    """A single-cutoff measure checks its cutoff once; `decile_lift` and
+    `compare_at` read all their cutoffs in one kernel call per ranked set."""
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("measure,minimum", CUTOFF_MEASURES,
+                             ids=CUTOFF_MEASURE_IDS)
+    def test_each_cutoff_checked_once(self, monkeypatch, measure, minimum,
+                                      policy):
+        checked = []
+        real = records._integer_cutoff
+
+        def spy(n):
+            checked.append(n)
+            return real(n)
+
+        monkeypatch.setattr(records, "_integer_cutoff", spy)
+        ranked = rank_records(example24_records(), policy)
+        for n in (1, 12, np.int64(24)):
+            checked.clear()
+            measure(ranked, n)
+            assert checked == [n]
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_one_kernel_call_per_ranked_set(self, monkeypatch, policy):
+        reads = []
+        real = RankedTestSet._gains_at
+
+        def spy(ranked, cutoffs):
+            reads.append(ranked)
+            return real(ranked, cutoffs)
+
+        monkeypatch.setattr(RankedTestSet, "_gains_at", spy)
+        a = rank_records(example24_records(), policy)
+        b = rank_records(example24_records()[::-1], policy)
+        decile_lift(a)
+        assert reads == [a]
+        reads.clear()
+        compare_at([ClassifierRun("a", a), ClassifierRun("b", b)], [3, 12, 6])
+        assert reads == [a, b]
 
 
 class TestCutoffFor:

@@ -131,10 +131,22 @@ class TestGainsKernel:
                                       rng.integers(0, n_total + 1, size=20)))
             rng.shuffle(cutoffs)
             num, den = ranked._gains_at(cutoffs)
-            assert num.dtype == den.dtype == np.int64
+            if policy is TiePolicy.EXPECTED_VALUE:
+                assert den.dtype == np.int64
+            else:  # the prefix counts, with no denominator column
+                assert type(den) is int and den == 1
+            den = np.broadcast_to(den, num.shape)
+            assert num.dtype == np.int64
             assert np.all(np.gcd(num, den) == 1)
             assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == [
                 want[n] for n in cutoffs]
+            # one cutoff, a Python or a numpy int, gives numpy integers
+            for n in cutoffs[:12].tolist():
+                for cutoff in (n, np.int64(n)):
+                    num, den = ranked._gains_at(cutoff)
+                    assert np.ndim(num) == np.ndim(den) == 0
+                    assert np.gcd(num, den) == 1
+                    assert Fraction(int(num), int(den)) == want[n]
             num, den = ranked.gains_arrays()
             assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == want
             got = [ranked.positives_in_prefix(n) for n in range(n_total + 1)]
