@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metrics import CurveSeries, RationalColumn, XKind
-from .records import RankedTestSet, ScoredRecord, _any_equal
+from .records import RankedTestSet, ScoredRecord, _any_equal, _id_word
 from .resample import ResampleSummary
 
 
@@ -418,25 +418,18 @@ def _id_keys(block: bytes, starts: np.ndarray, sizes: np.ndarray
              ) -> np.ndarray:
     """A uint64 key for each id of `sizes[k]` bytes at `starts[k]`.
 
-    The key is the id's first eight bytes read as a little-endian word,
-    shifted up past the bytes it lacks; each further eight bytes fold in as
+    The key is the id's first eight bytes as `records._id_word` reads them,
+    big-endian and zero-padded; each further word folds in as
     key * `_KEY_STEP` + word. Equal ids get equal keys. Distinct ids of at
     most eight bytes never share one, as none holds a NUL byte; longer ones
     seldom do."""
-    # word k is the eight bytes from byte k on; seven bytes of padding put
-    # every id's last word inside the buffer
-    words = np.ndarray((len(block),), dtype="<u8", buffer=block + bytes(7),
-                       strides=(1,))
-
-    def word(rows, at):
-        kept = np.minimum(sizes[rows] - at, 8).astype(np.uint64)
-        return words[starts[rows] + at] << (64 - 8 * kept)
-
+    blob = block + bytes(7)  # every id's last word inside the buffer
     rows = np.arange(len(starts))
-    keys = word(rows, 0)
+    keys = _id_word(blob, starts, sizes, 0)
     for at in range(8, int(sizes.max(initial=0)), 8):
         rows = rows[sizes[rows] > at]
-        keys[rows] = keys[rows] * _KEY_STEP + word(rows, at)
+        keys[rows] = (keys[rows] * _KEY_STEP
+                      + _id_word(blob, starts[rows], sizes[rows], at))
     return keys
 
 

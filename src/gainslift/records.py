@@ -332,6 +332,22 @@ _PREFIX_MASK = np.array([(-1 << 8 * (8 - k)) & ((1 << 64) - 1)
                          for k in range(9)], dtype=np.uint64)
 
 
+def _id_word(blob: bytes, starts: np.ndarray, sizes: np.ndarray,
+             offset: int) -> np.ndarray:
+    """Bytes `offset` to `offset + 7` of each id of `sizes[k]` bytes at
+    `starts[k]` in `blob` (which ends in seven bytes past every id), read
+    big-endian with zeros past the id's end, as native uint64."""
+    end = len(blob) - 8
+    words = np.ndarray((end + 1,), dtype=">u8", buffer=blob, strides=(1,))
+    at = starts + offset
+    np.minimum(at, end, out=at)
+    # the same values, as native uint64
+    key = words[at].byteswap(inplace=True).view(np.uint64)
+    np.subtract(sizes, offset, out=at)
+    key &= _PREFIX_MASK[np.clip(at, 0, 8, out=at)]
+    return key
+
+
 def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
     """The rows in ascending Python-string (code point) order of their ids.
 
@@ -385,20 +401,7 @@ def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
         sizes = np.fromiter((len(t.encode("utf-8", "surrogatepass"))
                              for t in ids), dtype=np.intp, count=n)
         np.cumsum(sizes[:-1] + 1, out=starts[1:])
-    end = len(blob) - 8  # the last id's newline
-    words = np.ndarray((end + 1,), dtype=">u8", buffer=blob, strides=(1,))
-
-    def word(rows, offset: int) -> np.ndarray:
-        at = starts[rows] + offset
-        np.minimum(at, end, out=at)
-        key = words[at]
-        key.byteswap(inplace=True)  # the same values, as native uint64
-        key = key.view(np.uint64)
-        np.subtract(sizes[rows], offset, out=at)
-        key &= _PREFIX_MASK[np.clip(at, 0, 8, out=at)]
-        return key
-
-    key = word(slice(None), 0)
+    key = _id_word(blob, starts, sizes, 0)
     order = np.argsort(key)
     key = key[order]
     pos = np.arange(n)  # the places in `order` of the rows being refined
@@ -417,7 +420,7 @@ def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
         offset += 8
         size = sizes[rows]
         ended = size <= offset
-        key = word(rows, offset)
+        key = _id_word(blob, starts[rows], size, offset)
         # ended ids by byte length, then the others by their next word
         by_value = np.argsort(np.where(ended, size.astype(np.uint64), key))
         first = ended[by_value]
