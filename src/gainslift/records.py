@@ -4,8 +4,8 @@ A test set is a list of :class:`ScoredRecord` (id, score, true label). All
 downstream measures operate on a :class:`RankedTestSet`, which fixes the
 descending-score order once, resolves ties according to a policy, and holds
 the set as columns (scores, labels, prefix positive counts, tie groups). A
-cutoff query, at one cutoff or at all (`RankedTestSet.gains_arrays`), is one
-kernel: a prefix read, or a tie-group search under the expected policy.
+gains query at one cutoff, at several or at all is one `_gains_at` call: a
+prefix read, or a tie-group search under the expected policy.
 """
 
 from __future__ import annotations
@@ -147,11 +147,11 @@ class RankedTestSet:
             return self._prefix_pos, np.ones_like(self._prefix_pos)
         return self._gains_at(np.arange(self.n_total + 1))
 
-    def _gains_at(self, cutoffs):
+    def _gains_at(self, cutoffs: int | np.ndarray):
         """Exact gains at one cutoff or an int array of cutoffs in [0, N],
         in any order and with repeats, as int64 `num`, `den` in lowest terms
         (numpy integers for one cutoff): the one kernel of every gains
-        query. They are the prefix counts over a `den` of 1, no column,
+        query. They are the prefix counts, with `den` the int 1 (no column),
         except that under the expected-value policy a cutoff n in the tie
         group of ranks s+1..s+g, with q positives, gets
         (prefix[s] * g + q * (n - s)) / g. Every value stays below N**2, far
@@ -336,15 +336,15 @@ def _id_word(blob: bytes, starts: np.ndarray, sizes: np.ndarray,
              offset: int) -> np.ndarray:
     """Bytes `offset` to `offset + 7` of each id of `sizes[k]` bytes at
     `starts[k]` in `blob` (which ends in seven bytes past every id), read
-    big-endian with zeros past the id's end, as native uint64."""
+    big-endian with zeros past the id's end, as uint64."""
     end = len(blob) - 8
-    words = np.ndarray((end + 1,), dtype=">u8", buffer=blob, strides=(1,))
+    words = np.ndarray((end + 1,), dtype="<u8", buffer=blob, strides=(1,))
     at = starts + offset
     np.minimum(at, end, out=at)
-    # the same values, as native uint64
-    key = words[at].byteswap(inplace=True).view(np.uint64)
+    key = words[at].byteswap(inplace=True)  # a little-endian gather is faster
     np.subtract(sizes, offset, out=at)
-    key &= _PREFIX_MASK[np.clip(at, 0, 8, out=at)]
+    np.minimum(at, 8, out=at)  # not np.clip, which is slower
+    key &= _PREFIX_MASK[np.maximum(at, 0, out=at)]
     return key
 
 

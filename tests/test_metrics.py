@@ -229,7 +229,7 @@ class TestNumpyIntegerCutoffs:
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
             assert {type(v) for v in got} <= {int, Fraction}
-        for measure, minimum in CUTOFF_MEASURES[:3]:
+        for measure, _ in CUTOFF_MEASURES[:3]:
             assert measure(ranked, dtype(0)) == measure(ranked, 0) == 0
 
     @pytest.mark.parametrize("n", [True, np.bool_(True), 3.0, np.float64(3),
