@@ -9,7 +9,8 @@ from gainslift import (BudgetExhaustedError, ClassifierRun, DominanceVerdict,
                        ValidationError, accuracy_at, apply_swaps, auc_pairs,
                        compare_at, cum_gains, dominance, find_disagreement,
                        lift, parse_metric, rank_records)
-from gainslift.compare import evaluate_metric, ranked_from_labels
+from gainslift.compare import (DisagreementReport, evaluate_metric,
+                               ranked_from_labels)
 
 from helpers import (disagreement_oracle, label_evaluator, lift_above,
                      random_instance, records_from_labels)
@@ -386,6 +387,45 @@ class TestDisagreementGolden:
                 report.value_b_x, report.value_b_y) == \
             (Fraction(1, 20), Fraction(1, 25), Fraction(1, 5), Fraction(2, 5))
         assert report.exhaustive
+
+
+# shapes at both ends of the class balance, each searched exhaustively
+CHARACTERISED_DISAGREEMENTS = [
+    (("auc", "lift@3", 300, 2), ((3, 297), (2, 299)),
+     (Fraction(297, 596), Fraction(74, 149), 0, 50)),
+    (("auc", "accuracy@5", 22, 6),
+     ("0000010000000001001111", "0000100000000000011111"),
+     (Fraction(13, 96), Fraction(1, 8), Fraction(1, 2), Fraction(13, 22))),
+    (("auc", "lift@3", 22, 11),
+     ("0001000000100111111111", "0010000000001111111111"),
+     (Fraction(10, 121), Fraction(9, 121), 0, Fraction(2, 3))),
+    (("auc", "lift@1", 2000, 1999), None, None),
+    (("auc", "lift@1", 2000, 1), None, None),
+]
+
+
+def _arrangement(form, n_total):
+    """A label tuple from its text, or from the positions of its ones."""
+    if isinstance(form, str):
+        return _labels(form)
+    return tuple(int(i in form) for i in range(n_total))
+
+
+class TestDisagreementCharacterised:
+    @pytest.mark.parametrize("args, pair, values", CHARACTERISED_DISAGREEMENTS)
+    def test_report(self, args, pair, values):
+        report = find_disagreement(*args, budget=10**6)
+        if pair is None:
+            assert report is None
+            return
+        n_total = args[2]
+        assert report == DisagreementReport(
+            metric_a=parse_metric(args[0]), metric_b=parse_metric(args[1]),
+            labels_x=_arrangement(pair[0], n_total),
+            labels_y=_arrangement(pair[1], n_total),
+            value_a_x=values[0], value_a_y=values[1],
+            value_b_x=values[2], value_b_y=values[3], exhaustive=True)
+        assert report.certify()
 
 
 def _random_metric(rng, n_total):

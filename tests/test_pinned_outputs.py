@@ -424,6 +424,12 @@ DISAGREE_COMMANDS = {
                 "--seed", "3", "--precision", "3"],
     "none": ["disagree", "--metric-a", "auc", "--metric-b", "auc",
              "--n", "8", "--npos", "4"],
+    "two-in-300": ["disagree", "--metric-a", "auc", "--metric-b", "lift@3",
+                   "--n", "300", "--npos", "2", "--budget", "1000000",
+                   "--format", "json"],
+    "six-in-22": ["disagree", "--metric-a", "auc", "--metric-b",
+                  "accuracy@5", "--n", "22", "--npos", "6", "--budget",
+                  "1000000", "--format", "json"],
 }
 
 DISAGREE_PINNED = {
@@ -433,6 +439,10 @@ DISAGREE_PINNED = {
         "6d7753ca442ee5d82936f47d0b06fe7959b1759f0ab6a0e8cd1c935d1f5a2591",
     "sampled":
         "b6ba91b0d006268fed94516c5d5c08cf6dbd83f04cef89d445953a30264e7db3",
+    "six-in-22":
+        "fdac024504f1a2eaf5904665de6f1cb55e26fcecd806acb2afbabb3a0d7adf5a",
+    "two-in-300":
+        "6eb966b296dbe18e37adfe89c2204b4140d8794396d91026fa466c6c62e75490",
 }
 
 
