@@ -340,7 +340,7 @@ def _cmd_disagree(args) -> int:
         report = compare.find_disagreement(args.metric_a, args.metric_b,
                                            args.n, args.npos,
                                            budget=args.budget, seed=args.seed)
-    except MemoryError:  # numpy refuses a label matrix of --n columns
+    except MemoryError:  # numpy refuses a label row of --n entries
         raise ValidationError(f"--n {args.n} does not fit in memory") from None
     ma, mb = compare.parse_metric(args.metric_a), compare.parse_metric(args.metric_b)
     if report is None:

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .records import (RankedTestSet, ScoredRecord, _integer_cutoff,
 
 EXHAUSTIVE_LIMIT = 1_000_000
 LEX_REFINE_LIMIT = 2_000  # full lex-order pair scan only below this many arrangements
-CHUNK_CELLS = 1 << 16  # label-matrix cells scored at a time by the search
+CHUNK_CELLS = 1 << 16  # rank positions scored at a time by the search
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +79,7 @@ def accuracy_at(ranked: RankedTestSet, n: int) -> Fraction:
     """
     n, tp = ranked._checked_gains(n, minimum=1)
     tn = ranked.n_total - n - (ranked.n_pos - tp)
-    return Fraction(Fraction(tp + tn), ranked.n_total)
+    return Fraction(tp + tn, ranked.n_total)
 
 
 @dataclass(frozen=True)
@@ -318,55 +317,50 @@ def _check_metric(metric: Metric, n_total: int) -> None:
         raise ValidationError(f"unknown metric kind {metric.kind!r}")
 
 
-def _numerators(metric: Metric, labels: np.ndarray, n_pos: int) -> np.ndarray:
-    """The metric's exact numerator for every row of a 0/1 label matrix.
+def _numerators(metric: Metric, positions: np.ndarray, n_total: int,
+                n_pos: int, positives: bool = True) -> np.ndarray:
+    """The metric's exact numerator for every row of sorted 0-based rank
+    positions of the positives, or of the negatives when `positives` is
+    False.
 
     Each metric has one denominator for all arrangements of n_pos positives
     among N ranks (auc: P*N-, lift@n: n*P, accuracy@n: N), so numerators
     order the rows exactly as the metric values do.
     """
-    n_total = labels.shape[1]
     if metric.kind == "auc":
-        # each positive is discordant with every negative ranked above it
-        neg_above = np.cumsum(1 - labels, axis=1)
-        discordant = (labels * neg_above).sum(axis=1)
-        return n_pos * (n_total - n_pos) - discordant
-    tp = labels[:, :metric.at].sum(axis=1, dtype=np.int64)
+        # the j-th member of a class sits below p_j - j of the other class:
+        # discordant pairs for a positive, concordant ones for a negative
+        above = (positions - np.arange(positions.shape[1])).sum(axis=1)
+        return n_pos * (n_total - n_pos) - above if positives else above
+    inside = (positions < metric.at).sum(axis=1)
+    tp = inside if positives else metric.at - inside
     if metric.kind == "lift":
         return tp * n_total
     return 2 * tp + (n_total - metric.at) - n_pos  # accuracy
 
 
-def _label_matrix(positions: np.ndarray, n_total: int) -> np.ndarray:
-    labels = np.zeros((len(positions), n_total), dtype=np.int8)
-    np.put_along_axis(labels, positions, 1, axis=1)
-    return labels
+def _combinations_at(indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The k-subsets of range(N) at `indices` in lexicographic order, one
+    sorted row each, from the `_count_table(N, k)`.
+
+    Subset x has index C(N, k) - 1 - sum_c C(N - 1 - x_c, k - c) (the
+    combinatorial number system), so each column is one `searchsorted`.
+    """
+    rest = counts[-1, -1] - 1 - indices
+    ys = []
+    for table in counts[::-1]:
+        ys.append(np.searchsorted(table, rest, side="right") - 1)
+        rest -= table[ys[-1]]
+    return counts.shape[1] - 2 - np.stack(ys, axis=1)  # N - 1 - y
 
 
-def _exhaustive_chunks(n_total: int, n_pos: int,
-                       rows: int) -> Iterator[np.ndarray]:
-    """Positive positions of every arrangement, in lexicographic order of the
-    position tuples, `rows` arrangements at a time."""
-    combos = combinations(range(n_total), n_pos)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(combos, rows)),
-                           dtype=np.int64)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, n_pos)
-
-
-def _combination_at(index: int, n_total: int, n_pos: int) -> list[int]:
-    """The `index`-th n_pos-subset of range(n_total) in lexicographic order."""
-    out = []
-    x = 0
-    for left in range(n_pos, 0, -1):
-        while (count := math.comb(n_total - x - 1, left - 1)) <= index:
-            index -= count
-            x += 1
-        out.append(x)
-        x += 1
-    return out
+def _count_table(n_total: int, k: int) -> np.ndarray:
+    """C(y, j) at row j - 1 and column y, for 1 <= j <= k and 0 <= y <= N;
+    exact in int64 while C(N, k) is and k <= N / 2."""
+    counts = [np.ones(n_total + 1, dtype=np.int64)]  # C(y, 0)
+    for _ in range(k):  # C(y, j + 1) is the sum of C(t, j) over t < y
+        counts.append(np.concatenate(([0], np.cumsum(counts[-1][:-1]))))
+    return np.stack(counts[1:])
 
 
 def _sampled_positions(n_total: int, n_pos: int, budget: int,
@@ -435,11 +429,11 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
     arrangements with the seeded generator and raises BudgetExhaustedError if
     nothing turns up, since absence is then not certified.
 
-    Arrangements are scored as int8 label matrices of at most
-    CHUNK_CELLS cells each, so memory stays bounded by two integer
-    numerators per arrangement. A label row numpy cannot allocate raises
-    MemoryError, and `budget` draws that do not fit raise ValidationError,
-    both before any arrangement is drawn. Only the two reported
+    Each arrangement is scored from the sorted rank positions of one class
+    (the smaller one when enumerating), CHUNK_CELLS positions at a time, so
+    memory stays bounded by two integer numerators per arrangement. A label
+    row numpy cannot allocate raises MemoryError, and `budget` draws that do
+    not fit raise ValidationError, both before any arrangement is drawn. Only the two reported
     arrangements are evaluated in `Fraction`s, through `evaluate_metric`.
     """
     if isinstance(metric_a, str):
@@ -465,25 +459,35 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
     np.empty(n_total, dtype=np.int8)
     space = math.comb(n_total, n_pos)
     exhaustive = space <= min(budget, EXHAUSTIVE_LIMIT)
-    rows = max(1, CHUNK_CELLS // n_total)
     if exhaustive:
+        # enumerate the smaller class: arrangement i of the positives'
+        # lexicographic order is the complement of the negatives' space - 1 - i
+        k = min(n_pos, n_total - n_pos)
+        counts = _count_table(n_total, k)
         count = space
-        chunks = _exhaustive_chunks(n_total, n_pos, rows)
     else:
         if seed < 0:
             raise ValidationError(f"seed must be >= 0, got {seed}")
+        k = n_pos
         sampled = _sampled_positions(n_total, n_pos, budget, seed)
         count = len(sampled)
-        chunks = (sampled[k:k + rows] for k in range(0, count, rows))
+    positives = k == n_pos
+
+    def positions_at(start: int, stop: int) -> np.ndarray:
+        if not exhaustive:
+            return sampled[start:stop]
+        indices = np.arange(start, stop)
+        return _combinations_at(indices if positives else space - 1 - indices,
+                                counts)
 
     num_a = np.empty(count, dtype=np.int64)
     num_b = np.empty(count, dtype=np.int64)
-    done = 0
-    for positions in chunks:
-        labels = _label_matrix(positions, n_total)
-        num_a[done:done + len(labels)] = _numerators(metric_a, labels, n_pos)
-        num_b[done:done + len(labels)] = _numerators(metric_b, labels, n_pos)
-        done += len(labels)
+    rows = max(1, CHUNK_CELLS // k)
+    for start in range(0, count, rows):
+        positions = positions_at(start, min(start + rows, count))
+        for num, metric in ((num_a, metric_a), (num_b, metric_b)):
+            num[start:start + rows] = _numerators(metric, positions, n_total,
+                                                  n_pos, positives)
 
     hit = _first_inversion(num_a, num_b)
     if hit is None:
@@ -495,15 +499,10 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
     if exhaustive and count <= LEX_REFINE_LIMIT:
         hit = _lex_first_pair(num_a, num_b)
 
-    def arrangement(index: int) -> tuple[int, ...]:
-        positions = (_combination_at(index, n_total, n_pos) if exhaustive
-                     else sampled[index])
-        labels = [0] * n_total
-        for p in positions:
-            labels[p] = 1
-        return tuple(labels)
-
-    lx, ly = (arrangement(k) for k in hit)
+    labels = np.full((2, n_total), int(not positives))
+    for row, index in zip(labels, hit):
+        row[positions_at(index, index + 1)] = int(positives)
+    lx, ly = map(tuple, labels.tolist())
     rx, ry = ranked_from_labels(lx), ranked_from_labels(ly)
     ax, ay = evaluate_metric(metric_a, rx), evaluate_metric(metric_a, ry)
     bx, by = evaluate_metric(metric_b, rx), evaluate_metric(metric_b, ry)

@@ -621,11 +621,41 @@ def _parse_curves_json(text: str) -> list[CurveSeries]:
 
 def summary_to_json(summary: ResampleSummary) -> str:
     """Canonical json for a resample summary: key-sorted, shortest-roundtrip
-    floats, so equal summaries serialize to identical bytes."""
+    floats, so equal summaries serialize to identical bytes.
+
+    The text is json.dumps(summary, default=vars, sort_keys=True, indent=2)
+    and a newline, written directly: the json module's indented encoder is
+    its slow pure-Python one."""
+    return _json_text(summary, "\n") + "\n"
+
+
+def _json_text(value, newline: str) -> str:
+    """The json.dumps text of one value, nested after `newline` and its
+    indent. Every all-finite float list is one join of reprs; other scalars
+    take the json module's own text."""
+    if isinstance(value, (str, int, float)) or value is None:
+        if isinstance(value, float) and math.isfinite(value):
+            return float.__repr__(value)
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if (all(type(v) is float for v in value)
+                and all(map(math.isfinite, value))):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
     # vars turns each frozen dataclass into its field dict, so resample.py
     # alone sets the layout; a class given slots=True has no __dict__ and
     # makes vars raise TypeError rather than change the output
-    return json.dumps(summary, default=vars, sort_keys=True, indent=2) + "\n"
+    fields = value if isinstance(value, dict) else vars(value)
+    if not fields:
+        return "{}"
+    return "{" + inner + f",{inner}".join(
+        f"{json.dumps(key)}: {_json_text(fields[key], inner)}"
+        for key in sorted(fields)) + newline + "}"
 
 
 def summary_to_csv(summary: ResampleSummary) -> str:

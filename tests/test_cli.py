@@ -584,7 +584,7 @@ class TestUsageErrors:
          "n_total=10000000000000000000000 with n_pos=5 overflows the "
          "search's int64 numerators"),
         # one sampled arrangement of 10**18 labels: numpy refuses its
-        # label matrix before allocating anything
+        # label row before allocating anything
         (["disagree", "--metric-a", "auc", "--metric-b", "lift@6",
           "--n", "1000000000000000000", "--npos", "1", "--budget", "2"],
          "--n 1000000000000000000 does not fit in memory"),

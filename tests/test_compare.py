@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +11,9 @@ from gainslift import (BudgetExhaustedError, ClassifierRun, DominanceVerdict,
                        ValidationError, accuracy_at, apply_swaps, auc_pairs,
                        compare_at, cum_gains, dominance, find_disagreement,
                        lift, parse_metric, rank_records)
-from gainslift.compare import (DisagreementReport, evaluate_metric,
+from gainslift import compare
+from gainslift.compare import (DisagreementReport, _combinations_at,
+                               _count_table, _numerators, evaluate_metric,
                                ranked_from_labels)
 
 from helpers import (disagreement_oracle, label_evaluator, lift_above,
@@ -426,6 +430,57 @@ class TestDisagreementCharacterised:
             value_a_x=values[0], value_a_y=values[1],
             value_b_x=values[2], value_b_y=values[3], exhaustive=True)
         assert report.certify()
+
+
+class TestSearchKernels:
+    @pytest.mark.parametrize("n_total", range(2, 13))
+    def test_unranker_is_lexicographic_and_complements_reverse(self, n_total):
+        for k in range(1, n_total):
+            want = list(itertools.combinations(range(n_total), k))
+            got = _combinations_at(np.arange(len(want)),
+                                   _count_table(n_total, k))
+            assert got.tolist() == [list(c) for c in want], k
+            # subset i's complement is the other size's subset C - 1 - i
+            others = _combinations_at(np.arange(len(want))[::-1],
+                                      _count_table(n_total, n_total - k))
+            for subset, other in zip(want, others.tolist()):
+                assert sorted(set(range(n_total)) - set(subset)) == other
+
+    def test_numerators_from_either_class_match_the_evaluator(self):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            n_total = int(rng.integers(2, 40))
+            n_pos = int(rng.integers(1, n_total))
+            metric = parse_metric(_random_metric(rng, n_total))
+            den = (n_pos * (n_total - n_pos) if metric.kind == "auc"
+                   else n_total if metric.kind == "accuracy"
+                   else metric.at * n_pos)
+            rows = np.array([rng.permutation(n_total) < n_pos
+                             for _ in range(5)], dtype=int)
+            evaluate = label_evaluator(metric, n_total, n_pos)
+            want = [evaluate(tuple(row)) for row in rows.tolist()]
+            for positives in (True, False):
+                positions = np.array([np.flatnonzero(row == positives)
+                                      for row in rows])
+                got = _numerators(metric, positions, n_total, n_pos,
+                                  positives)
+                assert [Fraction(int(g), den)
+                        for g in got] == want, (metric, positives)
+
+    @pytest.mark.parametrize("n_total, n_pos", [(20000, 1), (2000, 1999)])
+    def test_scoring_calls_follow_the_smaller_class(self, monkeypatch,
+                                                    n_total, n_pos):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1].shape)
+            return _numerators(*args)
+
+        monkeypatch.setattr(compare, "_numerators", spy)
+        assert find_disagreement("auc", "lift@1", n_total, n_pos) is None
+        space, k = math.comb(n_total, n_pos), min(n_pos, n_total - n_pos)
+        assert len(calls) <= 2 * -(-space * k // compare.CHUNK_CELLS)
+        assert sum(rows for rows, _ in calls) == 2 * space
 
 
 def _random_metric(rng, n_total):

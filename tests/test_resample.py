@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -468,3 +470,57 @@ class TestRunPlanAgainstOracle:
                             sample_size=20, seed=1)
         with pytest.raises(InfeasibleError, match="positives"):
             run_plan(pool, plan)
+
+
+def _random_floats(rng, size):
+    """Floats of every magnitude, with NaN and infinities now and then."""
+    values = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+              ).tolist()
+    if rng.random() < 0.5:
+        for at in rng.integers(0, max(size, 1), 3).tolist()[:size]:
+            values[at] = (math.nan, math.inf, -math.inf, 0.0, -0.0)[
+                int(rng.integers(0, 5))]
+    return tuple(values)
+
+
+def _random_scalar(rng):
+    return (True, False, None, int(rng.integers(-10**6, 10**6)), 2**70,
+            float(rng.random()), math.nan, -math.inf, "résumé \"x\"\n",
+            ())[int(rng.integers(0, 10))]
+
+
+def _random_summary(rng) -> resample.ResampleSummary:
+    def floats():
+        return _random_floats(rng, int(rng.integers(0, 6)))
+
+    def band():
+        return resample.RateBand(
+            target_rate=float(rng.random()), realized_rate=_random_scalar(rng),
+            n_pos=_random_scalar(rng), mean_auc=_random_scalar(rng),
+            p_cum_gains=resample.BandStats(floats(), floats(), floats()),
+            lift=resample.BandStats(floats(), (1, 2.5, True),
+                                    (math.inf, 0.5)))
+
+    return resample.ResampleSummary(
+        grid=floats(), sample_size=_random_scalar(rng),
+        replicate_count=int(rng.integers(1, 100)), seed=_random_scalar(rng),
+        bands=tuple(band() for _ in range(int(rng.integers(0, 4)))))
+
+
+class TestSummaryJson:
+    def test_matches_the_json_module_on_random_summaries(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            summary = _random_summary(rng)
+            assert summary_to_json(summary) == json.dumps(
+                summary, default=vars, sort_keys=True, indent=2) + "\n"
+
+    def test_a_class_without_dict_is_refused(self):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Slotted:
+            value: float
+
+        summary = dataclasses.replace(_random_summary(
+            np.random.default_rng(1)), grid=(Slotted(0.5),))
+        with pytest.raises(TypeError):
+            summary_to_json(summary)
