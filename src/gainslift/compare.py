@@ -320,8 +320,7 @@ def _check_metric(metric: Metric, n_total: int) -> None:
 def _numerators(metric: Metric, positions: np.ndarray, n_total: int,
                 n_pos: int, positives: bool = True) -> np.ndarray:
     """The metric's exact numerator for every row of sorted 0-based rank
-    positions of the positives, or of the negatives when `positives` is
-    False.
+    positions of the positives (of the negatives if not `positives`).
 
     Each metric has one denominator for all arrangements of n_pos positives
     among N ranks (auc: P*N-, lift@n: n*P, accuracy@n: N), so numerators
@@ -330,7 +329,7 @@ def _numerators(metric: Metric, positions: np.ndarray, n_total: int,
     if metric.kind == "auc":
         # the j-th member of a class sits below p_j - j of the other class:
         # discordant pairs for a positive, concordant ones for a negative
-        above = (positions - np.arange(positions.shape[1])).sum(axis=1)
+        above = positions.sum(axis=1) - math.comb(positions.shape[1], 2)
         return n_pos * (n_total - n_pos) - above if positives else above
     inside = (positions < metric.at).sum(axis=1)
     tp = inside if positives else metric.at - inside
@@ -347,11 +346,12 @@ def _combinations_at(indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
     combinatorial number system), so each column is one `searchsorted`.
     """
     rest = counts[-1, -1] - 1 - indices
-    ys = []
-    for table in counts[::-1]:
-        ys.append(np.searchsorted(table, rest, side="right") - 1)
-        rest -= table[ys[-1]]
-    return counts.shape[1] - 2 - np.stack(ys, axis=1)  # N - 1 - y
+    ys = np.empty((len(counts), len(rest)), dtype=np.int64)
+    for y, table in zip(ys, counts[::-1]):
+        y[:] = np.searchsorted(table, rest, side="right") - 1
+        rest -= table[y]
+    # N - 1 - y, column-major: a row sum over a few columns is then 4-6x faster
+    return counts.shape[1] - 2 - ys.T
 
 
 def _count_table(n_total: int, k: int) -> np.ndarray:
