@@ -318,7 +318,7 @@ def _check_metric(metric: Metric, n_total: int) -> None:
 
 
 def _numerators(metric: Metric, positions: np.ndarray, n_total: int,
-                n_pos: int, positives: bool = True) -> np.ndarray:
+                n_pos: int, positives: bool) -> np.ndarray:
     """The metric's exact numerator for every row of sorted 0-based rank
     positions of the positives (of the negatives if not `positives`).
 
@@ -429,12 +429,12 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
     arrangements with the seeded generator and raises BudgetExhaustedError if
     nothing turns up, since absence is then not certified.
 
-    Each arrangement is scored from the sorted rank positions of one class
-    (the smaller one when enumerating), CHUNK_CELLS positions at a time, so
-    memory stays bounded by two integer numerators per arrangement. A label
-    row numpy cannot allocate raises MemoryError, and `budget` draws that do
-    not fit raise ValidationError, both before any arrangement is drawn. Only the two reported
-    arrangements are evaluated in `Fraction`s, through `evaluate_metric`.
+    Arrangements are scored from the sorted rank positions of one class (the
+    smaller when enumerating), CHUNK_CELLS at a time, so memory stays bounded
+    by two integer numerators per arrangement. A label row numpy cannot
+    allocate raises MemoryError, and `budget` draws that do not fit raise
+    ValidationError, both before any arrangement is drawn. Only the two
+    reported ones are evaluated in `Fraction`s, through `evaluate_metric`.
     """
     if isinstance(metric_a, str):
         metric_a = parse_metric(metric_a)
