@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -398,6 +399,39 @@ def curves_json_oracle(series) -> str:
         for s in series
     ]}
     return json.dumps(payload, indent=2) + "\n"
+
+
+def tokens_oracle(px, py) -> str:
+    """Pixel pairs as 'x,y' to two places, space-separated, one `format`
+    call per pair: how `ChartLayout.tokens` writes them."""
+    return " ".join(map("{:.2f},{:.2f}".format, list(px), list(py)))
+
+
+def field_ends_oracle(block: bytes, d: str, width: int, limit: int
+                      ) -> tuple[bytes, np.ndarray] | None:
+    """`io._field_ends` by its definition, line by line: CRLF line ends
+    read as LF, a quote, NUL or other carriage return gives None, blank
+    lines are always dropped first, and then each line must hold exactly
+    `width` fields and at most `limit` bytes, and the block be UTF-8."""
+    block = bytes(block).replace(b"\r\n", b"\n")
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    block = re.sub(rb"(?m)^\n", b"", block)
+    ends: list[int] = []
+    start = 0
+    for line in block.split(b"\n")[:-1]:
+        fields = line.split(d.encode())
+        if len(fields) != width or len(line) > limit:
+            return None
+        for field in fields:
+            start += len(field)
+            ends.append(start)
+            start += 1
+    try:
+        block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return block, np.array(ends, dtype=np.intp)
 
 
 def load_csv_oracle(file: ScoredFile) -> list[ScoredRecord]:

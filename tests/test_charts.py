@@ -10,9 +10,10 @@ from gainslift import (ChartKind, ChartSpec, CostSpec, ValidationError,
                        benefit_series, decile_series, gains_series,
                        lift_series, rank_records, render_chart,
                        series_for)
-from gainslift.charts import escape, layout_for
+from gainslift import charts
+from gainslift.charts import ChartLayout, escape, layout_for
 
-from helpers import records_from_labels
+from helpers import records_from_labels, tokens_oracle
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -79,6 +80,95 @@ class TestPolylineGeometry:
         _, top = layout.px(10, 1.0)
         _, bottom = layout.px(10, 0.0)
         assert float(rects[-1].get("height")) == pytest.approx(bottom - top)
+
+
+class _PixelLayout(ChartLayout):
+    """A layout whose pixel position of (x, y) is (x, y) itself, so that
+    `tokens` writes the given values."""
+
+    def px(self, x, y):
+        return x, y
+
+
+def _kernel_values() -> np.ndarray:
+    """Values whose two-place text is easy to get wrong: thousandths ending
+    in 5 and eighths (exact binary ties), decimal ties that are not exact
+    in binary, signed zeros and values that round to zero, subnormals, and
+    values near 2**52, where the kernel's integer hundredths run out of
+    room, with seeded values over many magnitudes."""
+    rng = np.random.default_rng(2525)
+    big = 2.0 ** 52
+    fixed = [2.675, 1.005, 99.995, 0.005, 0.015, 0.125, 0.375, 0.0, -0.0,
+             -0.004, 0.004, -0.005, 1e-300, -1e-300, 5e-324, -5e-324,
+             np.nextafter(big, 0), big - 0.5, big - 1, big - 1.5,
+             2.0 ** 51 + 0.5, 2.0 ** 51 - 0.25, 10.0 ** 15 + 0.125,
+             123456789012.345, 0.995, 9.995, 999.995, 59.995, 620.005]
+    parts = [
+        np.array(fixed),
+        (10 * np.arange(200_000) + 5) / 1000,
+        -(10 * np.arange(0, 200_000, 97) + 5) / 1000,
+        np.arange(-4000, 4000) / 8,
+        rng.uniform(-1, 1, 20_000) * 10.0 ** rng.integers(-12, 16, 20_000),
+        rng.uniform(0, 700, 20_000),
+        np.round(rng.uniform(-700, 700, 20_000), 3),
+    ]
+    values = np.concatenate(parts)
+    return np.concatenate([values, -values[:len(fixed)]])
+
+
+class TestPolylineTokens:
+    """`ChartLayout.tokens` writes every pixel pair as `format` does with
+    '{:.2f},{:.2f}', byte for byte, whatever the values."""
+
+    layout = _PixelLayout(0.0, 1.0, 0.0, 1.0)
+
+    def _check(self, px, py):
+        px = np.asarray(px, dtype=np.float64)
+        py = np.asarray(py, dtype=np.float64)
+        assert self.layout.tokens(px, py) == tokens_oracle(px.tolist(),
+                                                           py.tolist())
+
+    def test_kernel_values(self):
+        values = _kernel_values()
+        self._check(values, values[::-1])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_kernel_values_in_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(charts, "_CHUNK_POINTS", chunk, raising=False)
+        values = _kernel_values()
+        picked = np.random.default_rng(chunk).choice(len(values), 3000)
+        values = np.concatenate([values[:40], values[picked]])
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 101):
+            self._check(values[:n], values[::-1][:n])
+
+    @pytest.mark.parametrize("odd", [float("inf"), -float("inf"),
+                                     float("nan"), 2.0 ** 52, -2.0 ** 52,
+                                     1e300])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_values_the_kernel_leaves_to_format(self, odd, axis):
+        values = np.concatenate([[odd], _kernel_values()[:500]])
+        px, py = (values, values[::-1]) if axis == "x" else (values[::-1],
+                                                              values)
+        self._check(px, py)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_and_one_point(self, n):
+        self._check([0.125] * n, [-0.004] * n)
+        self._check([2.675] * n, [99.995] * n)
+
+    @pytest.mark.parametrize("kind", [ChartKind.LIFT,
+                                      ChartKind.GAINS_FRACTION,
+                                      ChartKind.GAINS_COUNT])
+    def test_pixel_positions_of_a_curve(self, kind):
+        rng = np.random.default_rng(9)
+        ranked = rank_records(records_from_labels(
+            rng.integers(0, 2, 5000).tolist(), rng.normal(size=5000).tolist()))
+        series = charts.series_for(kind, ranked)
+        layout = layout_for(kind, [series])
+        xs, ys = series.x.floats(), series.y.floats()
+        px, py = layout.px(xs, ys)
+        assert layout.tokens(xs, ys) == tokens_oracle(px.tolist(),
+                                                      py.tolist())
 
 
 class TestBaseline:

@@ -20,7 +20,8 @@ from gainslift.metrics import CurveSeries, XKind
 from gainslift.records import _rank_columns
 
 from helpers import (MALFORMED_CSV, MALFORMED_JSONL, curves_csv_oracle,
-                     curves_json_oracle, load_csv_oracle, load_jsonl_oracle,
+                     curves_json_oracle, field_ends_oracle, load_csv_oracle,
+                     load_jsonl_oracle,
                      random_scored_csv, random_scored_jsonl,
                      records_from_labels)
 
@@ -668,6 +669,52 @@ class TestPlainRoute:
         monkeypatch.setattr(gio, "_plain_texts",
                             lambda raw, file, keep_ids: None)
         assert plain_peak <= 1.1 * peak()
+
+
+class TestFieldEnds:
+    """`_field_ends` against `helpers.field_ends_oracle`, which always drops
+    blank lines before it splits: the same block and field ends, or None."""
+
+    @staticmethod
+    def _check(block, d=",", width=3, limit=64):
+        got = gio._field_ends(block, d, width, limit)
+        want = field_ends_oracle(block, d, width, limit)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert bytes(got[0]) == want[0]
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("block", [
+        b"", b"\n", b"\n\n\n", b"\r\n", b"\r\n\r\n",
+        b"a,1,0\n", b"a,1,0\nb,2,1\n",
+        b"\na,1,0\nb,2,1\n", b"\n\na,1,0\n",
+        b"a,1,0\nb,2,1\n\n", b"a,1,0\n\n\n\n",
+        b"a,1,0\n\nb,2,1\n\n\nc,3,0\n",
+        b"\r\na,1,0\r\n\r\nb,2,1\r\n\r\n",
+        b"a,1,0\r\n\nb,2,1\n\r\n",
+        b"a,1,0\n\nb,2\n", b"\n\"a\",1,0\n", b"a,1,0\n\n\r\r\n",
+        b"a,1,0\n\n\xff,1,0\n", b"\xe9,1,0\n\n",
+        b"\n" + b"x" * 60 + b",1,0\n", b"x" * 61 + b",1,0\n\n",
+    ])
+    def test_blocks(self, block):
+        self._check(block)
+        self._check(bytearray(block))
+
+    def test_seeded_blocks(self):
+        rng = np.random.default_rng(4141)
+        lines = [b"", b"", b"\r", b"a,1,0", b"bb,0.25,1", b"c,2", b"d,1,0,",
+                 b"e" * 20 + b",1,0", b"\xc3\xa9,1,0", b"f,\"1\",0",
+                 b"\xff,1,0", b"g\r,1,0"]
+        for _ in range(2000):
+            picked = rng.integers(0, len(lines), int(rng.integers(0, 12)))
+            block = b"".join(lines[i] + b"\n" for i in picked)
+            limit = int(rng.choice([5, 8, 12, 24, 64, 1000]))
+            self._check(block, limit=limit)
+            if len(block) > 1:  # a limit at the block's own length
+                self._check(block, limit=len(block) - 1)
+                self._check(block, limit=len(block) - 2)
 
 
 class TestBlockRoute:

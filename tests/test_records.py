@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ScoredRecord,
-                       TiePolicy, ValidationError, example24_records,
-                       load_scored, rank_records)
+from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ResamplePlan,
+                       ScoredRecord, TiePolicy, ValidationError,
+                       example24_records, load_scored, rank_records, run_plan)
 import gainslift.io as gio
 from gainslift.io import _load_columns
 from gainslift.records import (_columns, _first_fault, _rank_columns,
@@ -311,6 +311,75 @@ class TestSharedCheck:
             assert scores.dtype == np.float64 and labels.dtype == np.int64
             assert scores.tolist() == [float(r.score) for r in pool]
             assert labels.tolist() == [int(r.label) for r in pool]
+
+
+_LABEL_FORMS = {"int": int, "bool": bool, "np.int64": np.int64,
+                "np.uint8": np.uint8, "np.bool_": np.bool_, "float": float,
+                "Fraction": Fraction, "Decimal": Decimal}
+
+
+class TestLabelForms:
+    """`_columns`, `rank_records` and `run_plan` give the same int64 labels
+    whatever numeric type holds a 0 or 1 label, and the same error, type
+    and text, for every other label."""
+
+    PLAN = ResamplePlan(target_rates=(0.2,), replicate_count=2,
+                        sample_size=40, seed=5)
+
+    @staticmethod
+    def _pool(labels):
+        rng = np.random.default_rng(len(labels))
+        return make(rng.normal(size=len(labels)).tolist(), labels)
+
+    def _same_as_ints(self, pool):
+        plain = [ScoredRecord(r.id, r.score, int(r.label)) for r in pool]
+        scores, labels = _columns(pool)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [r.label for r in plain]
+        assert scores.tolist() == [r.score for r in plain]
+        for policy in TiePolicy:
+            got = rank_records(pool, policy)
+            want = rank_records(plain, policy)
+            assert got._labels.dtype == np.int64
+            assert np.array_equal(got._labels, want._labels)
+            assert list(got.ids) == list(want.ids)
+        assert run_plan(pool, self.PLAN) == run_plan(plain, self.PLAN)
+
+    @pytest.mark.parametrize("form", _LABEL_FORMS.values(),
+                             ids=_LABEL_FORMS.keys())
+    def test_each_form(self, form):
+        ones = np.random.default_rng(8).integers(0, 2, 200).tolist()
+        self._same_as_ints(self._pool([form(y) for y in ones]))
+
+    def test_mixed_forms(self):
+        rng = np.random.default_rng(9)
+        forms = list(_LABEL_FORMS.values())
+        for _ in range(20):
+            self._same_as_ints(self._pool([
+                forms[i](y) for i, y in zip(rng.integers(0, len(forms), 200),
+                                            rng.integers(0, 2, 200).tolist())]))
+
+    @pytest.mark.parametrize("bad", [2, 255, 256, -1, 2**70, 1.5, "1", None,
+                                     [1]],
+                             ids=["2", "255", "256", "-1", "2**70", "1.5",
+                                  "str", "None", "list"])
+    @pytest.mark.parametrize("where", ["first", "late", "every"])
+    @pytest.mark.parametrize("rest", ["int", "bool", "float"])
+    def test_faulty_label(self, bad, where, rest):
+        labels = [_LABEL_FORMS[rest](i % 2) for i in range(200)]
+        if where == "every":
+            labels = [bad] * 200
+        else:
+            labels[0 if where == "first" else 150] = bad
+        pool = self._pool(labels)
+        with pytest.raises(ValidationError) as fault:
+            _first_fault(pool)
+        assert f"label must be 0 or 1, got {bad!r}" in str(fault.value)
+        for call in (_columns, rank_records, lambda p: run_plan(p, self.PLAN)):
+            with pytest.raises(Exception) as info:
+                call(pool)
+            assert type(info.value) is ValidationError
+            assert str(info.value) == str(fault.value)
 
 
 def _kernel_case(rng: np.random.Generator, shape: str, n: int):
