@@ -99,9 +99,77 @@ class ChartLayout:
 
     def tokens(self, xs: np.ndarray, ys: np.ndarray) -> str:
         """Every point's pixel position as 'x,y' to two places,
-        space-separated."""
+        space-separated, byte for byte as `format(v, ".2f")` writes each.
+
+        That text is k/100 with k = 100·|v| rounded half to even from v's
+        exact binary value (not from the float 100·v: 0.005·100 is exactly
+        0.5, yet 0.005 is slightly above it and prints 0.01), after a `-`
+        wherever v's sign bit is set (so -0.0 and -0.004 print -0.00).
+        `_hundredths` computes k in int64 and `_point_text` writes its
+        digits, `_CHUNK_POINTS` points at a time. Where a value is not
+        finite or |v| >= 2**52, k could overflow, and every point is
+        written by `format` itself.
+        """
         px, py = self.px(xs, ys)
-        return " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+        if not ((np.abs(px) < 2.0 ** 52).all()
+                and (np.abs(py) < 2.0 ** 52).all()):
+            return " ".join(map("{:.2f},{:.2f}".format, px.tolist(),
+                                py.tolist()))
+        text = b"".join(
+            _point_text(px[i:i + _CHUNK_POINTS], py[i:i + _CHUNK_POINTS])
+            for i in range(0, len(px), _CHUNK_POINTS))
+        return text[:-1].decode("ascii")  # no space after the last point
+
+
+# Polyline points are written this many at a time, so that one chunk's byte
+# matrix, not the curve, sets the memory the text needs beyond itself.
+_CHUNK_POINTS = 1 << 16
+
+
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """100·|v| rounded half to even from v's exact binary value, as int64,
+    for finite v with |v| < 2**52.
+
+    |v| is m·2**(e - 53) with m < 2**53 an integer, so 100·m < 2**60, and k
+    is 100·m shifted right by s = 53 - e (at least 1), rounded on the bits
+    shifted out. Past s = 63 the quotient is 0 and the remainder below half,
+    as at s = 63, so s stops there.
+    """
+    mant, e = np.frexp(np.abs(v))
+    x = 100 * np.ldexp(mant, 53).astype(np.int64)
+    shift = np.minimum(53 - e, 63)
+    q = x >> shift
+    r = x - (q << shift)
+    half = np.int64(1) << (shift - 1)
+    return q + ((r > half) | ((r == half) & (q & 1 == 1)))
+
+
+def _point_text(px: np.ndarray, py: np.ndarray) -> bytes:
+    """The points 'x,y', each followed by a space, as ASCII bytes.
+
+    Each coordinate is a row of a uint8 matrix: a sign, the digits of its
+    whole part, a point, two digits of cents, and a `,` or a space; a mask
+    beside it drops the sign where the sign bit is clear and the leading
+    zeros of the whole part."""
+    rows, keep = [], []
+    for v, end in ((px, b","), (py, b" ")):
+        whole, cents = np.divmod(_hundredths(v), 100)
+        width = len(str(whole.max()))  # digits before the point
+        place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        mat = np.empty((len(v), width + 5), np.uint8)
+        mat[:, 0] = ord("-")
+        for j, p in enumerate(place.tolist(), start=1):
+            mat[:, j] = whole // p % 10 + ord("0")
+        mat[:, width + 1] = ord(".")
+        mat[:, width + 2] = cents // 10 + ord("0")
+        mat[:, width + 3] = cents % 10 + ord("0")
+        mat[:, width + 4] = ord(end)
+        mask = np.ones(mat.shape, bool)
+        mask[:, 0] = np.signbit(v)
+        mask[:, 1:width] = whole[:, None] >= place[:-1]
+        rows.append(mat)
+        keep.append(mask)
+    return np.hstack(rows)[np.hstack(keep)].tobytes()
 
 
 def series_for(kind: ChartKind, ranked: RankedTestSet,

@@ -339,23 +339,33 @@ def _field_ends(block: bytes, d: str, width: int, limit: int
     a quote or NUL byte, a carriage return not directly before a newline, a
     non-blank line without exactly `width` fields, a line longer than
     `limit` bytes (the csv module's field size limit), or bytes that are
-    not UTF-8."""
+    not UTF-8.
+
+    Blank lines are found from the newline mask that the field ends need
+    anyway, and the block is rewritten only when it holds one; line lengths
+    are checked only in a block longer than `limit` + 1 bytes."""
     if b"\r" in block:
         # a CRLF line end reads as LF; the csv module also ends a line at
         # any other carriage return, so one left over sends the file to it
         block = block.replace(b"\r\n", b"\n")
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
-    if block.startswith(b"\n") or b"\n\n" in block:
-        block = _BLANK_LINE.sub(b"", block)
     view = np.frombuffer(block, dtype=np.uint8)
     newline = view == 10
+    # a blank line is a newline first or right after another; `[:1]`, as
+    # the block may be empty
+    if newline[:1].any() or (newline[1:] & newline[:-1]).any():
+        block = _BLANK_LINE.sub(b"", block)
+        view = np.frombuffer(block, dtype=np.uint8)
+        newline = view == 10
     ends = np.flatnonzero(newline | (view == ord(d)))  # field ends
-    # each line's last field end is its newline, and there are no others
+    # each line's last field end is its newline, and there are no others;
+    # no line is longer than its block
     line_ends = ends[width - 1::width]
     if len(ends) != width * np.count_nonzero(newline) \
             or not newline[line_ends].all() \
-            or (np.diff(line_ends, prepend=-1) > limit + 1).any():
+            or (len(block) > limit + 1
+                and (np.diff(line_ends, prepend=-1) > limit + 1).any()):
         return None
     try:
         if not block.isascii():

@@ -233,7 +233,7 @@ def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
     ids that merely share a hash pass.
     """
     try:
-        labels = np.array([r.label for r in records])
+        labels = _label_column([r.label for r in records])
         scores = np.frombuffer(array("d", [r.score for r in records]))
         # labels that are one-element sequences make a column of shape (n, 1)
         valid = (labels.shape == scores.shape and np.isfinite(scores).all()
@@ -247,6 +247,16 @@ def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
     if not valid:
         _first_fault(records)
     return scores, labels.astype(np.int64, copy=False)
+
+
+def _label_column(labels: list) -> np.ndarray:
+    """The labels as one array: read by `bytes` in one call where all are
+    ints or bools in 0..255, else by `np.array`, which infers a dtype value
+    by value (and may raise for a value no column holds)."""
+    try:
+        return np.frombuffer(bytes(labels), np.uint8)
+    except (TypeError, ValueError):  # not all ints, or not all in 0..255
+        return np.array(labels)
 
 
 def _any_equal(keys: np.ndarray) -> bool:

@@ -134,7 +134,7 @@ class TestPolylineTokens:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_kernel_values_in_small_chunks(self, monkeypatch, chunk):
-        monkeypatch.setattr(charts, "_CHUNK_POINTS", chunk, raising=False)
+        monkeypatch.setattr(charts, "_CHUNK_POINTS", chunk)
         values = _kernel_values()
         picked = np.random.default_rng(chunk).choice(len(values), 3000)
         values = np.concatenate([values[:40], values[picked]])
