@@ -226,7 +226,8 @@ def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
     order: the one check of a record set, which `rank_records` and the
     resampler's `run_plan` and `stratified_sample` share.
 
-    Each check is one pass over a whole column: the labels, the scores (read
+    Each check is one pass over a whole column: the labels (read by
+    `_label_column`, in one call where they are small ints), the scores (read
     by `array("d")`, which like `math.isfinite` and unlike numpy rejects
     strings), then, once both pass, the sorted hashes of the ids. When a
     pass fails, `_first_fault` names the first offending record; distinct

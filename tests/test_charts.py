@@ -116,6 +116,21 @@ def _kernel_values() -> np.ndarray:
     return np.concatenate([values, -values[:len(fixed)]])
 
 
+def _same_tokens(layout: ChartLayout, xs: np.ndarray, ys: np.ndarray):
+    """Assert that `layout.tokens` writes what `tokens_oracle` writes, and
+    name the first point that differs: pytest's diff of two long texts
+    takes minutes."""
+    px, py = layout.px(xs, ys)
+    got = layout.tokens(xs, ys)
+    want = tokens_oracle(px.tolist(), py.tolist())
+    if got != want:
+        first = next((point for point in zip(
+            got.split(" "), want.split(" "), px.tolist(), py.tolist())
+            if point[0] != point[1]), None)
+        pytest.fail(f"first differing point (got, want, x, y): {first}; "
+                    f"{len(got)} against {len(want)} characters")
+
+
 class TestPolylineTokens:
     """`ChartLayout.tokens` writes every pixel pair as `format` does with
     '{:.2f},{:.2f}', byte for byte, whatever the values."""
@@ -123,10 +138,8 @@ class TestPolylineTokens:
     layout = _PixelLayout(0.0, 1.0, 0.0, 1.0)
 
     def _check(self, px, py):
-        px = np.asarray(px, dtype=np.float64)
-        py = np.asarray(py, dtype=np.float64)
-        assert self.layout.tokens(px, py) == tokens_oracle(px.tolist(),
-                                                           py.tolist())
+        _same_tokens(self.layout, np.asarray(px, dtype=np.float64),
+                     np.asarray(py, dtype=np.float64))
 
     def test_kernel_values(self):
         values = _kernel_values()
@@ -165,10 +178,7 @@ class TestPolylineTokens:
             rng.integers(0, 2, 5000).tolist(), rng.normal(size=5000).tolist()))
         series = charts.series_for(kind, ranked)
         layout = layout_for(kind, [series])
-        xs, ys = series.x.floats(), series.y.floats()
-        px, py = layout.px(xs, ys)
-        assert layout.tokens(xs, ys) == tokens_oracle(px.tolist(),
-                                                      py.tolist())
+        _same_tokens(layout, series.x.floats(), series.y.floats())
 
 
 class TestBaseline:
