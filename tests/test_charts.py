@@ -176,7 +176,7 @@ class TestPolylineTokens:
         rng = np.random.default_rng(9)
         ranked = rank_records(records_from_labels(
             rng.integers(0, 2, 5000).tolist(), rng.normal(size=5000).tolist()))
-        series = charts.series_for(kind, ranked)
+        series = series_for(kind, ranked)
         layout = layout_for(kind, [series])
         _same_tokens(layout, series.x.floats(), series.y.floats())
 
