@@ -66,6 +66,19 @@ def gains_oracle(ranked: RankedTestSet, n: int) -> int | Fraction:
     return gains.numerator if gains.denominator == 1 else gains
 
 
+def tie_groups_oracle(ranked: RankedTestSet) -> list[tuple[int, int, int]]:
+    """(start, end, positives) of every run of equal scores in rank order,
+    by one walk over the `scores` and `labels` tuples."""
+    scores, labels = ranked.scores, ranked.labels
+    groups = []
+    start = 0
+    for end in range(1, len(scores) + 1):
+        if end == len(scores) or scores[end] != scores[start]:
+            groups.append((start, end, sum(labels[start:end])))
+            start = end
+    return groups
+
+
 def records_from_labels(labels, scores=None) -> list[ScoredRecord]:
     """Build records in the given order; default scores strictly decrease."""
     n = len(labels)
@@ -73,6 +86,27 @@ def records_from_labels(labels, scores=None) -> list[ScoredRecord]:
         scores = [float(n - i) for i in range(n)]
     return [ScoredRecord(id=f"r{i:04d}", score=float(s), label=int(y))
             for i, (y, s) in enumerate(zip(labels, scores))]
+
+
+# fixed small sets at the edges of the tie-group layout, as (labels, scores)
+EDGE_SETS = {
+    "one-positive-record": ([1], [0.5]),
+    "one-negative-record": ([0], [0.5]),
+    "two-tied": ([0, 1], [0.5, 0.5]),
+    "two-distinct": ([0, 1], [2.0, 1.0]),
+    "all-equal": ([0, 1, 1, 0, 1, 0, 0], [0.3] * 7),
+    "all-distinct": ([1, 0, 1, 1, 0, 0, 1, 0], [8.0, 7, 6, 5, 4, 3, 2, 1]),
+    "tied-first-group": ([0, 1, 1, 0, 1, 0], [5.0, 5, 5, 4, 3, 2]),
+    "tied-last-group": ([1, 0, 0, 1, 0, 1], [5.0, 4, 3, 3, 3, 3]),
+    "exactly-one-positive": ([0, 0, 1, 0, 0, 0], [3.0, 3, 2, 2, 1, 1]),
+    "exactly-one-negative": ([1, 1, 0, 1, 1], [2.0, 2, 2, 1, 1]),
+}
+
+
+def edge_records() -> list[list[ScoredRecord]]:
+    """The records of every set in `EDGE_SETS`."""
+    return [records_from_labels(labels, scores)
+            for labels, scores in EDGE_SETS.values()]
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 200,
@@ -360,7 +394,7 @@ def roc_points_oracle(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
     """One point per tie group, accumulated group by group."""
     points = [(Fraction(0), Fraction(0))]
     cum_pos = cum_neg = 0
-    for start, end, pos in ranked.tie_groups():
+    for start, end, pos in tie_groups_oracle(ranked):
         cum_pos += pos
         cum_neg += (end - start) - pos
         points.append((Fraction(cum_neg, ranked.n_neg),

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from gainslift import (TiePolicy, ValidationError, auc_pairs, auc_wilcoxon,
                        rank_records, roc_points)
 
-from helpers import (auc_pairs_matrix, brute_force_auc, random_instance,
-                     records_from_labels)
+from helpers import (auc_pairs_matrix, brute_force_auc, edge_records,
+                     random_instance, records_from_labels, tie_groups_oracle)
 
 
 class TestAucGolden:
@@ -40,12 +41,19 @@ class TestAucGolden:
 
 class TestAucAgreement:
     def test_formulas_agree_against_oracle(self):
+        """Random sets, after the fixed `EDGE_SETS` that hold both classes;
+        the tie groups, which the rank-sum formula reads, under every
+        policy too."""
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            ranked = rank_records(random_instance(rng, max_n=60))
-            expected = brute_force_auc(ranked)
-            assert auc_pairs(ranked) == expected
-            assert auc_wilcoxon(ranked) == expected
+        draws = (random_instance(rng, max_n=60) for _ in range(100))
+        for records in chain(edge_records(), draws):
+            for policy in TiePolicy:
+                ranked = rank_records(records, policy)
+                assert list(ranked.tie_groups()) == tie_groups_oracle(ranked)
+            if ranked.n_pos and ranked.n_neg:
+                expected = brute_force_auc(ranked)
+                assert auc_pairs(ranked) == expected
+                assert auc_wilcoxon(ranked) == expected
 
     def test_value_ignores_tie_policy(self):
         rng = np.random.default_rng(43)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gainslift.metrics import (MAX_PLACES, _lowest_terms, _product, _sum,
                                cutoff_for)
 
 from helpers import (benefit_series_oracle, curves_csv_oracle,
-                     curves_json_oracle, gains_series_oracle,
+                     curves_json_oracle, edge_records, gains_series_oracle,
                      lift_series_oracle, prefix_gains, random_instance,
                      records_from_labels, roc_points_oracle)
 
@@ -355,19 +356,24 @@ class TestSeriesKernelsAgainstOracles:
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_random_tied_inputs(self, policy):
+        """Random tied sets, after the fixed `EDGE_SETS`; each kernel runs
+        where its measure is defined (lift needs a positive, ROC both
+        classes)."""
         rng = np.random.default_rng(2024)
-        for _ in range(60):
-            ranked = rank_records(random_instance(rng, max_n=80, tie_prob=0.5),
-                                  policy)
-            pairs = [
-                (gains_series(ranked), gains_series_oracle(ranked)),
-                (gains_series(ranked, fraction=True),
-                 gains_series_oracle(ranked, fraction=True)),
-                (lift_series(ranked), lift_series_oracle(ranked)),
-                (lift_series(ranked, fraction=False),
-                 lift_series_oracle(ranked, fraction=False)),
-                (roc_points(ranked), roc_points_oracle(ranked)),
-            ]
+        draws = (random_instance(rng, max_n=80, tie_prob=0.5)
+                 for _ in range(60))
+        for records in chain(edge_records(), draws):
+            ranked = rank_records(records, policy)
+            pairs = [(gains_series(ranked), gains_series_oracle(ranked))]
+            if ranked.n_pos:
+                pairs += [
+                    (gains_series(ranked, fraction=True),
+                     gains_series_oracle(ranked, fraction=True)),
+                    (lift_series(ranked), lift_series_oracle(ranked)),
+                    (lift_series(ranked, fraction=False),
+                     lift_series_oracle(ranked, fraction=False))]
+            if ranked.n_pos and ranked.n_neg:
+                pairs.append((roc_points(ranked), roc_points_oracle(ranked)))
             for fast, slow in pairs:
                 assert fast.points == slow.points
                 assert all(type(v) is Fraction for p in fast.points for v in p)
@@ -377,27 +383,36 @@ class TestSeriesKernelsAgainstOracles:
                         == curves_csv_oracle([slow]))
 
     # costs whose exact ratios pass int64 (1e-300 has a 2**1049 denominator,
-    # 1e300 a 997-bit numerator), zero costs, and the usual float and
-    # integer ones
+    # 1e300 a 997-bit numerator, 5e-324 a 2**1074 one, so that the
+    # denominator b*d is a Python int past int64), zero costs, and the usual
+    # float and integer ones
     BENEFIT_COSTS = [(10, -1), (0.1, -0.3), (1, -0.2), (5.0, -1.0),
-                     (1e-300, -7.5), (1e300, 3), (0, 0), (-2.5, 0.125)]
+                     (1e-300, -7.5), (1e300, 3), (0, 0), (-2.5, 0.125),
+                     (5e-324, -1e308), (1e308, -1e308)]
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_benefit_random_tied_inputs(self, policy):
         rng = np.random.default_rng(2025)
-        for _ in range(40):
-            ranked = rank_records(random_instance(rng, max_n=60, tie_prob=0.5),
-                                  policy)
+        draws = (random_instance(rng, max_n=60, tie_prob=0.5)
+                 for _ in range(40))
+        for records in chain(edge_records(), draws):
+            ranked = rank_records(records, policy)
             for q_tp, q_fp in self.BENEFIT_COSTS:
                 costs = CostSpec(q_tp=q_tp, q_fp=q_fp)
                 fast = benefit_series(ranked, costs)
                 slow = benefit_series_oracle(ranked, costs)
                 assert fast == slow
                 assert fast.points == slow.points
-                assert (emit_curves([fast], format="json")
-                        == curves_json_oracle([slow]))
-                assert (emit_curves([fast], format="csv")
-                        == curves_csv_oracle([slow]))
+                for format, oracle in (("json", curves_json_oracle),
+                                       ("csv", curves_csv_oracle)):
+                    try:
+                        want = oracle([slow])
+                    except OverflowError:  # a value past the float range
+                        with pytest.raises(ValidationError,
+                                           match="beyond the float range"):
+                            emit_curves([fast], format=format)
+                    else:
+                        assert emit_curves([fast], format=format) == want
 
     def test_expected_lift_beyond_float_precision(self):
         # 180,001 untied positives ahead of one tie group of 180,007 (a
