@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def _unreadable_named(file: ScoredFile):
 def _read_csv(file: ScoredFile, keep_ids: bool
               ) -> tuple[list | bytes | None, Sequence[float], Sequence[int]]:
     """Ids, scores and labels of the data rows: as the block route converts
-    them (see `_Converted`), or else, where that route turns the file down,
+    them (see `_plain_texts`), or else, where that route turns the file down,
     from the texts the csv module reads from the file's start, each
     converted as a whole column; when a column check fails, `_scan_rows`
     names the first fault."""
@@ -247,23 +247,16 @@ _BLANK_LINE = re.compile(rb"(?m)^\n")
 _KEY_STEP = np.uint64(0x9E3779B97F4A7C15)
 
 
-class _Converted(NamedTuple):
-    """The columns the block route converts: the id fields' bytes, each
-    followed by a newline (None without an id column or where the ids are
-    not wanted), float64 scores and int64 labels."""
-
-    ids: bytes | None
-    scores: np.ndarray
-    labels: np.ndarray
-
-
-def _plain_texts(raw, file: ScoredFile, keep_ids: bool) -> _Converted | None:
-    """The file's columns, read from whole blocks of lines without
-    tokenizing each field; None where the bytes show that a csv rule may
-    apply (see `_field_ends`), where the header lacks a column (the csv
-    module names it, after reading what it reads first), or where a value
-    fails a check. The caller then reads the file again from its start
-    through the csv module.
+def _plain_texts(raw, file: ScoredFile, keep_ids: bool
+                 ) -> tuple[bytes | None, np.ndarray, np.ndarray] | None:
+    """The file's columns (ids, scores, labels), read from whole blocks of
+    lines without tokenizing each field: the id fields' bytes, each followed
+    by a newline (None without an id column or where the ids are not
+    wanted), float64 scores and int64 labels. None where the bytes show
+    that a csv rule may apply (see `_field_ends`), where the header lacks a
+    column (the csv module names it, after reading what it reads first), or
+    where a value fails a check. The caller then reads the file again from
+    its start through the csv module.
 
     Each block's labels and scores are converted, and its ids turned into
     64-bit keys, before the next block is read (`_block_columns`); the keys
@@ -304,9 +297,8 @@ def _plain_texts(raw, file: ScoredFile, keep_ids: bool) -> _Converted | None:
     labels, scores, keys, ids = zip(*parts)
     if keys[0] is not None and _any_equal(np.concatenate(keys)):
         return None
-    return _Converted(None if ids[0] is None else b"".join(ids),
-                      np.concatenate(scores),
-                      np.concatenate(labels).astype(np.int64))
+    return (None if ids[0] is None else b"".join(ids), np.concatenate(scores),
+            np.concatenate(labels).astype(np.int64))
 
 
 def _line_blocks(raw, limit: int):
