@@ -188,16 +188,18 @@ def dominance(run_a: ClassifierRun, run_b: ClassifierRun) -> DominanceReport:
 
     The runs share one label multiset, so at every cutoff n their lifts
     share the factor N / (n * positives) and lift_a > lift_b exactly when
-    gains_a > gains_b. The exact gains of both runs are compared as integer
-    arrays by cross-multiplying numerators and denominators.
+    gains_a > gains_b. The exact gains of both runs at n = 1..N, one
+    `_gains_at` call each, are compared by cross-multiplying numerators and
+    denominators.
     """
     _check_shared_labels([run_a, run_b])
     if run_a.ranked.n_pos == 0:
         raise ValidationError("lift undefined: the set has no positives")
-    num_a, den_a = run_a.ranked.gains_arrays()
-    num_b, den_b = run_b.ranked.gains_arrays()
-    lhs = (num_a * den_b)[1:]
-    rhs = (num_b * den_a)[1:]
+    counts = np.arange(1, run_a.ranked.n_total + 1, dtype=np.int64)
+    num_a, den_a = run_a.ranked._gains_at(counts)
+    num_b, den_b = run_b.ranked._gains_at(counts)
+    lhs = num_a * den_b
+    rhs = num_b * den_a
     a_above = np.flatnonzero(lhs > rhs) + 1
     b_above = np.flatnonzero(rhs > lhs) + 1
     if a_above.size and not b_above.size:

@@ -87,9 +87,10 @@ def _sum(a, b) -> np.ndarray:
     return np.add(a, b)
 
 
-def _lowest_terms(num: np.ndarray, den: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """num / den with each pair divided by its gcd (den > 0)."""
+def _lowest_terms(num: np.ndarray, den) -> tuple[np.ndarray, np.ndarray]:
+    """num / den with each pair divided by its gcd (den > 0), where `den` is
+    a column or one integer for all (past int64, it takes the object route)."""
+    den = np.asarray(den)
     if num.dtype == object or den.dtype == object:
         num, den = num.astype(object), den.astype(object)
     common = np.gcd(num, den)
@@ -392,19 +393,18 @@ def _require_both_classes(ranked: RankedTestSet, what: str) -> None:
 
 
 def roc_points(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
-    """ROC curve points with one cutoff per distinct score.
+    """ROC curve points at the tie-group bounds: one cutoff per distinct score.
 
     A tie group advances as a single step, so the curve is invariant to the
     tie policy. Starts at (0,0); the final cutoff is always (1,1).
     """
     _require_both_classes(ranked, "ROC")
-    ends = np.append(0, ranked._group_ends)
-    cum_pos = ranked._gains_at(ends)[0]  # whole at a group end, any policy
-    cum_neg = ends - cum_pos
+    bounds = ranked._group_bounds
+    cum_pos = ranked._gains_at(bounds)[0]  # whole at a bound, any policy
+    cum_neg = bounds - cum_pos
     return CurveSeries.from_columns(
-        name, XKind.FPR,
-        _lowest_terms(cum_neg, np.full_like(ends, ranked.n_neg)),
-        _lowest_terms(cum_pos, np.full_like(ends, ranked.n_pos)))
+        name, XKind.FPR, _lowest_terms(cum_neg, ranked.n_neg),
+        _lowest_terms(cum_pos, ranked.n_pos))
 
 
 def auc_pairs(ranked: RankedTestSet) -> Fraction:
@@ -439,9 +439,9 @@ def auc_wilcoxon(ranked: RankedTestSet) -> Fraction:
     (ROC) curve", Radiology 143(1), 1982).
     """
     _require_both_classes(ranked, "AUC")
-    ends = ranked._group_ends
-    sizes = np.diff(ends, prepend=0)
-    below = ranked.n_total - ends  # records with strictly lower score
+    bounds = ranked._group_bounds
+    sizes = np.diff(bounds)
+    below = ranked.n_total - bounds[1:]  # records with strictly lower score
     doubled_rank_sum = int((ranked._group_pos * (2 * below + sizes + 1)).sum())
     doubled_u = doubled_rank_sum - ranked.n_pos * (ranked.n_pos + 1)
     return Fraction(doubled_u, 2 * ranked.n_pos * ranked.n_neg)
@@ -456,13 +456,13 @@ def gains_series(ranked: RankedTestSet, fraction: bool = False,
     """Cumulative gains per cutoff: (n, gains) or (n/N, gains/positives)."""
     if fraction and ranked.n_pos == 0:
         raise ValidationError("fractional gains undefined: no positives")
-    num, den = ranked.gains_arrays()
-    num, den = num[1:], den[1:]
+    counts = np.arange(1, ranked.n_total + 1, dtype=np.int64)
+    num, den = ranked._gains_at(counts)
     gains = (_lowest_terms(num, _product(den, ranked.n_pos)) if fraction
-             else (num, den))
+             else (num, np.broadcast_to(den, num.shape)))
     kind = XKind.FRACTION if fraction else XKind.COUNT
-    return CurveSeries.from_columns(name, kind,
-                                    _cutoff_axis(ranked.n_total, fraction), gains)
+    return CurveSeries.from_columns(
+        name, kind, _cutoff_axis(counts, ranked.n_total, fraction), gains)
 
 
 def lift_series(ranked: RankedTestSet, fraction: bool = True,
@@ -470,21 +470,20 @@ def lift_series(ranked: RankedTestSet, fraction: bool = True,
     """Lift per cutoff n = 1..N against n or n/N: gains * N / (n * P)."""
     if ranked.n_pos == 0:
         raise ValidationError("lift undefined: the set has no positives")
-    num, den = ranked.gains_arrays()
     counts = np.arange(1, ranked.n_total + 1, dtype=np.int64)
-    lifts = _lowest_terms(
-        _product(num[1:], ranked.n_total),
-        _product(_product(den[1:], counts), ranked.n_pos))
+    num, den = ranked._gains_at(counts)
+    lifts = _lowest_terms(_product(num, ranked.n_total),
+                          _product(_product(den, counts), ranked.n_pos))
     kind = XKind.FRACTION if fraction else XKind.COUNT
-    return CurveSeries.from_columns(name, kind,
-                                    _cutoff_axis(ranked.n_total, fraction), lifts)
+    return CurveSeries.from_columns(
+        name, kind, _cutoff_axis(counts, ranked.n_total, fraction), lifts)
 
 
-def _cutoff_axis(n_total: int, fraction: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The x column of cutoffs n = 1..N: n, or n/N in lowest terms."""
-    counts = np.arange(1, n_total + 1, dtype=np.int64)
+def _cutoff_axis(counts: np.ndarray, n_total: int, fraction: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The x column of `counts` (n = 1..N): n, or n/N in lowest terms."""
     if fraction:
-        return _lowest_terms(counts, np.full_like(counts, n_total))
+        return _lowest_terms(counts, n_total)
     return counts, np.ones_like(counts)
 
 
@@ -496,13 +495,14 @@ def benefit_series(ranked: RankedTestSet, costs: CostSpec,
     tnum/tden, (tnum*a*d + (n*tden - tnum)*c*b) / (tden*b*d)."""
     a, b = Fraction(costs.q_tp).as_integer_ratio()
     c, d = Fraction(costs.q_fp).as_integer_ratio()
-    num, den = ranked.gains_arrays()
-    num, den = num[1:], den[1:]
-    counts = _cutoff_axis(ranked.n_total, False)
-    misses = _product(counts[0], den) - num  # false positives, over den
+    counts = np.arange(1, ranked.n_total + 1, dtype=np.int64)
+    num, den = ranked._gains_at(counts)
+    misses = _product(counts, den) - num  # false positives, over den
     benefit = _lowest_terms(_sum(_product(num, a * d), _product(misses, c * b)),
                             _product(den, b * d))
-    return CurveSeries.from_columns(name, XKind.COUNT, counts, benefit)
+    return CurveSeries.from_columns(name, XKind.COUNT,
+                                    _cutoff_axis(counts, ranked.n_total, False),
+                                    benefit)
 
 
 def decile_series(ranked: RankedTestSet, name: str = "decile-lift") -> CurveSeries:

@@ -55,9 +55,10 @@ class RankedTestSet:
 
     The set is held as columns in rank order: `ids` (an object array of the
     record ids), float64 scores and int64 labels, the int64 prefix positive
-    counts, and the exclusive end rank and positive count of every
-    equal-score group. A set built without its ids (the command line ranks
-    most files so) refuses to give them out: `ids` and `records` raise.
+    counts, the bounds of the equal-score groups (the rank where each
+    starts, then N) and each group's positive count. A set built without
+    its ids (the command line ranks most files so) refuses to give them
+    out: `ids` and `records` raise.
     Instances are immutable after construction (every array is read-only);
     they may be shared across threads freely. Build one with
     :func:`rank_records`. Single-cutoff queries return Python ints and
@@ -65,17 +66,17 @@ class RankedTestSet:
     """
 
     __slots__ = ("_ids", "tie_policy", "n_total", "n_pos", "n_neg", "_scores",
-                 "_labels", "_prefix_pos", "_group_ends", "_group_pos",
+                 "_labels", "_prefix_pos", "_group_bounds", "_group_pos",
                  "_records")
 
     def __init__(self, ids: np.ndarray | None, scores: np.ndarray,
                  labels: np.ndarray, tie_policy: TiePolicy):
         prefix = np.zeros(len(labels) + 1, dtype=np.int64)
         np.cumsum(labels, out=prefix[1:])
-        # tie groups: a new group starts wherever the score changes; each
-        # column is built in place, so that 10**6 rows hold few temporaries
-        ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
-        ends += 1
+        # tie groups: a new group starts at rank 0 and wherever the score
+        # changes; group k holds ranks bounds[k] to bounds[k + 1] - 1
+        bounds = np.flatnonzero(np.concatenate(
+            ([True], scores[1:] != scores[:-1], [True])))
         self._ids = ids
         self.tie_policy = tie_policy
         self.n_total = len(labels)
@@ -84,10 +85,9 @@ class RankedTestSet:
         self._scores = scores
         self._labels = labels
         self._prefix_pos = prefix
-        self._group_ends = ends
-        self._group_pos = prefix[ends]
-        self._group_pos[1:] -= self._group_pos[:-1].copy()
-        for column in (scores, labels, prefix, ends, self._group_pos):
+        self._group_bounds = bounds
+        self._group_pos = np.diff(prefix[bounds])
+        for column in (scores, labels, prefix, bounds, self._group_pos):
             column.flags.writeable = False
         if ids is not None:
             ids.flags.writeable = False
@@ -140,18 +140,19 @@ class RankedTestSet:
         return n, int(num) if den == 1 else Fraction(int(num), int(den))
 
     def gains_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gains at every cutoff n = 0..N as int64 arrays `num`, `den`
-        in lowest terms: num[n] / den[n] == positives_in_prefix(n). Under
-        the input and id policies `num` is the read-only prefix column."""
-        if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
-            return self._prefix_pos, np.ones_like(self._prefix_pos)
-        return self._gains_at(np.arange(self.n_total + 1))
+        """Exact gains at every cutoff n = 0..N as read-only int64 arrays
+        `num`, `den` in lowest terms: num[n] / den[n] ==
+        positives_in_prefix(n). Each call reads `_gains_at` afresh."""
+        num, den = self._gains_at(np.arange(self.n_total + 1))
+        num.flags.writeable = False
+        return num, np.broadcast_to(den, num.shape)
 
     def _gains_at(self, cutoffs: int | np.ndarray):
         """Exact gains at one cutoff or an int array of cutoffs in [0, N],
         in any order and with repeats, as int64 `num`, `den` in lowest terms
         (numpy integers for one cutoff): the one kernel of every gains
-        query. They are the prefix counts, with `den` the int 1 (no column),
+        query, and with `_group_bounds` the one reader of how gains are laid
+        out. They are the prefix counts, with `den` the int 1 (no column),
         except that under the expected-value policy a cutoff n in the tie
         group of ranks s+1..s+g, with q positives, gets
         (prefix[s] * g + q * (n - s)) / g. Every value stays below N**2, far
@@ -159,19 +160,20 @@ class RankedTestSet:
         prefix = self._prefix_pos
         if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
             return prefix[cutoffs], 1
-        ends = self._group_ends
-        # the group of rank n is the first to end at or past n
-        group = np.searchsorted(ends, cutoffs)
-        start = np.where(group > 0, ends[group - 1], 0)
-        size = ends[group] - start
+        bounds = self._group_bounds
+        # the group of rank n is the first to end at or past n (group 0 for
+        # the cutoff 0)
+        group = np.searchsorted(bounds[1:], cutoffs)
+        start = bounds[group]
+        size = bounds[group + 1] - start
         num = prefix[start] * size + self._group_pos[group] * (cutoffs - start)
         common = np.gcd(num, size)
         return num // common, size // common
 
     def tie_groups(self) -> Iterable[tuple[int, int, int]]:
         """Yield (start, end, positives) per equal-score group, rank order."""
-        ends = self._group_ends.tolist()
-        return zip([0] + ends[:-1], ends, self._group_pos.tolist())
+        bounds = self._group_bounds.tolist()
+        return zip(bounds[:-1], bounds[1:], self._group_pos.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RankedTestSet(n={self.n_total}, pos={self.n_pos}, "

@@ -171,7 +171,8 @@ class TestGainsArrays:
                                   policy)
             num, den = ranked.gains_arrays()
             assert num.dtype == den.dtype == np.int64
-            assert len(num) == len(den) == ranked.n_total + 1
+            assert num.shape == den.shape == (ranked.n_total + 1,)
+            assert not num.flags.writeable and not den.flags.writeable
             for n in range(ranked.n_total + 1):
                 assert Fraction(int(num[n]), int(den[n])) == \
                     ranked.positives_in_prefix(n)
@@ -474,7 +475,7 @@ def _line_ids(rng: np.random.Generator, shape: str, n: int) -> list[str]:
     return [texts[i] for i in rng.permutation(n)]
 
 
-_COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_ends",
+_COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_bounds",
             "_group_pos")
 
 
