@@ -89,9 +89,11 @@ def _sum(a, b) -> np.ndarray:
 
 def _lowest_terms(num: np.ndarray, den) -> tuple[np.ndarray, np.ndarray]:
     """num / den with each pair divided by its gcd (den > 0), where `den` is
-    a column or one integer for all (past int64, it takes the object route)."""
+    a column or one integer for all. Any den that is not int64 (an object
+    column, or one integer past 2**63 - 1, which numpy reads as uint64 or
+    object) sends both to the object route."""
     den = np.asarray(den)
-    if num.dtype == object or den.dtype == object:
+    if num.dtype == object or den.dtype != np.int64:
         num, den = num.astype(object), den.astype(object)
     common = np.gcd(num, den)
     return num // common, den // common
@@ -462,7 +464,7 @@ def gains_series(ranked: RankedTestSet, fraction: bool = False,
              else (num, np.broadcast_to(den, num.shape)))
     kind = XKind.FRACTION if fraction else XKind.COUNT
     return CurveSeries.from_columns(
-        name, kind, _cutoff_axis(counts, ranked.n_total, fraction), gains)
+        name, kind, _cutoff_axis(counts, fraction), gains)
 
 
 def lift_series(ranked: RankedTestSet, fraction: bool = True,
@@ -476,14 +478,14 @@ def lift_series(ranked: RankedTestSet, fraction: bool = True,
                           _product(_product(den, counts), ranked.n_pos))
     kind = XKind.FRACTION if fraction else XKind.COUNT
     return CurveSeries.from_columns(
-        name, kind, _cutoff_axis(counts, ranked.n_total, fraction), lifts)
+        name, kind, _cutoff_axis(counts, fraction), lifts)
 
 
-def _cutoff_axis(counts: np.ndarray, n_total: int, fraction: bool
+def _cutoff_axis(counts: np.ndarray, fraction: bool
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The x column of `counts` (n = 1..N): n, or n/N in lowest terms."""
     if fraction:
-        return _lowest_terms(counts, n_total)
+        return _lowest_terms(counts, len(counts))
     return counts, np.ones_like(counts)
 
 
@@ -501,8 +503,7 @@ def benefit_series(ranked: RankedTestSet, costs: CostSpec,
     benefit = _lowest_terms(_sum(_product(num, a * d), _product(misses, c * b)),
                             _product(den, b * d))
     return CurveSeries.from_columns(name, XKind.COUNT,
-                                    _cutoff_axis(counts, ranked.n_total, False),
-                                    benefit)
+                                    _cutoff_axis(counts, False), benefit)
 
 
 def decile_series(ranked: RankedTestSet, name: str = "decile-lift") -> CurveSeries:

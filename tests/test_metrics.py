@@ -384,11 +384,13 @@ class TestSeriesKernelsAgainstOracles:
 
     # costs whose exact ratios pass int64 (1e-300 has a 2**1049 denominator,
     # 1e300 a 997-bit numerator, 5e-324 a 2**1074 one, so that the
-    # denominator b*d is a Python int past int64), zero costs, and the usual
-    # float and integer ones
+    # denominator b*d is a Python int past int64; 2**-63, and 2**-40 with
+    # 2**-23, make b*d exactly 2**63, which numpy reads as uint64), zero
+    # costs, and the usual float and integer ones
     BENEFIT_COSTS = [(10, -1), (0.1, -0.3), (1, -0.2), (5.0, -1.0),
                      (1e-300, -7.5), (1e300, 3), (0, 0), (-2.5, 0.125),
-                     (5e-324, -1e308), (1e308, -1e308)]
+                     (5e-324, -1e308), (1e308, -1e308),
+                     (2**-63, 0), (0, 2**-63), (2**-40, 2**-23)]
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_benefit_random_tied_inputs(self, policy):
