@@ -30,6 +30,15 @@ class TestSvgStructure:
         assert root.tag == f"{SVG_NS}svg"
         assert root.get("viewBox") == "0 0 640 480"
 
+    def test_flat_axis_has_one_tick(self):
+        # a set with no positives has gains 0 at every cutoff
+        ranked = rank_records(records_from_labels([0, 0, 0]))
+        svg = render_chart(ChartSpec(kind=ChartKind.GAINS_COUNT),
+                           [gains_series(ranked)])
+        y_ticks = [el.text for el in svg_root(svg).iter(f"{SVG_NS}text")
+                   if el.get("text-anchor") == "end"]
+        assert y_ticks == ["0"]
+
     def test_title_present(self, example24):
         svg = render_chart(
             ChartSpec(kind=ChartKind.LIFT, title="lift & gains"),
@@ -226,3 +235,10 @@ class TestCompatibility:
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError, match="no series"):
             render_chart(ChartSpec(kind=ChartKind.LIFT), [])
+
+    def test_decile_chart_needs_ten_points(self, example24):
+        with pytest.raises(ValidationError) as info:
+            render_chart(ChartSpec(kind=ChartKind.DECILE_LIFT),
+                         [gains_series(example24)])
+        assert str(info.value) == ("decile chart expects 10 points, "
+                                   "series 'gains' has 24")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -242,6 +243,27 @@ class TestFindDisagreement:
         report = find_disagreement("auc", "lift@6", 10, 5)
         assert report is not None
         assert report.certify()
+
+    def test_certify_rejects_a_tampered_value(self):
+        report = find_disagreement("auc", "lift@6", 10, 5)
+        one = Fraction(1, 7)  # moves both values of a metric, keeps the order
+        for fields in (("value_a_x", "value_a_y"), ("value_b_x", "value_b_y")):
+            tampered = dataclasses.replace(report, **{
+                name: getattr(report, name) + one for name in fields})
+            assert not tampered.certify()
+
+    def test_report_needs_opposite_preferences(self):
+        with pytest.raises(ValidationError) as info:
+            DisagreementReport(Metric("auc"), Metric("lift", 1), (1, 0),
+                               (0, 1), Fraction(1), Fraction(0), Fraction(2),
+                               Fraction(0), True)
+        assert str(info.value) == (
+            "not a disagreement: both metrics prefer the same ranking")
+
+    def test_evaluate_metric_rejects_an_unknown_kind(self, example24):
+        with pytest.raises(ValidationError) as info:
+            evaluate_metric(Metric("gini", 3), example24)
+        assert str(info.value) == "unknown metric kind 'gini'"
 
     def test_example24_pair_is_a_disagreement(self, example24, perturbed24):
         # higher AUC yet lower lift at n=6: exactly the certified pattern

@@ -198,6 +198,26 @@ class TestEmitCurves:
         with pytest.raises(ValidationError, match="no series"):
             emit_curves([], format="csv")
 
+    def test_unknown_format_rejected(self, example24):
+        for call in (lambda: emit_curves([gains_series(example24)], "xml"),
+                     lambda: parse_curves("series,x_kind,x,y\r\n", "xml")):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == "unknown curve format 'xml'"
+
+    def test_csv_header_checked(self):
+        with pytest.raises(ValidationError) as info:
+            parse_curves("name,kind,x,y\r\n1,2,3,4\r\n", format="csv")
+        assert str(info.value) == (
+            "unexpected curve header ['name', 'kind', 'x', 'y']")
+
+    def test_csv_blank_rows_skipped(self, example24):
+        series = [gains_series(example24, fraction=True),
+                  roc_points(example24)]
+        text = emit_curves(series, format="csv").replace("\r\n", "\r\n\r\n")
+        again = parse_curves(text, format="csv")
+        assert [s.as_floats() for s in again] == [s.as_floats() for s in series]
+
     def test_json_round_trip_is_exact(self, example24):
         series = [gains_series(example24, fraction=True),
                   roc_points(example24)]

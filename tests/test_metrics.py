@@ -9,7 +9,8 @@ from gainslift import (ClassifierRun, CostSpec, CurveSeries, RankedTestSet,
                        accuracy_at, benefit_series, compare_at, cum_benefit,
                        cum_gains, decile_lift, emit_curves, example24_records,
                        gains_series, lift, lift_series, n_confusion_matrix,
-                       p_cum_gains, random_targeting_rate, rank_records,
+                       p_cum_gains, random_targeting_rate,
+                       random_targeting_series, rank_records,
                        records, render_decimal, render_exact, roc_points)
 from gainslift.metrics import (MAX_PLACES, _lowest_terms, _product, _sum,
                                cutoff_for)
@@ -315,6 +316,13 @@ class TestSeries:
 
     def test_baseline_rate(self, example24):
         assert random_targeting_rate(example24) == Fraction(1, 2)
+
+    def test_random_targeting_series(self, example24):
+        count = random_targeting_series(example24, XKind.COUNT)
+        frac = random_targeting_series(example24, XKind.FRACTION)
+        assert (count.x_kind, frac.x_kind) == (XKind.COUNT, XKind.FRACTION)
+        assert count.points == ((0, 0), (24, 12))
+        assert frac.points == ((0, 0), (1, 1))
 
 
 class TestRendering:

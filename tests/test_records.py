@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -6,15 +7,17 @@ import numpy as np
 import pytest
 
 from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ResamplePlan,
-                       ScoredRecord, TiePolicy, ValidationError,
-                       example24_records, load_scored, rank_records, run_plan)
+                       ScoredRecord, SwapSpec, TiePolicy, ValidationError,
+                       apply_swaps, auc_pairs, auc_wilcoxon, example24_records,
+                       load_scored, rank_records, roc_points, run_plan)
 import gainslift.io as gio
 from gainslift.io import _load_columns
 from gainslift.records import (_columns, _first_fault, _rank_columns,
                                _rank_order, _rows_by_id)
 
-from helpers import (gains_oracle, random_instance, rank_order_oracle,
-                     records_from_labels, stable_order_oracle)
+from helpers import (brute_force_auc, gains_oracle, random_instance,
+                     rank_order_oracle, records_from_labels, roc_points_oracle,
+                     stable_order_oracle, tie_groups_oracle)
 
 
 def make(scores, labels):
@@ -183,6 +186,58 @@ class TestGainsArrays:
         num, den = rank_records(records, TiePolicy.EXPECTED_VALUE).gains_arrays()
         assert num.tolist() == [0, 1, 3, 2, 5, 3, 3]
         assert den.tolist() == [1, 1, 2, 1, 2, 1, 1]
+
+
+class TestSmallWorld:
+    """Every label sequence of N <= MAX_N records and every split of its
+    ranks into consecutive tie groups, under every policy, against the
+    plain oracles. The ids descend with the row, so the id policy reverses
+    each group's input order."""
+
+    MAX_N = 6
+
+    @staticmethod
+    def _worlds():
+        for n in range(1, TestSmallWorld.MAX_N + 1):
+            for cuts in itertools.product((False, True), repeat=n - 1):
+                # a tie group ends after rank i + 1 wherever cuts[i] holds
+                group = list(itertools.accumulate((0,) + cuts))
+                sizes = [group.count(g) for g in range(group[-1] + 1)]
+                for labels in itertools.product((0, 1), repeat=n):
+                    yield labels, group, sizes
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_every_small_set(self, policy):
+        for labels, group, sizes in self._worlds():
+            n = len(labels)
+            records = [ScoredRecord(f"r{n - i}", float(-g), y)
+                       for i, (g, y) in enumerate(zip(group, labels))]
+            want = list(labels)
+            if policy is TiePolicy.ID_ORDER:
+                start = 0
+                for size in sizes:
+                    want[start:start + size] = want[start:start + size][::-1]
+                    start += size
+            want = tuple(want)
+            ranked = rank_records(records, policy)
+            assert ranked.labels == want
+            assert tuple(r.label for r in ranked.records) == want
+            assert list(ranked.tie_groups()) == tie_groups_oracle(ranked)
+            gains = [gains_oracle(ranked, k) for k in range(n + 1)]
+            num, den = ranked._gains_at(np.arange(n + 1))
+            den = np.broadcast_to(den, num.shape)
+            assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == gains
+            assert [ranked.positives_in_prefix(k)
+                    for k in range(n + 1)] == gains
+            if 0 < ranked.n_pos < n:
+                auc = brute_force_auc(ranked)
+                assert auc_pairs(ranked) == auc_wilcoxon(ranked) == auc
+                assert roc_points(ranked).points == \
+                    roc_points_oracle(ranked).points
+            if n > 1:
+                swapped = apply_swaps(ranked, SwapSpec(pairs=((1, n),)))
+                assert swapped.labels == (want[-1],) + want[1:-1] + (want[0],)
+                assert list(swapped.tie_groups()) == tie_groups_oracle(swapped)
 
 
 class TestColumnarRankedSet:

@@ -63,6 +63,13 @@ class TestStratifiedSample:
         with pytest.raises(InfeasibleError, match="positives"):
             stratified_sample(pool, rate=0.5, size=20, seed=1)
 
+    def test_size_below_one_rejected(self):
+        pool = records_from_labels([1] * 3 + [0] * 50)
+        for size in (0, -1):
+            with pytest.raises(ValidationError) as info:
+                stratified_sample(pool, 0.5, size, seed=1)
+            assert str(info.value) == "sample size must be positive"
+
 
 class TestPlanValidation:
     def test_rejects_empty_rates(self):
