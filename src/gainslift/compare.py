@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExhaustedError, ValidationError
-from .metrics import auc_pairs, lift
+from .metrics import _product, auc_pairs, lift
 from .records import (RankedTestSet, ScoredRecord, _integer_cutoff,
                       rank_records)
 
@@ -190,7 +190,8 @@ def dominance(run_a: ClassifierRun, run_b: ClassifierRun) -> DominanceReport:
     share the factor N / (n * positives) and lift_a > lift_b exactly when
     gains_a > gains_b. The exact gains of both runs at n = 1..N, one
     `_gains_at` call each, are compared by cross-multiplying numerators and
-    denominators.
+    denominators; the products are exact (`_product`), never wrapped past
+    int64.
     """
     _check_shared_labels([run_a, run_b])
     if run_a.ranked.n_pos == 0:
@@ -198,8 +199,8 @@ def dominance(run_a: ClassifierRun, run_b: ClassifierRun) -> DominanceReport:
     counts = np.arange(1, run_a.ranked.n_total + 1, dtype=np.int64)
     num_a, den_a = run_a.ranked._gains_at(counts)
     num_b, den_b = run_b.ranked._gains_at(counts)
-    lhs = num_a * den_b
-    rhs = num_b * den_a
+    lhs = _product(num_a, den_b)
+    rhs = _product(num_b, den_a)
     a_above = np.flatnonzero(lhs > rhs) + 1
     b_above = np.flatnonzero(rhs > lhs) + 1
     if a_above.size and not b_above.size:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gainslift import (BudgetExhaustedError, ClassifierRun, DominanceVerdict,
-                       Metric, ScoredRecord, SwapSpec, TiePolicy,
+                       Metric, RankedTestSet, ScoredRecord, SwapSpec, TiePolicy,
                        ValidationError, accuracy_at, apply_swaps, auc_pairs,
                        compare_at, cum_gains, dominance, find_disagreement,
                        lift, parse_metric, rank_records)
@@ -364,6 +364,24 @@ class TestDominanceAgainstOracle:
         ranked = rank_records(records_from_labels([0, 0, 0]))
         with pytest.raises(ValidationError, match="no positives"):
             dominance(ClassifierRun("a", ranked), ClassifierRun("b", ranked))
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_cross_products_past_int64_are_exact(self, monkeypatch, policy,
+                                                 example24):
+        # every numerator and denominator times K: the same rationals, but
+        # each cross-product is past 2**63
+        k = 3**25
+        a = rank_records(example24.records, policy)
+        b = apply_swaps(a, SwapSpec(pairs=((6, 8), (12, 16))))
+        want = dominance(ClassifierRun("a", a), ClassifierRun("b", b))
+        gains_at = RankedTestSet._gains_at
+
+        def scaled(ranked, cutoffs):
+            num, den = gains_at(ranked, cutoffs)
+            return num * k, den * k
+
+        monkeypatch.setattr(RankedTestSet, "_gains_at", scaled)
+        assert dominance(ClassifierRun("a", a), ClassifierRun("b", b)) == want
 
 
 # reports computed by the Fraction search before the integer kernels
