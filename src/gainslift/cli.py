@@ -23,13 +23,6 @@ from .errors import BudgetExhaustedError, GainsLiftError, InfeasibleError, Valid
 from .records import TiePolicy, _rank_columns
 from .records import rank_records  # noqa: F401  (perfbench wraps it here)
 
-_TIE_POLICIES = {
-    "input": TiePolicy.INPUT_ORDER,
-    "id": TiePolicy.ID_ORDER,
-    "expected": TiePolicy.EXPECTED_VALUE,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1."""
 
@@ -67,8 +60,8 @@ def _input_options(parser: argparse.ArgumentParser, multiple: bool = False,
     parser.add_argument("--id-col", default=None,
                         help="id column (default: 'id' when present, else row numbers)")
     if ranked:
-        parser.add_argument("--tie-policy", choices=sorted(_TIE_POLICIES),
-                            default="input")
+        parser.add_argument("--tie-policy", default="input",
+                            choices=sorted(p.value for p in TiePolicy))
 
 
 # every command takes --out; each declares which of these it reads
@@ -181,7 +174,7 @@ def _ranked(args, path: str, id_texts: bool = False):
     """Rank the file's validated columns; no per-row record is built. The
     ids are read as texts only where the command writes them (`id_texts`);
     otherwise the id policy, which sorts by them, takes them as bytes."""
-    policy = _TIE_POLICIES[args.tie_policy]
+    policy = TiePolicy(args.tie_policy)
     id_form = ("texts" if id_texts else
                "bytes" if policy is TiePolicy.ID_ORDER else None)
     columns = io._load_columns(_scored_file(args, path), id_form=id_form)
