@@ -420,7 +420,7 @@ def auc_pairs(ranked: RankedTestSet) -> Fraction:
     O((P + N) log N) time and O(P + N) memory.
     """
     _require_both_classes(ranked, "AUC")
-    scores, labels = ranked._scores, ranked._labels
+    scores, labels = ranked._scores, np.diff(ranked._prefix_pos)
     neg = np.sort(scores[labels == 0])
     pos = scores[labels == 1]
     below = np.searchsorted(neg, pos, side="left")
@@ -443,8 +443,9 @@ def auc_wilcoxon(ranked: RankedTestSet) -> Fraction:
     _require_both_classes(ranked, "AUC")
     bounds = ranked._group_bounds
     sizes = np.diff(bounds)
+    positives = np.diff(ranked._prefix_pos[bounds])
     below = ranked.n_total - bounds[1:]  # records with strictly lower score
-    doubled_rank_sum = int((ranked._group_pos * (2 * below + sizes + 1)).sum())
+    doubled_rank_sum = int((positives * (2 * below + sizes + 1)).sum())
     doubled_u = doubled_rank_sum - ranked.n_pos * (ranked.n_pos + 1)
     return Fraction(doubled_u, 2 * ranked.n_pos * ranked.n_neg)
 

@@ -3,7 +3,7 @@
 A test set is a list of :class:`ScoredRecord` (id, score, true label). All
 downstream measures operate on a :class:`RankedTestSet`, which fixes the
 descending-score order once, resolves ties according to a policy, and holds
-the set as columns (scores, labels, prefix positive counts, tie groups). A
+the set as columns (ids, scores, prefix positive counts, tie-group bounds). A
 gains query at one cutoff, at several or at all is one `_gains_at` call: a
 prefix read, or a tie-group search under the expected policy.
 """
@@ -54,11 +54,13 @@ class RankedTestSet:
     """Records sorted by descending score with a tie policy applied.
 
     The set is held as columns in rank order: `ids` (an object array of the
-    record ids), float64 scores and int64 labels, the int64 prefix positive
-    counts, the bounds of the equal-score groups (the rank where each
-    starts, then N) and each group's positive count. A set built without
-    its ids (the command line ranks most files so) refuses to give them
-    out: `ids` and `records` raise.
+    record ids), float64 scores, the int64 prefix positive counts and the
+    bounds of the equal-score groups (the rank where each starts, then N).
+    The prefix counts are the one record of the labels: a record's label
+    is the difference of two neighbouring counts, and a group's positives
+    the difference across its bounds. A set built without its ids (the
+    command line ranks most files so) refuses to give them out: `ids` and
+    `records` raise.
     Instances are immutable after construction (every array is read-only);
     they may be shared across threads freely. Build one with
     :func:`rank_records`. Single-cutoff queries return Python ints and
@@ -66,8 +68,7 @@ class RankedTestSet:
     """
 
     __slots__ = ("_ids", "tie_policy", "n_total", "n_pos", "n_neg", "_scores",
-                 "_labels", "_prefix_pos", "_group_bounds", "_group_pos",
-                 "_records")
+                 "_prefix_pos", "_group_bounds", "_records")
 
     def __init__(self, ids: np.ndarray | None, scores: np.ndarray,
                  labels: np.ndarray, tie_policy: TiePolicy):
@@ -83,11 +84,9 @@ class RankedTestSet:
         self.n_pos = int(prefix[-1])
         self.n_neg = self.n_total - self.n_pos
         self._scores = scores
-        self._labels = labels
         self._prefix_pos = prefix
         self._group_bounds = bounds
-        self._group_pos = np.diff(prefix[bounds])
-        for column in (scores, labels, prefix, bounds, self._group_pos):
+        for column in (scores, prefix, bounds):
             column.flags.writeable = False
         if ids is not None:
             ids.flags.writeable = False
@@ -106,12 +105,12 @@ class RankedTestSet:
         if self._records is None:
             self._records = tuple(map(ScoredRecord, self.ids,
                                       self._scores.tolist(),
-                                      self._labels.tolist()))
+                                      np.diff(self._prefix_pos).tolist()))
         return self._records
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(self._labels.tolist())
+        return tuple(np.diff(self._prefix_pos).tolist())
 
     @property
     def scores(self) -> tuple[float, ...]:
@@ -139,14 +138,6 @@ class RankedTestSet:
         num, den = self._gains_at(n)
         return n, int(num) if den == 1 else Fraction(int(num), int(den))
 
-    def gains_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gains at every cutoff n = 0..N as read-only int64 arrays
-        `num`, `den` in lowest terms: num[n] / den[n] ==
-        positives_in_prefix(n). Each call reads `_gains_at` afresh."""
-        num, den = self._gains_at(np.arange(self.n_total + 1))
-        num.flags.writeable = False
-        return num, np.broadcast_to(den, num.shape)
-
     def _gains_at(self, cutoffs: int | np.ndarray):
         """Exact gains at one cutoff or an int array of cutoffs in [0, N],
         in any order and with repeats, as int64 `num`, `den` in lowest terms
@@ -154,9 +145,9 @@ class RankedTestSet:
         query, and with `_group_bounds` the one reader of how gains are laid
         out. They are the prefix counts, with `den` the int 1 (no column),
         except that under the expected-value policy a cutoff n in the tie
-        group of ranks s+1..s+g, with q positives, gets
-        (prefix[s] * g + q * (n - s)) / g. Every value stays below N**2, far
-        inside int64 at any size that fits in memory."""
+        group of ranks s+1..s+g, with q = prefix[s + g] - prefix[s]
+        positives, gets (prefix[s] * g + q * (n - s)) / g. Every value stays
+        below N**2, far inside int64 at any size that fits in memory."""
         prefix = self._prefix_pos
         if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
             return prefix[cutoffs], 1
@@ -164,16 +155,18 @@ class RankedTestSet:
         # the group of rank n is the first to end at or past n (group 0 for
         # the cutoff 0)
         group = np.searchsorted(bounds[1:], cutoffs)
-        start = bounds[group]
-        size = bounds[group + 1] - start
-        num = prefix[start] * size + self._group_pos[group] * (cutoffs - start)
+        start, end = bounds[group], bounds[group + 1]
+        size = end - start
+        num = (prefix[start] * size
+               + (prefix[end] - prefix[start]) * (cutoffs - start))
         common = np.gcd(num, size)
         return num // common, size // common
 
     def tie_groups(self) -> Iterable[tuple[int, int, int]]:
         """Yield (start, end, positives) per equal-score group, rank order."""
-        bounds = self._group_bounds.tolist()
-        return zip(bounds[:-1], bounds[1:], self._group_pos.tolist())
+        bounds = self._group_bounds
+        return zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                   np.diff(self._prefix_pos[bounds]).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RankedTestSet(n={self.n_total}, pos={self.n_pos}, "

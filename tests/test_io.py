@@ -864,7 +864,7 @@ class TestColumnarLoader:
     """The command line ranks the loader's columns directly; that must give
     the same ranked set as ranking the records `load_scored` returns."""
 
-    COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_bounds")
+    COLUMNS = ("ids", "_scores", "_prefix_pos", "_group_bounds")
 
     def _files(self, tmp_path):
         rng = np.random.default_rng(20242)

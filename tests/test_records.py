@@ -118,7 +118,7 @@ class TestExpectedValuePrefix:
 
 
 class TestGainsKernel:
-    """`_gains_at`, `gains_arrays` and `positives_in_prefix` against the
+    """`_gains_at` and `positives_in_prefix` against the
     plain-Python `gains_oracle`, never against each other."""
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
@@ -150,8 +150,6 @@ class TestGainsKernel:
                     assert np.ndim(num) == np.ndim(den) == 0
                     assert np.gcd(num, den) == 1
                     assert Fraction(int(num), int(den)) == want[n]
-            num, den = ranked.gains_arrays()
-            assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == want
             got = [ranked.positives_in_prefix(n) for n in range(n_total + 1)]
             assert got == want
             assert [type(g) for g in got] == [type(g) for g in want]
@@ -165,17 +163,17 @@ class TestGainsKernel:
         assert ranked.positives_in_prefix(np.int64(3)) == gains_oracle(ranked, 3)
 
 
-class TestGainsArrays:
+class TestGainsAtEveryCutoff:
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_matches_positives_in_prefix(self, policy):
         rng = np.random.default_rng(808)
         for _ in range(100):
             ranked = rank_records(random_instance(rng, max_n=60, tie_prob=0.6),
                                   policy)
-            num, den = ranked.gains_arrays()
+            num, den = ranked._gains_at(np.arange(ranked.n_total + 1))
+            den = np.broadcast_to(den, num.shape)
             assert num.dtype == den.dtype == np.int64
-            assert num.shape == den.shape == (ranked.n_total + 1,)
-            assert not num.flags.writeable and not den.flags.writeable
+            assert num.shape == (ranked.n_total + 1,)
             for n in range(ranked.n_total + 1):
                 assert Fraction(int(num[n]), int(den[n])) == \
                     ranked.positives_in_prefix(n)
@@ -183,7 +181,8 @@ class TestGainsArrays:
 
     def test_denominator_is_group_size_inside_expected_ties(self):
         records = make([0.9, 0.5, 0.5, 0.5, 0.5, 0.1], [1, 1, 0, 1, 0, 0])
-        num, den = rank_records(records, TiePolicy.EXPECTED_VALUE).gains_arrays()
+        num, den = rank_records(records, TiePolicy.EXPECTED_VALUE)._gains_at(
+            np.arange(7))
         assert num.tolist() == [0, 1, 3, 2, 5, 3, 3]
         assert den.tolist() == [1, 1, 2, 1, 2, 1, 1]
 
@@ -282,9 +281,8 @@ class TestColumnarRankedSet:
 
     def test_columns_are_read_only(self):
         ranked = rank_records(make([0.9, 0.5, 0.1], [1, 0, 1]))
-        num, _ = ranked.gains_arrays()
         with pytest.raises(ValueError):
-            num[1] = 5
+            ranked._prefix_pos[1] = 5
         with pytest.raises(ValueError):
             ranked.ids[0] = "x"
 
@@ -396,8 +394,9 @@ class TestLabelForms:
         for policy in TiePolicy:
             got = rank_records(pool, policy)
             want = rank_records(plain, policy)
-            assert got._labels.dtype == np.int64
-            assert np.array_equal(got._labels, want._labels)
+            assert got._prefix_pos.dtype == np.int64
+            assert got.labels == want.labels
+            assert np.array_equal(got._prefix_pos, want._prefix_pos)
             assert list(got.ids) == list(want.ids)
         assert run_plan(pool, self.PLAN) == run_plan(plain, self.PLAN)
 
@@ -530,8 +529,7 @@ def _line_ids(rng: np.random.Generator, shape: str, n: int) -> list[str]:
     return [texts[i] for i in rng.permutation(n)]
 
 
-_COLUMNS = ("ids", "_scores", "_labels", "_prefix_pos", "_group_bounds",
-            "_group_pos")
+_COLUMNS = ("ids", "_scores", "_prefix_pos", "_group_bounds")
 
 
 class TestRankKernel:
