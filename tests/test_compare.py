@@ -246,10 +246,11 @@ class TestFindDisagreement:
 
     def test_certify_rejects_a_tampered_value(self):
         report = find_disagreement("auc", "lift@6", 10, 5)
-        one = Fraction(1, 7)  # moves both values of a metric, keeps the order
+        # one metric's two values moved alike: still a disagreement
         for fields in (("value_a_x", "value_a_y"), ("value_b_x", "value_b_y")):
             tampered = dataclasses.replace(report, **{
-                name: getattr(report, name) + one for name in fields})
+                name: getattr(report, name) + Fraction(1, 7)
+                for name in fields})
             assert not tampered.certify()
 
     def test_report_needs_opposite_preferences(self):
@@ -368,7 +369,7 @@ class TestDominanceAgainstOracle:
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_cross_products_past_int64_are_exact(self, monkeypatch, policy,
                                                  example24):
-        # every numerator and denominator times K: the same rationals, but
+        # every numerator and denominator times k: the same rationals, but
         # each cross-product is past 2**63
         k = 3**25
         a = rank_records(example24.records, policy)

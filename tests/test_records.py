@@ -118,8 +118,8 @@ class TestExpectedValuePrefix:
 
 
 class TestGainsKernel:
-    """`_gains_at` and `positives_in_prefix` against the
-    plain-Python `gains_oracle`, never against each other."""
+    """`_gains_at` and `positives_in_prefix` against the plain-Python
+    `gains_oracle`, never against each other."""
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_random_tied_inputs_match_oracle(self, policy):
