@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -503,7 +504,11 @@ LOADING_COMMANDS = [
     ["auc"], ["lift", "--n", "1"], ["gains"], ["roc"],
     ["perturb", "--swap", "1:1"], ["chart", "--kind", "lift"],
     ["resample", "--rates", "0.5", "--reps", "1", "--size", "2"],
-    ["lift", "--n", "1", "--tie-policy", "id"]]
+    ["lift", "--n", "1", "--tie-policy", "id"],
+    # a fault in the options is reported only once the file has loaded
+    ["benefit", "--qtp", "nan", "--qfp", "1"],
+    ["lift", "--n", "3", "--fraction", "0.5"],
+    ["chart", "--kind", "benefit"]]
 
 
 class TestRejectedInputs:
@@ -574,6 +579,9 @@ class TestUsageErrors:
         (["resample", "--input", EXAMPLE, "--rates", "0.1,x"],
          "bad --rates '0.1,x'"),
         (["auc", "--input", EXAMPLE, "--input", EXAMPLE],
+         "this command takes exactly one --input"),
+        # the input count is checked before any file is opened
+        (["auc", "--input", "/nonexistent.csv", "--input", EXAMPLE],
          "this command takes exactly one --input"),
         (["auc", "--input", EXAMPLE, "--delimiter", ""],
          "delimiter '' is not one character"),
@@ -672,6 +680,34 @@ class TestSurface:
             k: sorted(v) for k, v in SURFACE.items()}
         assert sum(map(len, SURFACE.values())) == 129
 
+    # sha256 of what `--help` prints at 80 columns, for the top level ("")
+    # and each subcommand
+    HELP_DIGESTS = {
+        "": "c0c06c9381cd2828e3f189e49b1350103bd904d8847b65025e911b35ada084e2",
+        "gains": "090bd5eab13022cd11ad9bb74ac87dcb2fe1ae848cf150d0fe854b6d4dee8a8a",
+        "lift": "ac507b0afb1875b6ea5210d1c034fa56881b690d1b4210cc783dc03ea6a1413a",
+        "deciles": "f2a577eb0b39b87f72172372e5e7d1479d37352d71ea42ce2e516d046865b58e",
+        "benefit": "a953907f2faf809bce1554fd13414a1ae2a6735733c865f8428c7090d87d4d8d",
+        "auc": "e43c57bf3a18e506cf10aa888325455ab354e140058c452413ac79a1242e5b7c",
+        "roc": "c5582564303898ace0f0c0a961b0073f921d9453527ea97f2a32e328b444ba46",
+        "compare": "7afab9f1e681c8668619a874f32245fcc62fdb97226c7af576567c97b7c763dc",
+        "perturb": "1baf08ecdc4969f17ed607dec72690ce6cbdde0e2bde2ef48d76bdf9d4f78799",
+        "disagree": "7ead0a64bad5e38ff6dba2fa7085c4790425e802ccb0bce3a112608bb3721f74",
+        "resample": "d6741b905a7c6bd990fddeace3b1d2debf785d172e18e5aa86beecf2d55e786e",
+        "chart": "297a819e5689f1a21064ea9f7d3f62d15f1385d2fd4cc12fbad32a8862ec0160",
+    }
+
+    # argparse's layout of a help text differs between Python versions
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="help digests are of Python 3.11's argparse")
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+    def test_help_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *filter(None, [command]), "--help")
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.HELP_DIGESTS[command]
+
     def test_no_baseline_drops_the_reference_line(self, capsys):
         argv = ["chart", "--input", EXAMPLE, "--kind", "lift"]
         code, with_line, _ = run(capsys, *argv)
@@ -708,6 +744,23 @@ class TestOutFile:
         out = tmp_path / "out.txt"
         assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
         assert out.read_bytes() == printed.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        ["auc", "--input", EXAMPLE],
+        ["roc", "--input", EXAMPLE],
+        ["deciles", "--input", EXAMPLE],
+        ["perturb", "--input", EXAMPLE, "--swap", "1:2"],
+        ["disagree", "--metric-a", "auc", "--metric-b", "lift@6", "--n", "10",
+         "--npos", "5"],
+        ["resample", "--input", EXAMPLE, "--rates", "0.2", "--reps", "3",
+         "--size", "12"],
+    ], ids=lambda argv: argv[0])
+    def test_out_into_a_missing_directory_exits_1(self, capsys, tmp_path,
+                                                  argv):
+        out = tmp_path / "missing" / "out.txt"
+        assert run(capsys, *argv, "--out", str(out)) == (
+            1, "", f"gainslift: [Errno 2] No such file or directory: "
+                   f"{str(out)!r}\n")
 
 
 class TestStreamedCurves:
