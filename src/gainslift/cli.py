@@ -1,8 +1,12 @@
 """Command-line surface.
 
 Every subcommand is a thin shell over a library operation: load the scored
-file, call the operation, render the result. Numeric output is deterministic
-given the inputs, flags, and seed.
+file, call the operation, render the result. `build_parser` declares each
+subcommand together with its handler, and each handler returns what its
+command writes (a text or an iterable of pieces), which `cli_main` writes
+to --out or stdout in one place; only `perturb` writes its file itself. A
+command over one ranked input is a function of `(args, ranked)`. Numeric
+output is deterministic given the inputs, flags, and seed.
 
 Exit codes: 0 success, 1 validation error (including usage errors), 2
 infeasibility or search-budget exhaustion.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -81,10 +86,11 @@ def build_parser() -> _Parser:
                                  "under top-n resource constraints.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def command(name: str, help_text: str, *outputs: str,
+    def command(name: str, help_text: str, run, *outputs: str,
                 multiple_inputs: bool = False, needs_input: bool = True,
                 ranked: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if needs_input:
             _input_options(p, multiple=multiple_inputs, ranked=ranked)
         p.add_argument("--out", default=None, metavar="FILE",
@@ -97,18 +103,21 @@ def build_parser() -> _Parser:
     point_or_curve = ("--format", "--precision", "--exact")
 
     p = command("gains", "cumulative gains at a cutoff, or the whole curve",
-                *point_or_curve)
+                _on_ranked_input(_gains), *point_or_curve)
     _cutoff_options(p)
     p.add_argument("--x", choices=("count", "fraction"), default="count",
                    help="x axis for curve output")
 
-    p = command("lift", "lift at a cutoff, or the whole curve", *point_or_curve)
+    p = command("lift", "lift at a cutoff, or the whole curve",
+                _on_ranked_input(_lift), *point_or_curve)
     _cutoff_options(p)
     p.add_argument("--x", choices=("count", "fraction"), default="fraction")
 
-    command("deciles", "lift for each tenth of the ranked set", *point_or_curve)
+    command("deciles", "lift for each tenth of the ranked set",
+            _on_ranked_input(_deciles), *point_or_curve)
 
-    p = command("benefit", "cost-weighted cumulative benefit", *point_or_curve)
+    p = command("benefit", "cost-weighted cumulative benefit",
+                _on_ranked_input(_benefit), *point_or_curve)
     p.add_argument("--qtp", type=float, required=True,
                    help="net benefit per true positive")
     p.add_argument("--qfp", type=float, required=True,
@@ -116,24 +125,25 @@ def build_parser() -> _Parser:
     _cutoff_options(p)
 
     p = command("auc", "area under the ROC curve (exact, tie-aware)",
-                "--precision", "--exact")
+                _on_ranked_input(_auc), "--precision", "--exact")
     p.add_argument("--method", choices=("pairs", "wilcoxon"), default="pairs")
 
-    command("roc", "ROC curve points", "--format")
+    command("roc", "ROC curve points", _on_ranked_input(_roc), "--format")
 
     p = command("compare", "gains/lift of several runs at shared cutoffs",
-                "--format", "--precision", multiple_inputs=True)
+                _compare, "--format", "--precision", multiple_inputs=True)
     p.add_argument("--name", action="append", default=None,
                    help="run name per --input (default: file stem)")
     p.add_argument("--targets", required=True,
                    help="comma-separated cutoffs, e.g. 6,14")
 
-    p = command("perturb", "swap labels at rank positions and emit the result")
+    p = command("perturb", "swap labels at rank positions and emit the result",
+                _perturb)
     p.add_argument("--swap", action="append", required=True, metavar="A:B",
                    help="rank pair to exchange, repeatable")
 
     p = command("disagree", "search for rankings two metrics order oppositely",
-                "--format", "--precision", needs_input=False)
+                _disagree, "--format", "--precision", needs_input=False)
     p.add_argument("--metric-a", required=True,
                    help="auc, lift@<n>, or accuracy@<n>")
     p.add_argument("--metric-b", required=True)
@@ -144,14 +154,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = command("resample", "stratified-resampling bands across positive rates",
-                "--format", ranked=False)
+                _resample, "--format", ranked=False)
     p.add_argument("--rates", required=True,
                    help="comma-separated target positive rates, e.g. 0.05,0.117,0.2")
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--size", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = command("chart", "render an SVG chart")
+    p = command("chart", "render an SVG chart", _on_ranked_input(_chart))
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in charts.ChartKind])
     p.add_argument("--title", default="")
@@ -218,64 +228,59 @@ def _cutoff(args, n_total: int) -> int | None:
     return None
 
 
-def _point_or_curve(args, ranked, point, curve) -> int:
-    """Print `point(ranked, n)` at the --n or --fraction cutoff, or emit the
-    whole `curve(ranked)` when neither is given."""
+def _on_ranked_input(answer):
+    """The command that ranks its one --input and answers
+    `answer(args, ranked)`."""
+    return lambda args: answer(args, _ranked(args, _single_input(args)))
+
+
+def _point_or_curve(args, ranked, point, curve) -> str | Iterable[str]:
+    """The text of `point(ranked, n)` at the --n or --fraction cutoff, or the
+    pieces of the whole `curve(ranked)` when neither is given."""
     n = _cutoff(args, ranked.n_total)
     if n is not None:
-        _emit(args, _rendered(args, point(ranked, n)) + "\n")
-    else:
-        _emit(args, io._curve_pieces([curve(ranked)], args.format))
-    return 0
+        return _rendered(args, point(ranked, n)) + "\n"
+    return io._curve_pieces([curve(ranked)], args.format)
 
 
-def _cmd_gains(args) -> int:
+def _gains(args, ranked) -> str | Iterable[str]:
     fraction = args.x == "fraction"
     return _point_or_curve(
-        args, _ranked(args, _single_input(args)), metrics.cum_gains,
+        args, ranked, metrics.cum_gains,
         lambda ranked: metrics.gains_series(ranked, fraction=fraction))
 
 
-def _cmd_lift(args) -> int:
+def _lift(args, ranked) -> str | Iterable[str]:
     fraction = args.x == "fraction"
     return _point_or_curve(
-        args, _ranked(args, _single_input(args)), metrics.lift,
+        args, ranked, metrics.lift,
         lambda ranked: metrics.lift_series(ranked, fraction=fraction))
 
 
-def _cmd_benefit(args) -> int:
-    ranked = _ranked(args, _single_input(args))
+def _benefit(args, ranked) -> str | Iterable[str]:
     costs = metrics.CostSpec(q_tp=args.qtp, q_fp=args.qfp)
     return _point_or_curve(
         args, ranked, lambda ranked, n: metrics.cum_benefit(ranked, n, costs),
         lambda ranked: metrics.benefit_series(ranked, costs))
 
 
-def _cmd_deciles(args) -> int:
-    ranked = _ranked(args, _single_input(args))
+def _deciles(args, ranked) -> str | Iterable[str]:
     if args.out:
-        series = metrics.decile_series(ranked)
-        _emit(args, io._curve_pieces([series], args.format))
-        return 0
-    _emit(args, "".join(f"{k} {_rendered(args, v)}\n" for k, v in
-                        enumerate(metrics.decile_lift(ranked), start=1)))
-    return 0
+        return io._curve_pieces([metrics.decile_series(ranked)], args.format)
+    return "".join(f"{k} {_rendered(args, v)}\n" for k, v in
+                   enumerate(metrics.decile_lift(ranked), start=1))
 
 
-def _cmd_auc(args) -> int:
-    ranked = _ranked(args, _single_input(args))
+def _auc(args, ranked) -> str:
     fn = metrics.auc_pairs if args.method == "pairs" else metrics.auc_wilcoxon
-    _emit(args, _rendered(args, fn(ranked)) + "\n")
-    return 0
+    return _rendered(args, fn(ranked)) + "\n"
 
 
-def _cmd_roc(args) -> int:
-    ranked = _ranked(args, _single_input(args))
-    _emit(args, io._curve_pieces([metrics.roc_points(ranked)], args.format))
-    return 0
+def _roc(args, ranked) -> str | Iterable[str]:
+    return io._curve_pieces([metrics.roc_points(ranked)], args.format)
 
 
-def _cmd_compare(args) -> int:
+def _compare(args) -> str:
     paths = args.input
     names = args.name or [Path(p).stem for p in paths]
     if len(names) != len(paths):
@@ -289,7 +294,6 @@ def _cmd_compare(args) -> int:
     table = compare.compare_at(runs, targets)
 
     if args.format == "json":
-        import json
         payload = {
             "targets": list(table.targets),
             "winners": {str(n): list(w) for n, w in table.winners.items()},
@@ -300,8 +304,7 @@ def _cmd_compare(args) -> int:
                 for e in table.entries
             ],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-        return 0
+        return json.dumps(payload, indent=2) + "\n"
     lines = []
     for n in table.targets:
         lines.append(f"n={n} winner: {', '.join(table.winners[n])}")
@@ -310,11 +313,10 @@ def _cmd_compare(args) -> int:
                 lines.append(
                     f"  {e.run}: cum_gains={metrics.render_exact(e.cum_gains)} "
                     f"lift={metrics.render_decimal(e.lift, args.precision)}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_perturb(args) -> int:
+def _perturb(args) -> None:
     ranked = _ranked(args, _single_input(args), id_texts=True)
     pairs = []
     for raw in args.swap:
@@ -325,25 +327,21 @@ def _cmd_perturb(args) -> int:
             raise ValidationError(f"bad --swap {raw!r}, expected A:B") from None
     swapped = compare.apply_swaps(ranked, compare.SwapSpec(pairs=tuple(pairs)))
     io.save_scored(swapped, args.out or sys.stdout)
-    return 0
 
 
-def _cmd_disagree(args) -> int:
+def _disagree(args) -> str:
+    ma, mb = compare.parse_metric(args.metric_a), compare.parse_metric(args.metric_b)
     try:
-        report = compare.find_disagreement(args.metric_a, args.metric_b,
-                                           args.n, args.npos,
+        report = compare.find_disagreement(ma, mb, args.n, args.npos,
                                            budget=args.budget, seed=args.seed)
     except MemoryError:  # numpy refuses a label row of --n entries
         raise ValidationError(f"--n {args.n} does not fit in memory") from None
-    ma, mb = compare.parse_metric(args.metric_a), compare.parse_metric(args.metric_b)
     if report is None:
         space = math.comb(args.n, args.npos)
-        _emit(args, f"no disagreement between {ma} and {mb} exists for "
-                    f"N={args.n}, {args.npos} positives (exhaustive over "
-                    f"{space} arrangements)\n")
-        return 0
+        return (f"no disagreement between {ma} and {mb} exists for "
+                f"N={args.n}, {args.npos} positives (exhaustive over "
+                f"{space} arrangements)\n")
     if args.format == "json":
-        import json
         payload = {
             "metric_a": str(report.metric_a),
             "metric_b": str(report.metric_b),
@@ -356,8 +354,7 @@ def _cmd_disagree(args) -> int:
             "exhaustive": report.exhaustive,
             "certified": report.certify(),
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-        return 0
+        return json.dumps(payload, indent=2) + "\n"
     dec = lambda v: metrics.render_decimal(v, args.precision)
     lines = [
         f"disagreement: {report.metric_a} vs {report.metric_b} "
@@ -373,11 +370,10 @@ def _cmd_disagree(args) -> int:
         f"{'X' if report.b_prefers_x else 'Y'}",
         f"  certified: {report.certify()}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_resample(args) -> int:
+def _resample(args) -> str:
     # the loader checks the ids; only scores and labels are kept
     scores, labels = io._load_columns(_scored_file(args, _single_input(args)),
                                       id_form=None)[1:]
@@ -393,14 +389,11 @@ def _cmd_resample(args) -> int:
     except MemoryError:  # numpy refuses bands of one row per replicate at once
         raise ValidationError(f"--reps {args.reps} does not fit in memory") from None
     if args.format == "json":
-        _emit(args, io.summary_to_json(summary))
-    else:
-        _emit(args, io.summary_to_csv(summary))
-    return 0
+        return io.summary_to_json(summary)
+    return io.summary_to_csv(summary)
 
 
-def _cmd_chart(args) -> int:
-    ranked = _ranked(args, _single_input(args))
+def _chart(args, ranked) -> str:
     kind = charts.ChartKind(args.kind)
     costs = None
     if kind is charts.ChartKind.BENEFIT:
@@ -409,23 +402,7 @@ def _cmd_chart(args) -> int:
         costs = metrics.CostSpec(q_tp=args.qtp, q_fp=args.qfp)
     spec = charts.ChartSpec(kind=kind, title=args.title,
                             include_baseline=args.baseline)
-    _emit(args, charts.render_chart(spec, [charts.series_for(kind, ranked, costs)]))
-    return 0
-
-
-_COMMANDS = {
-    "gains": _cmd_gains,
-    "lift": _cmd_lift,
-    "deciles": _cmd_deciles,
-    "benefit": _cmd_benefit,
-    "auc": _cmd_auc,
-    "roc": _cmd_roc,
-    "compare": _cmd_compare,
-    "perturb": _cmd_perturb,
-    "disagree": _cmd_disagree,
-    "resample": _cmd_resample,
-    "chart": _cmd_chart,
-}
+    return charts.render_chart(spec, [charts.series_for(kind, ranked, costs)])
 
 
 # parse_args leaves the parser unchanged, so one parser serves every call
@@ -442,13 +419,16 @@ def cli_main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        output = args.run(args)
+        if output is not None:  # `perturb` has written its file itself
+            _emit(args, output)
     except (BudgetExhaustedError, InfeasibleError) as exc:
         print(f"gainslift: {exc}", file=sys.stderr)
         return 2
     except (GainsLiftError, OSError) as exc:
         print(f"gainslift: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:  # console-script entry point

@@ -1,0 +1,187 @@
+"""One sha256 over what the command line writes for a fixed set of runs.
+
+    python tools/cli_digest.py SRC_DIR
+
+imports gainslift from SRC_DIR (the `src` directory of a checkout), runs a
+fixed matrix of `cli_main` argument lists in this process and prints the
+digest of every run's exit code, stdout, stderr and `--out` bytes, then the
+number of runs that ended with each exit code. Two checkouts that print the
+same line write the same bytes for every run in the matrix.
+
+The matrix covers every subcommand under every tie policy on two inputs
+(the bundled 24-row example and a seeded 400-row file with tied scores),
+error forms whose message or precedence matters, and the `--help` text of
+the top level and of each subcommand at 80 columns. The temporary directory
+and SRC_DIR are replaced by fixed names before hashing, so the digest does
+not depend on where either lies. Needs the standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+POLICIES = ("input", "id", "expected")
+
+# one scored input, any tie policy; OUT stands for a fresh output file
+OUT = "<out>"
+RANKED_FORMS = [
+    ["gains"],
+    ["gains", "--x", "fraction", "--format", "json"],
+    ["gains", "--n", "7"],
+    ["gains", "--fraction", "1/3", "--exact", "--out", OUT],
+    ["lift"],
+    ["lift", "--x", "count", "--format", "json", "--out", OUT],
+    ["lift", "--fraction", "0.25", "--precision", "8"],
+    ["deciles"],
+    ["deciles", "--exact"],
+    ["deciles", "--format", "json", "--out", OUT],
+    ["benefit", "--qtp", "10", "--qfp=-1"],
+    ["benefit", "--qtp", "0.1", "--qfp=-0.3", "--n", "5", "--exact"],
+    ["auc"],
+    ["auc", "--method", "wilcoxon", "--exact"],
+    ["roc"],
+    ["roc", "--format", "json", "--out", OUT],
+    ["perturb", "--swap", "1:2", "--swap", "3:9"],
+    ["perturb", "--swap", "2:1", "--out", OUT],
+    ["chart", "--kind", "lift"],
+    ["chart", "--kind", "benefit", "--qtp", "10", "--qfp=-1", "--title",
+     "b", "--no-baseline", "--out", OUT],
+    ["chart", "--kind", "decile-lift"],
+]
+
+# forms that read no tie policy, each run once per input
+UNRANKED_FORMS = [
+    ["resample", "--rates", "0.2,0.4", "--reps", "3", "--size", "12",
+     "--seed", "7"],
+    ["resample", "--rates", "0.3", "--reps", "2", "--size", "10",
+     "--format", "json", "--out", OUT],
+]
+
+MISSING = "<tmp>/missing.csv"
+NO_DIR_OUT = "<tmp>/missing/out.txt"
+ERROR_FORMS = [
+    [],
+    ["frobnicate"],
+    ["auc", "--input", "<example>", "--bogus"],
+    ["gains", "--input", "<example>", "--fraction", "1/0"],
+    ["auc", "--input", MISSING],
+    ["auc", "--input", "<bad>"],
+    ["benefit", "--input", "<bad>", "--qtp", "nan", "--qfp", "1"],
+    ["lift", "--input", "<bad>", "--n", "3", "--fraction", "0.5"],
+    ["chart", "--input", "<bad>", "--kind", "benefit"],
+    ["auc", "--input", "<example>", "--input", "<example>"],
+    ["auc", "--input", MISSING, "--input", "<example>"],
+    ["lift", "--input", "<example>", "--n", "3", "--fraction", "0.5"],
+    ["lift", "--input", "<example>", "--n", "0"],
+    ["gains", "--input", "<example>", "--fraction", "2"],
+    ["chart", "--input", "<example>", "--kind", "benefit"],
+    ["auc", "--input", "<example>", "--out", NO_DIR_OUT],
+    ["roc", "--input", "<example>", "--out", NO_DIR_OUT],
+    ["perturb", "--input", "<example>", "--swap", "6-8"],
+    ["compare", "--input", "<example>", "--input", "<example>",
+     "--targets", "6,x"],
+    ["resample", "--input", "<example>", "--rates", "0.1,x"],
+    ["disagree", "--metric-a", "bogus", "--metric-b", "auc", "--n", "8",
+     "--npos", "4"],
+    ["auc", "--input", "<example>", "--precision", "1001"],
+]
+
+# forms without a single scored input, run once
+OTHER_FORMS = [
+    ["compare", "--input", "<example>", "--input", "<tied>", "--name", "a",
+     "--name", "b", "--targets", "6,12"],
+    ["compare", "--input", "<example>", "--input", "<tied>",
+     "--targets", "5,10", "--format", "json", "--precision", "3"],
+    ["disagree", "--metric-a", "auc", "--metric-b", "lift@6", "--n", "10",
+     "--npos", "5"],
+    ["disagree", "--metric-a", "auc", "--metric-b", "lift@6", "--n", "10",
+     "--npos", "5", "--format", "json", "--out", OUT],
+    ["disagree", "--metric-a", "auc", "--metric-b", "auc", "--n", "8",
+     "--npos", "4"],
+]
+
+COMMANDS = ("gains", "lift", "deciles", "benefit", "auc", "roc", "compare",
+            "perturb", "disagree", "resample", "chart")
+HELP_FORMS = [["--help"]] + [[name, "--help"] for name in COMMANDS]
+
+
+def _write_tied(path: Path) -> None:
+    """400 rows with scores on 12 levels and shuffled ids."""
+    rng = random.Random(4000)
+    ids = [f"t{i:04d}" for i in range(400)]
+    rng.shuffle(ids)
+    lines = ["id,score,label"]
+    for rid in ids:
+        label = int(rng.random() < 0.2)
+        lines.append(f"{rid},{int((rng.random() + 0.5 * label) * 8) / 8!r},"
+                     f"{label}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _argvs(names: dict[str, str]) -> list[list[str]]:
+    inputs = [names["<example>"], names["<tied>"]]
+    argvs = []
+    for path in inputs:
+        for policy in POLICIES:
+            argvs += [[form[0], "--input", path, "--tie-policy", policy,
+                       *form[1:]] for form in RANKED_FORMS]
+        argvs += [[form[0], "--input", path, *form[1:]]
+                  for form in UNRANKED_FORMS]
+    return argvs + OTHER_FORMS + ERROR_FORMS + HELP_FORMS
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = Path(sys.argv[1]).resolve()
+    sys.path.insert(0, str(src))
+    import gainslift
+    from gainslift import example24_path
+    from gainslift.cli import cli_main
+    if not Path(gainslift.__file__).resolve().is_relative_to(src):
+        print(f"gainslift was not imported from {src}", file=sys.stderr)
+        return 2
+
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to this width
+    digest = hashlib.sha256()
+    codes = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_dir = Path(tmp)
+        _write_tied(tmp_dir / "tied.csv")
+        (tmp_dir / "bad.csv").write_text("id,score,label\na,0.5,2\n",
+                                         encoding="utf-8")
+        names = {"<example>": str(example24_path()),
+                 "<tied>": str(tmp_dir / "tied.csv"),
+                 "<bad>": str(tmp_dir / "bad.csv")}
+        out = tmp_dir / "out.txt"
+        for form in _argvs(names):
+            argv = [str(out) if a == OUT else
+                    a.replace("<tmp>", tmp) for a in form]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli_main([names.get(a, a) for a in argv])
+            written = out.read_bytes() if out.exists() else b""
+            out.unlink(missing_ok=True)
+            codes[code] += 1
+            record = repr((argv, code, stdout.getvalue(), stderr.getvalue(),
+                           written))
+            for path, name in ((tmp, "<tmp>"), (str(src), "<src>")):
+                record = record.replace(path, name)
+            digest.update(record.encode("utf-8") + b"\n")
+    counts = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))
+    print(f"{digest.hexdigest()}  {sum(codes.values())} runs: {counts}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
