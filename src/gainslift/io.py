@@ -15,12 +15,14 @@ Where a value fails its check, or two id keys are equal, the block route
 stops, and the csv module reads the file from its start, as it reads every
 other delimited file. Its texts are converted a column at a time and
 scanned row by row only to name a fault, so both routes give the same
-columns and the same errors. Curve output is delimited text with
-shortest-roundtrip floats, or json carrying exact numerator/denominator
-fields so a re-parse reproduces the rationals bit for bit; each run of
-equal values in a column is formatted once. The command line streams a
-curve 1,024 points at a time (`_curve_pieces`), and `emit_curves` joins the
-same pieces.
+columns and the same errors. A pipe can be read only once, so its bytes are
+read whole and kept, and both routes read them as they read a file.
+
+Curve output is delimited text with shortest-roundtrip floats, or json
+carrying exact numerator/denominator fields so a re-parse reproduces the
+rationals bit for bit; each run of equal values in a column is formatted
+once. The command line streams a curve 1,024 points at a time
+(`_curve_pieces`), and `emit_curves` joins the same pieces.
 """
 
 from __future__ import annotations
@@ -175,16 +177,18 @@ def _read_csv(file: ScoredFile, keep_ids: bool
     them (see `_plain_texts`), or else, where that route turns the file down,
     from the texts the csv module reads from the file's start, each
     converted as a whole column; when a column check fails, `_scan_rows`
-    names the first fault."""
+    names the first fault. A pipe, which can be read only once, is read
+    whole into memory first, so that both routes read the same bytes."""
     if len(file.delimiter) != 1:
         raise ValidationError(
             f"delimiter {file.delimiter!r} is not one character")
     with _unreadable_named(file), open(file.path, "rb") as raw:
-        if raw.seekable():  # a pipe can be read only once
-            converted = _plain_texts(raw, file, keep_ids)
-            if converted is not None:
-                return converted
-            raw.seek(0)
+        if not raw.seekable():  # a pipe is read once; its bytes are kept
+            raw = _stdio.BytesIO(raw.read())
+        converted = _plain_texts(raw, file, keep_ids)
+        if converted is not None:
+            return converted
+        raw.seek(0)
         # utf-8-sig drops a leading byte-order mark, which would otherwise
         # stick to the first header name
         with _stdio.TextIOWrapper(raw, encoding="utf-8-sig",
@@ -450,7 +454,9 @@ def _scan_rows(ids, score_texts, label_texts) -> None:
 def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
     ids, scores, labels = [], [], []
     id_col = file.id_col or "id"
-    with _unreadable_named(file), open(file.path, encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, as for delimited text
+    with _unreadable_named(file), \
+            open(file.path, encoding="utf-8-sig") as handle:
         # blank lines are skipped and not counted
         for row_no, line in enumerate(filter(str.strip, handle), start=1):
             try:

@@ -150,6 +150,17 @@ class TestLoadScored:
         records = load_scored(path)
         assert [(r.label, r.score) for r in records] == [(1, 0.9), (0, 0.1)]
 
+    def test_jsonl_with_byte_order_mark(self, tmp_path):
+        text = ('{"id": "a", "label": 1, "score": 0.9}\n'
+                '{"id": "b", "label": 0, "score": 0.1}\n')
+        bom, plain = tmp_path / "bom.jsonl", tmp_path / "plain.jsonl"
+        bom.write_text(text, encoding="utf-8-sig")
+        plain.write_text(text, encoding="utf-8")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_scored(bom) == load_scored(plain) == [
+            ScoredRecord(id="a", score=0.9, label=1),
+            ScoredRecord(id="b", score=0.1, label=0)]
+
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "a.csv", "label,score\n")
         with pytest.raises(ValidationError, match="no data rows"):
@@ -618,21 +629,43 @@ class TestPlainRoute:
         assert scores.tolist() == [float(line.split(",")[0])
                                    for line in lines[1:]]
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_pipe_is_read_once_by_the_csv_route(self, tmp_path, plain_reads):
+    @staticmethod
+    def _load_through_pipe(tmp_path, data: bytes):
+        """What `load_scored` returns, or the text of what it raises, for
+        `data` written into a named pipe by another thread."""
         path = tmp_path / "in.csv"
         os.mkfifo(path)
         feeder = threading.Thread(target=path.write_bytes, daemon=True,
-                                  args=(b"id,score,label\na,0.5,1\nb,0.4,0\n",))
+                                  args=(data,))
         feeder.start()
         try:
-            records = load_scored(path)
+            return _outcome(load_scored, path)
         finally:
             feeder.join(timeout=10)
-        assert not feeder.is_alive()
-        assert plain_reads == []
-        assert [(r.id, r.score, r.label) for r in records] == [
-            ("a", 0.5, 1), ("b", 0.4, 0)]
+            assert not feeder.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_by_the_block_route(self, tmp_path, plain_reads):
+        got = self._load_through_pipe(
+            tmp_path, b"id,score,label\na,0.5,1\nb,0.4,0\n")
+        assert plain_reads == [True]
+        assert got == [("a", 0.5, 1), ("b", 0.4, 0)]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("data", [
+        b'id,score,label\n"a,1",0.5,1\nb,0.4,0\n',
+        b"id,score,label\na,0.5,1\n\nb,0.4,2\n",
+    ], ids=["quoted-row", "bad-label"])
+    def test_pipe_refused_by_the_block_route_is_read_by_the_csv_module(
+            self, tmp_path, plain_reads, data):
+        """The csv module reads the bytes the block route turned down, and
+        gives the records, or names the faulty row, as for a file."""
+        file = ScoredFile(path=tmp_path / "file.csv")
+        file.path.write_bytes(data)
+        want = _outcome(load_csv_oracle, file)
+        got = self._load_through_pipe(tmp_path, data)
+        assert plain_reads == [False]
+        assert got == want == _outcome(load_scored, file)
 
     def test_size_limit_is_read_at_each_load(self, tmp_path, monkeypatch,
                                              plain_reads):
