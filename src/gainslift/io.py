@@ -183,7 +183,7 @@ def _read_csv(file: ScoredFile, keep_ids: bool
         raise ValidationError(
             f"delimiter {file.delimiter!r} is not one character")
     with _unreadable_named(file), open(file.path, "rb") as raw:
-        if not raw.seekable():  # a pipe is read once; its bytes are kept
+        if not raw.seekable():
             raw = _stdio.BytesIO(raw.read())
         converted = _plain_texts(raw, file, keep_ids)
         if converted is not None:

@@ -639,10 +639,11 @@ class TestPlainRoute:
                                   args=(data,))
         feeder.start()
         try:
-            return _outcome(load_scored, path)
+            got = _outcome(load_scored, path)
         finally:
             feeder.join(timeout=10)
-            assert not feeder.is_alive()
+        assert not feeder.is_alive()
+        return got
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_pipe_is_read_by_the_block_route(self, tmp_path, plain_reads):
