@@ -112,7 +112,8 @@ def _load_columns(file: ScoredFile | str | Path, *,
     as it reads, and checks the ids by sorted 64-bit keys of their bytes; a
     file it turns down, for its bytes or for a value that fails a check, is
     read from its start by the csv module. The csv-module and json-lines
-    routes check the texts' sorted hashes.
+    routes check the texts' sorted hashes. A delimited file with no id
+    column gets its row numbers here, and only where the ids are wanted.
     `id_form` says how the ids come back: "texts", an object array of str;
     "bytes", the block route's bytes as it read them (each id followed by a
     newline) for `records._rows_by_id` to order, but texts from any other
@@ -134,7 +135,7 @@ def _load_columns(file: ScoredFile | str | Path, *,
         _check_distinct(ids, file)
     if id_form is None:
         ids = None
-    elif ids is None:  # the block route, with no id column: row numbers
+    elif ids is None:  # no id column: row numbers
         ids = list(map(str, range(1, len(labels) + 1)))
     elif isinstance(ids, bytes) and id_form == "texts":
         ids = ids.decode("utf-8").split("\n")[:-1]
@@ -173,12 +174,13 @@ def _unreadable_named(file: ScoredFile):
 
 def _read_csv(file: ScoredFile, keep_ids: bool
               ) -> tuple[list | bytes | None, Sequence[float], Sequence[int]]:
-    """Ids, scores and labels of the data rows: as the block route converts
-    them (see `_plain_texts`), or else, where that route turns the file down,
-    from the texts the csv module reads from the file's start, each
-    converted as a whole column; when a column check fails, `_scan_rows`
-    names the first fault. A pipe, which can be read only once, is read
-    whole into memory first, so that both routes read the same bytes."""
+    """Ids (None with no id column), scores and labels of the data rows: as
+    the block route converts them (see `_plain_texts`), or else, where that
+    route turns the file down, from the texts the csv module reads from the
+    file's start, each converted as a whole column; when a column check
+    fails, `_scan_rows` names the first fault. A pipe, which can be read
+    only once, is read whole into memory first, so that both routes read the
+    same bytes."""
     if len(file.delimiter) != 1:
         raise ValidationError(
             f"delimiter {file.delimiter!r} is not one character")
@@ -194,14 +196,15 @@ def _read_csv(file: ScoredFile, keep_ids: bool
         with _stdio.TextIOWrapper(raw, encoding="utf-8-sig",
                                   newline="") as handle:
             label_texts, score_texts, *ids = _csv_texts(handle, file)
-    ids = ids[0] if ids else list(map(str, range(1, len(label_texts) + 1)))
+    ids = ids[0] if ids else None  # no id column
     try:
         # a lenient label, as ' 1', is stripped here as `_parse_label`
         # strips it; `float` strips a score itself
         labels = list(map(_CSV_LABELS.get, map(str.strip, label_texts)))
         scores = np.fromiter(map(float, score_texts), dtype=np.float64,
                              count=len(score_texts))
-        valid = None not in labels and np.isfinite(scores).all() and all(ids)
+        valid = (None not in labels and np.isfinite(scores).all()
+                 and (ids is None or all(ids)))
     except (TypeError, ValueError):
         valid = False
     if not valid:
@@ -441,13 +444,13 @@ def _id_keys(block: bytes, starts: np.ndarray, sizes: np.ndarray
 
 def _scan_rows(ids, score_texts, label_texts) -> None:
     """Parse each row's label (leniently, as ' 1'), then its score, then
-    check its id, and raise the first fault: some row holds one wherever
-    a column check of `_read_csv` fails."""
-    for row_no, (rid, raw_score, raw_label) in enumerate(
-            zip(ids, score_texts, label_texts), start=1):
+    check its id (if `ids` is not None), and raise the first fault: some
+    row holds one wherever a column check of `_read_csv` fails."""
+    for row_no, (raw_score, raw_label) in enumerate(
+            zip(score_texts, label_texts), start=1):
         _parse_label(raw_label, row_no)
         _parse_score(raw_score, row_no)
-        if not rid:
+        if ids is not None and not ids[row_no - 1]:
             raise ValidationError(f"row {row_no}: empty id")
 
 

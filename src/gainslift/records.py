@@ -282,9 +282,9 @@ def _rank_columns(ids: np.ndarray | bytes | None, scores: np.ndarray,
                   labels: np.ndarray, tie_policy: TiePolicy) -> RankedTestSet:
     """Rank validated columns in input order: non-empty unique ids, finite
     float64 scores and 0/1 int64 labels. The ids are an object array; the
-    loader's block-route bytes (see `_rows_by_id`), which only the id policy
-    reads (it does wherever scores tie); or None where nothing reads them.
-    The set holds them only from an object array.
+    loader's block-route bytes, each id's UTF-8 bytes followed by a newline,
+    which only the id policy reads (it does wherever scores tie); or None
+    where nothing reads them. The set holds them only from an object array.
 
     The rank order is descending score; within equal scores (0.0 and -0.0
     are equal) it is ascending row index, or ascending id under the id
@@ -298,7 +298,9 @@ def _rank_columns(ids: np.ndarray | bytes | None, scores: np.ndarray,
     n < 3.0e9 rows. Scores that are all equal form one group, whose order
     needs no sort by score. The ids' ranks come from `_rows_by_id`, which
     sorts their UTF-8 bytes in numpy, eight at a time, into Python's string
-    order, with memory that grows with the total id bytes.
+    order, with memory that grows with the total id bytes; ids that are not
+    all `str`, or where some id holds a NUL or a newline, it orders by
+    `sorted`.
     """
     order = _rank_order(ids, scores, tie_policy)
     return RankedTestSet(ids[order] if isinstance(ids, np.ndarray) else None,
@@ -357,63 +359,62 @@ def _id_word(blob: bytes, starts: np.ndarray, sizes: np.ndarray,
 def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
     """The rows in ascending Python-string (code point) order of their ids.
 
-    The ids are compared as their UTF-8 bytes (`surrogatepass`, so lone
-    surrogates too), whose order is code-point order, eight bytes at a time.
-    They are joined by newlines and encoded once; the newlines mark where
-    each id starts, unless an id holds one, and then each id is encoded
-    alone to count its bytes. An id's word at offset o is its bytes o to
-    o + 7 read big-endian, with zeros past its end. One unstable
-    `np.argsort` orders the first words; only the rows in runs of equal
-    words go on to their next word, and a row whose id has ended by then
-    is ordered by its byte length, before the rows that go on. The order is
-    Python's: where two ids' zero-padded bytes first differ, either both
-    hold a byte there, or the one that has ended reads a zero against a
-    nonzero byte, and is a prefix of the other; where they never differ,
-    one is the other followed by NULs, and the shorter comes first. Ids of
-    at most eight bytes with no NUL, such as `r012345`, are ordered by the
-    first sort alone. Each further pass sorts its tied rows by one int64
-    key, run number times m plus the row's rank within its pass of m rows
-    (below n**2 < 2**63). Memory is the joined text and its UTF-8 bytes,
-    plus a few int64 columns of n: it grows with the total id bytes, never
-    with the longest id times n. Ids that are not all `str` are ordered by
-    `sorted`.
+    The ids are ordered as their UTF-8 bytes (`surrogatepass`, so lone
+    surrogates too), whose order is code-point order, in one form: each
+    id's bytes followed by a newline. The loader's block route hands its ids
+    over so (valid UTF-8, with no NUL or newline in an id); texts are joined
+    and encoded so once, here, unless they are not all `str` or some id
+    holds a NUL or a newline. Those `sorted` orders, and ids it cannot
+    compare raise ValidationError.
 
-    Ids given as bytes are that joined text already, as the loader's block
-    route reads it: each id's UTF-8 bytes followed by a newline. They give
-    the order of their texts exactly, with no text made: the route takes
-    only valid UTF-8, which holds no lone surrogate, and an id there holds
-    no newline, so the newlines mark every start.
+    An id's word at offset o is its bytes o to o + 7 read big-endian, with
+    zeros past its end; as no id holds a NUL, the zeros read as an end that
+    comes before every byte. One unstable `np.argsort` orders the first
+    words; only the rows in runs of equal words go on to their next word,
+    at each offset below the longest id. Where two distinct ids' words first
+    differ, either both hold a byte there, or the one that has ended, a
+    prefix of the other, reads a zero against a nonzero byte: the order is
+    Python's. Ids of at most eight bytes, such as `r012345`, are ordered by
+    the first sort alone; equal ids, which only a direct caller passes, end
+    adjacent. Each further pass sorts its tied rows by one int64 key, run
+    number times m plus the row's rank within its pass of m rows (below
+    n**2 < 2**63). Memory is the joined text and its UTF-8 bytes, plus a
+    few int64 columns of n: it grows with the total id bytes, never with
+    the longest id times n.
     """
     if isinstance(ids, bytes):  # the block route's text, as it is
-        blob = ids + bytes(7)
+        blob, texts = ids + bytes(7), None
     else:
         texts = ids.tolist()
         texts.append("\0" * 7)  # after the last id's newline: a whole word
         try:
             blob = "\n".join(texts).encode("utf-8", "surrogatepass")
         except TypeError:  # ids that are not all str
-            del texts[-1]
+            blob = b""
+        del texts[-1]
+    data = np.frombuffer(blob, dtype=np.uint8)
+    sizes = np.flatnonzero(data == 10)  # the newline after each id
+    # a NUL or a newline in an id would read as its end or its start
+    if texts is not None and (len(sizes) != len(texts)
+                              or blob.find(0, 0, -7) >= 0):
+        try:
             return np.array(sorted(range(len(texts)), key=texts.__getitem__),
                             dtype=np.intp)
-        del texts
-    data = np.frombuffer(blob, dtype=np.uint8)
-    sizes = np.flatnonzero(data == 10)
-    n = len(sizes) if isinstance(ids, bytes) else len(ids)
-    starts = np.zeros(n, dtype=np.intp)
-    if len(sizes) == n:  # the newline after each id, and no other
-        np.add(sizes[:-1], 1, out=starts[1:])
-        sizes -= starts
-    else:  # some id holds a newline
-        sizes = np.fromiter((len(t.encode("utf-8", "surrogatepass"))
-                             for t in ids), dtype=np.intp, count=n)
-        np.cumsum(sizes[:-1] + 1, out=starts[1:])
+        except TypeError as exc:
+            raise ValidationError(
+                f"the id tie policy cannot order these ids: {exc}") from None
+    del texts
+    starts = np.zeros(len(sizes), dtype=np.intp)
+    np.add(sizes[:-1], 1, out=starts[1:])
+    sizes -= starts
     key = _id_word(blob, starts, sizes, 0)
     order = np.argsort(key)
     key = key[order]
-    pos = np.arange(n)  # the places in `order` of the rows being refined
+    pos = np.arange(len(order))  # the places in `order` of the rows refined
     same = key[1:] == key[:-1]
-    offset = 0
-    while same.any():
+    for offset in range(8, int(sizes.max(initial=0)), 8):
+        if not same.any():
+            break
         # the ids of each run of equal words share every byte so far
         tied = np.zeros(len(pos), dtype=bool)
         tied[1:] = same
@@ -423,14 +424,8 @@ def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
         pos, run = pos[tied], run[tied]
         m = len(pos)
         rows = order[pos]
-        offset += 8
-        size = sizes[rows]
-        ended = size <= offset
-        key = _id_word(blob, starts[rows], size, offset)
-        # ended ids by byte length, then the others by their next word
-        by_value = np.argsort(np.where(ended, size.astype(np.uint64), key))
-        first = ended[by_value]
-        by_value = np.concatenate((by_value[first], by_value[~first]))
+        key = _id_word(blob, starts[rows], sizes[rows], offset)
+        by_value = np.argsort(key)
         rank = np.empty(m, dtype=np.int64)
         rank[by_value] = np.arange(m)
         run *= m  # runs hold their places: sort within each at once
@@ -439,7 +434,6 @@ def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
         rank -= run
         within = by_value[rank]
         order[pos] = rows[within]
-        key, ended = key[within], ended[within]
-        same = ((key[1:] == key[:-1]) & (run[1:] == run[:-1])
-                & ~(ended[1:] | ended[:-1]))
+        key = key[within]
+        same = (key[1:] == key[:-1]) & (run[1:] == run[:-1])
     return order

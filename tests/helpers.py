@@ -508,7 +508,7 @@ def load_jsonl_oracle(file: ScoredFile) -> list[ScoredRecord]:
     """Json-lines loading by a generator that builds one `ScoredRecord` per
     line, with the same checks and messages as `load_scored`."""
     def read():
-        with open(file.path, encoding="utf-8") as handle:
+        with open(file.path, encoding="utf-8-sig") as handle:
             row_no = 0
             for line in handle:
                 if not line.strip():
@@ -628,9 +628,10 @@ def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01,
 def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
                         ) -> tuple[str, dict]:
     """A seeded json-lines scored file and the `ScoredFile` options that read
-    it: blank lines, ids of several types or none, lenient string labels,
-    and with `fault_rate` a row with bad json, a missing field, a bool or
-    float label, a bool or non-finite score or a repeated id."""
+    it: a leading byte-order mark, blank lines, ids of several types or
+    none, lenient string labels, and with `fault_rate` a row with bad json,
+    a missing field, a bool or float label, a bool or non-finite score or a
+    repeated id."""
     id_name = ("id", "key", None)[int(rng.integers(0, 3))]
     options = {"id_col": "key"} if id_name == "key" else {}
     lines: list[str] = []
@@ -663,7 +664,8 @@ def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
         if id_name:
             ids.append(obj[id_name])
         lines.append(json.dumps(obj))
-    return "\n".join(lines) + ("\n" if lines else ""), options
+    bom = "\ufeff" if rng.random() < 0.3 else ""
+    return bom + "\n".join(lines) + ("\n" if lines else ""), options
 
 
 # Malformed scored files, each with the message its loader error holds.

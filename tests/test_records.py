@@ -94,6 +94,20 @@ class TestValidation:
                 f"record 'b': score must be a number, got {score!r}")):
             rank_records(records)
 
+    def test_ids_the_id_policy_cannot_order(self):
+        tied = [ScoredRecord(1, 0.5, 1), ScoredRecord("a", 0.5, 0)]
+        with pytest.raises(ValidationError) as info:
+            rank_records(tied, TiePolicy.ID_ORDER)
+        assert str(info.value) == (
+            "the id tie policy cannot order these ids: '<' not supported "
+            "between instances of 'str' and 'int'")
+        # the other policies, and untied scores, never compare ids
+        for policy in (TiePolicy.INPUT_ORDER, TiePolicy.EXPECTED_VALUE):
+            assert rank_records(tied, policy).ids.tolist() == [1, "a"]
+        untied = [ScoredRecord(1, 0.4, 1), ScoredRecord("a", 0.5, 0)]
+        assert rank_records(untied, TiePolicy.ID_ORDER).ids.tolist() == [
+            "a", 1]
+
 
 class TestExpectedValuePrefix:
     def test_boundary_cutoffs_stay_integral(self):
@@ -461,9 +475,10 @@ def _kernel_case(rng: np.random.Generator, shape: str, n: int):
     return ids, scores, labels
 
 
-# characters of 1 to 4 UTF-8 bytes on each side of every width's edge, lone
-# surrogates (3 bytes with `surrogatepass`) and the largest code points
-_WIDE_CHARS = ["\0", "a", "\x7f", "\x80", "\xe9", "\u07ff", "\u0800",
+# characters of 1 to 4 UTF-8 bytes on each side of every width's edge (from
+# the lowest but NUL), lone surrogates (3 bytes with `surrogatepass`) and the
+# largest code points
+_WIDE_CHARS = ["\x01", "a", "\x7f", "\x80", "\xe9", "\u07ff", "\u0800",
                "\ud7ff", "\ud800", "\udbff", "\udc00", "\udfff", "\ue000",
                "\uffff", "\U00010000", "\U0010ffff"]
 
@@ -476,7 +491,9 @@ def _text(rng: np.random.Generator, chars, size: int) -> str:
 
 def _id_case(rng: np.random.Generator, shape: str, n: int):
     """n distinct ids of one shape in a seeded order, with scores at three
-    levels (or all equal for n below 4) so that most rows tie."""
+    levels (or all equal for n below 4) so that most rows tie. Only the
+    `nul` and `newline` shapes hold the bytes that send a column to
+    `sorted`; a byte below `a` stands in for NUL in the others."""
     prefix = _text(rng, "ab", 24)
     ids: set[str] = set()
     while len(ids) < n:
@@ -484,7 +501,7 @@ def _id_case(rng: np.random.Generator, shape: str, n: int):
         if shape == "lengths":  # 0 to 40 bytes
             text = _text(rng, "ab", int(rng.integers(0, 41)))
         elif shape.startswith("prefix-"):  # 8, 16 or 24 shared bytes
-            text = prefix[:int(shape[7:])] + _text(rng, "ab\0", size)
+            text = prefix[:int(shape[7:])] + _text(rng, "ab\x01", size)
         elif shape == "nul":  # at the start, in the middle and at the end
             text = _text(rng, "ab", size)
             cut = int(rng.integers(0, size + 1))
@@ -505,15 +522,14 @@ def _id_case(rng: np.random.Generator, shape: str, n: int):
 
 
 # the characters of `_WIDE_CHARS` that a delimited line can carry
-_LINE_CHARS = [c for c in _WIDE_CHARS
-               if c != "\0" and not "\ud800" <= c <= "\udfff"]
+_LINE_CHARS = [c for c in _WIDE_CHARS if not "\ud800" <= c <= "\udfff"]
 
 
 def _line_ids(rng: np.random.Generator, shape: str, n: int) -> list[str]:
     """n distinct ids in a seeded order, drawn as `_id_case` draws the ids
     of its `lengths`, `prefix-*` and `wide` shapes but with what no line of
-    the loader's block route holds left out: empty ids, NULs (a byte below
-    `a` stands in for them) and lone surrogates."""
+    the loader's block route holds left out: empty ids and lone
+    surrogates."""
     prefix = _text(rng, "ab", 24)
     ids: set[str] = set()
     while len(ids) < n:
@@ -610,6 +626,33 @@ class TestRankKernel:
             order = _rank_order(blob, scores, TiePolicy.ID_ORDER)
             assert ids[order].tolist() == rank_order_oracle(
                 load_scored(path), TiePolicy.ID_ORDER)
+
+    @pytest.mark.parametrize("shape", LINE_SHAPES)
+    def test_equal_ids_end_adjacent(self, shape):
+        """Equal ids, which only a direct caller passes, come back in
+        order with each id's rows adjacent, from texts and from bytes."""
+        rng = np.random.default_rng([2028, self.LINE_SHAPES.index(shape)])
+        for n in (1, 2, 17, 300):
+            distinct = _line_ids(rng, shape, n)
+            texts = [distinct[i] for i in rng.integers(0, n, size=2 * n)]
+            ids = np.empty(len(texts), dtype=object)
+            ids[:] = texts
+            blob = "".join(text + "\n" for text in texts).encode("utf-8")
+            for given in (ids, blob):
+                rows = _rows_by_id(given).tolist()
+                assert sorted(rows) == list(range(len(texts)))
+                assert [texts[row] for row in rows] == sorted(texts)
+
+    def test_neighbouring_runs_stay_apart(self):
+        # the last id of one run of equal first words and the first id of
+        # the next share their second word; only their first word orders them
+        texts = ["aaaaaaabbbbbbbbba", "aaaaaaaabbbbbbbbz", "aaaaaaabc",
+                 "aaaaaaaaa"]
+        ids = np.empty(len(texts), dtype=object)
+        ids[:] = texts
+        blob = "".join(text + "\n" for text in texts).encode("utf-8")
+        for given in (ids, blob):
+            assert [texts[row] for row in _rows_by_id(given)] == sorted(texts)
 
     def test_one_long_id_among_short_ones(self):
         # a fixed-width array would hold 10**4 copies of the long id's width;

@@ -10,7 +10,10 @@ same line write the same bytes for every run in the matrix.
 
 The matrix covers every subcommand under every tie policy on two inputs
 (the bundled 24-row example and a seeded 400-row file with tied scores),
-error forms whose message or precedence matters, and the `--help` text of
+the subcommands that rank one input under every tie policy on three more
+copies of the tied file that the loader reads by its other routes (every
+field quoted, every field quoted with no id column, and json-lines), error
+forms whose message or precedence matters, and the `--help` text of
 the top level and of each subcommand at 80 columns. The temporary directory
 and SRC_DIR are replaced by fixed names before hashing, so the digest does
 not depend on where either lies. Needs the standard library and numpy only.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import sys
@@ -113,28 +117,53 @@ COMMANDS = ("gains", "lift", "deciles", "benefit", "auc", "roc", "compare",
 HELP_FORMS = [["--help"]] + [[name, "--help"] for name in COMMANDS]
 
 
-def _write_tied(path: Path) -> None:
-    """400 rows with scores on 12 levels and shuffled ids."""
+# copies of the tied file that the loader reads by the csv module (the
+# first two) and as json-lines; each is ranked under every tie policy
+ROUTE_INPUTS = ("<tied-quoted>", "<tied-no-id>", "<tied-jsonl>")
+
+
+def _write_tied(tmp_dir: Path) -> dict[str, str]:
+    """400 rows with scores on 12 levels and shuffled ids, written as plain
+    delimited text and as each copy of `ROUTE_INPUTS`; the name of each
+    file in the matrix and its path."""
     rng = random.Random(4000)
     ids = [f"t{i:04d}" for i in range(400)]
     rng.shuffle(ids)
-    lines = ["id,score,label"]
+    rows = []
     for rid in ids:
         label = int(rng.random() < 0.2)
-        lines.append(f"{rid},{int((rng.random() + 0.5 * label) * 8) / 8!r},"
-                     f"{label}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append((rid, int((rng.random() + 0.5 * label) * 8) / 8, label))
+    files = {
+        "<tied>": ("tied.csv", ["id,score,label"] + [
+            f"{rid},{score!r},{label}" for rid, score, label in rows]),
+        "<tied-quoted>": ("quoted.csv", ['"id","score","label"'] + [
+            f'"{rid}","{score!r}","{label}"' for rid, score, label in rows]),
+        "<tied-no-id>": ("no-id.csv", ['"score","label"'] + [
+            f'"{score!r}","{label}"' for _, score, label in rows]),
+        "<tied-jsonl>": ("tied.jsonl", [
+            json.dumps({"id": rid, "score": score, "label": label})
+            for rid, score, label in rows]),
+    }
+    paths = {}
+    for name, (file, lines) in files.items():
+        path = tmp_dir / file
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def _ranked(path: str) -> list[list[str]]:
+    return [[form[0], "--input", path, "--tie-policy", policy, *form[1:]]
+            for policy in POLICIES for form in RANKED_FORMS]
 
 
 def _argvs(names: dict[str, str]) -> list[list[str]]:
-    inputs = [names["<example>"], names["<tied>"]]
     argvs = []
-    for path in inputs:
-        for policy in POLICIES:
-            argvs += [[form[0], "--input", path, "--tie-policy", policy,
-                       *form[1:]] for form in RANKED_FORMS]
-        argvs += [[form[0], "--input", path, *form[1:]]
-                  for form in UNRANKED_FORMS]
+    for path in (names["<example>"], names["<tied>"]):
+        argvs += _ranked(path) + [[form[0], "--input", path, *form[1:]]
+                                  for form in UNRANKED_FORMS]
+    for name in ROUTE_INPUTS:
+        argvs += _ranked(names[name])
     return argvs + OTHER_FORMS + ERROR_FORMS + HELP_FORMS
 
 
@@ -156,12 +185,10 @@ def main() -> int:
     codes = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp_dir = Path(tmp)
-        _write_tied(tmp_dir / "tied.csv")
         (tmp_dir / "bad.csv").write_text("id,score,label\na,0.5,2\n",
                                          encoding="utf-8")
         names = {"<example>": str(example24_path()),
-                 "<tied>": str(tmp_dir / "tied.csv"),
-                 "<bad>": str(tmp_dir / "bad.csv")}
+                 "<bad>": str(tmp_dir / "bad.csv"), **_write_tied(tmp_dir)}
         out = tmp_dir / "out.txt"
         for form in _argvs(names):
             argv = [str(out) if a == OUT else
