@@ -8,9 +8,9 @@ module's field size limit is read in blocks of whole lines (the block
 route), and each block's columns are converted from its bytes before the
 next is read: labels of exactly `0` or `1`, scores by `float`, ids into
 64-bit keys whose sorted repeats are looked for once the file is read. Id
-texts are made only for a caller that reads them (`_load_columns`'s
-`id_form`); on the command line that is `perturb`, and the `id` tie policy
-sorts the block route's id bytes as they are.
+texts and row numbers are made only for a caller that reads them
+(`_load_columns`'s `id_form`); on the command line that is `perturb`, and
+the `id` tie policy sorts the block route's id bytes as they are.
 Where a value fails its check, or two id keys are equal, the block route
 stops, and the csv module reads the file from its start, as it reads every
 other delimited file. Its texts are converted a column at a time and
@@ -112,8 +112,8 @@ def _load_columns(file: ScoredFile | str | Path, *,
     as it reads, and checks the ids by sorted 64-bit keys of their bytes; a
     file it turns down, for its bytes or for a value that fails a check, is
     read from its start by the csv module. The csv-module and json-lines
-    routes check the texts' sorted hashes. A delimited file with no id
-    column gets its row numbers here, and only where the ids are wanted.
+    routes check the texts' sorted hashes. A file with no id column or field
+    gets its row numbers here, and only where the ids are wanted.
     `id_form` says how the ids come back: "texts", an object array of str;
     "bytes", the block route's bytes as it read them (each id followed by a
     newline) for `records._rows_by_id` to order, but texts from any other
@@ -310,24 +310,19 @@ def _plain_texts(raw, file: ScoredFile, keep_ids: bool
 
 def _line_blocks(raw, limit: int):
     """The file's bytes in blocks of whole lines, each ending in a newline
-    (one is added after an unterminated last line); then None, and no more,
-    if a line runs past `limit` bytes before its end is found."""
-    # the bytes read since the last newline; a bytearray grows in place, so a
-    # line over many reads is copied once, not once a read
-    pending = bytearray()
+    (one is added after an unterminated last line): one read of
+    `_BLOCK_BYTES`, and, where it stops inside a line, the line's rest by
+    `readline(limit + 1)`, so at most `_BLOCK_BYTES` + `limit` + 1 bytes.
+    Then None, and no more, where that rest runs past `limit`; a longer line
+    with a shorter rest is left to `_field_ends`."""
     while data := raw.read(_BLOCK_BYTES):
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            pending += memoryview(data)[:cut]
-            yield pending
-            pending = bytearray(memoryview(data)[cut:])
-        else:
-            pending += data
-        if len(pending) > limit:
-            yield None
-            return
-    if pending:
-        yield pending + b"\n"
+        if not data.endswith(b"\n"):
+            rest = raw.readline(limit + 1)
+            if len(rest) > limit:
+                yield None
+                return
+            data += rest if rest.endswith(b"\n") else rest + b"\n"
+        yield data
 
 
 def _field_ends(block: bytes, d: str, width: int, limit: int
@@ -454,8 +449,9 @@ def _scan_rows(ids, score_texts, label_texts) -> None:
             raise ValidationError(f"row {row_no}: empty id")
 
 
-def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
-    ids, scores, labels = [], [], []
+def _read_jsonl(file: ScoredFile
+                ) -> tuple[list[str] | None, list[float], list[int]]:
+    ids, scores, labels = None, [], []  # ids stay None with no id field
     id_col = file.id_col or "id"
     # utf-8-sig drops a leading byte-order mark, as for delimited text
     with _unreadable_named(file), \
@@ -480,7 +476,10 @@ def _read_jsonl(file: ScoredFile) -> tuple[list[str], list[float], list[int]]:
                     f"{file.score_col!r} field")
             labels.append(_parse_label(obj[file.label_col], row_no))
             scores.append(_parse_score(obj[file.score_col], row_no))
-            ids.append(str(obj[id_col]) if id_col in obj else str(row_no))
+            if ids is None and id_col in obj:  # number the rows before it
+                ids = list(map(str, range(1, row_no)))
+            if ids is not None:
+                ids.append(str(obj[id_col]) if id_col in obj else str(row_no))
     return ids, scores, labels
 
 

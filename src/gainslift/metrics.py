@@ -414,14 +414,14 @@ def auc_pairs(ranked: RankedTestSet) -> Fraction:
 
     Each pair contributes 1 if the positive scored strictly higher, 1/2 on a
     score tie, 0 otherwise. Tie-break order never enters, so every tie policy
-    yields the same value. The pairs are counted without being formed: with
-    the negative scores sorted once, a binary search per positive gives how
-    many negatives score strictly below it and how many tie with it, in
-    O((P + N) log N) time and O(P + N) memory.
+    yields the same value. The pairs are counted without being formed: rank
+    order sorts the negative scores (descending), and a binary search per
+    positive gives how many score strictly below it and how many tie with
+    it, in O(P log N + N) time and O(P + N) memory.
     """
     _require_both_classes(ranked, "AUC")
     scores, labels = ranked._scores, np.diff(ranked._prefix_pos)
-    neg = np.sort(scores[labels == 0])
+    neg = scores[labels == 0][::-1]
     pos = scores[labels == 1]
     below = np.searchsorted(neg, pos, side="left")
     not_above = np.searchsorted(neg, pos, side="right")

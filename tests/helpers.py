@@ -628,11 +628,13 @@ def random_scored_csv(rng: np.random.Generator, fault_rate: float = 0.01,
 def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
                         ) -> tuple[str, dict]:
     """A seeded json-lines scored file and the `ScoredFile` options that read
-    it: a leading byte-order mark, blank lines, ids of several types or
-    none, lenient string labels, and with `fault_rate` a row with bad json,
-    a missing field, a bool or float label, a bool or non-finite score or a
-    repeated id."""
+    it: a leading byte-order mark, blank lines, ids of several types on
+    every row, some rows or none (a row without one takes its row number,
+    which an id such as `"2"` or `2` may repeat), lenient string labels,
+    and with `fault_rate` a row with bad json, a missing field, a bool or
+    float label, a bool or non-finite score or a repeated id."""
     id_name = ("id", "key", None)[int(rng.integers(0, 3))]
+    partial = id_name is not None and rng.random() < 0.4
     options = {"id_col": "key"} if id_name == "key" else {}
     lines: list[str] = []
     ids: list = []
@@ -645,7 +647,12 @@ def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
             obj["label"] = (" 1", "0", 1)[int(rng.integers(0, 3))]
         if rng.random() < 0.1:
             obj["score"] = int(rng.integers(-5, 5))
-        if id_name:
+        if partial and rng.random() < 0.5:
+            pass  # no id field: the row takes its row number
+        elif partial and rng.random() < 0.1:  # may repeat a row number
+            obj[id_name] = (str, int)[int(rng.integers(0, 2))](
+                int(rng.integers(1, 10)))
+        elif id_name:
             obj[id_name] = (f"r{i:03d}", i, "")[int(rng.integers(0, 3))] \
                 if rng.random() < 0.2 else f"r{i:03d}"
         fault = rng.random()
@@ -661,7 +668,7 @@ def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
                 int(rng.integers(0, 4))]
         elif fault < 5 * fault_rate and id_name and ids:
             obj[id_name] = ids[int(rng.integers(0, len(ids)))]
-        if id_name:
+        if id_name in obj:
             ids.append(obj[id_name])
         lines.append(json.dumps(obj))
     bom = "\ufeff" if rng.random() < 0.3 else ""
@@ -726,4 +733,9 @@ MALFORMED_JSONL = [
       '{"score": ' + "[" * 100_000 + "]" * 100_000 + ', "label": 1}'],
      "row 2: json nested too deeply"),
     ([], "no data rows"),
+    # a row without an id field takes its row number, before the first id too
+    (['{"id": "2", "score": 0.5, "label": 1}', '{"score": 0.4, "label": 0}'],
+     "duplicate id '2'"),
+    (['{"score": 0.5, "label": 1}', '{"id": 1, "score": 0.4, "label": 0}'],
+     "duplicate id '1'"),
 ]

@@ -684,19 +684,67 @@ class TestPlainRoute:
         assert got == want == (
             "ValidationError", f"{path}: field larger than field limit (32)")
 
-    @pytest.mark.parametrize("data,blocks", [
-        (b"", []),
-        (b"a\nb", [b"a\n", b"b\n"]),
-        (b"a\nbb\nccc\n\n", [b"a\n", b"bb\n", b"ccc\n\n"]),
-        (b"a\n" + b"x" * 20 + b"\nb\n", [b"a\n", b"x" * 20 + b"\n", b"b\n"]),
-        (b"a\n" + b"x" * 40, [b"a\n", None]),
-    ], ids=["empty", "unterminated", "blank-last", "line-over-block",
-            "line-over-limit"])
-    def test_line_blocks(self, monkeypatch, data, blocks):
-        """Blocks of whole lines, each ending in a newline; a line that runs
-        past the size limit ends the blocks early, unread to its end."""
-        monkeypatch.setattr(gio, "_BLOCK_BYTES", 4)
-        assert list(gio._line_blocks(io.BytesIO(data), limit=32)) == blocks
+    @pytest.mark.parametrize("block", range(1, 42))
+    def test_line_blocks(self, monkeypatch, block):
+        """On seeded data (lines of 0-50 bytes, LF or CRLF ends, blank
+        lines, with or without a final newline): blocks of whole lines, each
+        ending in a newline and at most a read and a line long, that join
+        to the data, plus a newline after an unterminated last line; a None,
+        and nothing after it, only where a line past them runs past the
+        limit, and never where every line fits."""
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
+        limit = 32
+        rng = np.random.default_rng(block)
+        stops = fits = 0
+        for _ in range(100):
+            longest = (31, 50)[int(rng.integers(0, 2))]
+            data = b"".join(
+                bytes(rng.integers(97, 123, int(rng.integers(0, longest + 1)),
+                                   dtype=np.uint8)
+                      if rng.random() > 0.15 else b"")
+                + (b"\r\n" if rng.random() < 0.3 else b"\n")
+                for _ in range(int(rng.integers(0, 12))))
+            if rng.random() < 0.3:
+                data = data.rstrip(b"\r\n")
+            blocks = list(gio._line_blocks(io.BytesIO(data), limit))
+            stopped = None in blocks
+            if stopped:
+                assert blocks.index(None) == len(blocks) - 1
+                blocks.pop()
+            for piece in blocks:
+                assert piece.endswith(b"\n")
+                assert len(piece) <= block + limit + 1
+            read = b"".join(blocks)
+            # the lines without their newlines: all, and those after the blocks
+            lines = data.split(b"\n")
+            rest = data[len(read):].split(b"\n")
+            if stopped:
+                assert data.startswith(read)
+                assert max(map(len, rest)) > limit
+            else:
+                assert read == data + b"\n" * (data[-1:] not in (b"", b"\n"))
+            if max(map(len, lines)) <= limit:
+                assert not stopped
+                fits += 1
+            stops += stopped
+        assert stops and fits > 10  # each outcome is exercised
+
+    @pytest.mark.parametrize("block", [4, 38], ids=["rest-over-limit",
+                                                     "rest-under-limit"])
+    def test_read_stops_inside_a_line_over_the_limit(self, monkeypatch,
+                                                     block):
+        """A read that stops inside a 40-byte line leaves 33 or 4 of its
+        bytes: either the blocks stop with None before the line, or the
+        block that holds it is one `_field_ends` turns down."""
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
+        data = b"a\n" + b"x" * 40 + b"\nb\n"
+        blocks = list(gio._line_blocks(io.BytesIO(data), limit=32))
+        if None in blocks:
+            assert blocks[-1] is None
+            assert b"".join(blocks[:-1]) in (b"", b"a\n")
+        else:
+            holding = next(piece for piece in blocks if b"x" in piece)
+            assert gio._field_ends(holding, ",", 1, 32) is None
 
     def test_memory_bounded_by_the_block_not_the_file(self, tmp_path,
                                                       monkeypatch,

@@ -10,13 +10,17 @@ same line write the same bytes for every run in the matrix.
 
 The matrix covers every subcommand under every tie policy on two inputs
 (the bundled 24-row example and a seeded 400-row file with tied scores),
-the subcommands that rank one input under every tie policy on three more
-copies of the tied file that the loader reads by its other routes (every
-field quoted, every field quoted with no id column, and json-lines), error
-forms whose message or precedence matters, and the `--help` text of
-the top level and of each subcommand at 80 columns. The temporary directory
-and SRC_DIR are replaced by fixed names before hashing, so the digest does
-not depend on where either lies. Needs the standard library and numpy only.
+the subcommands that rank one input under every tie policy on more copies
+of the tied file: three that the loader reads by its other routes (every
+field quoted, every field quoted with no id column, and json-lines), one
+the block route reads in two blocks, its first read stopping inside a line
+(over 64 KiB, with a byte-order mark, CRLF line ends, blank lines and no
+final newline), and json-lines with no id field and with ids on some rows
+only; error forms whose message or precedence matters; and the `--help`
+text of the top level and of each subcommand at 80 columns. The temporary
+directory and SRC_DIR are replaced by fixed names before hashing, so the
+digest does not depend on where either lies. Needs the standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -118,14 +122,18 @@ HELP_FORMS = [["--help"]] + [[name, "--help"] for name in COMMANDS]
 
 
 # copies of the tied file that the loader reads by the csv module (the
-# first two) and as json-lines; each is ranked under every tie policy
-ROUTE_INPUTS = ("<tied-quoted>", "<tied-no-id>", "<tied-jsonl>")
+# first two), by the block route in two blocks, and as json-lines; each
+# is ranked under every tie policy
+ROUTE_INPUTS = ("<tied-quoted>", "<tied-no-id>", "<tied-jsonl>",
+                "<tied-long-crlf>", "<tied-jsonl-no-id>",
+                "<tied-jsonl-some-ids>")
 
 
 def _write_tied(tmp_dir: Path) -> dict[str, str]:
     """400 rows with scores on 12 levels and shuffled ids, written as plain
     delimited text and as each copy of `ROUTE_INPUTS`; the name of each
-    file in the matrix and its path."""
+    file in the matrix and its path. The long copy carries a 160-byte note
+    on each row, so that it is over 64 KiB."""
     rng = random.Random(4000)
     ids = [f"t{i:04d}" for i in range(400)]
     rng.shuffle(ids)
@@ -143,11 +151,26 @@ def _write_tied(tmp_dir: Path) -> dict[str, str]:
         "<tied-jsonl>": ("tied.jsonl", [
             json.dumps({"id": rid, "score": score, "label": label})
             for rid, score, label in rows]),
+        "<tied-jsonl-no-id>": ("no-id.jsonl", [
+            json.dumps({"score": score, "label": label})
+            for _, score, label in rows]),
+        "<tied-jsonl-some-ids>": ("some-ids.jsonl", [
+            json.dumps({"score": score, "label": label}
+                       | ({"id": rid} if k % 3 else {}))
+            for k, (rid, score, label) in enumerate(rows)]),
     }
+    texts = {name: (file, "\n".join(lines) + "\n")
+             for name, (file, lines) in files.items()}
+    long_lines = ["id,note,score,label"] + [
+        f"{rid},{'n' * 160},{score!r},{label}"
+        + ("\r\n" if k % 50 == 10 else "")  # a blank line after it
+        for k, (rid, score, label) in enumerate(rows)]
+    texts["<tied-long-crlf>"] = ("long.csv",
+                                 "\ufeff" + "\r\n".join(long_lines))
     paths = {}
-    for name, (file, lines) in files.items():
+    for name, (file, text) in texts.items():
         path = tmp_dir / file
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         paths[name] = str(path)
     return paths
 
