@@ -33,6 +33,7 @@ import io as _stdio
 import json
 import math
 import re
+import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -317,7 +318,7 @@ def _line_blocks(raw, limit: int):
     with a shorter rest is left to `_field_ends`."""
     while data := raw.read(_BLOCK_BYTES):
         if not data.endswith(b"\n"):
-            rest = raw.readline(limit + 1)
+            rest = raw.readline(min(limit + 1, sys.maxsize))  # a C ssize_t
             if len(rest) > limit:
                 yield None
                 return
@@ -476,10 +477,9 @@ def _read_jsonl(file: ScoredFile
                     f"{file.score_col!r} field")
             labels.append(_parse_label(obj[file.label_col], row_no))
             scores.append(_parse_score(obj[file.score_col], row_no))
-            if ids is None and id_col in obj:  # number the rows before it
-                ids = list(map(str, range(1, row_no)))
-            if ids is not None:
-                ids.append(str(obj[id_col]) if id_col in obj else str(row_no))
+            if ids is not None or id_col in obj:  # from the first id field
+                ids = ids or list(map(str, range(1, row_no)))  # rows before it
+                ids.append(str(obj.get(id_col, row_no)))
     return ids, scores, labels
 
 

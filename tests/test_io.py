@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -729,22 +730,45 @@ class TestPlainRoute:
             stops += stopped
         assert stops and fits > 10  # each outcome is exercised
 
-    @pytest.mark.parametrize("block", [4, 38], ids=["rest-over-limit",
-                                                     "rest-under-limit"])
+    @pytest.mark.parametrize("block,stops", [(4, True), (38, False)],
+                             ids=["rest-over-limit", "rest-under-limit"])
     def test_read_stops_inside_a_line_over_the_limit(self, monkeypatch,
-                                                     block):
+                                                     block, stops):
         """A read that stops inside a 40-byte line leaves 33 or 4 of its
-        bytes: either the blocks stop with None before the line, or the
-        block that holds it is one `_field_ends` turns down."""
+        bytes: a rest past the limit stops the blocks with None before the
+        line; a shorter rest completes the line, in a block `_field_ends`
+        turns down."""
         monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
         data = b"a\n" + b"x" * 40 + b"\nb\n"
         blocks = list(gio._line_blocks(io.BytesIO(data), limit=32))
-        if None in blocks:
-            assert blocks[-1] is None
-            assert b"".join(blocks[:-1]) in (b"", b"a\n")
+        if stops:
+            assert blocks == [None]
         else:
+            assert None not in blocks
             holding = next(piece for piece in blocks if b"x" in piece)
+            assert b"\n" + b"x" * 40 + b"\n" in holding
             assert gio._field_ends(holding, ",", 1, 32) is None
+
+    @pytest.mark.parametrize("text", [
+        "id,score,label\na,0.5,1\nb,0.4,0",
+        "id,score,label\n" + "".join(f"r{i:06d},0.{i % 97:02d},{i % 2}\n"
+                                      for i in range(8_000)),
+    ], ids=["unterminated", "over-a-block"])
+    def test_largest_size_limit(self, tmp_path, monkeypatch, plain_reads,
+                                text):
+        """With the size limit set to `sys.maxsize`, as a program may set
+        it for the whole process, a read that stops inside a line still
+        completes it, and the block route reads the file."""
+        path = write(tmp_path, "in.csv", text)
+        limit = csv.field_size_limit(sys.maxsize)
+        try:
+            got, took_plain, want = _both_routes(monkeypatch, plain_reads,
+                                                 ScoredFile(path=path))
+        finally:
+            csv.field_size_limit(limit)
+        assert took_plain is True
+        assert got == want
+        assert len(got) == text.rstrip("\n").count("\n")
 
     def test_memory_bounded_by_the_block_not_the_file(self, tmp_path,
                                                       monkeypatch,
