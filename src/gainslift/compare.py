@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExhaustedError, ValidationError
-from .metrics import _product, auc_pairs, lift
+from .metrics import _fractions, _lift_at, _product, auc_pairs, lift
 from .records import (RankedTestSet, ScoredRecord, _integer_cutoff,
                       rank_records)
 
@@ -118,7 +118,7 @@ def compare_at(runs: Sequence[ClassifierRun],
     if not len(targets):  # a numpy array has no truth value
         raise ValidationError("no target cutoffs given")
     targets = tuple(map(_integer_cutoff, targets))
-    n_total, n_pos = runs[0].ranked.n_total, runs[0].ranked.n_pos
+    n_total = runs[0].ranked.n_total
     seen: set[int] = set()
     for n in targets:
         if not 1 <= n <= n_total:
@@ -126,21 +126,20 @@ def compare_at(runs: Sequence[ClassifierRun],
         if n in seen:
             raise ValidationError(f"repeated target n={n}")
         seen.add(n)
-    if n_pos == 0:
-        raise ValidationError("lift undefined: the set has no positives")
 
-    table = []  # each run's gains at every target, an int when whole
+    cutoffs = np.array(targets)
+    table, lifts = [], []  # each run's gains (an int when whole) and lift
     for run in runs:
-        num, den = run.ranked._gains_at(np.array(targets))
+        num, den = run.ranked._gains_at(cutoffs)
+        lifts.append(_fractions(*_lift_at(run.ranked, cutoffs, (num, den))))
         den = np.broadcast_to(den, num.shape).tolist()
         table.append([g if d == 1 else Fraction(g, d)
                       for g, d in zip(num.tolist(), den)])
     entries = []
     winners: dict[int, tuple[str, ...]] = {}
-    for n, gains in zip(targets, zip(*table)):
-        entries += [CompareEntry(run=run.name, n=n, cum_gains=g,
-                                 lift=Fraction(g * n_total, n * n_pos))
-                    for run, g in zip(runs, gains)]
+    for n, gains, lifts_at_n in zip(targets, zip(*table), zip(*lifts)):
+        entries += [CompareEntry(run=run.name, n=n, cum_gains=g, lift=value)
+                    for run, g, value in zip(runs, gains, lifts_at_n)]
         best = max(gains)
         winners[n] = tuple(run.name for run, g in zip(runs, gains) if g == best)
     return CompareTable(targets=targets, entries=tuple(entries),

@@ -596,7 +596,7 @@ def _parse_curves_csv(text: str) -> list[CurveSeries]:
         raise ValidationError(f"unexpected curve header {header!r}")
     out: list[CurveSeries] = []
     current: tuple[str, str] | None = None
-    points: list[tuple[Fraction, Fraction]] = []
+    points: list[tuple[float, float]] = []
     for row in reader:
         if not row:
             continue
@@ -606,7 +606,7 @@ def _parse_curves_csv(text: str) -> list[CurveSeries]:
                                    points=tuple(points)))
             points = []
         current = (name, kind)
-        points.append((Fraction(float(x)), Fraction(float(y))))
+        points.append((float(x), float(y)))
     if current is not None:
         out.append(CurveSeries(name=current[0], x_kind=XKind(current[1]),
                                points=tuple(points)))

@@ -1,6 +1,7 @@
 """Single-classifier measures on a ranked test set.
 
-Everything here is exact: counts are integers, ratios are `Fraction`s.
+Everything here is exact: counts are integers, ratios are `Fraction`s, and
+curves are integer columns that `CurveSeries.from_columns` alone reduces.
 Floating-point enters only when a caller asks for it (chart layout, text
 rendering). `render_decimal` reproduces fixed-precision half-up rounding so
 printed tables are reproducible bit for bit.
@@ -66,6 +67,8 @@ _FLOAT_EXACT = 2**53  # every integer of at most this magnitude is a float64
 
 
 def _magnitude(column) -> int:
+    if isinstance(column, (int, np.integer)):
+        return abs(int(column))
     column = np.asarray(column)
     return max(-int(column.min()), int(column.max())) if column.size else 0
 
@@ -87,12 +90,14 @@ def _sum(a, b) -> np.ndarray:
     return np.add(a, b)
 
 
-def _lowest_terms(num: np.ndarray, den) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_terms(num, den) -> tuple[np.ndarray, np.ndarray]:
     """num / den with each pair divided by its gcd (den > 0), where `den` is
-    a column or one integer for all. Any den that is not int64 (an object
-    column, or one integer past 2**63 - 1, which numpy reads as uint64 or
-    object) sends both to the object route."""
-    den = np.asarray(den)
+    a column or one integer for all (1 takes no gcd). Any den that is not
+    int64 (an object column, or one integer past 2**63 - 1, which numpy
+    reads as uint64 or object) sends both to the object route."""
+    num, den = np.asarray(num), np.asarray(den)
+    if den.ndim == 0 and den == 1:
+        return num, np.ones_like(num)
     if num.dtype == object or den.dtype != np.int64:
         num, den = num.astype(object), den.astype(object)
     common = np.gcd(num, den)
@@ -138,7 +143,8 @@ def _ratio_floats(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalColumn:
-    """Exact rationals num / den in lowest terms with den > 0."""
+    """Exact rationals num / den in lowest terms with den > 0, as `of` and
+    `CurveSeries.from_columns` make them."""
 
     num: np.ndarray
     den: np.ndarray
@@ -153,13 +159,9 @@ class RationalColumn:
     def floats(self) -> np.ndarray:
         return _ratio_floats(self.num, self.den)
 
-    def reprs(self) -> list[str]:
-        """repr of each value's float, the shortest text that reads back as
-        that float."""
-        return self._reprs(self.floats())
-
     def _reprs(self, floats: np.ndarray) -> list[str]:
-        """`reprs()`, given the column's `floats()`."""
+        """repr of each value's float, the shortest round-trip text, given
+        the column's `floats()`."""
         return self._per_run(lambda at: list(map(repr, floats[at].tolist())))
 
     def texts(self) -> list[str]:
@@ -185,7 +187,12 @@ class RationalColumn:
                          np.diff(starts, append=len(num))).tolist()
 
     def fractions(self) -> list[Fraction]:
-        return list(map(Fraction, self.num.tolist(), self.den.tolist()))
+        return _fractions(self.num, self.den)
+
+
+def _fractions(num: np.ndarray, den: np.ndarray) -> list[Fraction]:
+    """Fraction(num, den) per pair, which reduces it."""
+    return list(map(Fraction, num.tolist(), den.tolist()))
 
 
 class CurveSeries:
@@ -193,10 +200,10 @@ class CurveSeries:
 
     The coordinates are held as integer columns in lowest terms, x =
     x.num / x.den and y = y.num / y.den: int64 arrays, or object arrays of
-    Python ints where a value would not fit. The series kernels build the
-    columns directly (`from_columns`); `CurveSeries(name, x_kind, points)`
-    builds them from (x, y) pairs of rationals. `.points`, a tuple of
-    `Fraction` pairs, is built from the columns on first access.
+    Python ints where a value would not fit, made by `from_columns` from
+    raw columns or by `CurveSeries(name, x_kind, points)` from (x, y) pairs.
+    `.points`, a tuple of `Fraction` pairs, is built from the columns on
+    first access.
     """
 
     __slots__ = ("name", "x_kind", "x", "y", "_points")
@@ -206,17 +213,16 @@ class CurveSeries:
         points = tuple(points)
         self._set(name, x_kind, RationalColumn.of(x for x, _ in points),
                   RationalColumn.of(y for _, y in points))
-        self._points = points
 
     @classmethod
-    def from_columns(cls, name: str, x_kind: XKind,
-                     x: tuple[np.ndarray, np.ndarray],
-                     y: tuple[np.ndarray, np.ndarray]) -> "CurveSeries":
-        """A series over (numerator, denominator) column pairs already in
-        lowest terms with positive denominators."""
+    def from_columns(cls, name: str, x_kind: XKind, x: tuple, y: tuple
+                     ) -> "CurveSeries":
+        """A series over x and y given as (numerator, denominator) pairs, in
+        any terms: an integer column over a column or one integer for all,
+        every denominator positive. Each value is reduced here."""
         series = cls.__new__(cls)
-        series._set(name, x_kind, RationalColumn(*x), RationalColumn(*y))
-        series._points = None
+        series._set(name, x_kind, RationalColumn(*_lowest_terms(*x)),
+                    RationalColumn(*_lowest_terms(*y)))
         return series
 
     def _set(self, name: str, x_kind: XKind, x: RationalColumn,
@@ -225,6 +231,7 @@ class CurveSeries:
         self.x_kind = x_kind
         self.x = x
         self.y = y
+        self._points = None
         for column in (x.num, x.den, y.num, y.den):
             column.flags.writeable = False
         # x[i] < x[i+1] by cross-multiplying over the positive denominators
@@ -342,18 +349,29 @@ def cutoff_for(share: Fraction, n_total: int) -> int:
     return -(-share.numerator * n_total // share.denominator)
 
 
+def _lift_at(ranked: RankedTestSet, cutoffs: np.ndarray, gains=None,
+             what: str = "lift") -> tuple[np.ndarray, np.ndarray]:
+    """Lift gains * N / (n * P) at int64 cutoffs n >= 1 as unreduced columns
+    (num * N, den * n * P), from the gains num / den at `cutoffs` if given,
+    else read here. n * P < N**2 fits int64, as the gains do."""
+    if ranked.n_pos == 0:
+        raise ValidationError(f"{what} undefined: the set has no positives")
+    num, den = ranked._gains_at(cutoffs) if gains is None else gains
+    return (_product(num, ranked.n_total),
+            _product(den, cutoffs * ranked.n_pos))
+
+
 _DECILES = tuple(Fraction(k, 10) for k in range(1, 11))
+
+
+def _decile_lifts(ranked: RankedTestSet) -> tuple[np.ndarray, np.ndarray]:
+    cutoffs = np.array([cutoff_for(s, ranked.n_total) for s in _DECILES])
+    return _lift_at(ranked, cutoffs, what="decile lift")
 
 
 def decile_lift(ranked: RankedTestSet) -> list[Fraction]:
     """Lift at the ten cutoffs n_k = ceil(k*N/10); the last is always 1."""
-    if ranked.n_pos == 0:
-        raise ValidationError("decile lift undefined: the set has no positives")
-    cutoffs = np.array([cutoff_for(s, ranked.n_total) for s in _DECILES])
-    num, den = ranked._gains_at(cutoffs)
-    # the lift (num / den) * N / (n * P), exactly
-    return [Fraction(g * ranked.n_total, d * ranked.n_pos)
-            for g, d in zip(num.tolist(), (den * cutoffs).tolist())]
+    return _fractions(*_decile_lifts(ranked))
 
 
 def cum_benefit(ranked: RankedTestSet, n: int, costs: CostSpec) -> float:
@@ -403,10 +421,9 @@ def roc_points(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
     _require_both_classes(ranked, "ROC")
     bounds = ranked._group_bounds
     cum_pos = ranked._gains_at(bounds)[0]  # whole at a bound, any policy
-    cum_neg = bounds - cum_pos
-    return CurveSeries.from_columns(
-        name, XKind.FPR, _lowest_terms(cum_neg, ranked.n_neg),
-        _lowest_terms(cum_pos, ranked.n_pos))
+    return CurveSeries.from_columns(name, XKind.FPR,
+                                    (bounds - cum_pos, ranked.n_neg),
+                                    (cum_pos, ranked.n_pos))
 
 
 def auc_pairs(ranked: RankedTestSet) -> Fraction:
@@ -461,33 +478,20 @@ def gains_series(ranked: RankedTestSet, fraction: bool = False,
         raise ValidationError("fractional gains undefined: no positives")
     counts = np.arange(1, ranked.n_total + 1, dtype=np.int64)
     num, den = ranked._gains_at(counts)
-    gains = (_lowest_terms(num, _product(den, ranked.n_pos)) if fraction
-             else (num, np.broadcast_to(den, num.shape)))
     kind = XKind.FRACTION if fraction else XKind.COUNT
     return CurveSeries.from_columns(
-        name, kind, _cutoff_axis(counts, fraction), gains)
+        name, kind, (counts, ranked.n_total if fraction else 1),
+        (num, _product(den, ranked.n_pos) if fraction else den))
 
 
 def lift_series(ranked: RankedTestSet, fraction: bool = True,
                 name: str = "lift") -> CurveSeries:
     """Lift per cutoff n = 1..N against n or n/N: gains * N / (n * P)."""
-    if ranked.n_pos == 0:
-        raise ValidationError("lift undefined: the set has no positives")
     counts = np.arange(1, ranked.n_total + 1, dtype=np.int64)
-    num, den = ranked._gains_at(counts)
-    lifts = _lowest_terms(_product(num, ranked.n_total),
-                          _product(_product(den, counts), ranked.n_pos))
     kind = XKind.FRACTION if fraction else XKind.COUNT
     return CurveSeries.from_columns(
-        name, kind, _cutoff_axis(counts, fraction), lifts)
-
-
-def _cutoff_axis(counts: np.ndarray, fraction: bool
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The x column of `counts` (n = 1..N): n, or n/N in lowest terms."""
-    if fraction:
-        return _lowest_terms(counts, len(counts))
-    return counts, np.ones_like(counts)
+        name, kind, (counts, ranked.n_total if fraction else 1),
+        _lift_at(ranked, counts))
 
 
 def benefit_series(ranked: RankedTestSet, costs: CostSpec,
@@ -501,25 +505,21 @@ def benefit_series(ranked: RankedTestSet, costs: CostSpec,
     counts = np.arange(1, ranked.n_total + 1, dtype=np.int64)
     num, den = ranked._gains_at(counts)
     misses = _product(counts, den) - num  # false positives, over den
-    benefit = _lowest_terms(_sum(_product(num, a * d), _product(misses, c * b)),
-                            _product(den, b * d))
-    return CurveSeries.from_columns(name, XKind.COUNT,
-                                    _cutoff_axis(counts, False), benefit)
+    return CurveSeries.from_columns(
+        name, XKind.COUNT, (counts, 1),
+        (_sum(_product(num, a * d), _product(misses, c * b)),
+         _product(den, b * d)))
 
 
 def decile_series(ranked: RankedTestSet, name: str = "decile-lift") -> CurveSeries:
-    values = decile_lift(ranked)
-    points = tuple((Fraction(k), values[k - 1]) for k in range(1, 11))
-    return CurveSeries(name=name, x_kind=XKind.COUNT, points=points)
+    return CurveSeries.from_columns(name, XKind.COUNT, (np.arange(1, 11), 1),
+                                    _decile_lifts(ranked))
 
 
 def random_targeting_series(ranked: RankedTestSet, kind: XKind,
                             name: str = "random targeting") -> CurveSeries:
     """Two-point diagonal reference: what targeting at the whole-set positive
-    rate would gain."""
-    if kind is XKind.COUNT:
-        points = ((Fraction(0), Fraction(0)),
-                  (Fraction(ranked.n_total), Fraction(ranked.n_pos)))
-    else:
-        points = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    return CurveSeries(name=name, x_kind=kind, points=points)
+    rate would gain, from (0, 0) to (N, P), or to (1, 1) on a share axis."""
+    x, y = (ranked.n_total, ranked.n_pos) if kind is XKind.COUNT else (1, 1)
+    return CurveSeries.from_columns(name, kind, (np.array([0, x]), 1),
+                                    (np.array([0, y]), 1))

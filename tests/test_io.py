@@ -1136,7 +1136,8 @@ class TestRunsAgainstOracles:
         for s in series:
             for column, values in ((s.x, [x for x, _ in s.points]),
                                    (s.y, [y for _, y in s.points])):
-                assert column.reprs() == [repr(float(v)) for v in values]
+                assert column._reprs(column.floats()) == [
+                    repr(float(v)) for v in values]
                 assert column.texts() == [
                     f"{v.numerator}/{v.denominator}" for v in map(Fraction, values)]
 

@@ -7,13 +7,13 @@ import pytest
 from gainslift import (ClassifierRun, CostSpec, CurveSeries, RankedTestSet,
                        ScoredRecord, TiePolicy, ValidationError, XKind,
                        accuracy_at, benefit_series, compare_at, cum_benefit,
-                       cum_gains, decile_lift, emit_curves, example24_records,
-                       gains_series, lift, lift_series, n_confusion_matrix,
-                       p_cum_gains, random_targeting_rate,
+                       cum_gains, decile_lift, decile_series, emit_curves,
+                       example24_records, gains_series, lift, lift_series,
+                       n_confusion_matrix, p_cum_gains, random_targeting_rate,
                        random_targeting_series, rank_records,
                        records, render_decimal, render_exact, roc_points)
-from gainslift.metrics import (MAX_PLACES, _lowest_terms, _product, _sum,
-                               cutoff_for)
+from gainslift.metrics import (MAX_PLACES, _int_column, _lowest_terms,
+                               _product, _sum, cutoff_for)
 
 from helpers import (benefit_series_oracle, curves_csv_oracle,
                      curves_json_oracle, edge_records, gains_series_oracle,
@@ -164,6 +164,23 @@ class TestDecileLift:
         values = decile_lift(ranked)
         assert values[0] == lift(ranked, 3)
         assert values[4] == lift(ranked, 12)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_series_list_and_single_cutoffs_agree(self, policy):
+        """On random tied sets, N = 1..12 (under 10 the cutoffs repeat)
+        then larger: the series' y, the list and one `lift` per decile."""
+        rng = np.random.default_rng(3110)
+        sizes = chain(range(1, 13), rng.integers(13, 120, size=25).tolist())
+        for n_total in sizes:
+            labels = rng.integers(0, 2, size=n_total)
+            labels[rng.integers(0, n_total)] = 1
+            scores = rng.integers(0, max(2, n_total // 4), size=n_total)
+            ranked = rank_records(records_from_labels(labels, scores), policy)
+            want = [lift(ranked, cutoff_for(Fraction(k, 10), n_total))
+                    for k in range(1, 11)]
+            series = decile_series(ranked)
+            assert series.y.fractions() == decile_lift(ranked) == want
+            assert series.x.fractions() == list(range(1, 11))
 
 
 class TestCumBenefit:
@@ -324,6 +341,24 @@ class TestSeries:
         assert count.points == ((0, 0), (24, 12))
         assert frac.points == ((0, 0), (1, 1))
 
+    @pytest.mark.parametrize("kind", list(XKind))
+    def test_random_targeting_series_keeps_its_points(self, kind):
+        rng = np.random.default_rng(3111)
+        draws = (random_instance(rng, max_n=60) for _ in range(10))
+        for records in chain(edge_records(), draws):
+            ranked = rank_records(records)
+            end = ((ranked.n_total, ranked.n_pos) if kind is XKind.COUNT
+                   else (1, 1))
+            series = random_targeting_series(ranked, kind, name="r")
+            assert series == CurveSeries("r", kind, [(0, 0), end])
+            assert series.points == ((0, 0), end)
+            assert all(type(v) is Fraction for p in series.points for v in p)
+
+    def test_points_are_fractions_of_the_columns(self):
+        series = CurveSeries("a", XKind.COUNT, [(1, 0.5), (2, 0.1)])
+        assert series.points == ((1, Fraction(1, 2)), (2, Fraction(0.1)))
+        assert all(type(v) is Fraction for p in series.points for v in p)
+
 
 class TestRendering:
     @pytest.mark.parametrize("value,places,expected", [
@@ -472,6 +507,76 @@ class TestSeriesKernelsAgainstOracles:
         assert series.y.num.dtype == object
         assert emit_curves([series], format="json") == curves_json_oracle([series])
         assert emit_curves([series], format="csv") == curves_csv_oracle([series])
+
+    # factors that leave each pair out of lowest terms; times 3**25 some
+    # values, and times 3**50 all, pass int64 and take the Python-int route
+    UNREDUCED_BY = (1, 6, 3**25, 3**50)
+
+    def test_from_columns_reduces_raw_pairs(self):
+        rng = np.random.default_rng(3112)
+        for length in (1, 2, 7, 40):
+            x = sorted({Fraction(int(v), 97)
+                        for v in rng.integers(1, 10**4, size=length)})
+            y = [Fraction(int(a), int(b)) for a, b in zip(
+                rng.integers(-10**8, 10**8, size=len(x)),
+                rng.integers(1, 10**8, size=len(x)))]
+            want = CurveSeries("s", XKind.FRACTION, zip(x, y))
+            for k in self.UNREDUCED_BY:
+                x_pairs, y_pairs = (
+                    tuple(_int_column([getattr(v, part) * k for v in values])
+                          for part in ("numerator", "denominator"))
+                    for values in (x, y))
+                got = CurveSeries.from_columns("s", XKind.FRACTION,
+                                               x_pairs, y_pairs)
+                assert got == want and got.points == want.points
+                assert emit_curves([got]) == emit_curves([want])
+                assert (emit_curves([got], format="json")
+                        == emit_curves([want], format="json"))
+
+    def test_from_columns_takes_one_denominator_for_all(self):
+        counts = range(1, 31)
+        whole = [-(3**40), 0, 2**62, 5] * 7 + [1, 2]
+        want = CurveSeries("s", XKind.FRACTION,
+                           zip((Fraction(c, 30) for c in counts), whole))
+        for k in self.UNREDUCED_BY:
+            got = CurveSeries.from_columns(
+                "s", XKind.FRACTION,
+                (_int_column([c * k for c in counts]), 30 * k),
+                (_int_column([v * k for v in whole]), k))
+            assert got == want and got.points == want.points
+            assert emit_curves([got]) == emit_curves([want])
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_kernels_reduce_unreduced_gains(self, monkeypatch, policy):
+        """Every column-built series and list of lifts is the same when the
+        gains kernel hands out each num/den times 3**25; ROC is left out,
+        as it reads the whole gains at group bounds by their numerators."""
+        rng = np.random.default_rng(3113)
+        sets = [rank_records(r, policy) for r in chain(
+            edge_records(), (random_instance(rng, max_n=40, tie_prob=0.5)
+                             for _ in range(10)))]
+        sets = [r for r in sets if r.n_pos]
+        costs = CostSpec(q_tp=0.1, q_fp=-0.3)
+
+        def outputs(ranked):
+            return [gains_series(ranked), gains_series(ranked, fraction=True),
+                    lift_series(ranked), lift_series(ranked, fraction=False),
+                    benefit_series(ranked, costs), decile_series(ranked),
+                    decile_lift(ranked)]
+
+        want = [outputs(r) for r in sets]
+        tables = [compare_at([ClassifierRun("a", r), ClassifierRun("b", r)],
+                             range(1, r.n_total + 1)) for r in sets]
+        gains_at = RankedTestSet._gains_at
+
+        def unreduced(ranked, cutoffs):
+            num, den = gains_at(ranked, cutoffs)
+            return num * 3**25, den * 3**25
+
+        monkeypatch.setattr(RankedTestSet, "_gains_at", unreduced)
+        assert [outputs(r) for r in sets] == want
+        assert [compare_at([ClassifierRun("a", r), ClassifierRun("b", r)],
+                           range(1, r.n_total + 1)) for r in sets] == tables
 
     def test_points_built_on_first_access(self, example24):
         series = lift_series(example24)

@@ -16,8 +16,10 @@ field quoted, every field quoted with no id column, and json-lines), one
 the block route reads in two blocks, its first read stopping inside a line
 (over 64 KiB, with a byte-order mark, CRLF line ends, blank lines and no
 final newline), and json-lines with no id field and with ids on some rows
-only; error forms whose message or precedence matters; and the `--help`
-text of the top level and of each subcommand at 80 columns. The temporary
+only; two small files ranked under every tie policy, 7 tied rows (under
+10, so the decile cutoffs repeat) and one row (where most commands fail);
+error forms whose message or precedence matters; and the `--help` text of
+the top level and of each subcommand at 80 columns. The temporary
 directory and SRC_DIR are replaced by fixed names before hashing, so the
 digest does not depend on where either lies. Needs the standard library and
 numpy only.
@@ -128,6 +130,14 @@ ROUTE_INPUTS = ("<tied-quoted>", "<tied-no-id>", "<tied-jsonl>",
                 "<tied-long-crlf>", "<tied-jsonl-no-id>",
                 "<tied-jsonl-some-ids>")
 
+# small files, each ranked under every tie policy: 7 rows on three score
+# levels, where ceil(k * 7 / 10) repeats across deciles, and one row
+SMALL_INPUTS = {
+    "<tied-7>": ("tied7.csv", "id,score,label\nu5,0.5,1\nu2,0.5,0\n"
+                 "u7,0.9,0\nu1,0.5,1\nu4,0.2,0\nu3,0.9,1\nu6,0.2,1\n"),
+    "<one-row>": ("one.csv", "id,score,label\nv1,0.5,1\n"),
+}
+
 
 def _write_tied(tmp_dir: Path) -> dict[str, str]:
     """400 rows with scores on 12 levels and shuffled ids, written as plain
@@ -185,7 +195,7 @@ def _argvs(names: dict[str, str]) -> list[list[str]]:
     for path in (names["<example>"], names["<tied>"]):
         argvs += _ranked(path) + [[form[0], "--input", path, *form[1:]]
                                   for form in UNRANKED_FORMS]
-    for name in ROUTE_INPUTS:
+    for name in ROUTE_INPUTS + tuple(SMALL_INPUTS):
         argvs += _ranked(names[name])
     return argvs + OTHER_FORMS + ERROR_FORMS + HELP_FORMS
 
@@ -212,6 +222,9 @@ def main() -> int:
                                          encoding="utf-8")
         names = {"<example>": str(example24_path()),
                  "<bad>": str(tmp_dir / "bad.csv"), **_write_tied(tmp_dir)}
+        for name, (file, text) in SMALL_INPUTS.items():
+            (tmp_dir / file).write_text(text, encoding="utf-8")
+            names[name] = str(tmp_dir / file)
         out = tmp_dir / "out.txt"
         for form in _argvs(names):
             argv = [str(out) if a == OUT else
