@@ -133,7 +133,7 @@ def compare_at(runs: Sequence[ClassifierRun],
         num, den = run.ranked._gains_at(cutoffs)
         lifts.append(_fractions(*_lift_at(run.ranked, cutoffs, (num, den))))
         den = np.broadcast_to(den, num.shape).tolist()
-        table.append([g if d == 1 else Fraction(g, d)
+        table.append([Fraction(g, d) if g % d else g // d
                       for g, d in zip(num.tolist(), den)])
     entries = []
     winners: dict[int, tuple[str, ...]] = {}
@@ -187,10 +187,9 @@ def dominance(run_a: ClassifierRun, run_b: ClassifierRun) -> DominanceReport:
 
     The runs share one label multiset, so at every cutoff n their lifts
     share the factor N / (n * positives) and lift_a > lift_b exactly when
-    gains_a > gains_b. The exact gains of both runs at n = 1..N, one
-    `_gains_at` call each, are compared by cross-multiplying numerators and
-    denominators; the products are exact (`_product`), never wrapped past
-    int64.
+    gains_a > gains_b. Each run's raw gains num / den at n = 1..N, one
+    `_gains_at` call, are compared by whole part num // den, then by the
+    remainders' cross-products, below N**2 as a remainder is below den <= N.
     """
     _check_shared_labels([run_a, run_b])
     if run_a.ranked.n_pos == 0:
@@ -198,8 +197,10 @@ def dominance(run_a: ClassifierRun, run_b: ClassifierRun) -> DominanceReport:
     counts = np.arange(1, run_a.ranked.n_total + 1, dtype=np.int64)
     num_a, den_a = run_a.ranked._gains_at(counts)
     num_b, den_b = run_b.ranked._gains_at(counts)
-    lhs = _product(num_a, den_b)
-    rhs = _product(num_b, den_a)
+    whole_a, rest_a = np.divmod(num_a, den_a)
+    whole_b, rest_b = np.divmod(num_b, den_b)
+    lhs = np.where(whole_a == whole_b, _product(rest_a, den_b), whole_a)
+    rhs = np.where(whole_a == whole_b, _product(rest_b, den_a), whole_b)
     a_above = np.flatnonzero(lhs > rhs) + 1
     b_above = np.flatnonzero(rhs > lhs) + 1
     if a_above.size and not b_above.size:

@@ -415,12 +415,12 @@ def _require_both_classes(ranked: RankedTestSet, what: str) -> None:
 def roc_points(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
     """ROC curve points at the tie-group bounds: one cutoff per distinct score.
 
-    A tie group advances as a single step, so the curve is invariant to the
-    tie policy. Starts at (0,0); the final cutoff is always (1,1).
+    A tie group advances as a single step (the prefix counts at its bounds),
+    so the curve is invariant to the tie policy. It runs from (0,0) to (1,1).
     """
     _require_both_classes(ranked, "ROC")
     bounds = ranked._group_bounds
-    cum_pos = ranked._gains_at(bounds)[0]  # whole at a bound, any policy
+    cum_pos = ranked._prefix_pos[bounds]
     return CurveSeries.from_columns(name, XKind.FPR,
                                     (bounds - cum_pos, ranked.n_neg),
                                     (cum_pos, ranked.n_pos))

@@ -136,18 +136,19 @@ class RankedTestSet:
         """The checked cutoff n and its gains: one check, one kernel read."""
         n = self.check_cutoff(n, minimum)
         num, den = self._gains_at(n)
-        return n, int(num) if den == 1 else Fraction(int(num), int(den))
+        if den != 1 and num % den:  # a cutoff inside an expected tie group
+            return n, Fraction(int(num), int(den))
+        return n, int(num) // int(den)
 
     def _gains_at(self, cutoffs: int | np.ndarray):
         """Exact gains at one cutoff or an int array of cutoffs in [0, N],
-        in any order and with repeats, as int64 `num`, `den` in lowest terms
-        (numpy integers for one cutoff): the one kernel of every gains
-        query, and with `_group_bounds` the one reader of how gains are laid
-        out. They are the prefix counts, with `den` the int 1 (no column),
-        except that under the expected-value policy a cutoff n in the tie
-        group of ranks s+1..s+g, with q = prefix[s + g] - prefix[s]
-        positives, gets (prefix[s] * g + q * (n - s)) / g. Every value stays
-        below N**2, far inside int64 at any size that fits in memory."""
+        in any order and with repeats, as unreduced int64 `num`, `den`
+        (numpy integers for one cutoff): the one kernel of every gains query
+        and, with `_group_bounds`, the one reader of how gains are laid out.
+        They are the prefix counts over the int 1 (no column), except under
+        the expected policy, where a cutoff n in the tie group of ranks
+        s+1..s+g with q positives gets prefix[s] * g + q * (n - s) over g,
+        whole or not. Both stay below N**2, far inside int64."""
         prefix = self._prefix_pos
         if self.tie_policy is not TiePolicy.EXPECTED_VALUE:
             return prefix[cutoffs], 1
@@ -157,10 +158,8 @@ class RankedTestSet:
         group = np.searchsorted(bounds[1:], cutoffs)
         start, end = bounds[group], bounds[group + 1]
         size = end - start
-        num = (prefix[start] * size
-               + (prefix[end] - prefix[start]) * (cutoffs - start))
-        common = np.gcd(num, size)
-        return num // common, size // common
+        return (prefix[start] * size
+                + (prefix[end] - prefix[start]) * (cutoffs - start)), size
 
     def tie_groups(self) -> Iterable[tuple[int, int, int]]:
         """Yield (start, end, positives) per equal-score group, rank order."""

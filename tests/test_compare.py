@@ -369,20 +369,38 @@ class TestDominanceAgainstOracle:
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_cross_products_past_int64_are_exact(self, monkeypatch, policy,
                                                  example24):
-        # every numerator and denominator times k: the same rationals, but
-        # each cross-product is past 2**63
+        # every numerator and denominator times k: the same rationals, and
+        # each cross-product of nonzero remainders, which only ties under the
+        # expected policy leave, is past 2**63
         k = 3**25
         a = rank_records(example24.records, policy)
         b = apply_swaps(a, SwapSpec(pairs=((6, 8), (12, 16))))
-        want = dominance(ClassifierRun("a", a), ClassifierRun("b", b))
-        gains_at = RankedTestSet._gains_at
+        # the same records in tie groups of five ranks
+        tied = rank_records([ScoredRecord(r.id, -float(i // 5), r.label)
+                             for i, r in enumerate(a.records)], policy)
+
+        def reports():
+            return [dominance(ClassifierRun("x", x), ClassifierRun("y", y))
+                    for x, y in ((a, b), (a, tied), (tied, b))]
+
+        want = reports()
+        gains_at, product = RankedTestSet._gains_at, compare._product
+        dtypes = []
 
         def scaled(ranked, cutoffs):
             num, den = gains_at(ranked, cutoffs)
             return num * k, den * k
 
+        def spy(x, y):
+            out = product(x, y)
+            dtypes.append(out.dtype)
+            return out
+
         monkeypatch.setattr(RankedTestSet, "_gains_at", scaled)
-        assert dominance(ClassifierRun("a", a), ClassifierRun("b", b)) == want
+        monkeypatch.setattr(compare, "_product", spy)
+        assert reports() == want
+        # the exact route is taken where, and only where, remainders remain
+        assert (object in dtypes) is (policy is TiePolicy.EXPECTED_VALUE)
 
 
 # reports computed by the Fraction search before the integer kernels

@@ -6,23 +6,35 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (EXAMPLE24_LABELS, RankedTestSet, ResamplePlan,
-                       ScoredRecord, SwapSpec, TiePolicy, ValidationError,
-                       apply_swaps, auc_pairs, auc_wilcoxon, example24_records,
-                       load_scored, rank_records, roc_points, run_plan)
+from gainslift import (EXAMPLE24_LABELS, ClassifierRun, RankedTestSet,
+                       ResamplePlan, ScoredRecord, SwapSpec, TiePolicy,
+                       ValidationError, apply_swaps, auc_pairs, auc_wilcoxon,
+                       dominance, example24_records, load_scored,
+                       rank_records, roc_points, run_plan)
 import gainslift.io as gio
 from gainslift.io import _load_columns
 from gainslift.records import (_columns, _first_fault, _rank_columns,
                                _rank_order, _rows_by_id)
 
-from helpers import (brute_force_auc, gains_oracle, random_instance,
-                     rank_order_oracle, records_from_labels, roc_points_oracle,
-                     stable_order_oracle, tie_groups_oracle)
+from helpers import (brute_force_auc, gains_oracle, lift_above,
+                     random_instance, rank_order_oracle, records_from_labels,
+                     roc_points_oracle, stable_order_oracle, tie_groups_oracle)
 
 
 def make(scores, labels):
     return [ScoredRecord(id=f"r{i}", score=s, label=y)
             for i, (s, y) in enumerate(zip(scores, labels))]
+
+
+def kernel_dens(ranked):
+    """The denominator `_gains_at` gives at each cutoff n = 0..N, from
+    `tie_groups_oracle`: under the expected policy the size of the tie group
+    holding rank n (the first group's for n = 0), unreduced; else 1."""
+    if ranked.tie_policy is not TiePolicy.EXPECTED_VALUE:
+        return [1] * (ranked.n_total + 1)
+    sizes = [end - start for start, end, _ in tie_groups_oracle(ranked)
+             for _ in range(start, end)]
+    return sizes[:1] + sizes
 
 
 class TestRanking:
@@ -147,14 +159,15 @@ class TestGainsKernel:
             cutoffs = np.concatenate((np.arange(n_total + 1), [0, n_total] * 2,
                                       rng.integers(0, n_total + 1, size=20)))
             rng.shuffle(cutoffs)
+            dens = kernel_dens(ranked)
             num, den = ranked._gains_at(cutoffs)
             if policy is TiePolicy.EXPECTED_VALUE:
                 assert den.dtype == np.int64
+                assert den.tolist() == [dens[n] for n in cutoffs]
             else:  # the prefix counts, with no denominator column
                 assert type(den) is int and den == 1
             den = np.broadcast_to(den, num.shape)
             assert num.dtype == np.int64
-            assert np.all(np.gcd(num, den) == 1)
             assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == [
                 want[n] for n in cutoffs]
             # one cutoff, a Python or a numpy int, gives numpy integers
@@ -162,7 +175,7 @@ class TestGainsKernel:
                 for cutoff in (n, np.int64(n)):
                     num, den = ranked._gains_at(cutoff)
                     assert np.ndim(num) == np.ndim(den) == 0
-                    assert np.gcd(num, den) == 1
+                    assert den == dens[n]
                     assert Fraction(int(num), int(den)) == want[n]
             got = [ranked.positives_in_prefix(n) for n in range(n_total + 1)]
             assert got == want
@@ -191,21 +204,23 @@ class TestGainsAtEveryCutoff:
             for n in range(ranked.n_total + 1):
                 assert Fraction(int(num[n]), int(den[n])) == \
                     ranked.positives_in_prefix(n)
-            assert np.all(np.gcd(num, den) == 1)
+            assert den.tolist() == kernel_dens(ranked)
 
     def test_denominator_is_group_size_inside_expected_ties(self):
         records = make([0.9, 0.5, 0.5, 0.5, 0.5, 0.1], [1, 1, 0, 1, 0, 0])
         num, den = rank_records(records, TiePolicy.EXPECTED_VALUE)._gains_at(
             np.arange(7))
-        assert num.tolist() == [0, 1, 3, 2, 5, 3, 3]
-        assert den.tolist() == [1, 1, 2, 1, 2, 1, 1]
+        # unreduced: 8/4 and 12/4 keep the group size, whole or not
+        assert num.tolist() == [0, 1, 6, 8, 10, 12, 3]
+        assert den.tolist() == [1, 1, 4, 4, 4, 4, 1]
 
 
 class TestSmallWorld:
     """Every label sequence of N <= MAX_N records and every split of its
     ranks into consecutive tie groups, under every policy, against the
     plain oracles. The ids descend with the row, so the id policy reverses
-    each group's input order."""
+    each group's input order. Dominance is checked against the set with its
+    first and last ranks exchanged, where their labels differ."""
 
     MAX_N = 6
 
@@ -251,6 +266,12 @@ class TestSmallWorld:
                 swapped = apply_swaps(ranked, SwapSpec(pairs=((1, n),)))
                 assert swapped.labels == (want[-1],) + want[1:-1] + (want[0],)
                 assert list(swapped.tie_groups()) == tie_groups_oracle(swapped)
+                if want[0] != want[-1]:  # else swapped is ranked itself
+                    report = dominance(ClassifierRun("a", ranked),
+                                       ClassifierRun("b", swapped))
+                    ranks = [[k for lo, hi in above for k in range(lo, hi + 1)]
+                             for above in (report.a_above, report.b_above)]
+                    assert tuple(ranks) == lift_above(ranked, swapped)
 
 
 class TestColumnarRankedSet:
