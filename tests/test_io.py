@@ -261,6 +261,69 @@ class TestEmitCurves:
         assert [s.as_floats() for s in again] == [s.as_floats() for s in series]
 
 
+_CURVES_HEAD = "series,x_kind,x,y\r\n"
+
+
+def _curves_json(*series):
+    return json.dumps({"series": list(series)})
+
+
+class TestParseCurvesFaults:
+    """The exception and message `parse_curves` raises for a bad text, and
+    which of two faults it reports: a row is split into its four fields as
+    it is read, a series' points are converted before its kind is read, and
+    the series is checked last."""
+
+    @pytest.mark.parametrize("text,error,message", [
+        (_CURVES_HEAD + "g,count-n,1\r\n", ValueError,
+         "not enough values to unpack (expected 4, got 3)"),
+        (_CURVES_HEAD + "g\r\n", ValueError,
+         "not enough values to unpack (expected 4, got 1)"),
+        (_CURVES_HEAD + "g,count-n,1,2,3\r\n", ValueError,
+         "too many values to unpack (expected 4)"),
+        (_CURVES_HEAD + "g,count-n,1,0.5\r\ng,count-n,2,x\r\n", ValueError,
+         "could not convert string to float: 'x'"),
+        (_CURVES_HEAD + "g,bogus,1,0.5\r\n", ValueError,
+         "'bogus' is not a valid XKind"),
+        (_CURVES_HEAD + "g,bogus,1,0.5\r\ng,count-n,2\r\n", ValueError,
+         "not enough values to unpack (expected 4, got 3)"),
+        (_CURVES_HEAD + "g,bogus,1,0.5\r\nh,count-n,1,y\r\n", ValueError,
+         "'bogus' is not a valid XKind"),
+        (_CURVES_HEAD + "g,count-n,1,y\r\nh,count-n,1\r\n", ValueError,
+         "could not convert string to float: 'y'"),
+        (_CURVES_HEAD + "g,count-n,2,0.5\r\ng,count-n,1,0.5\r\n",
+         ValidationError, "series 'g': x values must be strictly increasing"),
+        (_CURVES_HEAD + "g,count-n,2,0.5\r\ng,count-n,1,0.5\r\nh,count-n,1\r\n",
+         ValueError, "not enough values to unpack (expected 4, got 3)"),
+        (_CURVES_HEAD + "g,count-n,2,0.5\r\ng,count-n,1,0.5\r\n"
+         "h,count-n,1,y\r\n",
+         ValidationError, "series 'g': x values must be strictly increasing"),
+        ("", ValidationError, "unexpected curve header None"),
+    ])
+    def test_csv(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_curves(text, format="csv")
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,error,message", [
+        (_curves_json({"name": "g", "x_kind": "count-n", "points": [
+            {"x": 1, "y": 1, "x_exact": "1/1"}]}), KeyError, "'y_exact'"),
+        (_curves_json({"name": "g", "x_kind": "bogus", "points": [
+            {"x": 1, "y": 1, "x_exact": "1/1", "y_exact": "1/2"}]}),
+         ValueError, "'bogus' is not a valid XKind"),
+        (_curves_json({"name": "g", "x_kind": "bogus", "points": []},
+                      {"name": "h", "x_kind": "count-n", "points": [{}]}),
+         ValueError, "'bogus' is not a valid XKind"),
+        (_curves_json({"x_kind": "bogus", "points": []}), KeyError, "'name'"),
+    ])
+    def test_json(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_curves(text, format="json")
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestCurveSeriesValidation:
     def test_strictly_increasing_x_enforced(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
