@@ -37,7 +37,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -581,48 +581,27 @@ def _json_pieces(series, floats) -> Iterator[str]:
 
 
 def parse_curves(text: str, format: str = "csv") -> list[CurveSeries]:
-    """Inverse of emit_curves. The json path restores exact rationals."""
+    """Inverse of emit_curves. The json path restores exact rationals.
+
+    Each series' points are converted before its name and kind are read; a
+    csv row is split into its four fields as it is read, and consecutive
+    rows of one (series, x_kind) are one series."""
     if format == "csv":
-        return _parse_curves_csv(text)
-    if format == "json":
-        return _parse_curves_json(text)
-    raise ValidationError(f"unknown curve format {format!r}")
-
-
-def _parse_curves_csv(text: str) -> list[CurveSeries]:
-    reader = csv.reader(_stdio.StringIO(text))
-    header = next(reader, None)
-    if header != ["series", "x_kind", "x", "y"]:
-        raise ValidationError(f"unexpected curve header {header!r}")
-    out: list[CurveSeries] = []
-    current: tuple[str, str] | None = None
-    points: list[tuple[float, float]] = []
-    for row in reader:
-        if not row:
-            continue
-        name, kind, x, y = row
-        if current is not None and (name, kind) != current:
-            out.append(CurveSeries(name=current[0], x_kind=XKind(current[1]),
-                                   points=tuple(points)))
-            points = []
-        current = (name, kind)
-        points.append((float(x), float(y)))
-    if current is not None:
-        out.append(CurveSeries(name=current[0], x_kind=XKind(current[1]),
-                               points=tuple(points)))
-    return out
-
-
-def _parse_curves_json(text: str) -> list[CurveSeries]:
-    payload = json.loads(text)
-    out = []
-    for s in payload["series"]:
-        points = tuple(
-            (Fraction(p["x_exact"]), Fraction(p["y_exact"]))
-            for p in s["points"])
-        out.append(CurveSeries(name=s["name"], x_kind=XKind(s["x_kind"]),
-                               points=points))
-    return out
+        reader = csv.reader(_stdio.StringIO(text))
+        header = next(reader, None)
+        if header != ["series", "x_kind", "x", "y"]:
+            raise ValidationError(f"unexpected curve header {header!r}")
+        rows = ((name, kind, x, y) for name, kind, x, y in filter(None, reader))
+        parsed = ((tuple((float(x), float(y)) for _, _, x, y in group), *key)
+                  for key, group in groupby(rows, itemgetter(0, 1)))
+    elif format == "json":
+        parsed = ((tuple((Fraction(p["x_exact"]), Fraction(p["y_exact"]))
+                         for p in s["points"]), s["name"], s["x_kind"])
+                  for s in json.loads(text)["series"])
+    else:
+        raise ValidationError(f"unknown curve format {format!r}")
+    return [CurveSeries(name=name, x_kind=XKind(kind), points=points)
+            for points, name, kind in parsed]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ policy. The id and expected-value policies are fixed by the set, not by the
 input's row order, so shuffling the rows changes none of their measures.
 Negating every score reverses the ranking, which maps AUC to 1 - AUC. ROC
 and AUC do not see the class distribution (Fawcett 2006, "An introduction to
-ROC analysis"), so repeating every negative changes neither. Each relation
+ROC analysis"), so repeating every negative changes neither. Repeating every
+record keeps the class distribution, so under the expected-value policy the
+gains share and lift at each repeated cutoff are the original's. Each relation
 is checked on a seeded file with many ties and signed zeros, on outputs
 compared byte for byte.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,3 +135,24 @@ def test_repeated_negatives_change_no_roc_output(capsys, tmp_path, rows,
                         _write(tmp_path / "b.csv", rows + copies), policy,
                         measures)
     assert repeated == original
+
+
+def test_repeated_records_keep_gains_and_lift_points(capsys, tmp_path, rows):
+    """Three copies of every record, with new ids: under the expected-value
+    policy the point at cutoff 3j (x = j/N) of the gains-share and lift
+    curves is the original's point at j, exact texts included. Under input
+    and id the copies change the order inside tie groups, so it holds only
+    here."""
+    measures = {name: MEASURES[name] for name in (
+        "gains-fraction-json", "lift-curve-json")}
+    copies = [(f"{i}-copy{k}", s, y) for k in (1, 2) for i, s, y in rows]
+    original = _outputs(capsys, tmp_path, _write(tmp_path / "a.csv", rows),
+                        "expected", measures)
+    repeated = _outputs(capsys, tmp_path,
+                        _write(tmp_path / "b.csv", rows + copies), "expected",
+                        measures)
+    for name in measures:
+        (want,) = json.loads(original[name])["series"]
+        (got,) = json.loads(repeated[name])["series"]
+        assert len(got["points"]) == 3 * len(want["points"]) == 3 * ROWS
+        assert {**got, "points": got["points"][2::3]} == want

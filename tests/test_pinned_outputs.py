@@ -10,6 +10,8 @@ a curve kernel or serializer that moves a single byte fails here.
 
 import hashlib
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -601,3 +603,20 @@ def test_stdout_and_out_write_the_same_bytes(capsys, tmp_path, inputs,
     assert cli_main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr() == ("", "")
     assert out.read_bytes() == shown.encode("utf-8")
+
+
+# what `python tools/cli_digest.py src` prints: one sha256 over every run of
+# its matrix (every subcommand under every tie policy on several inputs,
+# error forms and help texts); update it only where a change means to alter
+# what the command line writes
+CLI_DIGEST = ("c86b62df046b692bdf342b61fa20afd0984518c5e671a5db6189026ed112008c"
+              "  678 runs: 628 exit 0, 50 exit 1\n")
+
+
+def test_cli_digest_is_pinned():
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(root / "tools" / "cli_digest.py"),
+         str(root / "src")], capture_output=True, text=True, cwd=root)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == CLI_DIGEST

@@ -6,11 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (EXAMPLE24_LABELS, ClassifierRun, RankedTestSet,
+from gainslift import (EXAMPLE24_LABELS, ClassifierRun, CostSpec,
+                       NConfusionMatrix, RankedTestSet,
                        ResamplePlan, ScoredRecord, SwapSpec, TiePolicy,
-                       ValidationError, apply_swaps, auc_pairs, auc_wilcoxon,
-                       dominance, example24_records, load_scored,
-                       rank_records, roc_points, run_plan)
+                       ValidationError, XKind, accuracy_at, apply_swaps,
+                       auc_pairs, auc_wilcoxon, benefit_series, compare_at,
+                       decile_lift, dominance, example24_records,
+                       gains_series, lift, lift_series, load_scored,
+                       n_confusion_matrix, p_cum_gains, rank_records,
+                       roc_points, run_plan)
 import gainslift.io as gio
 from gainslift.io import _load_columns
 from gainslift.records import (_columns, _first_fault, _rank_columns,
@@ -220,9 +224,14 @@ class TestSmallWorld:
     ranks into consecutive tie groups, under every policy, against the
     plain oracles. The ids descend with the row, so the id policy reverses
     each group's input order. Dominance is checked against the set with its
-    first and last ranks exchanged, where their labels differ."""
+    first and last ranks exchanged, where their labels differ, and
+    `compare_at` against that swapped set at every target. Every single-cutoff
+    ratio is checked at every n >= 1; the whole-curve kernels only for
+    N <= SERIES_N, which keeps the test's time down."""
 
     MAX_N = 6
+    SERIES_N = 5
+    COSTS = CostSpec(q_tp=10, q_fp=-0.3)
 
     @staticmethod
     def _worlds():
@@ -236,6 +245,7 @@ class TestSmallWorld:
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_every_small_set(self, policy):
+        checked = set()  # the sets whose measures are checked
         for labels, group, sizes in self._worlds():
             n = len(labels)
             records = [ScoredRecord(f"r{n - i}", float(-g), y)
@@ -257,6 +267,16 @@ class TestSmallWorld:
             assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == gains
             assert [ranked.positives_in_prefix(k)
                     for k in range(n + 1)] == gains
+            # the ratios and curves are built on the labels and gains just
+            # checked, so sets that share both are checked once: under input
+            # and id, one set per label sequence
+            key = (want, tuple(gains))
+            measures = key not in checked
+            checked.add(key)
+            if measures:
+                lifts = self._check_cutoffs(ranked, gains)
+            if measures and n <= self.SERIES_N:
+                self._check_series(ranked, gains, lifts)
             if 0 < ranked.n_pos < n:
                 auc = brute_force_auc(ranked)
                 assert auc_pairs(ranked) == auc_wilcoxon(ranked) == auc
@@ -272,6 +292,91 @@ class TestSmallWorld:
                     ranks = [[k for lo, hi in above for k in range(lo, hi + 1)]
                              for above in (report.a_above, report.b_above)]
                     assert tuple(ranks) == lift_above(ranked, swapped)
+                if measures and n <= self.SERIES_N:
+                    self._check_compare(ranked, gains, lifts, swapped)
+
+    @staticmethod
+    def _no_positives(call, what):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"{what} undefined: the set has no positives"
+
+    def _check_cutoffs(self, ranked, gains):
+        """The ratios at each cutoff n >= 1 against gains g: the top-n
+        matrix (g, n - g), accuracy (g + N - n - (P - g)) / N, g / P and
+        the lift g * N / (n * P); the lifts, or None without positives."""
+        n_total, n_pos = ranked.n_total, ranked.n_pos
+        for k, g in enumerate(gains[1:], 1):
+            assert n_confusion_matrix(ranked, k) == NConfusionMatrix(
+                n=k, tp=g, fp=k - g)
+            assert accuracy_at(ranked, k) == Fraction(
+                n_total - k - n_pos + 2 * g, n_total)
+            if not n_pos:
+                self._no_positives(lambda: lift(ranked, k), "lift")
+                self._no_positives(lambda: p_cum_gains(ranked, k),
+                                   "p_cum_gains")
+                continue
+            assert p_cum_gains(ranked, k) == Fraction(g) / n_pos
+        if not n_pos:
+            return None
+        lifts = [None] + [Fraction(g) * n_total / (k * n_pos)
+                          for k, g in enumerate(gains[1:], 1)]
+        assert [lift(ranked, k) for k in range(1, n_total + 1)] == lifts[1:]
+        return lifts
+
+    def _check_series(self, ranked, gains, lifts):
+        """Each curve's name, x kind and exact points against its values
+        from the gains, as the series oracles in `helpers` make them."""
+        n_total, n_pos = ranked.n_total, ranked.n_pos
+        counts = range(1, n_total + 1)
+        shares = [Fraction(k, n_total) for k in counts]
+        q_tp, q_fp = map(Fraction, (self.COSTS.q_tp, self.COSTS.q_fp))
+        for series, name, kind, y in (
+                (gains_series(ranked), "gains", XKind.COUNT, gains[1:]),
+                (benefit_series(ranked, self.COSTS), "benefit", XKind.COUNT,
+                 [g * q_tp + (k - g) * q_fp for k, g in zip(counts,
+                                                            gains[1:])])):
+            assert (series.name, series.x_kind, series.points) == (
+                name, kind, tuple(zip(map(Fraction, counts), y)))
+        if lifts is None:
+            with pytest.raises(ValidationError) as info:
+                gains_series(ranked, fraction=True)
+            assert str(info.value) == "fractional gains undefined: no positives"
+            self._no_positives(lambda: lift_series(ranked), "lift")
+            self._no_positives(lambda: decile_lift(ranked), "decile lift")
+            return
+        for series, name, kind, x, y in (
+                (gains_series(ranked, fraction=True), "gains", XKind.FRACTION,
+                 shares, [Fraction(g) / n_pos for g in gains[1:]]),
+                (lift_series(ranked, fraction=False), "lift", XKind.COUNT,
+                 map(Fraction, counts), lifts[1:]),
+                (lift_series(ranked), "lift", XKind.FRACTION, shares,
+                 lifts[1:])):
+            assert (series.name, series.x_kind, series.points) == (
+                name, kind, tuple(zip(x, y)))
+        assert decile_lift(ranked) == [lifts[-(-j * n_total // 10)]
+                                       for j in range(1, 11)]
+
+    def _check_compare(self, ranked, gains, lifts, swapped):
+        """`compare_at` of the set and its swapped copy at every target,
+        against each one's gains and lift; the winners have the most gains."""
+        n_total = ranked.n_total
+        runs = [ClassifierRun("a", ranked), ClassifierRun("b", swapped)]
+        targets = range(1, n_total + 1)
+        if lifts is None:
+            self._no_positives(lambda: compare_at(runs, targets), "lift")
+            return
+        table = compare_at(runs, targets)
+        swapped_gains = [gains_oracle(swapped, k) for k in targets]
+        want = []
+        for k, ga, gb in zip(targets, gains[1:], swapped_gains):
+            want += [("a", k, ga, type(ga), lifts[k]),
+                     ("b", k, gb, type(gb),
+                      Fraction(gb) * n_total / (k * ranked.n_pos))]
+            assert table.winner_at(k) == (("a", "b") if ga == gb else
+                                          ("a",) if ga > gb else ("b",))
+        assert [(e.run, e.n, e.cum_gains, type(e.cum_gains), e.lift)
+                for e in table.entries] == want
 
 
 class TestColumnarRankedSet:

@@ -18,6 +18,8 @@ the block route reads in two blocks, its first read stopping inside a line
 final newline), and json-lines with no id field and with ids on some rows
 only; two small files ranked under every tie policy, 7 tied rows (under
 10, so the decile cutoffs repeat) and one row (where most commands fail);
+`compare` of the tied file against the same labels scored on other levels,
+under every tie policy;
 error forms whose message or precedence matters; and the `--help` text of
 the top level and of each subcommand at 80 columns. The temporary
 directory and SRC_DIR are replaced by fixed names before hashing, so the
@@ -98,18 +100,25 @@ ERROR_FORMS = [
     ["perturb", "--input", "<example>", "--swap", "6-8"],
     ["compare", "--input", "<example>", "--input", "<example>",
      "--targets", "6,x"],
+    ["compare", "--input", "<example>", "--input", "<tied>", "--name", "a",
+     "--name", "b", "--targets", "6,12"],
     ["resample", "--input", "<example>", "--rates", "0.1,x"],
     ["disagree", "--metric-a", "bogus", "--metric-b", "auc", "--n", "8",
      "--npos", "4"],
     ["auc", "--input", "<example>", "--precision", "1001"],
 ]
 
+# two rankings of the same labels, each form run under every tie policy
+COMPARE_FORMS = [
+    ["compare", "--input", "<tied>", "--input", "<tied-rescored>", "--name",
+     "a", "--name", "b", "--targets", "6,130,250"],
+    ["compare", "--input", "<tied>", "--input", "<tied-rescored>",
+     "--targets", "90,200,399", "--format", "json", "--precision", "3"],
+]
+
 # forms without a single scored input, run once
-OTHER_FORMS = [
-    ["compare", "--input", "<example>", "--input", "<tied>", "--name", "a",
-     "--name", "b", "--targets", "6,12"],
-    ["compare", "--input", "<example>", "--input", "<tied>",
-     "--targets", "5,10", "--format", "json", "--precision", "3"],
+OTHER_FORMS = [form + ["--tie-policy", policy]
+               for policy in POLICIES for form in COMPARE_FORMS] + [
     ["disagree", "--metric-a", "auc", "--metric-b", "lift@6", "--n", "10",
      "--npos", "5"],
     ["disagree", "--metric-a", "auc", "--metric-b", "lift@6", "--n", "10",
@@ -141,8 +150,8 @@ SMALL_INPUTS = {
 
 def _write_tied(tmp_dir: Path) -> dict[str, str]:
     """400 rows with scores on 12 levels and shuffled ids, written as plain
-    delimited text and as each copy of `ROUTE_INPUTS`; the name of each
-    file in the matrix and its path. The long copy carries a 160-byte note
+    delimited text, as each copy of `ROUTE_INPUTS` and rescored on 5
+    levels; the name of each file in the matrix and its path. The long copy carries a 160-byte note
     on each row, so that it is over 64 KiB."""
     rng = random.Random(4000)
     ids = [f"t{i:04d}" for i in range(400)]
@@ -151,9 +160,14 @@ def _write_tied(tmp_dir: Path) -> dict[str, str]:
     for rid in ids:
         label = int(rng.random() < 0.2)
         rows.append((rid, int((rng.random() + 0.5 * label) * 8) / 8, label))
+    # the same ids and labels scored on 5 levels, for `compare`
+    rescored = [(rid, int((rng.random() + 0.3 * label) * 5) / 5, label)
+                for rid, _, label in rows]
     files = {
         "<tied>": ("tied.csv", ["id,score,label"] + [
             f"{rid},{score!r},{label}" for rid, score, label in rows]),
+        "<tied-rescored>": ("rescored.csv", ["id,score,label"] + [
+            f"{rid},{score!r},{label}" for rid, score, label in rescored]),
         "<tied-quoted>": ("quoted.csv", ['"id","score","label"'] + [
             f'"{rid}","{score!r}","{label}"' for rid, score, label in rows]),
         "<tied-no-id>": ("no-id.csv", ['"score","label"'] + [
