@@ -7,10 +7,12 @@ the header's field count on every non-blank line and no line over the csv
 module's field size limit is read in blocks of whole lines (the block
 route), and each block's columns are converted from its bytes before the
 next is read: labels of exactly `0` or `1`, scores by `float`, ids into
-64-bit keys whose sorted repeats are looked for once the file is read. Id
-texts and row numbers are made only for a caller that reads them
-(`_load_columns`'s `id_form`); on the command line that is `perturb`, and
-the `id` tie policy sorts the block route's id bytes as they are.
+64-bit keys whose sorted repeats are looked for once the file is read.
+Where a block's score texts are each at most eight bytes and repeat, each
+distinct text is parsed once. Id texts and row numbers are made only for a
+caller that reads them (`_load_columns`'s `id_form`); on the command line
+that is `perturb`, and the `id` tie policy sorts the block route's id bytes
+as they are.
 Where a value fails its check, or two id keys are equal, the block route
 stops, and the csv module reads the file from its start, as it reads every
 other delimited file. Its texts are converted a column at a time and
@@ -253,6 +255,10 @@ _BLOCK_BYTES = 1 << 16
 _BLANK_LINE = re.compile(rb"(?m)^\n")
 # odd, so that each step of `_id_keys` is invertible modulo 2**64
 _KEY_STEP = np.uint64(0x9E3779B97F4A7C15)
+# the rows at the start of a block whose repeats decide whether its short
+# score texts are parsed once each (`_block_scores`); probing the whole
+# block would sort every block of nearly distinct texts for nothing
+_SCORE_PROBE = 512
 
 
 def _plain_texts(raw, file: ScoredFile, keep_ids: bool
@@ -376,7 +382,8 @@ def _block_columns(block: bytes, ends: np.ndarray, width: int,
     column, its ids' uint64 keys and, if `keep_ids`, bytes (each followed by
     a newline), None in place of what is not there; None where a label is
     not exactly `0` or `1`, a score is not a finite number by `float`, or an
-    id is empty."""
+    id is empty. Each distinct score text of at most eight bytes is parsed
+    once where the block's first rows repeat such texts (`_block_scores`)."""
     view = np.frombuffer(block, dtype=np.uint8)
     starts = np.empty_like(ends)  # each field's first byte
     starts[:1] = 0
@@ -388,13 +395,8 @@ def _block_columns(block: bytes, ends: np.ndarray, width: int,
     if not ((ends[:, label] - starts[:, label] == 1).all()
             and (labels <= 1).all()):
         return None
-    texts = _field_bytes(view, starts[:, score], ends[:, score])
-    try:
-        scores = np.fromiter(map(float, texts.split(b"\n")), np.float64,
-                             count=len(labels))
-    except ValueError:
-        return None
-    if not np.isfinite(scores).all():
+    scores = _block_scores(block, view, starts[:, score], ends[:, score])
+    if scores is None:
         return None
     if not id_col:
         return labels, scores, None, None
@@ -404,6 +406,50 @@ def _block_columns(block: bytes, ends: np.ndarray, width: int,
         return None
     return (labels, scores, _id_keys(block, id_starts, sizes),
             _field_bytes(view, id_starts, id_ends) if keep_ids else None)
+
+
+def _block_scores(block: bytes, view: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray | None:
+    """The float64 scores of the texts view[starts[k]:ends[k]], each the
+    `float` of its text; None where one is not a finite number.
+
+    Where every text is at most eight bytes, each is one `records._id_word`,
+    and equal words are equal texts, as no text holds a NUL byte. If fewer
+    than half of the first `_SCORE_PROBE` rows' words are distinct, each
+    distinct text is parsed once and its float copied to its rows."""
+    sizes = ends - starts
+    if sizes.max(initial=0) > 8:
+        return _parse_floats(view, starts, ends)
+    blob = block + bytes(7)  # every text's word inside the buffer
+    probe = np.sort(_id_word(blob, starts[:_SCORE_PROBE],
+                             sizes[:_SCORE_PROBE], 0))
+    if 2 * (1 + np.count_nonzero(probe[1:] != probe[:-1])) >= len(probe):
+        return _parse_floats(view, starts, ends)
+    words = _id_word(blob, starts, sizes, 0)
+    order = words.argsort()
+    words = words[order]
+    # the places in `order` where each distinct text's rows start
+    first = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
+    rows = order[first]
+    floats = _parse_floats(view, starts[rows], ends[rows])
+    if floats is None:
+        return None
+    scores = np.empty(len(order), dtype=np.float64)
+    scores[order] = np.repeat(floats, np.diff(first, append=len(order)))
+    return scores
+
+
+def _parse_floats(view: np.ndarray, starts: np.ndarray, ends: np.ndarray
+                  ) -> np.ndarray | None:
+    """The `float` of each text view[starts[k]:ends[k]]; None where one is
+    not a finite number."""
+    texts = _field_bytes(view, starts, ends)
+    try:
+        floats = np.fromiter(map(float, texts.split(b"\n")), np.float64,
+                             count=len(starts))
+    except ValueError:
+        return None
+    return floats if np.isfinite(floats).all() else None
 
 
 def _field_bytes(view: np.ndarray, starts: np.ndarray, ends: np.ndarray
@@ -585,23 +631,33 @@ def parse_curves(text: str, format: str = "csv") -> list[CurveSeries]:
 
     Each series' points are converted before its name and kind are read; a
     csv row is split into its four fields as it is read, and consecutive
-    rows of one (series, x_kind) are one series."""
-    if format == "csv":
-        reader = csv.reader(_stdio.StringIO(text))
-        header = next(reader, None)
-        if header != ["series", "x_kind", "x", "y"]:
-            raise ValidationError(f"unexpected curve header {header!r}")
-        rows = ((name, kind, x, y) for name, kind, x, y in filter(None, reader))
-        parsed = ((tuple((float(x), float(y)) for _, _, x, y in group), *key)
-                  for key, group in groupby(rows, itemgetter(0, 1)))
-    elif format == "json":
-        parsed = ((tuple((Fraction(p["x_exact"]), Fraction(p["y_exact"]))
-                         for p in s["points"]), s["name"], s["x_kind"])
-                  for s in json.loads(text)["series"])
-    else:
-        raise ValidationError(f"unknown curve format {format!r}")
-    return [CurveSeries(name=name, x_kind=XKind(kind), points=points)
-            for points, name, kind in parsed]
+    rows of one (series, x_kind) are one series. A malformed text raises
+    ValidationError, whose message holds the text of the first fault."""
+    try:
+        if format == "csv":
+            reader = csv.reader(_stdio.StringIO(text))
+            header = next(reader, None)
+            if header != ["series", "x_kind", "x", "y"]:
+                raise ValidationError(f"unexpected curve header {header!r}")
+            rows = ((name, kind, x, y)
+                    for name, kind, x, y in filter(None, reader))
+            parsed = ((tuple((float(x), float(y)) for _, _, x, y in group),
+                       *key)
+                      for key, group in groupby(rows, itemgetter(0, 1)))
+        elif format == "json":
+            parsed = ((tuple((Fraction(p["x_exact"]), Fraction(p["y_exact"]))
+                             for p in s["points"]), s["name"], s["x_kind"])
+                      for s in json.loads(text)["series"])
+        else:
+            raise ValidationError(f"unknown curve format {format!r}")
+        return [CurveSeries(name=name, x_kind=XKind(kind), points=points)
+                for points, name, kind in parsed]
+    except KeyError as exc:
+        raise ValidationError(f"bad curve text: missing key {exc}") from None
+    # json.JSONDecodeError is a ValueError; ZeroDivisionError comes of an
+    # exact text such as 1/0, OverflowError of a float past the range
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise ValidationError(f"bad curve text: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

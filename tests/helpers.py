@@ -675,6 +675,35 @@ def random_scored_jsonl(rng: np.random.Generator, fault_rate: float = 0.02
     return bom + "\n".join(lines) + ("\n" if lines else ""), options
 
 
+# Score texts that `float` reads, of at most eight bytes (each one 64-bit
+# word) and of nine; equal values written differently, signed zeros (the
+# last two of the short ones underflow to zero), padding, eight-byte texts
+# that differ only in their last byte, and nine-byte ones whose first eight
+# bytes are a short text of another value.
+SHORT_SCORE_TEXTS = ("0", "-0", "+0", "0.0", "-0.0", ".5", "5.", "1e-3",
+                     "1_0", " 1.5", "1.5 ", "0.015625", "-1.25e-3",
+                     "-1.25e-4", "12345678", "12345679", "1e-400", "-1e-400")
+NINE_BYTE_SCORE_TEXTS = ("123456789", "-1.25e-30", "0.0156250", "-1.25e-03",
+                         " 0.015625", "-1e-4000 ")
+# texts the loaders reject: not numbers, or not finite
+BAD_SCORE_TEXTS = ("nan", "inf", "-inf", "1e999", "", "oops", "1__0")
+
+
+def score_texts_csv(rng: np.random.Generator, scores: list[str]) -> str:
+    """A delimited scored file with the given score texts in row order,
+    distinct ids and seeded labels; the score column is the middle or the
+    last one, as the seed draws."""
+    ids = [f"r{k:05d}" for k in rng.permutation(len(scores)).tolist()]
+    labels = rng.integers(0, 2, len(scores)).tolist()
+    if rng.random() < 0.5:
+        rows = zip(ids, scores, map(str, labels))
+        header = "id,score,label"
+    else:
+        rows = zip(ids, map(str, labels), scores)
+        header = "id,label,score"
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
 # Malformed scored files, each with the message its loader error holds.
 MALFORMED_CSV = [
     # the earliest faulty row wins, whatever its fault

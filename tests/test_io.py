@@ -20,11 +20,12 @@ from gainslift.io import _load_columns
 from gainslift.metrics import CurveSeries, XKind
 from gainslift.records import _rank_columns
 
-from helpers import (MALFORMED_CSV, MALFORMED_JSONL, curves_csv_oracle,
-                     curves_json_oracle, field_ends_oracle, load_csv_oracle,
-                     load_jsonl_oracle,
-                     random_scored_csv, random_scored_jsonl,
-                     records_from_labels)
+from helpers import (BAD_SCORE_TEXTS, MALFORMED_CSV, MALFORMED_JSONL,
+                     NINE_BYTE_SCORE_TEXTS, SHORT_SCORE_TEXTS,
+                     curves_csv_oracle, curves_json_oracle, field_ends_oracle,
+                     load_csv_oracle, load_jsonl_oracle, random_scored_csv,
+                     random_scored_jsonl, records_from_labels,
+                     score_texts_csv)
 
 
 def write(tmp_path, name, text):
@@ -269,59 +270,75 @@ def _curves_json(*series):
 
 
 class TestParseCurvesFaults:
-    """The exception and message `parse_curves` raises for a bad text, and
-    which of two faults it reports: a row is split into its four fields as
-    it is read, a series' points are converted before its kind is read, and
-    the series is checked last."""
+    """The ValidationError message `parse_curves` raises for a bad text,
+    and which of two faults it reports: a row is split into its four fields
+    as it is read, a series' points are converted before its kind is read,
+    and the series is checked last."""
 
-    @pytest.mark.parametrize("text,error,message", [
-        (_CURVES_HEAD + "g,count-n,1\r\n", ValueError,
-         "not enough values to unpack (expected 4, got 3)"),
-        (_CURVES_HEAD + "g\r\n", ValueError,
-         "not enough values to unpack (expected 4, got 1)"),
-        (_CURVES_HEAD + "g,count-n,1,2,3\r\n", ValueError,
-         "too many values to unpack (expected 4)"),
-        (_CURVES_HEAD + "g,count-n,1,0.5\r\ng,count-n,2,x\r\n", ValueError,
-         "could not convert string to float: 'x'"),
-        (_CURVES_HEAD + "g,bogus,1,0.5\r\n", ValueError,
-         "'bogus' is not a valid XKind"),
-        (_CURVES_HEAD + "g,bogus,1,0.5\r\ng,count-n,2\r\n", ValueError,
-         "not enough values to unpack (expected 4, got 3)"),
-        (_CURVES_HEAD + "g,bogus,1,0.5\r\nh,count-n,1,y\r\n", ValueError,
-         "'bogus' is not a valid XKind"),
-        (_CURVES_HEAD + "g,count-n,1,y\r\nh,count-n,1\r\n", ValueError,
-         "could not convert string to float: 'y'"),
+    @staticmethod
+    def _check(text, format, message):
+        with pytest.raises(ValidationError) as info:
+            parse_curves(text, format=format)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        (_CURVES_HEAD + "g,count-n,1\r\n",
+         "bad curve text: not enough values to unpack (expected 4, got 3)"),
+        (_CURVES_HEAD + "g\r\n",
+         "bad curve text: not enough values to unpack (expected 4, got 1)"),
+        (_CURVES_HEAD + "g,count-n,1,2,3\r\n",
+         "bad curve text: too many values to unpack (expected 4)"),
+        (_CURVES_HEAD + "g,count-n,1,0.5\r\ng,count-n,2,x\r\n",
+         "bad curve text: could not convert string to float: 'x'"),
+        (_CURVES_HEAD + "g,count-n,1,1e400\r\n",
+         "bad curve text: cannot convert Infinity to integer ratio"),
+        (_CURVES_HEAD + "g,count-n,1,nan\r\n",
+         "bad curve text: cannot convert NaN to integer ratio"),
+        (_CURVES_HEAD + "g,bogus,1,0.5\r\n",
+         "bad curve text: 'bogus' is not a valid XKind"),
+        (_CURVES_HEAD + "g,bogus,1,0.5\r\ng,count-n,2\r\n",
+         "bad curve text: not enough values to unpack (expected 4, got 3)"),
+        (_CURVES_HEAD + "g,bogus,1,0.5\r\nh,count-n,1,y\r\n",
+         "bad curve text: 'bogus' is not a valid XKind"),
+        (_CURVES_HEAD + "g,count-n,1,y\r\nh,count-n,1\r\n",
+         "bad curve text: could not convert string to float: 'y'"),
         (_CURVES_HEAD + "g,count-n,2,0.5\r\ng,count-n,1,0.5\r\n",
-         ValidationError, "series 'g': x values must be strictly increasing"),
+         "series 'g': x values must be strictly increasing"),
         (_CURVES_HEAD + "g,count-n,2,0.5\r\ng,count-n,1,0.5\r\nh,count-n,1\r\n",
-         ValueError, "not enough values to unpack (expected 4, got 3)"),
+         "bad curve text: not enough values to unpack (expected 4, got 3)"),
         (_CURVES_HEAD + "g,count-n,2,0.5\r\ng,count-n,1,0.5\r\n"
          "h,count-n,1,y\r\n",
-         ValidationError, "series 'g': x values must be strictly increasing"),
-        ("", ValidationError, "unexpected curve header None"),
+         "series 'g': x values must be strictly increasing"),
+        ("", "unexpected curve header None"),
     ])
-    def test_csv(self, text, error, message):
-        with pytest.raises(error) as info:
-            parse_curves(text, format="csv")
-        assert type(info.value) is error
-        assert str(info.value) == message
+    def test_csv(self, text, message):
+        self._check(text, "csv", message)
 
-    @pytest.mark.parametrize("text,error,message", [
+    @pytest.mark.parametrize("text,message", [
         (_curves_json({"name": "g", "x_kind": "count-n", "points": [
-            {"x": 1, "y": 1, "x_exact": "1/1"}]}), KeyError, "'y_exact'"),
+            {"x": 1, "y": 1, "x_exact": "1/1"}]}),
+         "bad curve text: missing key 'y_exact'"),
+        (_curves_json({"name": "g", "x_kind": "count-n", "points": [
+            {"x": 1, "y": 1, "x_exact": "1/0", "y_exact": "1"}]}),
+         "bad curve text: Fraction(1, 0)"),
+        (_curves_json({"name": "g", "x_kind": "count-n", "points": [
+            {"x": 1, "y": 1, "x_exact": None, "y_exact": "1"}]}),
+         "bad curve text: argument should be a string or a Rational instance"),
         (_curves_json({"name": "g", "x_kind": "bogus", "points": [
             {"x": 1, "y": 1, "x_exact": "1/1", "y_exact": "1/2"}]}),
-         ValueError, "'bogus' is not a valid XKind"),
+         "bad curve text: 'bogus' is not a valid XKind"),
         (_curves_json({"name": "g", "x_kind": "bogus", "points": []},
                       {"name": "h", "x_kind": "count-n", "points": [{}]}),
-         ValueError, "'bogus' is not a valid XKind"),
-        (_curves_json({"x_kind": "bogus", "points": []}), KeyError, "'name'"),
+         "bad curve text: 'bogus' is not a valid XKind"),
+        (_curves_json({"x_kind": "bogus", "points": []}),
+         "bad curve text: missing key 'name'"),
+        ('{"curves": []}', "bad curve text: missing key 'series'"),
+        ('{"series": 5}', "bad curve text: 'int' object is not iterable"),
+        ("{bad", "bad curve text: Expecting property name enclosed in double "
+         "quotes: line 1 column 2 (char 1)"),
     ])
-    def test_json(self, text, error, message):
-        with pytest.raises(error) as info:
-            parse_curves(text, format="json")
-        assert type(info.value) is error
-        assert str(info.value) == message
+    def test_json(self, text, message):
+        self._check(text, "json", message)
 
 
 class TestCurveSeriesValidation:
@@ -1027,6 +1044,100 @@ class TestBlockRoute:
             assert got[column].tolist() == want[column].tolist()
         for column in (1, 2):
             assert bare[column].tolist() == want[column].tolist()
+
+
+def _drawn(rng, texts, rows: int) -> list[str]:
+    return [texts[k] for k in rng.integers(0, len(texts), rows).tolist()]
+
+
+# files of 7,000 rows (more than 64 KiB, so two blocks or three) whose
+# score texts repeat in every block, run to nine bytes in some rows, repeat
+# only after the first block's first 512 rows, or only within them
+_SCORE_FILES = {
+    "short": lambda rng: _drawn(rng, SHORT_SCORE_TEXTS, 7000),
+    "short-and-nine-byte": lambda rng: (
+        _drawn(rng, SHORT_SCORE_TEXTS, 3000)
+        + _drawn(rng, SHORT_SCORE_TEXTS + NINE_BYTE_SCORE_TEXTS, 1000)
+        + _drawn(rng, SHORT_SCORE_TEXTS, 3000)),
+    "distinct-then-repeated": lambda rng: (
+        [f"{k}e-3" for k in range(600)]
+        + _drawn(rng, SHORT_SCORE_TEXTS, 6400)),
+    "repeated-then-distinct": lambda rng: (
+        _drawn(rng, SHORT_SCORE_TEXTS, 600)
+        + [f"-{k}e-3" for k in range(6400)]),
+}
+
+
+class TestShortScoreTexts:
+    """Score texts of at most eight bytes that repeat within a block: the
+    loader must give every row the float of its own text, bit for bit (so
+    -0.0 stays apart from 0.0), and a bad text among them must give the
+    csv route's error for its first row."""
+
+    @staticmethod
+    def _bits(load, file):
+        """`_outcome`, with each score as its float's exact hex text."""
+        outcome = _outcome(load, file)
+        if isinstance(outcome, tuple):
+            return outcome
+        return [(rid, score.hex(), label) for rid, score, label in outcome]
+
+    def _check(self, tmp_path, scores, seed):
+        text = score_texts_csv(np.random.default_rng(seed), scores)
+        assert len(text) > 1 << 16
+        file = ScoredFile(path=write(tmp_path, "in.csv", text))
+        expected = self._bits(load_csv_oracle, file)
+        assert self._bits(load_scored, file) == expected
+        return expected
+
+    @pytest.mark.parametrize("case", sorted(_SCORE_FILES))
+    def test_same_bits_as_the_oracle(self, tmp_path, plain_reads, case):
+        seed = sorted(_SCORE_FILES).index(case)
+        scores = _SCORE_FILES[case](np.random.default_rng([3400, seed]))
+        expected = self._check(tmp_path, scores, seed)
+        assert plain_reads == [True]
+        # both zeros are read, and kept apart
+        assert {score for _, score, _ in expected
+                if float.fromhex(score) == 0} == {"0x0.0p+0", "-0x0.0p+0"}
+
+    @pytest.mark.parametrize("bad", BAD_SCORE_TEXTS)
+    def test_a_bad_text_gives_the_error_of_its_first_row(self, tmp_path,
+                                                         bad):
+        seed = BAD_SCORE_TEXTS.index(bad)
+        cases = sorted(_SCORE_FILES)
+        scores = _SCORE_FILES[cases[seed % len(cases)]](
+            np.random.default_rng([3401, seed]))
+        # once late, on a few rows of the first block, and on every tenth
+        for rows in ([6500], [4000, 300, 20], range(5, 7000, 10)):
+            faulty = list(scores)
+            for row in rows:
+                faulty[row] = bad
+            expected = self._check(tmp_path, faulty, seed)
+            assert expected[0] == "ValidationError"
+            assert expected[1].startswith(f"row {min(rows) + 1}: ")
+
+    def test_each_short_text_is_parsed_once_a_block(self, tmp_path,
+                                                    monkeypatch):
+        """`float` reads each distinct text once in a block whose first
+        rows repeat, and every text in a block with a nine-byte one."""
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return float(text)
+
+        monkeypatch.setattr(gio, "float", counted, raising=False)
+        monkeypatch.setattr(gio, "_BLOCK_BYTES", 4096)
+        rng = np.random.default_rng(3402)
+        for texts, nine_bytes in ((SHORT_SCORE_TEXTS, False),
+                                  (SHORT_SCORE_TEXTS
+                                   + NINE_BYTE_SCORE_TEXTS[:1], True)):
+            calls.clear()
+            text = score_texts_csv(rng, _drawn(rng, texts, 2000))
+            _load_columns(write(tmp_path, "in.csv", text), id_form=None)
+            blocks = -(-len(text) // 4096)
+            assert (len(calls) == 2000 if nine_bytes
+                    else len(calls) <= blocks * len(texts))
 
 
 class TestColumnarLoader:

@@ -16,8 +16,11 @@ field quoted, every field quoted with no id column, and json-lines), one
 the block route reads in two blocks, its first read stopping inside a line
 (over 64 KiB, with a byte-order mark, CRLF line ends, blank lines and no
 final newline), and json-lines with no id field and with ids on some rows
-only; two small files ranked under every tie policy, 7 tied rows (under
-10, so the decile cutoffs repeat) and one row (where most commands fail);
+only; three small files ranked under every tie policy, 7 tied rows (under
+10, so the decile cutoffs repeat), one row (where most commands fail) and
+40 rows of score texts such as `-0`, `5.` and `1_0` in two blocks, the
+first of repeated texts of at most eight bytes, the second with nine-byte
+ones;
 `compare` of the tied file against the same labels scored on other levels,
 under every tie policy;
 error forms whose message or precedence matters; and the `--help` text of
@@ -139,12 +142,26 @@ ROUTE_INPUTS = ("<tied-quoted>", "<tied-no-id>", "<tied-jsonl>",
                 "<tied-long-crlf>", "<tied-jsonl-no-id>",
                 "<tied-jsonl-some-ids>")
 
+# 40 score texts that `float` reads: the first 34 cycle through 12 texts of
+# at most eight bytes (signed zeros, equal values written differently,
+# padding), the rest include nine-byte ones
+SHORT_SCORES = [("0", "-0", "0.0", "-0.0", ".5", "5.", "1e-3", "1_0", " 1.5",
+                 "0.015625", "-1.25e-3", "12345678")[k % 12]
+                for k in range(34)] + [
+    "123456789", "-1.25e-30", "0.0156250", " 0.015625", "-0", "1_0"]
+
 # small files, each ranked under every tie policy: 7 rows on three score
-# levels, where ceil(k * 7 / 10) repeats across deciles, and one row
+# levels, where ceil(k * 7 / 10) repeats across deciles, one row, and the
+# 40 rows of `SHORT_SCORES`, each with a 2,000-byte note, so that the block
+# route reads them in two blocks: the first 33 rows' texts (each
+# repeated) and the rest (nine-byte ones among them)
 SMALL_INPUTS = {
     "<tied-7>": ("tied7.csv", "id,score,label\nu5,0.5,1\nu2,0.5,0\n"
                  "u7,0.9,0\nu1,0.5,1\nu4,0.2,0\nu3,0.9,1\nu6,0.2,1\n"),
     "<one-row>": ("one.csv", "id,score,label\nv1,0.5,1\n"),
+    "<short-scores>": ("short.csv", "id,note,score,label\n" + "".join(
+        f"s{k:02d},{'n' * 2000},{score},{k * 7 % 3 % 2}\n"
+        for k, score in enumerate(SHORT_SCORES))),
 }
 
 

@@ -1,0 +1,97 @@
+"""Time the loader on four scored files that differ only in their scores.
+
+    python tools/load_scale.py SRC_DIR [ROWS]
+
+imports gainslift from SRC_DIR (the `src` directory of a checkout) and
+writes four seeded delimited files of ROWS rows (default 100,000) in a
+temporary directory, each with shuffled ids `r000000`..., the same labels
+(about 15% positive) and an id,score,label header. Their scores are
+
+    repr      a uniform draw written by `repr` (17 to 20 bytes), untied;
+    6-dec     the draw to six decimals (8 bytes), nearly all distinct;
+    3-dec     the draw to three decimals (5 bytes), 1,000 levels;
+    k/64      48 equal-count levels k/64 for k = 1..48, by `repr`.
+
+For each file it prints the median and the quartiles of 7 timings
+(`perf_counter`) of one `_load_columns(path, id_form=None)` call, as the
+command line loads a file whose ids it does not read, after one untimed
+load; then the process's peak resident memory (`VmHWM` from
+/proc/self/status, Linux only). Needs the standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+RUNS = 7
+
+
+def _peak_mb() -> str:
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return f"{int(line.split()[1]) / 1024:,.0f} MB"
+    except OSError:
+        pass
+    return "unknown"
+
+
+def _files(rows: int) -> dict[str, list[str]]:
+    """Each file's score texts, in row order."""
+    rng = np.random.default_rng(7100)
+    draws = rng.random(rows)
+    level = np.argsort(np.argsort(draws, kind="stable"), kind="stable")
+    return {
+        "repr": list(map(repr, draws.tolist())),
+        "6-dec": [f"{x:.6f}" for x in draws.tolist()],
+        "3-dec": [f"{x:.3f}" for x in draws.tolist()],
+        "k/64": list(map(repr, ((level * 48 // rows + 1) / 64).tolist())),
+    }
+
+
+def main() -> int:
+    if len(sys.argv) not in (2, 3):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = Path(sys.argv[1]).resolve()
+    rows = int(sys.argv[2]) if len(sys.argv) == 3 else 100_000
+    sys.path.insert(0, str(src))
+    import gainslift
+    from gainslift.io import _load_columns
+    if not Path(gainslift.__file__).resolve().is_relative_to(src):
+        print(f"gainslift was not imported from {src}", file=sys.stderr)
+        return 2
+
+    rng = np.random.default_rng(7101)
+    ids = [f"r{i:06d}" for i in rng.permutation(rows).tolist()]
+    labels = (rng.random(rows) < 0.15).astype(int).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (name, scores) in enumerate(_files(rows).items()):
+            path = Path(tmp) / f"scores{k}.csv"
+            path.write_text("id,score,label\n" + "".join(
+                f"{rid},{score},{label}\n"
+                for rid, score, label in zip(ids, scores, labels)),
+                encoding="utf-8")
+            _load_columns(path, id_form=None)
+            seconds = []
+            for _ in range(RUNS):
+                start = time.perf_counter()
+                _load_columns(path, id_form=None)
+                seconds.append(time.perf_counter() - start)
+            q1, median, q3 = statistics.quantiles(seconds, n=4)
+            print(f"{name:6} {median * 1e3:8.2f} ms  "
+                  f"(quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f})  "
+                  f"{path.stat().st_size:,} bytes")
+    print(f"VmHWM {_peak_mb()}  ({rows:,} rows, median of {RUNS} loads)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
