@@ -629,9 +629,10 @@ def _json_pieces(series, floats) -> Iterator[str]:
 def parse_curves(text: str, format: str = "csv") -> list[CurveSeries]:
     """Inverse of emit_curves. The json path restores exact rationals.
 
-    Each series' points are converted before its name and kind are read; a
-    csv row is split into its four fields as it is read, and consecutive
-    rows of one (series, x_kind) are one series. A malformed text raises
+    Each series' points are converted before its name and kind are read,
+    and its name must be a string before its kind is converted; a csv row
+    is split into its four fields as it is read, and consecutive rows of
+    one (series, x_kind) are one series. A malformed text raises
     ValidationError, whose message holds the text of the first fault."""
     try:
         if format == "csv":
@@ -650,13 +651,21 @@ def parse_curves(text: str, format: str = "csv") -> list[CurveSeries]:
                       for s in json.loads(text)["series"])
         else:
             raise ValidationError(f"unknown curve format {format!r}")
-        return [CurveSeries(name=name, x_kind=XKind(kind), points=points)
-                for points, name, kind in parsed]
+        series = []
+        for points, name, kind in parsed:
+            if not isinstance(name, str):  # a json name such as 5 or null
+                raise ValidationError("bad curve text: series name must be "
+                                      f"a string, got {name!r}")
+            series.append(CurveSeries(name=name, x_kind=XKind(kind),
+                                      points=points))
+        return series
     except KeyError as exc:
         raise ValidationError(f"bad curve text: missing key {exc}") from None
     # json.JSONDecodeError is a ValueError; ZeroDivisionError comes of an
-    # exact text such as 1/0, OverflowError of a float past the range
-    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+    # exact text such as 1/0, OverflowError of a float past the range,
+    # RecursionError of json nested past the recursion limit
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError,
+            RecursionError) as exc:
         raise ValidationError(f"bad curve text: {exc}") from None
 
 

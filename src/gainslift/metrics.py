@@ -417,6 +417,8 @@ def roc_points(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
 
     A tie group advances as a single step (the prefix counts at its bounds),
     so the curve is invariant to the tie policy. It runs from (0,0) to (1,1).
+    These are the points of Fawcett's algorithm for equal scores (2006, "An
+    introduction to ROC analysis", Pattern Recognition Letters 27(8)).
     """
     _require_both_classes(ranked, "ROC")
     bounds = ranked._group_bounds

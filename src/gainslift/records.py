@@ -34,6 +34,11 @@ class TiePolicy(Enum):
     EXPECTED_VALUE keep input order for display, but let gains at a cutoff
                   inside a tie group count the group's positive fraction,
                   yielding fractional (statistically fair) gains.
+
+    The expected value follows Fawcett (2006, "An introduction to ROC
+    analysis", Pattern Recognition Letters 27(8)): equal scores are one
+    step of the curve, and inside it the expected performance is the
+    straight line across the step, whatever order the group is read in.
     """
 
     INPUT_ORDER = "input"
@@ -116,15 +121,6 @@ class RankedTestSet:
     def scores(self) -> tuple[float, ...]:
         return tuple(self._scores.tolist())
 
-    def check_cutoff(self, n: int, minimum: int = 0) -> int:
-        """The cutoff n as a Python int (see `_integer_cutoff`), once it is
-        known to lie in [minimum, N]."""
-        n = _integer_cutoff(n)
-        if n < minimum or n > self.n_total:
-            raise ValidationError(
-                f"cutoff n={n} out of range [{minimum}, {self.n_total}]")
-        return n
-
     def positives_in_prefix(self, n: int) -> Gain:
         """Positive count among the top-n ranks, fractional under the
         expected-value tie policy when n falls inside a tie group; a cutoff
@@ -133,8 +129,13 @@ class RankedTestSet:
         return self._checked_gains(n)[1]
 
     def _checked_gains(self, n: int, minimum: int = 0) -> tuple[int, Gain]:
-        """The checked cutoff n and its gains: one check, one kernel read."""
-        n = self.check_cutoff(n, minimum)
+        """The cutoff n as a Python int (see `_integer_cutoff`), once it is
+        known to lie in [minimum, N], and its gains: one check, one kernel
+        read."""
+        n = _integer_cutoff(n)
+        if n < minimum or n > self.n_total:
+            raise ValidationError(
+                f"cutoff n={n} out of range [{minimum}, {self.n_total}]")
         num, den = self._gains_at(n)
         if den != 1 and num % den:  # a cutoff inside an expected tie group
             return n, Fraction(int(num), int(den))
@@ -294,12 +295,10 @@ def _rank_columns(ids: np.ndarray | bytes | None, scores: np.ndarray,
     order, and one int64 sort of g * n + w, where w is the row index or the
     id's rank, puts every group back in order; subtracting g * n leaves w.
     The key stays below n**2 < 2**63, so the kernel is exact for
-    n < 3.0e9 rows. Scores that are all equal form one group, whose order
-    needs no sort by score. The ids' ranks come from `_rows_by_id`, which
-    sorts their UTF-8 bytes in numpy, eight at a time, into Python's string
-    order, with memory that grows with the total id bytes; ids that are not
-    all `str`, or where some id holds a NUL or a newline, it orders by
-    `sorted`.
+    n < 3.0e9 rows. The ids' ranks come from `_rows_by_id`, which sorts
+    their UTF-8 bytes in numpy, eight at a time, into Python's string order,
+    with memory that grows with the total id bytes; ids that are not all
+    `str`, or where some id holds a NUL or a newline, it orders by `sorted`.
     """
     order = _rank_order(ids, scores, tie_policy)
     return RankedTestSet(ids[order] if isinstance(ids, np.ndarray) else None,
@@ -312,8 +311,6 @@ def _rank_order(ids: np.ndarray | bytes | None, scores: np.ndarray,
     n = len(scores)
     # the id order is sorted only where some scores tie
     id_policy = tie_policy is TiePolicy.ID_ORDER
-    if scores.min() == scores.max():
-        return _rows_by_id(ids) if id_policy else np.arange(n)
     order = np.argsort(-scores)
     ranked = scores[order]
     starts_group = ranked[1:] != ranked[:-1]

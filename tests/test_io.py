@@ -273,6 +273,7 @@ class TestParseCurvesFaults:
     """The ValidationError message `parse_curves` raises for a bad text,
     and which of two faults it reports: a row is split into its four fields
     as it is read, a series' points are converted before its kind is read,
+    a json name that is no string is refused before the kind is converted,
     and the series is checked last."""
 
     @staticmethod
@@ -336,6 +337,19 @@ class TestParseCurvesFaults:
         ('{"series": 5}', "bad curve text: 'int' object is not iterable"),
         ("{bad", "bad curve text: Expecting property name enclosed in double "
          "quotes: line 1 column 2 (char 1)"),
+        # only arrays nest past the recursion limit, whatever the stack
+        # depth of the caller, so the message names an array
+        pytest.param('{"series": ' + "[" * 100000, "bad curve text: maximum "
+                     "recursion depth exceeded while decoding a JSON array "
+                     "from a unicode string", id="nested-past-the-limit"),
+        (_curves_json({"name": 5, "x_kind": "count-n", "points": [
+            {"x": 1, "y": 1, "x_exact": "1/1", "y_exact": "1/2"}]}),
+         "bad curve text: series name must be a string, got 5"),
+        (_curves_json({"name": [1], "x_kind": "bogus", "points": []}),
+         "bad curve text: series name must be a string, got [1]"),
+        (_curves_json({"name": None, "x_kind": "count-n", "points": []},
+                      {"name": "h", "x_kind": "count-n", "points": [{}]}),
+         "bad curve text: series name must be a string, got None"),
     ])
     def test_json(self, text, message):
         self._check(text, "json", message)

@@ -609,8 +609,8 @@ def test_stdout_and_out_write_the_same_bytes(capsys, tmp_path, inputs,
 # its matrix (every subcommand under every tie policy on several inputs,
 # error forms and help texts); update it only where a change means to alter
 # what the command line writes
-CLI_DIGEST = ("774c49b6879d63851e6407198907b9c2e199db32ab879431877ec0dad088aa5b"
-              "  741 runs: 691 exit 0, 50 exit 1\n")
+CLI_DIGEST = ("e5c9d3ecb6663f926d775ef0a4a649cad884c6d22b9abab62333896cb8420bff"
+              "  867 runs: 811 exit 0, 56 exit 1\n")
 
 
 def test_cli_digest_is_pinned():

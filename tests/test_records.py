@@ -11,8 +11,9 @@ from gainslift import (EXAMPLE24_LABELS, ClassifierRun, CostSpec,
                        ResamplePlan, ScoredRecord, SwapSpec, TiePolicy,
                        ValidationError, XKind, accuracy_at, apply_swaps,
                        auc_pairs, auc_wilcoxon, benefit_series, compare_at,
-                       decile_lift, dominance, example24_records,
-                       gains_series, lift, lift_series, load_scored,
+                       decile_lift, decile_series, dominance,
+                       emit_curves, example24_records, gains_series, lift,
+                       lift_series, load_scored,
                        n_confusion_matrix, p_cum_gains, rank_records,
                        roc_points, run_plan)
 import gainslift.io as gio
@@ -20,8 +21,9 @@ from gainslift.io import _load_columns
 from gainslift.records import (_columns, _first_fault, _rank_columns,
                                _rank_order, _rows_by_id)
 
-from helpers import (brute_force_auc, gains_oracle, lift_above,
-                     random_instance, rank_order_oracle, records_from_labels,
+from helpers import (brute_force_auc, curves_csv_oracle, curves_json_oracle,
+                     gains_oracle, lift_above, random_instance,
+                     rank_order_oracle, records_from_labels,
                      roc_points_oracle, stable_order_oracle, tie_groups_oracle)
 
 
@@ -227,10 +229,14 @@ class TestSmallWorld:
     first and last ranks exchanged, where their labels differ, and
     `compare_at` against that swapped set at every target. Every single-cutoff
     ratio is checked at every n >= 1; the whole-curve kernels only for
-    N <= SERIES_N, which keeps the test's time down."""
+    N <= SERIES_N, and the csv and json that `emit_curves` writes of them
+    only for N <= WRITERS_N, which keeps the test's time down. The curves
+    but ROC are built from the labels and gains alone, so their texts are
+    checked once per pair, as the measures are; ROC's once per curve."""
 
     MAX_N = 6
     SERIES_N = 5
+    WRITERS_N = 4
     COSTS = CostSpec(q_tp=10, q_fp=-0.3)
 
     @staticmethod
@@ -246,6 +252,7 @@ class TestSmallWorld:
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_every_small_set(self, policy):
         checked = set()  # the sets whose measures are checked
+        rocs = set()  # the ROC points whose texts are checked
         for labels, group, sizes in self._worlds():
             n = len(labels)
             records = [ScoredRecord(f"r{n - i}", float(-g), y)
@@ -277,11 +284,17 @@ class TestSmallWorld:
                 lifts = self._check_cutoffs(ranked, gains)
             if measures and n <= self.SERIES_N:
                 self._check_series(ranked, gains, lifts)
+            if measures and n <= self.WRITERS_N:
+                self._check_writers(ranked)
             if 0 < ranked.n_pos < n:
                 auc = brute_force_auc(ranked)
                 assert auc_pairs(ranked) == auc_wilcoxon(ranked) == auc
-                assert roc_points(ranked).points == \
-                    roc_points_oracle(ranked).points
+                roc = roc_points(ranked)
+                assert roc.points == roc_points_oracle(ranked).points
+                # the one curve of the tie groups; equal points, equal texts
+                if n <= self.WRITERS_N and roc.points not in rocs:
+                    rocs.add(roc.points)
+                    self._check_texts([roc])
             if n > 1:
                 swapped = apply_swaps(ranked, SwapSpec(pairs=((1, n),)))
                 assert swapped.labels == (want[-1],) + want[1:-1] + (want[0],)
@@ -356,6 +369,24 @@ class TestSmallWorld:
                 name, kind, tuple(zip(x, y)))
         assert decile_lift(ranked) == [lifts[-(-j * n_total // 10)]
                                        for j in range(1, 11)]
+
+    def _check_writers(self, ranked):
+        """The texts of the curves built from the labels and gains alone,
+        all in one; those that need positives are left out where the set
+        has none."""
+        series = [gains_series(ranked), benefit_series(ranked, self.COSTS)]
+        if ranked.n_pos:
+            series += [gains_series(ranked, fraction=True),
+                       lift_series(ranked, fraction=False),
+                       lift_series(ranked), decile_series(ranked)]
+        self._check_texts(series)
+
+    @staticmethod
+    def _check_texts(series):
+        """The csv and json `emit_curves` writes of the series against the
+        writer oracles."""
+        assert emit_curves(series, "csv") == curves_csv_oracle(series)
+        assert emit_curves(series, "json") == curves_json_oracle(series)
 
     def _check_compare(self, ranked, gains, lifts, swapped):
         """`compare_at` of the set and its swapped copy at every target,

@@ -1,0 +1,27 @@
+"""What the tools share: gainslift from a checkout, and the peak memory."""
+
+import sys
+from pathlib import Path
+
+
+def import_gainslift(src_dir: str) -> Path:
+    """Import gainslift from SRC_DIR, the `src` directory of a checkout,
+    and return it resolved; exit with status 2 if it came from elsewhere."""
+    src = Path(src_dir).resolve()
+    sys.path.insert(0, str(src))
+    import gainslift
+    if not Path(gainslift.__file__).resolve().is_relative_to(src):
+        print(f"gainslift was not imported from {src}", file=sys.stderr)
+        raise SystemExit(2)
+    return src
+
+
+def peak_mb() -> str:
+    """Peak resident memory: `VmHWM` of /proc/self/status (Linux only)."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            kb = next(line.split()[1] for line in status
+                      if line.startswith("VmHWM:"))
+        return f"{int(kb) / 1024:,.0f} MB"
+    except (OSError, StopIteration):
+        return "unknown"

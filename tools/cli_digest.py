@@ -16,11 +16,11 @@ field quoted, every field quoted with no id column, and json-lines), one
 the block route reads in two blocks, its first read stopping inside a line
 (over 64 KiB, with a byte-order mark, CRLF line ends, blank lines and no
 final newline), and json-lines with no id field and with ids on some rows
-only; three small files ranked under every tie policy, 7 tied rows (under
-10, so the decile cutoffs repeat), one row (where most commands fail) and
+only; five small files ranked under every tie policy, 7 tied rows (under
+10, so the decile cutoffs repeat), one row (where most commands fail),
 40 rows of score texts such as `-0`, `5.` and `1_0` in two blocks, the
 first of repeated texts of at most eight bytes, the second with nine-byte
-ones;
+ones, then 9 rows of one score and 5 rows of signed zeros (one tie group);
 `compare` of the tied file against the same labels scored on other levels,
 under every tie policy;
 error forms whose message or precedence matters; and the `--help` text of
@@ -42,6 +42,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+from _checkout import import_gainslift
 
 POLICIES = ("input", "id", "expected")
 
@@ -151,10 +153,10 @@ SHORT_SCORES = [("0", "-0", "0.0", "-0.0", ".5", "5.", "1e-3", "1_0", " 1.5",
     "123456789", "-1.25e-30", "0.0156250", " 0.015625", "-0", "1_0"]
 
 # small files, each ranked under every tie policy: 7 rows on three score
-# levels, where ceil(k * 7 / 10) repeats across deciles, one row, and the
-# 40 rows of `SHORT_SCORES`, each with a 2,000-byte note, so that the block
-# route reads them in two blocks: the first 33 rows' texts (each
-# repeated) and the rest (nine-byte ones among them)
+# levels, where ceil(k * 7 / 10) repeats across deciles, one row, the 40
+# rows of `SHORT_SCORES`, each with a 2,000-byte note, so that the block
+# route reads them in two blocks (33 rows of repeated texts, then the rest),
+# then 9 rows of one score and 5 of signed zeros, which `perturb` writes back
 SMALL_INPUTS = {
     "<tied-7>": ("tied7.csv", "id,score,label\nu5,0.5,1\nu2,0.5,0\n"
                  "u7,0.9,0\nu1,0.5,1\nu4,0.2,0\nu3,0.9,1\nu6,0.2,1\n"),
@@ -162,6 +164,10 @@ SMALL_INPUTS = {
     "<short-scores>": ("short.csv", "id,note,score,label\n" + "".join(
         f"s{k:02d},{'n' * 2000},{score},{k * 7 % 3 % 2}\n"
         for k, score in enumerate(SHORT_SCORES))),
+    "<one-score>": ("one-score.csv", "id,score,label\n" + "".join(
+        f"w{k},0.5,{k % 3 % 2}\n" for k in (4, 9, 1, 7, 2, 8, 5, 3, 6))),
+    "<signed-zeros>": ("zeros.csv", "id,score,label\nz3,-0.0,1\nz1,0.0,0\n"
+                       "z5,-0.0,0\nz2,0.0,1\nz4,-0.0,0\n"),
 }
 
 
@@ -235,14 +241,9 @@ def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    src = Path(sys.argv[1]).resolve()
-    sys.path.insert(0, str(src))
-    import gainslift
+    src = import_gainslift(sys.argv[1])
     from gainslift import example24_path
     from gainslift.cli import cli_main
-    if not Path(gainslift.__file__).resolve().is_relative_to(src):
-        print(f"gainslift was not imported from {src}", file=sys.stderr)
-        return 2
 
     os.environ["COLUMNS"] = "80"  # argparse wraps help to this width
     digest = hashlib.sha256()

@@ -21,20 +21,10 @@ from __future__ import annotations
 
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-
-def _peak_mb() -> str:
-    try:
-        with open("/proc/self/status", encoding="ascii") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return f"{int(line.split()[1]) / 1024:,.0f} MB"
-    except OSError:
-        pass
-    return "unknown"
+from _checkout import import_gainslift, peak_mb
 
 
 def _intervals(name: str, intervals) -> str:
@@ -47,14 +37,9 @@ def main() -> int:
     if len(sys.argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    src = Path(sys.argv[1]).resolve()
+    import_gainslift(sys.argv[1])
     rows = int(sys.argv[2]) if len(sys.argv) == 3 else 6_000_011
-    sys.path.insert(0, str(src))
-    import gainslift
     from gainslift import ClassifierRun, RankedTestSet, TiePolicy, dominance
-    if not Path(gainslift.__file__).resolve().is_relative_to(src):
-        print(f"gainslift was not imported from {src}", file=sys.stderr)
-        return 2
 
     labels = np.zeros(rows, dtype=np.int64)
     labels[:rows // 3] = 1
@@ -70,7 +55,7 @@ def main() -> int:
     seconds = time.perf_counter() - start
     print(f"{report.verdict.name}  {_intervals('a_above', report.a_above)}  "
           f"{_intervals('b_above', report.b_above)}  {seconds:.2f} s  "
-          f"VmHWM {_peak_mb()}  ({rows:,} rows)")
+          f"VmHWM {peak_mb()}  ({rows:,} rows)")
     return 0
 
 

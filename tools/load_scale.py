@@ -29,18 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from _checkout import import_gainslift, peak_mb
+
 RUNS = 7
-
-
-def _peak_mb() -> str:
-    try:
-        with open("/proc/self/status", encoding="ascii") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return f"{int(line.split()[1]) / 1024:,.0f} MB"
-    except OSError:
-        pass
-    return "unknown"
 
 
 def _files(rows: int) -> dict[str, list[str]]:
@@ -60,14 +51,9 @@ def main() -> int:
     if len(sys.argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    src = Path(sys.argv[1]).resolve()
+    import_gainslift(sys.argv[1])
     rows = int(sys.argv[2]) if len(sys.argv) == 3 else 100_000
-    sys.path.insert(0, str(src))
-    import gainslift
     from gainslift.io import _load_columns
-    if not Path(gainslift.__file__).resolve().is_relative_to(src):
-        print(f"gainslift was not imported from {src}", file=sys.stderr)
-        return 2
 
     rng = np.random.default_rng(7101)
     ids = [f"r{i:06d}" for i in rng.permutation(rows).tolist()]
@@ -89,7 +75,7 @@ def main() -> int:
             print(f"{name:6} {median * 1e3:8.2f} ms  "
                   f"(quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f})  "
                   f"{path.stat().st_size:,} bytes")
-    print(f"VmHWM {_peak_mb()}  ({rows:,} rows, median of {RUNS} loads)")
+    print(f"VmHWM {peak_mb()}  ({rows:,} rows, median of {RUNS} loads)")
     return 0
 
 
