@@ -183,7 +183,8 @@ def _scored_file(args, path: str) -> io.ScoredFile:
 def _ranked(args, path: str, id_texts: bool = False):
     """Rank the file's validated columns; no per-row record is built. The
     ids are read as texts only where the command writes them (`id_texts`);
-    otherwise the id policy, which sorts by them, takes them as bytes."""
+    otherwise the id policy, which sorts by them, takes the loader's "bytes"
+    form: words or bytes from the block route."""
     policy = TiePolicy(args.tie_policy)
     id_form = ("texts" if id_texts else
                "bytes" if policy is TiePolicy.ID_ORDER else None)

@@ -11,8 +11,10 @@ next is read: labels of exactly `0` or `1`, scores by `float`, ids into
 Where a block's score texts are each at most eight bytes and repeat, each
 distinct text is parsed once. Id texts and row numbers are made only for a
 caller that reads them (`_load_columns`'s `id_form`); on the command line
-that is `perturb`, and the `id` tie policy sorts the block route's id bytes
-as they are.
+that is `perturb`. The `id` tie policy sorts what the block route kept:
+where every id has at most eight bytes, their 64-bit keys, each of which is
+then the id's bytes; else the ids' bytes, gathered only from the blocks that
+hold a longer id and written back from the keys in the others.
 Where a value fails its check, or two id keys are equal, the block route
 stops, and the csv module reads the file from its start, as it reads every
 other delimited file. Its texts are converted a column at a time and
@@ -118,11 +120,12 @@ def _load_columns(file: ScoredFile | str | Path, *,
     routes check the texts' sorted hashes. A file with no id column or field
     gets its row numbers here, and only where the ids are wanted.
     `id_form` says how the ids come back: "texts", an object array of str;
-    "bytes", the block route's bytes as it read them (each id followed by a
-    newline) for `records._rows_by_id` to order, but texts from any other
-    route or for row numbers; or None, for ids that are checked but not
-    wanted: the block route then neither keeps their bytes nor turns one
-    into a Python string."""
+    "bytes", the block route's ids for `records._rows_by_id` to order (a
+    uint64 column of their keys, which are their words, where every id has
+    at most eight bytes, else their bytes, each followed by a newline), but
+    texts from any other route or for row numbers; or None, for ids that are
+    checked but not wanted: the block route then neither keeps them nor
+    turns one into a Python string."""
     if not isinstance(file, ScoredFile):
         file = ScoredFile(path=file, format=guess_format(file))
     file = replace(file, **overrides)
@@ -140,7 +143,9 @@ def _load_columns(file: ScoredFile | str | Path, *,
         ids = None
     elif ids is None:  # no id column: row numbers
         ids = list(map(str, range(1, len(labels) + 1)))
-    elif isinstance(ids, bytes) and id_form == "texts":
+    elif id_form == "texts" and not isinstance(ids, list):  # the block route's
+        if isinstance(ids, np.ndarray):
+            ids = _word_bytes(ids)
         ids = ids.decode("utf-8").split("\n")[:-1]
     return (np.array(ids, dtype=object) if isinstance(ids, list) else ids,
             np.asarray(scores, dtype=np.float64),
@@ -262,20 +267,24 @@ _SCORE_PROBE = 512
 
 
 def _plain_texts(raw, file: ScoredFile, keep_ids: bool
-                 ) -> tuple[bytes | None, np.ndarray, np.ndarray] | None:
+                 ) -> tuple[np.ndarray | bytes | None, np.ndarray,
+                            np.ndarray] | None:
     """The file's columns (ids, scores, labels), read from whole blocks of
-    lines without tokenizing each field: the id fields' bytes, each followed
-    by a newline (None without an id column or where the ids are not
-    wanted), float64 scores and int64 labels. None where the bytes show
-    that a csv rule may apply (see `_field_ends`), where the header lacks a
-    column (the csv module names it, after reading what it reads first), or
-    where a value fails a check. The caller then reads the file again from
-    its start through the csv module.
+    lines without tokenizing each field: the ids (None without an id column
+    or where the ids are not wanted), float64 scores and int64 labels. The
+    ids are a uint64 column of their keys where every id has at most eight
+    bytes, and else their bytes, each followed by a newline. None where the
+    bytes show that a csv rule may apply (see `_field_ends`), where the
+    header lacks a column (the csv module names it, after reading what it
+    reads first), or where a value fails a check. The caller then reads the
+    file again from its start through the csv module.
 
     Each block's labels and scores are converted, and its ids turned into
     64-bit keys, before the next block is read (`_block_columns`); the keys
-    of the whole file are sorted once to find a repeat; the ids' bytes are
-    kept only for a caller that wants the ids (`keep_ids`). The checks
+    of the whole file are sorted once to find a repeat; the ids are kept
+    only for a caller that wants them (`keep_ids`), as keys from a block
+    whose ids have at most eight bytes each, written back as bytes
+    (`_word_bytes`) only where another block holds a longer id. The checks
     that give None are a label other than `0` or `1`, a score `float`
     rejects or that is not finite, an empty id, and two equal keys: the csv
     route accepts a lenient label, names the faulty row, and finds ids
@@ -311,8 +320,14 @@ def _plain_texts(raw, file: ScoredFile, keep_ids: bool
     labels, scores, keys, ids = zip(*parts)
     if keys[0] is not None and _any_equal(np.concatenate(keys)):
         return None
-    return (None if ids[0] is None else b"".join(ids), np.concatenate(scores),
-            np.concatenate(labels).astype(np.int64))
+    if ids[0] is None:
+        ids = None
+    elif all(isinstance(part, np.ndarray) for part in ids):
+        ids = np.concatenate(ids)
+    else:
+        ids = b"".join(part if isinstance(part, bytes) else _word_bytes(part)
+                       for part in ids)
+    return ids, np.concatenate(scores), np.concatenate(labels).astype(np.int64)
 
 
 def _line_blocks(raw, limit: int):
@@ -379,11 +394,13 @@ def _field_ends(block: bytes, d: str, width: int, limit: int
 def _block_columns(block: bytes, ends: np.ndarray, width: int,
                    at: list[int], keep_ids: bool):
     """A checked block's uint8 labels, float64 scores, and, with an id
-    column, its ids' uint64 keys and, if `keep_ids`, bytes (each followed by
-    a newline), None in place of what is not there; None where a label is
-    not exactly `0` or `1`, a score is not a finite number by `float`, or an
-    id is empty. Each distinct score text of at most eight bytes is parsed
-    once where the block's first rows repeat such texts (`_block_scores`)."""
+    column, its ids' uint64 keys and, if `keep_ids`, its ids: the same keys
+    where every id has at most eight bytes, as each is then the id's word,
+    else their bytes (each followed by a newline); None in place of what is
+    not there; None where a label is not exactly `0` or `1`, a score is not
+    a finite number by `float`, or an id is empty. Each distinct score text
+    of at most eight bytes is parsed once where the block's first rows
+    repeat such texts (`_block_scores`)."""
     view = np.frombuffer(block, dtype=np.uint8)
     starts = np.empty_like(ends)  # each field's first byte
     starts[:1] = 0
@@ -404,8 +421,13 @@ def _block_columns(block: bytes, ends: np.ndarray, width: int,
     sizes = id_ends - id_starts
     if not sizes.all():
         return None
-    return (labels, scores, _id_keys(block, id_starts, sizes),
-            _field_bytes(view, id_starts, id_ends) if keep_ids else None)
+    keys = _id_keys(block, id_starts, sizes)
+    if not keep_ids:
+        return labels, scores, keys, None
+    # ids of at most eight bytes are their keys: each id's word
+    return (labels, scores, keys,
+            keys if sizes.max(initial=0) <= 8
+            else _field_bytes(view, id_starts, id_ends))
 
 
 def _block_scores(block: bytes, view: np.ndarray, starts: np.ndarray,
@@ -463,6 +485,17 @@ def _field_bytes(view: np.ndarray, starts: np.ndarray, ends: np.ndarray
     out = view[index]
     out[after - 1] = 10
     return out.tobytes()
+
+
+def _word_bytes(words: np.ndarray) -> bytes:
+    """The ids of at most eight bytes whose `records._id_word`s are `words`,
+    each followed by a newline: every nonzero byte of its word, as no id
+    holds a NUL byte."""
+    out = np.empty((len(words), 9), dtype=np.uint8)
+    out[:, :8] = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    out[:, 8] = 10
+    out = out.ravel()
+    return out[out != 0].tobytes()
 
 
 def _id_keys(block: bytes, starts: np.ndarray, sizes: np.ndarray

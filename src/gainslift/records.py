@@ -282,9 +282,11 @@ def _rank_columns(ids: np.ndarray | bytes | None, scores: np.ndarray,
                   labels: np.ndarray, tie_policy: TiePolicy) -> RankedTestSet:
     """Rank validated columns in input order: non-empty unique ids, finite
     float64 scores and 0/1 int64 labels. The ids are an object array; the
-    loader's block-route bytes, each id's UTF-8 bytes followed by a newline,
-    which only the id policy reads (it does wherever scores tie); or None
-    where nothing reads them. The set holds them only from an object array.
+    loader's block-route form, which only the id policy reads (it does
+    wherever scores tie): a uint64 column of the words (`_id_word`) of ids
+    of at most eight bytes, or each id's UTF-8 bytes followed by a newline;
+    or None where nothing reads them. The set holds them only from an object
+    array, so that its `ids` raise for the other forms.
 
     The rank order is descending score; within equal scores (0.0 and -0.0
     are equal) it is ascending row index, or ascending id under the id
@@ -301,7 +303,8 @@ def _rank_columns(ids: np.ndarray | bytes | None, scores: np.ndarray,
     `str`, or where some id holds a NUL or a newline, it orders by `sorted`.
     """
     order = _rank_order(ids, scores, tie_policy)
-    return RankedTestSet(ids[order] if isinstance(ids, np.ndarray) else None,
+    held = isinstance(ids, np.ndarray) and ids.dtype == object
+    return RankedTestSet(ids[order] if held else None,
                          scores[order], labels[order], tie_policy)
 
 
@@ -358,10 +361,12 @@ def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
     The ids are ordered as their UTF-8 bytes (`surrogatepass`, so lone
     surrogates too), whose order is code-point order, in one form: each
     id's bytes followed by a newline. The loader's block route hands its ids
-    over so (valid UTF-8, with no NUL or newline in an id); texts are joined
-    and encoded so once, here, unless they are not all `str` or some id
-    holds a NUL or a newline. Those `sorted` orders, and ids it cannot
-    compare raise ValidationError.
+    over so (valid UTF-8, with no NUL or newline in an id) where one has
+    more than eight bytes, and else as a uint64 column of their words
+    (below), which one `np.argsort` orders. Texts are joined and encoded so
+    once, here, unless they are not all `str` or some id holds a NUL or a
+    newline. Those `sorted` orders, and ids it cannot compare raise
+    ValidationError.
 
     An id's word at offset o is its bytes o to o + 7 read big-endian, with
     zeros past its end; as no id holds a NUL, the zeros read as an end that
@@ -378,6 +383,8 @@ def _rows_by_id(ids: np.ndarray | bytes) -> np.ndarray:
     few int64 columns of n: it grows with the total id bytes, never with
     the longest id times n.
     """
+    if isinstance(ids, np.ndarray) and ids.dtype == np.uint64:
+        return np.argsort(ids)  # the block route's words: each a whole id
     if isinstance(ids, bytes):  # the block route's text, as it is
         blob, texts = ids + bytes(7), None
     else:

@@ -342,6 +342,18 @@ def stable_order_oracle(ids: np.ndarray, scores: np.ndarray,
     return np.lexsort((id_rank, -scores))
 
 
+def block_id_form_oracle(texts: list[str]) -> list[int] | bytes:
+    """The id policy's form of ids the loader's block route read, built per
+    id: where every id has at most eight UTF-8 bytes, each id's bytes padded
+    with zeros to eight and read big-endian (as `tolist` gives a uint64
+    column); else each id's bytes followed by a newline, one after
+    another."""
+    data = [text.encode("utf-8") for text in texts]
+    if max(map(len, data), default=0) <= 8:
+        return [int.from_bytes(b.ljust(8, b"\0"), "big") for b in data]
+    return b"".join(b + b"\n" for b in data)
+
+
 def auc_pairs_matrix(ranked: RankedTestSet) -> Fraction:
     """Pair-counting AUC from the two P x N comparison matrices."""
     scores = np.array(ranked.scores)

@@ -22,6 +22,7 @@ from gainslift.records import _rank_columns
 
 from helpers import (BAD_SCORE_TEXTS, MALFORMED_CSV, MALFORMED_JSONL,
                      NINE_BYTE_SCORE_TEXTS, SHORT_SCORE_TEXTS,
+                     block_id_form_oracle,
                      curves_csv_oracle, curves_json_oracle, field_ends_oracle,
                      load_csv_oracle, load_jsonl_oracle, random_scored_csv,
                      random_scored_jsonl, records_from_labels,
@@ -1197,11 +1198,20 @@ class TestColumnarLoader:
                 want = getattr(from_records, name)
                 assert got.dtype == want.dtype, name
                 assert got.tolist() == want.tolist(), name
-            # the id policy's form: the block route's bytes, else the texts
+            # the id policy's form: the block route's words where every id
+            # has at most eight bytes, its bytes where one is longer, else
+            # the texts; a set ranked from words or bytes holds no ids
             ids, *rest = _load_columns(file, id_form="bytes")
-            if not isinstance(ids, bytes):
-                assert ids.tolist() == columns[0].tolist()
+            texts = columns[0].tolist()
             from_bytes = _rank_columns(ids, *rest, policy)
+            if isinstance(ids, bytes) or ids.dtype == np.uint64:
+                assert (ids if isinstance(ids, bytes) else ids.tolist()) \
+                    == block_id_form_oracle(texts)
+                with pytest.raises(ValidationError,
+                                   match="ranked set was built without"):
+                    from_bytes.ids
+            else:
+                assert ids.tolist() == texts
             for name in self.COLUMNS[1:]:
                 assert getattr(from_bytes, name).tolist() == getattr(
                     from_records, name).tolist(), name
@@ -1213,12 +1223,21 @@ class TestColumnarLoader:
         path = write(tmp_path, "in.csv",
                      "id,score,label\nb,0.5,1\né,0.5,0\na,0.5,0\nc,0.9,1\n")
         ids, scores, labels = _load_columns(path, id_form="bytes")
-        assert ids == "b\né\na\nc\n".encode()
+        # ids of at most eight bytes: each id's word
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == block_id_form_oracle(["b", "é", "a", "c"])
         ranked = _rank_columns(ids, scores, labels, TiePolicy.ID_ORDER)
         assert ranked.labels == (1, 0, 1, 0)
         with pytest.raises(ValidationError,
                            match="ranked set was built without its ids"):
             ranked.ids
+        # a longer id: every id's bytes
+        path = write(tmp_path, "long.csv", "id,score,label\nb,0.5,1\n"
+                     "aaaaaaaab,0.5,0\naaaaaaaa,0.5,0\nc,0.9,1\n")
+        ids, scores, labels = _load_columns(path, id_form="bytes")
+        assert ids == b"b\naaaaaaaab\naaaaaaaa\nc\n"
+        ranked = _rank_columns(ids, scores, labels, TiePolicy.ID_ORDER)
+        assert ranked.labels == (1, 0, 0, 1)
         # no id column: row numbers, as texts
         path = write(tmp_path, "bare.csv", "score,label\n0.5,1\n0.5,0\n")
         assert _load_columns(path, id_form="bytes")[0].tolist() == ["1", "2"]

@@ -9,6 +9,7 @@ a curve kernel or serializer that moves a single byte fails here.
 """
 
 import hashlib
+import os
 import random
 import subprocess
 import sys
@@ -609,8 +610,8 @@ def test_stdout_and_out_write_the_same_bytes(capsys, tmp_path, inputs,
 # its matrix (every subcommand under every tie policy on several inputs,
 # error forms and help texts); update it only where a change means to alter
 # what the command line writes
-CLI_DIGEST = ("e5c9d3ecb6663f926d775ef0a4a649cad884c6d22b9abab62333896cb8420bff"
-              "  867 runs: 811 exit 0, 56 exit 1\n")
+CLI_DIGEST = ("a7e19ac141cde9576851d633f70c3147ce60a6a0d338fe8205bee6580be19045"
+              "  930 runs: 874 exit 0, 56 exit 1\n")
 
 
 def test_cli_digest_is_pinned():
@@ -620,3 +621,16 @@ def test_cli_digest_is_pinned():
          str(root / "src")], capture_output=True, text=True, cwd=root)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == CLI_DIGEST
+
+
+def test_a_tool_given_no_gainslift_exits_2(tmp_path):
+    """A SRC_DIR that holds no gainslift gives the tools' one message and
+    exit status 2, not an import traceback."""
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(root / "tools" / "cli_digest.py"),
+         str(tmp_path)], capture_output=True, text=True, cwd=tmp_path,
+        env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"gainslift was not imported from {tmp_path.resolve()}\n")

@@ -21,8 +21,9 @@ from gainslift.io import _load_columns
 from gainslift.records import (_columns, _first_fault, _rank_columns,
                                _rank_order, _rows_by_id)
 
-from helpers import (brute_force_auc, curves_csv_oracle, curves_json_oracle,
-                     gains_oracle, lift_above, random_instance,
+from helpers import (block_id_form_oracle, brute_force_auc,
+                     curves_csv_oracle, curves_json_oracle, gains_oracle,
+                     lift_above, random_instance,
                      rank_order_oracle, records_from_labels,
                      roc_points_oracle, stable_order_oracle, tie_groups_oracle)
 
@@ -686,7 +687,26 @@ def _line_ids(rng: np.random.Generator, shape: str, n: int) -> list[str]:
     """n distinct ids in a seeded order, drawn as `_id_case` draws the ids
     of its `lengths`, `prefix-*` and `wide` shapes but with what no line of
     the loader's block route holds left out: empty ids and lone
-    surrogates."""
+    surrogates. The `short` shape's ids have 1 to 8 UTF-8 bytes; the
+    `mixed` shape's ids are short ones, then, in the last rows, longer
+    ones."""
+    if shape == "mixed":
+        # `short` ids, then, from row n - n // 8, an eight-byte id that no
+        # short one starts with and the same id with one more byte, then
+        # ids of 9 bytes, then of 10 to 24
+        tail = n // 8
+        ids = _line_ids(rng, "short", n - tail)
+        if tail:
+            ids[0] = "c" + _text(rng, "ab", 7)
+            longer = {ids[0] + "a"}
+            while len(longer) < tail:
+                size = (9 if 2 * len(longer) < tail
+                        else int(rng.integers(10, 25)))
+                longer.add(_text(rng, "ab", size))
+            longer.remove(ids[0] + "a")
+            ids += [ids[0] + "a"] + sorted(
+                longer, key=lambda text: (len(text), text))
+        return ids
     prefix = _text(rng, "ab", 24)
     ids: set[str] = set()
     while len(ids) < n:
@@ -695,6 +715,11 @@ def _line_ids(rng: np.random.Generator, shape: str, n: int) -> list[str]:
             text = _text(rng, "ab", int(rng.integers(1, 41)))
         elif shape.startswith("prefix-"):  # 8, 16 or 24 shared bytes
             text = prefix[:int(shape[7:])] + _text(rng, "ab\x01", size - 1)
+        elif shape == "short":  # 1 to 8 bytes, many of exactly 8
+            text = _text(rng, "ab" if size % 2 else _LINE_CHARS,
+                         min(size, 8))
+            while len(text.encode("utf-8")) > 8:
+                text = text[:-1]
         else:  # "wide": non-ASCII and astral
             text = _text(rng, _LINE_CHARS, size)
         ids.add(text)
@@ -757,14 +782,16 @@ class TestRankKernel:
             case = _id_case(rng, shape, int(rng.integers(1, 60)))
             self._check(*case, TiePolicy.ID_ORDER)
 
-    LINE_SHAPES = ["lengths", "prefix-8", "prefix-16", "prefix-24", "wide"]
+    LINE_SHAPES = ["lengths", "prefix-8", "prefix-16", "prefix-24", "wide",
+                   "short", "mixed"]
 
     @pytest.mark.parametrize("shape", LINE_SHAPES)
     def test_block_route_bytes_order_as_their_texts(self, tmp_path,
                                                     monkeypatch, shape):
-        """The ids the loader's block route hands over as bytes give the
-        order of the texts they decode to, and the id policy's rank order
-        is Python's."""
+        """The ids the loader's block route hands over for the id policy,
+        as words where every id has at most eight bytes and else as bytes,
+        hold the ids' texts and give their order, and the id policy's rank
+        order is Python's."""
         monkeypatch.setattr(gio, "_BLOCK_BYTES", 256)  # ids cross blocks
         rng = np.random.default_rng([2027, self.LINE_SHAPES.index(shape)])
         path = tmp_path / "ids.csv"
@@ -776,7 +803,9 @@ class TestRankKernel:
                 encoding="utf-8")
             blob, scores, labels = _load_columns(path, id_form="bytes")
             ids = _load_columns(path)[0]
-            assert isinstance(blob, bytes) and ids.tolist() == texts
+            assert ids.tolist() == texts
+            assert (blob if isinstance(blob, bytes) else blob.tolist()) \
+                == block_id_form_oracle(texts)
             want = sorted(range(n), key=texts.__getitem__)
             assert _rows_by_id(blob).tolist() == _rows_by_id(ids).tolist() \
                 == want

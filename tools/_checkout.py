@@ -6,11 +6,17 @@ from pathlib import Path
 
 def import_gainslift(src_dir: str) -> Path:
     """Import gainslift from SRC_DIR, the `src` directory of a checkout,
-    and return it resolved; exit with status 2 if it came from elsewhere."""
+    and return it resolved; exit with status 2 if it came from elsewhere
+    or was not found."""
     src = Path(src_dir).resolve()
     sys.path.insert(0, str(src))
-    import gainslift
-    if not Path(gainslift.__file__).resolve().is_relative_to(src):
+    try:
+        import gainslift
+    except ImportError:  # no gainslift in SRC_DIR, and none installed
+        found = False
+    else:
+        found = Path(gainslift.__file__).resolve().is_relative_to(src)
+    if not found:
         print(f"gainslift was not imported from {src}", file=sys.stderr)
         raise SystemExit(2)
     return src

@@ -20,7 +20,9 @@ only; five small files ranked under every tie policy, 7 tied rows (under
 10, so the decile cutoffs repeat), one row (where most commands fail),
 40 rows of score texts such as `-0`, `5.` and `1_0` in two blocks, the
 first of repeated texts of at most eight bytes, the second with nine-byte
-ones, then 9 rows of one score and 5 rows of signed zeros (one tie group);
+ones, 40 rows in two blocks, the first of ids of at most eight bytes, the
+second with longer ones, then 9 rows of one score and 5 rows of signed
+zeros (one tie group);
 `compare` of the tied file against the same labels scored on other levels,
 under every tie policy;
 error forms whose message or precedence matters; and the `--help` text of
@@ -152,11 +154,20 @@ SHORT_SCORES = [("0", "-0", "0.0", "-0.0", ".5", "5.", "1e-3", "1_0", " 1.5",
                 for k in range(34)] + [
     "123456789", "-1.25e-30", "0.0156250", " 0.015625", "-0", "1_0"]
 
+# 40 ids: 34 of at most eight UTF-8 bytes (some multi-byte, some of exactly
+# eight), then longer ones among short ones, the first an eight-byte id
+# above with one more byte
+MIXED_IDS = [("m%d" % k, "é%02d" % k, "%08d" % k, "✓%d" % k)[k % 4]
+             for k in range(34)] + ["00000002x", "m35", "✓✓✓✓", "é37",
+                                    "éééééééééé", "m39"]
+
 # small files, each ranked under every tie policy: 7 rows on three score
 # levels, where ceil(k * 7 / 10) repeats across deciles, one row, the 40
 # rows of `SHORT_SCORES`, each with a 2,000-byte note, so that the block
 # route reads them in two blocks (33 rows of repeated texts, then the rest),
-# then 9 rows of one score and 5 of signed zeros, which `perturb` writes back
+# the 40 rows of `MIXED_IDS` on three score levels, with the same notes (33
+# rows of short ids, then the rest), then 9 rows of one score and 5 of
+# signed zeros, which `perturb` writes back
 SMALL_INPUTS = {
     "<tied-7>": ("tied7.csv", "id,score,label\nu5,0.5,1\nu2,0.5,0\n"
                  "u7,0.9,0\nu1,0.5,1\nu4,0.2,0\nu3,0.9,1\nu6,0.2,1\n"),
@@ -164,6 +175,9 @@ SMALL_INPUTS = {
     "<short-scores>": ("short.csv", "id,note,score,label\n" + "".join(
         f"s{k:02d},{'n' * 2000},{score},{k * 7 % 3 % 2}\n"
         for k, score in enumerate(SHORT_SCORES))),
+    "<mixed-ids>": ("mixed.csv", "id,note,score,label\n" + "".join(
+        f"{rid},{'n' * 2000},{k * 5 % 3 / 2},{k * 7 % 3 % 2}\n"
+        for k, rid in enumerate(MIXED_IDS))),
     "<one-score>": ("one-score.csv", "id,score,label\n" + "".join(
         f"w{k},0.5,{k % 3 % 2}\n" for k in (4, 9, 1, 7, 2, 8, 5, 3, 6))),
     "<signed-zeros>": ("zeros.csv", "id,score,label\nz3,-0.0,1\nz1,0.0,0\n"

@@ -13,9 +13,10 @@ temporary directory, each with shuffled ids `r000000`..., the same labels
     k/64      48 equal-count levels k/64 for k = 1..48, by `repr`.
 
 For each file it prints the median and the quartiles of 7 timings
-(`perf_counter`) of one `_load_columns(path, id_form=None)` call, as the
-command line loads a file whose ids it does not read, after one untimed
-load; then the process's peak resident memory (`VmHWM` from
+(`perf_counter`) of one `_load_columns` call in each of two forms, after
+one untimed load of each: `id_form=None`, as the command line loads a file
+whose ids it does not read, and `id_form="bytes"`, as `--tie-policy id`
+loads it; then the process's peak resident memory (`VmHWM` from
 /proc/self/status, Linux only). Needs the standard library and numpy only.
 """
 
@@ -47,6 +48,19 @@ def _files(rows: int) -> dict[str, list[str]]:
     }
 
 
+def _timed(load, path: Path, id_form: str | None) -> str:
+    """The median and quartiles of `RUNS` timed loads in one form."""
+    load(path, id_form=id_form)
+    seconds = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        load(path, id_form=id_form)
+        seconds.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    return (f" {median * 1e3:8.2f} ms "
+            f"(quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f})")
+
+
 def main() -> int:
     if len(sys.argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -65,16 +79,10 @@ def main() -> int:
                 f"{rid},{score},{label}\n"
                 for rid, score, label in zip(ids, scores, labels)),
                 encoding="utf-8")
-            _load_columns(path, id_form=None)
-            seconds = []
-            for _ in range(RUNS):
-                start = time.perf_counter()
-                _load_columns(path, id_form=None)
-                seconds.append(time.perf_counter() - start)
-            q1, median, q3 = statistics.quantiles(seconds, n=4)
-            print(f"{name:6} {median * 1e3:8.2f} ms  "
-                  f"(quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f})  "
-                  f"{path.stat().st_size:,} bytes")
+            timings = "  ".join(f"{form}{_timed(_load_columns, path, id_form)}"
+                                for form, id_form in (("no ids", None),
+                                                      ("ids", "bytes")))
+            print(f"{name:6} {timings}  {path.stat().st_size:,} bytes")
     print(f"VmHWM {peak_mb()}  ({rows:,} rows, median of {RUNS} loads)")
     return 0
 
