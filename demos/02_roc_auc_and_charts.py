@@ -1,26 +1,36 @@
 #!/usr/bin/env python3
 """Exact AUC two ways, tied scores, and SVG chart output.
 
-AUC is computed by two routes that must agree on every input: direct
-positive/negative pair counting, and the rank-sum statistic with midranks
-for ties. Both are exact rationals, so "agree" means equal, not close.
-Charts for the bundled example land in demos/output/.
+The library computes AUC once, as the rank-sum statistic with midranks for
+ties (`auc_pairs` and `auc_wilcoxon` name that one kernel). This demo also
+counts every positive/negative pair itself; both are exact rationals, so
+"agree" means equal, not close. Charts for the bundled example land in
+demos/output/.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
-from gainslift import (ChartKind, ChartSpec, ScoredRecord, auc_pairs,
-                       auc_wilcoxon, example24_records, rank_records,
-                       render_chart, render_decimal, render_exact, roc_points,
-                       series_for)
+from gainslift import (ChartKind, ChartSpec, ScoredRecord, auc_wilcoxon,
+                       example24_records, rank_records, render_chart,
+                       render_decimal, render_exact, roc_points, series_for)
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
+
+def pair_count_auc(ranked):
+    """1 per pair the positive scores above the negative, 1/2 per tie."""
+    pos = [s for s, y in zip(ranked.scores, ranked.labels) if y == 1]
+    neg = [s for s, y in zip(ranked.scores, ranked.labels) if y == 0]
+    doubled = sum(2 if p > q else p == q for p in pos for q in neg)
+    return Fraction(doubled, 2 * len(pos) * len(neg))
+
+
 ranked = rank_records(example24_records())
 print("bundled example set:")
-print(f"  auc by pair counting : {render_exact(auc_pairs(ranked))} "
-      f"= {render_decimal(auc_pairs(ranked))}")
+print(f"  auc by pair counting : {render_exact(pair_count_auc(ranked))} "
+      f"= {render_decimal(pair_count_auc(ranked))}")
 print(f"  auc by rank sums     : {render_exact(auc_wilcoxon(ranked))} "
       f"= {render_decimal(auc_wilcoxon(ranked))}")
 
@@ -30,7 +40,7 @@ tied = rank_records([
     ScoredRecord("c", 0.5, 0), ScoredRecord("d", 0.5, 0),
     ScoredRecord("e", 0.2, 1), ScoredRecord("f", 0.1, 0),
 ])
-print(f"  pair counting: {render_exact(auc_pairs(tied))}")
+print(f"  pair counting: {render_exact(pair_count_auc(tied))}")
 print(f"  rank sums    : {render_exact(auc_wilcoxon(tied))}")
 
 print("\nROC points step once per distinct score (tie groups move together):")

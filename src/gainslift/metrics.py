@@ -428,45 +428,33 @@ def roc_points(ranked: RankedTestSet, name: str = "roc") -> CurveSeries:
                                     (cum_pos, ranked.n_pos))
 
 
-def auc_pairs(ranked: RankedTestSet) -> Fraction:
-    """AUC by direct positive/negative pair counting on scores.
-
-    Each pair contributes 1 if the positive scored strictly higher, 1/2 on a
-    score tie, 0 otherwise. Tie-break order never enters, so every tie policy
-    yields the same value. The pairs are counted without being formed: rank
-    order sorts the negative scores (descending), and a binary search per
-    positive gives how many score strictly below it and how many tie with
-    it, in O(P log N + N) time and O(P + N) memory.
-    """
-    _require_both_classes(ranked, "AUC")
-    scores, labels = ranked._scores, np.diff(ranked._prefix_pos)
-    neg = scores[labels == 0][::-1]
-    pos = scores[labels == 1]
-    below = np.searchsorted(neg, pos, side="left")
-    not_above = np.searchsorted(neg, pos, side="right")
-    wins = int(below.sum())
-    ties = int((not_above - below).sum())
-    return Fraction(2 * wins + ties, 2 * ranked.n_pos * ranked.n_neg)
-
-
 def auc_wilcoxon(ranked: RankedTestSet) -> Fraction:
     """AUC from the rank-sum statistic with midranks for tied scores.
 
-    Ranks ascend with score. A tie group at ranks s+1..s+g has doubled
-    midrank 2s + g + 1, so the doubled rank sum of the positives, less
-    n_pos*(n_pos+1), is twice the Mann-Whitney U, an integer; U/(n_pos*n_neg)
-    equals the pair-counting AUC on every input (Hanley & McNeil, "The
-    meaning and use of the area under a receiver operating characteristic
-    (ROC) curve", Radiology 143(1), 1982).
+    Ranks ascend with score, so the tie group at rank-order positions
+    s..e-1 holds ranks N-e+1..N-s and has doubled midrank 2N + 1 - s - e.
+    With q positives per group, the doubled rank sum of the positives is
+    (2N + 1)P - q.s - q.e, two int64 dot products over the group bounds, in
+    O(groups) time after ranking; each stays below P*N, far inside int64.
+    Less P(P + 1) it is twice the Mann-Whitney U, an integer, and
+    U/(P*N_neg) is the pair-counting AUC (1 per pair the positive wins, 1/2
+    per score tie) on every input, under every tie policy (Hanley & McNeil,
+    "The meaning and use of the area under a receiver operating
+    characteristic (ROC) curve", Radiology 143(1), 1982).
     """
     _require_both_classes(ranked, "AUC")
     bounds = ranked._group_bounds
-    sizes = np.diff(bounds)
     positives = np.diff(ranked._prefix_pos[bounds])
-    below = ranked.n_total - bounds[1:]  # records with strictly lower score
-    doubled_rank_sum = int((positives * (2 * below + sizes + 1)).sum())
-    doubled_u = doubled_rank_sum - ranked.n_pos * (ranked.n_pos + 1)
-    return Fraction(doubled_u, 2 * ranked.n_pos * ranked.n_neg)
+    n_pos = ranked.n_pos
+    doubled_rank_sum = ((2 * ranked.n_total + 1) * n_pos
+                        - int(np.dot(positives, bounds[:-1]))
+                        - int(np.dot(positives, bounds[1:])))
+    doubled_u = doubled_rank_sum - n_pos * (n_pos + 1)
+    return Fraction(doubled_u, 2 * n_pos * ranked.n_neg)
+
+
+# the pair-counting name of the same value (`auc --method pairs`)
+auc_pairs = auc_wilcoxon
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from gainslift import (BudgetExhaustedError, CurveSeries, InfeasibleError,
                        RankedTestSet, ResamplePlan, ScoredFile, ScoredRecord,
-                       TiePolicy, ValidationError, XKind, auc_pairs, lift,
+                       TiePolicy, ValidationError, XKind, lift,
                        parse_metric, rank_records, stratified_sample)
 from gainslift.io import _parse_label, _parse_score
 from gainslift.compare import (EXHAUSTIVE_LIMIT, LEX_REFINE_LIMIT,
@@ -285,8 +285,8 @@ def disagreement_oracle(metric_a: str, metric_b: str, n_total: int, n_pos: int,
 def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
     """`run_plan` by the record route: per replicate a `stratified_sample`
     list, `rank_records`, one `gains_oracle` per grid cutoff and
-    `auc_pairs` (a second AUC route; `run_plan` takes the rank-sum one),
-    aggregated exactly as `run_plan` aggregates."""
+    `auc_pairs_matrix` (pairs counted apart from the library's rank-sum
+    kernel), aggregated exactly as `run_plan` aggregates."""
     size = plan.sample_size
     cutoffs = [-(-k * size // GRID_POINTS) for k in range(1, GRID_POINTS + 1)]
     bands = []
@@ -302,7 +302,7 @@ def run_plan_oracle(pool, plan: ResamplePlan) -> ResampleSummary:
             pcg_rows.append([g / want_pos for g in gains])
             lift_rows.append([g * size / (n * want_pos)
                               for g, n in zip(gains, cutoffs)])
-            aucs.append(float(auc_pairs(ranked)))
+            aucs.append(float(auc_pairs_matrix(ranked)))
         bands.append(RateBand(
             target_rate=rate, realized_rate=want_pos / size, n_pos=want_pos,
             mean_auc=float(sum(aucs) / len(aucs)),

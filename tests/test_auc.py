@@ -42,8 +42,8 @@ class TestAucGolden:
 class TestAucAgreement:
     def test_formulas_agree_against_oracle(self):
         """Random sets, after the fixed `EDGE_SETS`, under every policy:
-        the tie groups, which the rank-sum formula reads, and, where both
-        classes are present, both AUC formulas."""
+        the tie groups, which the rank-sum kernel reads, and, where both
+        classes are present, both AUC names against every pair counted."""
         rng = np.random.default_rng(42)
         draws = (random_instance(rng, max_n=60) for _ in range(100))
         for records in chain(edge_records(), draws):
@@ -120,8 +120,9 @@ class TestRocPoints:
 
 
 class TestAucPairsCounting:
-    """`auc_pairs` counts wins and ties by binary search over the sorted
-    negatives; the P x N comparison matrices are the oracle."""
+    """Both AUC names read the one rank-sum kernel over the tie-group
+    bounds; the P x N comparison matrices count the pairs themselves and
+    are the oracle."""
 
     def test_random_tied_inputs(self):
         rng = np.random.default_rng(4242)
@@ -142,15 +143,22 @@ class TestAucPairsCounting:
             assert auc_pairs(ranked) == brute_force_auc(ranked)
 
     def test_memory_grows_with_records_not_pairs(self):
-        # 3,000 x 30,000 pairs: each comparison matrix would take 90 MB
+        # 3,000 x 30,000 pairs: each comparison matrix would take 90 MB; the
+        # 10^5 distinct scores make a group per row, and the kernel may hold
+        # two int64 columns of group counts (16 bytes a row) at once
         rng = np.random.default_rng(4244)
         labels = [1] * 3_000 + [0] * 30_000
         scores = np.round(rng.normal(size=len(labels)), 2).tolist()
-        ranked = rank_records(records_from_labels(labels, scores))
-        tracemalloc.start()
-        try:
-            auc_pairs(ranked)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        tied = rank_records(records_from_labels(labels, scores))
+        n = 100_000
+        untied = rank_records(records_from_labels(
+            rng.integers(0, 2, size=n).tolist(), rng.permutation(n).tolist()))
+        for fn in (auc_pairs, auc_wilcoxon):
+            for ranked, limit in ((tied, 4 * 2**20), (untied, 20 * n)):
+                tracemalloc.start()
+                try:
+                    fn(ranked)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < limit
