@@ -410,7 +410,7 @@ def _lex_first_pair(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
 
     Arrangement k+1 of the exhaustive enumeration moves a positive to a later
     rank than arrangement k, so its label tuple is lexicographically smaller:
-    label order is the enumeration reversed.
+    label order is the enumeration reversed. None where no pair disagrees.
     """
     for i in range(len(a) - 1, 0, -1):
         da = np.sign(a[i] - a[i - 1::-1])
@@ -492,15 +492,16 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
             num[start:start + rows] = _numerators(metric, positions, n_total,
                                                   n_pos, positives)
 
-    hit = _first_inversion(num_a, num_b)
+    if exhaustive and count <= LEX_REFINE_LIMIT:
+        hit = _lex_first_pair(num_a, num_b)
+    else:
+        hit = _first_inversion(num_a, num_b)
     if hit is None:
         if exhaustive:
             return None
         raise BudgetExhaustedError(
             f"no disagreement among {count} sampled arrangements "
             f"(space size {space}); absence is not certified")
-    if exhaustive and count <= LEX_REFINE_LIMIT:
-        hit = _lex_first_pair(num_a, num_b)
 
     labels = np.full((2, n_total), int(not positives))
     for row, index in zip(labels, hit):

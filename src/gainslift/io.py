@@ -8,8 +8,8 @@ module's field size limit is read in blocks of whole lines (the block
 route), and each block's columns are converted from its bytes before the
 next is read: labels of exactly `0` or `1`, scores by `float`, ids into
 64-bit keys whose sorted repeats are looked for once the file is read.
-Where a block's score texts are each at most eight bytes and repeat, each
-distinct text is parsed once. Id texts and row numbers are made only for a
+Where a block's score texts are each at most eight bytes, each distinct
+text is parsed once. Id texts and row numbers are made only for a
 caller that reads them (`_load_columns`'s `id_form`); on the command line
 that is `perturb`. The `id` tie policy sorts what the block route kept:
 where every id has at most eight bytes, their 64-bit keys, each of which is
@@ -260,10 +260,6 @@ _BLOCK_BYTES = 1 << 16
 _BLANK_LINE = re.compile(rb"(?m)^\n")
 # odd, so that each step of `_id_keys` is invertible modulo 2**64
 _KEY_STEP = np.uint64(0x9E3779B97F4A7C15)
-# the rows at the start of a block whose repeats decide whether its short
-# score texts are parsed once each (`_block_scores`); probing the whole
-# block would sort every block of nearly distinct texts for nothing
-_SCORE_PROBE = 512
 
 
 def _plain_texts(raw, file: ScoredFile, keep_ids: bool
@@ -398,9 +394,9 @@ def _block_columns(block: bytes, ends: np.ndarray, width: int,
     where every id has at most eight bytes, as each is then the id's word,
     else their bytes (each followed by a newline); None in place of what is
     not there; None where a label is not exactly `0` or `1`, a score is not
-    a finite number by `float`, or an id is empty. Each distinct score text
-    of at most eight bytes is parsed once where the block's first rows
-    repeat such texts (`_block_scores`)."""
+    a finite number by `float`, or an id is empty. Where every score text
+    in the block is at most eight bytes, each distinct one is parsed once
+    (`_block_scores`)."""
     view = np.frombuffer(block, dtype=np.uint8)
     starts = np.empty_like(ends)  # each field's first byte
     starts[:1] = 0
@@ -436,17 +432,13 @@ def _block_scores(block: bytes, view: np.ndarray, starts: np.ndarray,
     `float` of its text; None where one is not a finite number.
 
     Where every text is at most eight bytes, each is one `records._id_word`,
-    and equal words are equal texts, as no text holds a NUL byte. If fewer
-    than half of the first `_SCORE_PROBE` rows' words are distinct, each
-    distinct text is parsed once and its float copied to its rows."""
+    and equal words are equal texts, as no text holds a NUL byte: each
+    distinct text is then parsed once and its float copied to its rows. A
+    block with a longer text, or with no rows, parses every text."""
     sizes = ends - starts
-    if sizes.max(initial=0) > 8:
+    if not len(sizes) or sizes.max() > 8:
         return _parse_floats(view, starts, ends)
     blob = block + bytes(7)  # every text's word inside the buffer
-    probe = np.sort(_id_word(blob, starts[:_SCORE_PROBE],
-                             sizes[:_SCORE_PROBE], 0))
-    if 2 * (1 + np.count_nonzero(probe[1:] != probe[:-1])) >= len(probe):
-        return _parse_floats(view, starts, ends)
     words = _id_word(blob, starts, sizes, 0)
     order = words.argsort()
     words = words[order]

@@ -321,6 +321,17 @@ class TestFindDisagreement:
             find_disagreement(Metric("gini"), "auc", 6, 3, budget=1)
         assert str(info.value) == "budget must allow at least two arrangements"
 
+    def test_a_small_exhaustive_space_is_scanned_once(self, monkeypatch):
+        """Up to LEX_REFINE_LIMIT arrangements, the lexicographic scan alone
+        finds the witness, and alone certifies that none exists."""
+        def refused(a, b):
+            raise AssertionError("_first_inversion scanned the space")
+
+        monkeypatch.setattr(compare, "_first_inversion", refused)
+        report = find_disagreement("auc", "lift@6", 10, 5)
+        assert report.exhaustive and report.certify()
+        assert find_disagreement("auc", "auc", 8, 4) is None
+
     def test_invalid_dimensions(self):
         with pytest.raises(ValidationError):
             find_disagreement("auc", "lift@2", 4, 0)

@@ -1003,6 +1003,18 @@ class TestBlockRoute:
             "ValidationError", "row 1: label must be 0 or 1, got '2'")
         assert len(blocks) == 1 and len(csv_reads) == 1
 
+    @pytest.mark.parametrize("newline", [0, 1])
+    def test_a_first_read_of_only_the_header_line(self, tmp_path,
+                                                  monkeypatch, plain_reads,
+                                                  newline):
+        """The block after the header line then holds no row, and gives
+        empty columns; the rows follow in the next blocks."""
+        file = self._file(tmp_path, [f"r{k}" for k in range(30)])
+        monkeypatch.setattr(gio, "_BLOCK_BYTES",
+                            len("id,score,label") + newline)
+        assert _outcome(load_scored, file) == _outcome(load_csv_oracle, file)
+        assert plain_reads == [True]
+
     def test_id_bytes_are_kept_only_when_the_ids_are_wanted(self, tmp_path):
         file = self._file(tmp_path, [f"r{k:03d}" for k in range(50)])
         for keep_ids in (True, False):
@@ -1066,8 +1078,8 @@ def _drawn(rng, texts, rows: int) -> list[str]:
 
 
 # files of 7,000 rows (more than 64 KiB, so two blocks or three) whose
-# score texts repeat in every block, run to nine bytes in some rows, repeat
-# only after the first block's first 512 rows, or only within them
+# score texts repeat in every block, run to nine bytes in some rows, are
+# distinct for the first 600 rows, or repeat only within the first 600
 _SCORE_FILES = {
     "short": lambda rng: _drawn(rng, SHORT_SCORE_TEXTS, 7000),
     "short-and-nine-byte": lambda rng: (
@@ -1131,10 +1143,9 @@ class TestShortScoreTexts:
             assert expected[0] == "ValidationError"
             assert expected[1].startswith(f"row {min(rows) + 1}: ")
 
-    def test_each_short_text_is_parsed_once_a_block(self, tmp_path,
-                                                    monkeypatch):
-        """`float` reads each distinct text once in a block whose first
-        rows repeat, and every text in a block with a nine-byte one."""
+    @staticmethod
+    def _float_calls(monkeypatch):
+        """The texts the loader hands to `float`, in call order."""
         calls = []
 
         def counted(text):
@@ -1142,6 +1153,13 @@ class TestShortScoreTexts:
             return float(text)
 
         monkeypatch.setattr(gio, "float", counted, raising=False)
+        return calls
+
+    def test_each_short_text_is_parsed_once_a_block(self, tmp_path,
+                                                    monkeypatch):
+        """`float` reads each distinct text once in a block of texts of at
+        most eight bytes, and every text in a block with a nine-byte one."""
+        calls = self._float_calls(monkeypatch)
         monkeypatch.setattr(gio, "_BLOCK_BYTES", 4096)
         rng = np.random.default_rng(3402)
         for texts, nine_bytes in ((SHORT_SCORE_TEXTS, False),
@@ -1153,6 +1171,23 @@ class TestShortScoreTexts:
             blocks = -(-len(text) // 4096)
             assert (len(calls) == 2000 if nine_bytes
                     else len(calls) <= blocks * len(texts))
+
+    def test_nearly_distinct_short_texts_are_parsed_once_a_block(
+            self, tmp_path, monkeypatch, plain_reads):
+        """A block's texts of at most eight bytes are parsed once each
+        however few of its rows repeat one: here a block's first 512 rows
+        hold about 400 distinct texts of the 1,000."""
+        texts = [f"{k / 1000:.3f}" for k in range(1000)]
+        rng = np.random.default_rng(3403)
+        scores = _drawn(rng, texts, 7000)
+        text = score_texts_csv(rng, scores)
+        path = write(tmp_path, "in.csv", text)
+        calls = self._float_calls(monkeypatch)
+        columns = _load_columns(path, id_form=None)
+        assert plain_reads == [True]
+        blocks = -(-len(text) // gio._BLOCK_BYTES)
+        assert blocks >= 2 and len(calls) <= blocks * len(texts)
+        assert columns[1].tolist() == [float(score) for score in scores]
 
 
 class TestColumnarLoader:

@@ -1,15 +1,17 @@
-"""Time the loader on four scored files that differ only in their scores.
+"""Time the loader on six scored files that differ only in their scores.
 
     python tools/load_scale.py SRC_DIR [ROWS]
 
 imports gainslift from SRC_DIR (the `src` directory of a checkout) and
-writes four seeded delimited files of ROWS rows (default 100,000) in a
+writes six seeded delimited files of ROWS rows (default 100,000) in a
 temporary directory, each with shuffled ids `r000000`..., the same labels
 (about 15% positive) and an id,score,label header. Their scores are
 
     repr      a uniform draw written by `repr` (17 to 20 bytes), untied;
     6-dec     the draw to six decimals (8 bytes), nearly all distinct;
+    4-dec     the draw to four decimals (6 bytes), 10,000 levels;
     3-dec     the draw to three decimals (5 bytes), 1,000 levels;
+    2-dec     the draw to two decimals (4 bytes), 100 levels;
     k/64      48 equal-count levels k/64 for k = 1..48, by `repr`.
 
 For each file it prints the median and the quartiles of 7 timings
@@ -43,7 +45,9 @@ def _files(rows: int) -> dict[str, list[str]]:
     return {
         "repr": list(map(repr, draws.tolist())),
         "6-dec": [f"{x:.6f}" for x in draws.tolist()],
+        "4-dec": [f"{x:.4f}" for x in draws.tolist()],
         "3-dec": [f"{x:.3f}" for x in draws.tolist()],
+        "2-dec": [f"{x:.2f}" for x in draws.tolist()],
         "k/64": list(map(repr, ((level * 48 // rows + 1) / 64).tolist())),
     }
 
