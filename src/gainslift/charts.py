@@ -49,24 +49,23 @@ class ChartKind(Enum):
     ROC = "roc"
 
 
-_COMPATIBLE = {
-    ChartKind.GAINS_COUNT: (XKind.COUNT,),
-    ChartKind.GAINS_FRACTION: (XKind.FRACTION,),
-    ChartKind.LIFT: (XKind.COUNT, XKind.FRACTION),
-    ChartKind.DECILE_LIFT: (XKind.COUNT,),
-    ChartKind.BENEFIT: (XKind.COUNT,),
-    ChartKind.ROC: (XKind.FPR,),
+# Each chart kind's row: the x kinds its series may have, its y-axis label
+_KINDS = {
+    ChartKind.GAINS_COUNT: ((XKind.COUNT,), "cumulative gains"),
+    ChartKind.GAINS_FRACTION: ((XKind.FRACTION,), "fraction of total gains"),
+    ChartKind.LIFT: ((XKind.COUNT, XKind.FRACTION), "lift"),
+    ChartKind.DECILE_LIFT: ((XKind.COUNT,), "lift"),
+    ChartKind.BENEFIT: ((XKind.COUNT,), "net benefit"),
+    ChartKind.ROC: ((XKind.FPR,), "true positive rate"),
 }
-
 _X_LABEL = {XKind.COUNT: "n", XKind.FRACTION: "n/N", XKind.FPR: "false positive rate"}
-_Y_LABEL = {
-    ChartKind.GAINS_COUNT: "cumulative gains",
-    ChartKind.GAINS_FRACTION: "fraction of total gains",
-    ChartKind.LIFT: "lift",
-    ChartKind.DECILE_LIFT: "lift",
-    ChartKind.BENEFIT: "net benefit",
-    ChartKind.ROC: "true positive rate",
-}
+
+
+def _row(kind: ChartKind) -> tuple[tuple[XKind, ...], str]:
+    """`kind`'s row of `_KINDS`; anything but a ChartKind is refused."""
+    if not isinstance(kind, ChartKind):
+        raise ValidationError(f"unknown chart kind {kind!r}")
+    return _KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,7 @@ def series_for(kind: ChartKind, ranked: RankedTestSet,
                costs: Optional[CostSpec] = None) -> CurveSeries:
     """The curve a chart of `kind` plots for one ranked set; a benefit chart
     needs `costs`."""
+    _row(kind)
     if kind in (ChartKind.GAINS_COUNT, ChartKind.GAINS_FRACTION):
         return metrics.gains_series(
             ranked, fraction=kind is ChartKind.GAINS_FRACTION)
@@ -191,6 +191,7 @@ def series_for(kind: ChartKind, ranked: RankedTestSet,
 
 
 def layout_for(kind: ChartKind, series: Sequence[CurveSeries]) -> ChartLayout:
+    _row(kind)
     if kind in (ChartKind.GAINS_FRACTION, ChartKind.ROC):
         return ChartLayout(0.0, 1.0, 0.0, 1.0)
     all_x = np.concatenate([s.x.floats() for s in series])
@@ -202,10 +203,8 @@ def layout_for(kind: ChartKind, series: Sequence[CurveSeries]) -> ChartLayout:
         x_min = 0.0 if kind is ChartKind.LIFT else 0.5
         x_max = max_x if kind is ChartKind.LIFT else 10.5
         return ChartLayout(x_min, x_max, 0.0, max(max_y, 1.0))
-    if kind is ChartKind.BENEFIT:
-        return ChartLayout(0.0, max_x, min(0.0, float(all_y.min())),
-                           max(max_y, 0.0))
-    raise ValidationError(f"unknown chart kind {kind!r}")
+    return ChartLayout(0.0, max_x, min(0.0, float(all_y.min())),  # benefit
+                       max(max_y, 0.0))
 
 
 def _baseline_points(kind: ChartKind, layout: ChartLayout,
@@ -229,10 +228,10 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 def render_chart(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
     """The chart's SVG markup, for the caller to write; raises
-    ValidationError on a kind mismatch."""
+    ValidationError on an unknown kind or a kind mismatch."""
     if not series:
         raise ValidationError("no series to chart")
-    allowed = _COMPATIBLE[spec.kind]
+    allowed, y_label = _row(spec.kind)
     for s in series:
         if s.x_kind not in allowed:
             raise ValidationError(
@@ -284,7 +283,7 @@ def render_chart(spec: ChartSpec, series: Sequence[CurveSeries]) -> str:
     parts.append(f'<text x="16" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 16 {(y0 + y1) / 2:.2f})">'
-                 f'{escape(_Y_LABEL[spec.kind])}</text>')
+                 f'{escape(y_label)}</text>')
 
     if spec.include_baseline:
         (bx0, by0), (bx1, by1) = _baseline_points(spec.kind, layout, series)

@@ -320,25 +320,20 @@ def _check_metric(metric: Metric, n_total: int) -> None:
         raise ValidationError(f"unknown metric kind {metric.kind!r}")
 
 
-def _numerators(metric: Metric, positions: np.ndarray, n_total: int,
-                n_pos: int, positives: bool) -> np.ndarray:
-    """The metric's exact numerator for every row of sorted 0-based rank
-    positions of the positives (of the negatives if not `positives`).
-
-    Each metric has one denominator for all arrangements of n_pos positives
-    among N ranks (auc: P*N-, lift@n: n*P, accuracy@n: N), so numerators
-    order the rows exactly as the metric values do.
-    """
+def _keys(metric: Metric, positions: np.ndarray, n_total: int,
+          n_pos: int, positives: bool) -> np.ndarray:
+    """The integer each metric strictly increases with, for every row of
+    sorted 0-based rank positions of the positives (of the negatives if not
+    `positives`): U, the positive-above-negative pairs, for auc = U/(P*N-),
+    and tp, the positives in the top n, for lift@n = tp*N/(n*P) and
+    accuracy@n = (2*tp + N - n - P)/N. So the keys order rows as values do."""
     if metric.kind == "auc":
         # the j-th member of a class sits below p_j - j of the other class:
         # discordant pairs for a positive, concordant ones for a negative
         above = positions.sum(axis=1) - math.comb(positions.shape[1], 2)
         return n_pos * (n_total - n_pos) - above if positives else above
     inside = (positions < metric.at).sum(axis=1)
-    tp = inside if positives else metric.at - inside
-    if metric.kind == "lift":
-        return tp * n_total
-    return 2 * tp + (n_total - metric.at) - n_pos  # accuracy
+    return inside if positives else metric.at - inside
 
 
 def _combinations_at(indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -434,10 +429,10 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
 
     Arrangements are scored from the sorted rank positions of one class (the
     smaller when enumerating), CHUNK_CELLS at a time, so memory stays bounded
-    by two integer numerators per arrangement. A label row numpy cannot
-    allocate raises MemoryError, and `budget` draws that do not fit raise
-    ValidationError, both before any arrangement is drawn. Only the two
-    reported ones are evaluated in `Fraction`s, through `evaluate_metric`.
+    by two integer keys (see `_keys`) per arrangement. A label row numpy
+    cannot allocate raises MemoryError, and `budget` draws that do not fit
+    raise ValidationError, both before any arrangement is drawn. Only the
+    two reported ones are evaluated in `Fraction`s, through `evaluate_metric`.
     """
     if isinstance(metric_a, str):
         metric_a = parse_metric(metric_a)
@@ -447,7 +442,7 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
         raise ValidationError(
             f"need n_total >= 2 and 1 <= n_pos < n_total, got "
             f"n_total={n_total}, n_pos={n_pos}")
-    # every numerator (auc's P * N-, lift's tp * N) stays below n_pos * n_total
+    # every key (tp <= P, and auc's U <= P * N-) stays below n_pos * n_total
     if n_pos * n_total > np.iinfo(np.int64).max:
         raise ValidationError(
             f"n_total={n_total} with n_pos={n_pos} overflows the search's "
@@ -483,19 +478,19 @@ def find_disagreement(metric_a: Metric | str, metric_b: Metric | str,
         return _combinations_at(indices if positives else space - 1 - indices,
                                 counts)
 
-    num_a = np.empty(count, dtype=np.int64)
-    num_b = np.empty(count, dtype=np.int64)
+    keys_a = np.empty(count, dtype=np.int64)
+    keys_b = np.empty(count, dtype=np.int64)
     rows = max(1, CHUNK_CELLS // k)
     for start in range(0, count, rows):
         positions = positions_at(start, min(start + rows, count))
-        for num, metric in ((num_a, metric_a), (num_b, metric_b)):
-            num[start:start + rows] = _numerators(metric, positions, n_total,
-                                                  n_pos, positives)
+        for keys, metric in ((keys_a, metric_a), (keys_b, metric_b)):
+            keys[start:start + rows] = _keys(metric, positions, n_total,
+                                             n_pos, positives)
 
     if exhaustive and count <= LEX_REFINE_LIMIT:
-        hit = _lex_first_pair(num_a, num_b)
+        hit = _lex_first_pair(keys_a, keys_b)
     else:
-        hit = _first_inversion(num_a, num_b)
+        hit = _first_inversion(keys_a, keys_b)
     if hit is None:
         if exhaustive:
             return None

@@ -227,6 +227,8 @@ class CurveSeries:
 
     def _set(self, name: str, x_kind: XKind, x: RationalColumn,
              y: RationalColumn) -> None:
+        if not isinstance(x_kind, XKind):
+            raise ValidationError(f"series {name!r}: unknown x kind {x_kind!r}")
         self.name = name
         self.x_kind = x_kind
         self.x = x

@@ -77,6 +77,8 @@ class RankedTestSet:
 
     def __init__(self, ids: np.ndarray | None, scores: np.ndarray,
                  labels: np.ndarray, tie_policy: TiePolicy):
+        if not isinstance(tie_policy, TiePolicy):
+            raise ValidationError(f"unknown tie policy {tie_policy!r}")
         prefix = np.zeros(len(labels) + 1, dtype=np.int64)
         np.cumsum(labels, out=prefix[1:])
         # tie groups: a new group starts at rank 0 and wherever the score
@@ -269,7 +271,8 @@ def rank_records(records: Sequence[ScoredRecord],
     input order but marks tie groups so cutoff queries can average over them.
     Raises ValidationError for empty input, then whatever `_columns`, the
     check the resampler's pool goes through too, raises: for a non-binary
-    label, a non-finite score or a duplicate id, each with its own diagnostic.
+    label, a non-finite score or a duplicate id, each with its own diagnostic;
+    then for a `tie_policy` that is not a TiePolicy, such as "expected".
     """
     if not records:
         raise ValidationError("test set is empty: at least one record required")

@@ -1,4 +1,5 @@
 import random
+import re
 import string
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gainslift import (ChartKind, ChartSpec, CostSpec, ValidationError,
+from gainslift import (ChartKind, ChartSpec, CostSpec, ValidationError, XKind,
                        benefit_series, decile_series, gains_series,
                        lift_series, rank_records, render_chart,
                        series_for)
@@ -235,6 +236,29 @@ class TestCompatibility:
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError, match="no series"):
             render_chart(ChartSpec(kind=ChartKind.LIFT), [])
+
+    def test_each_chart_kind_has_one_row(self, example24):
+        assert list(charts._KINDS) == list(ChartKind)
+        costs = CostSpec(q_tp=10, q_fp=-1)
+        for kind, (x_kinds, y_label) in charts._KINDS.items():
+            assert x_kinds and all(isinstance(k, XKind) for k in x_kinds)
+            assert y_label and isinstance(y_label, str)
+            # the curve a kind plots is one the kind accepts
+            assert series_for(kind, example24, costs).x_kind in x_kinds
+
+    @pytest.mark.parametrize("kind", [k.value for k in ChartKind] + [None])
+    def test_only_a_chart_kind_is_a_chart_kind(self, example24, kind):
+        series = [gains_series(example24)]
+        message = "^" + re.escape(f"unknown chart kind {kind!r}") + "$"
+        with pytest.raises(ValidationError, match=message):
+            series_for(kind, example24)
+        with pytest.raises(ValidationError, match=message):
+            layout_for(kind, series)
+        with pytest.raises(ValidationError, match=message):
+            render_chart(ChartSpec(kind=kind), series)
+        # no series is still the first fault named
+        with pytest.raises(ValidationError, match="no series"):
+            render_chart(ChartSpec(kind=kind), [])
 
     def test_decile_chart_needs_ten_points(self, example24):
         with pytest.raises(ValidationError) as info:

@@ -14,7 +14,7 @@ from gainslift import (BudgetExhaustedError, ClassifierRun, DominanceVerdict,
                        lift, parse_metric, rank_records)
 from gainslift import compare
 from gainslift.compare import (DisagreementReport, _combinations_at,
-                               _count_table, _numerators, evaluate_metric,
+                               _count_table, _keys, evaluate_metric,
                                ranked_from_labels)
 
 from helpers import (disagreement_oracle, label_evaluator, lift_above,
@@ -516,15 +516,18 @@ class TestSearchKernels:
             for subset, other in zip(want, others.tolist()):
                 assert sorted(set(range(n_total)) - set(subset)) == other
 
-    def test_numerators_from_either_class_match_the_evaluator(self):
+    def test_keys_from_either_class_map_to_the_evaluator(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
             n_total = int(rng.integers(2, 40))
             n_pos = int(rng.integers(1, n_total))
             metric = parse_metric(_random_metric(rng, n_total))
-            den = (n_pos * (n_total - n_pos) if metric.kind == "auc"
-                   else n_total if metric.kind == "accuracy"
-                   else metric.at * n_pos)
+            N, P, n = n_total, n_pos, metric.at
+            # auc's key is U, the others' tp
+            value = {"auc": lambda u: Fraction(u, P * (N - P)),
+                     "lift": lambda tp: Fraction(tp * N, n * P),
+                     "accuracy": lambda tp: Fraction(2 * tp + N - n - P, N),
+                     }[metric.kind]
             rows = np.array([rng.permutation(n_total) < n_pos
                              for _ in range(5)], dtype=int)
             evaluate = label_evaluator(metric, n_total, n_pos)
@@ -532,10 +535,9 @@ class TestSearchKernels:
             for positives in (True, False):
                 positions = np.array([np.flatnonzero(row == positives)
                                       for row in rows])
-                got = _numerators(metric, positions, n_total, n_pos,
-                                  positives)
-                assert [Fraction(int(g), den)
-                        for g in got] == want, (metric, positives)
+                got = _keys(metric, positions, n_total, n_pos, positives)
+                assert [value(int(g)) for g in got] == want, (metric,
+                                                               positives)
 
     @pytest.mark.parametrize("n_total, n_pos", [(20000, 1), (2000, 1999)])
     def test_scoring_calls_follow_the_smaller_class(self, monkeypatch,
@@ -544,9 +546,9 @@ class TestSearchKernels:
 
         def spy(*args):
             calls.append(args[1].shape)
-            return _numerators(*args)
+            return _keys(*args)
 
-        monkeypatch.setattr(compare, "_numerators", spy)
+        monkeypatch.setattr(compare, "_keys", spy)
         assert find_disagreement("auc", "lift@1", n_total, n_pos) is None
         space, k = math.comb(n_total, n_pos), min(n_pos, n_total - n_pos)
         assert len(calls) <= 2 * -(-space * k // compare.CHUNK_CELLS)

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import os
+import random
 import sys
 import threading
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -1349,6 +1351,60 @@ class TestSerializersAgainstOracles:
                   decile_series(example24)]
         assert emit_curves(series, format="csv") == curves_csv_oracle(series)
         assert emit_curves(series, format="json") == curves_json_oracle(series)
+
+
+@dataclass(frozen=True)
+class _NoFields:
+    pass
+
+
+@dataclass(frozen=True)
+class _Fields:
+    zeta: object  # declared out of key order, as json sorts the keys
+    alpha: object
+
+
+_FINITE_FLOATS = (0.0, -0.0, 0.1, 1.5, -2.5e-7, 1e300, 5e-324)
+_JSON_FLOATS = _FINITE_FLOATS + (float("nan"), float("inf"), float("-inf"))
+_JSON_STRINGS = ("", "plain", 'with "quote"', "back\\slash", "ünïcødé ✓",
+                 "new\nline")
+_JSON_SCALARS = (_JSON_FLOATS + _JSON_STRINGS
+                 + (True, False, None, 0, -3, 2 ** 70))
+
+
+def _json_value(rng: random.Random, depth: int):
+    """A random value of the summary writer's domain: scalars, lists and
+    tuples (all-float ones too), dicts with str keys and frozen
+    dataclasses, nested up to `depth` levels."""
+    shape = rng.randrange(6) if depth else 0
+    if shape == 0:
+        return rng.choice(_JSON_SCALARS)
+    if shape == 1:  # all floats, the writer's one-join route when finite
+        pool = _FINITE_FLOATS if rng.random() < 0.5 else _JSON_FLOATS
+        floats = [rng.choice(pool) for _ in range(rng.randrange(5))]
+        return floats if rng.random() < 0.5 else tuple(floats)
+    if shape == 2:
+        items = [_json_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+        return items if rng.random() < 0.5 else tuple(items)
+    if shape == 3:
+        return {rng.choice(_JSON_STRINGS) + str(i): _json_value(rng, depth - 1)
+                for i in range(rng.randrange(4))}
+    if shape == 4:
+        return _NoFields()
+    return _Fields(_json_value(rng, depth - 1), _json_value(rng, depth - 1))
+
+
+class TestSummaryJsonText:
+    def test_against_the_json_module(self):
+        rng = random.Random(4101)
+        values = [_json_value(rng, 4) for _ in range(400)]
+        for value in values:
+            assert gio._json_text(value, "\n") == json.dumps(
+                value, default=vars, sort_keys=True, indent=2), value
+        # every shape of the domain is drawn, the empty ones too
+        assert {type(v) for v in values} >= {
+            bool, float, str, list, tuple, dict, _NoFields, _Fields}
+        assert {} in values and [] in values and _NoFields() in values
 
 
 class TestRunsAgainstOracles:

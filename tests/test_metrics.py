@@ -354,6 +354,17 @@ class TestSeries:
             assert series.points == ((0, 0), end)
             assert all(type(v) is Fraction for p in series.points for v in p)
 
+    @pytest.mark.parametrize("text", [k.value for k in XKind])
+    def test_an_x_kind_value_text_is_not_an_x_kind(self, example24, text):
+        message = f"series 'n': unknown x kind {text!r}"
+        with pytest.raises(ValidationError, match=message):
+            CurveSeries("n", text, [(1, 1), (2, 3)])
+        with pytest.raises(ValidationError, match=message):
+            CurveSeries.from_columns("n", text, (np.array([1, 2]), 1),
+                                     (np.array([1, 3]), 1))
+        with pytest.raises(ValidationError, match=message):
+            random_targeting_series(example24, text, name="n")
+
     def test_points_are_fractions_of_the_columns(self):
         series = CurveSeries("a", XKind.COUNT, [(1, 0.5), (2, 0.1)])
         assert series.points == ((1, Fraction(1, 2)), (2, Fraction(0.1)))

@@ -127,6 +127,20 @@ class TestValidation:
         assert rank_records(untied, TiePolicy.ID_ORDER).ids.tolist() == [
             "a", 1]
 
+    @pytest.mark.parametrize("text", [p.value for p in TiePolicy])
+    def test_a_policy_value_text_is_not_a_policy(self, text):
+        # a string would rank under input order whatever it names: here
+        # "expected" would give cum_gains 1 at n = 1, not the policy's 1/2
+        records = make([1.0, 1.0, 0.5], [1, 0, 1])
+        message = f"unknown tie policy {text!r}"
+        with pytest.raises(ValidationError, match=message):
+            rank_records(records, text)
+        with pytest.raises(ValidationError, match=message):
+            _rank_columns(None, np.array([1.0, 1.0, 0.5]),
+                          np.array([1, 0, 1]), text)
+        assert rank_records(records, TiePolicy(text)).positives_in_prefix(
+            1) == (Fraction(1, 2) if text == "expected" else 1)
+
 
 class TestExpectedValuePrefix:
     def test_boundary_cutoffs_stay_integral(self):
